@@ -92,12 +92,12 @@ def _check_training_set(X, y):
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise ValueError(f"feature matrix {X.shape} and labels {y.shape} do not align")
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 training rows")
     if not set(np.unique(y)) <= {0, 1}:
         raise ValueError("labels must be binary 0/1")
-    if np.unique(y).size < 2:
+    if np.unique(y).size == 1:
         raise DegenerateTrainingError("training set has a single label")
+    if X.shape[0] < 2:
+        raise ValueError("need at least 2 training rows")
     return X, y
 
 
@@ -238,67 +238,110 @@ def _fit_svm(X, y, spec):
 MAX_LEAF_VALUE = 4.0
 
 
+@dataclass(frozen=True)
+class Tree:
+    """One regression tree as flat per-node arrays; node 0 is the root.
+
+    An inner node sends a row to ``left`` when its ``feature`` value is at
+    most ``threshold`` and to ``right`` otherwise.  A leaf has feature -1,
+    child indices -1 and threshold 0; only leaves carry a nonzero ``value``.
+    Nodes are numbered depth-first, left subtree before right.
+    """
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+
 def _best_split(X, grad, rows):
-    """Greedy SSE-minimizing split; returns (feature, threshold) or None."""
+    """Exact greedy SSE-minimizing split; returns (feature, threshold) or None.
+
+    Every feature is sorted and scored at once: gains[k, j] is the gain of
+    splitting feature j between its k-th and (k+1)-th smallest node value.
+    Ties go to the lowest feature, then to the lowest position.
+    """
     base = grad[rows]
     count = rows.size
     total = float(base.sum())
     sq_total = float(base @ base)
     sse_parent = sq_total - total * total / count
-    best = None
-    best_gain = 1e-12
-    for j in range(X.shape[1]):
-        order = np.argsort(X[rows, j], kind="stable")
-        vals = X[rows[order], j]
-        g = base[order]
-        left_n = np.arange(1, count)
-        left_sum = np.cumsum(g)[:-1]
-        left_sq = np.cumsum(g * g)[:-1]
-        splittable = vals[1:] != vals[:-1]
-        if not splittable.any():
-            continue
-        left_sse = left_sq - left_sum**2 / left_n
-        right_sum = total - left_sum
-        right_sse = (sq_total - left_sq) - right_sum**2 / (count - left_n)
-        gains = np.where(splittable, sse_parent - (left_sse + right_sse), -np.inf)
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best = (j, (vals[k] + vals[k + 1]) / 2.0)
-    return best
+    node_X = X[rows]
+    order = np.argsort(node_X, axis=0, kind="stable")
+    vals = np.take_along_axis(node_X, order, axis=0)
+    g = base[order]
+    left_n = np.arange(1, count)[:, None]
+    left_sum = np.cumsum(g, axis=0)[:-1]
+    left_sq = np.cumsum(g * g, axis=0)[:-1]
+    left_sse = left_sq - left_sum**2 / left_n
+    right_sum = total - left_sum
+    right_sse = (sq_total - left_sq) - right_sum**2 / (count - left_n)
+    splittable = vals[1:] != vals[:-1]
+    gains = np.where(splittable, sse_parent - (left_sse + right_sse), -np.inf)
+    j, k = divmod(int(np.argmax(gains.T)), count - 1)
+    if not gains[k, j] > 1e-12:
+        return None
+    return j, (vals[k, j] + vals[k + 1, j]) / 2.0
 
 
-def _build_tree(X, grad, hess, rows, depth):
-    if depth == 0 or rows.size < 2:
-        return _leaf(grad, hess, rows)
-    split = _best_split(X, grad, rows)
-    if split is None:
-        return _leaf(grad, hess, rows)
-    j, thr = split
-    left = rows[X[rows, j] <= thr]
-    right = rows[X[rows, j] > thr]
-    if left.size == 0 or right.size == 0:
-        return _leaf(grad, hess, rows)
-    return {
-        "feature": j, "threshold": thr,
-        "left": _build_tree(X, grad, hess, left, depth - 1),
-        "right": _build_tree(X, grad, hess, right, depth - 1),
-    }
+def _build_tree(X, grad, hess, depth):
+    """Grow one tree over all rows of X; returns it with each row's leaf value."""
+    nodes = []
+    fitted = np.empty(X.shape[0])
+
+    def grow(rows, depth):
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        split = _best_split(X, grad, rows) if depth > 0 and rows.size >= 2 else None
+        if split is not None:
+            j, thr = split
+            go_left = X[rows, j] <= thr
+            # a midpoint can round onto the larger value and leave one side empty
+            if go_left.any() and not go_left.all():
+                nodes[node][:2] = j, thr
+                nodes[node][2] = grow(rows[go_left], depth - 1)
+                nodes[node][3] = grow(rows[~go_left], depth - 1)
+                return node
+        value = grad[rows].sum() / (hess[rows].sum() + 1e-12)
+        value = float(np.clip(value, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))
+        nodes[node][4] = value
+        fitted[rows] = value
+        return node
+
+    grow(np.arange(X.shape[0]), depth)
+    feature, threshold, left, right, value = zip(*nodes)
+    tree = Tree(
+        feature=np.array(feature, dtype=np.intp), threshold=np.array(threshold),
+        left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
+        value=np.array(value),
+    )
+    return tree, fitted
 
 
-def _leaf(grad, hess, rows):
-    value = grad[rows].sum() / (hess[rows].sum() + 1e-12)
-    return {"value": float(np.clip(value, -MAX_LEAF_VALUE, MAX_LEAF_VALUE))}
+def _forest_predict(trees, X):
+    """Leaf value of every tree (result rows) for every row of X (result columns).
 
-
-def _tree_predict(tree, X):
-    if "value" in tree:
-        return np.full(X.shape[0], tree["value"])
-    go_left = X[:, tree["feature"]] <= tree["threshold"]
-    out = np.empty(X.shape[0])
-    out[go_left] = _tree_predict(tree["left"], X[go_left])
-    out[~go_left] = _tree_predict(tree["right"], X[~go_left])
-    return out
+    The trees' node arrays are concatenated and walked together from their
+    roots, one tree level per step.
+    """
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(roots, sizes)
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left for tree in trees]) + shift
+    right = np.concatenate([tree.right for tree in trees]) + shift
+    value = np.concatenate([tree.value for tree in trees])
+    n = X.shape[0]
+    node = np.repeat(roots, n)
+    row = np.tile(np.arange(n), len(trees))
+    live = np.flatnonzero(feature[node] >= 0)
+    while live.size:
+        at = node[live]
+        go_left = X[row[live], feature[at]] <= threshold[at]
+        node[live] = np.where(go_left, left[at], right[at])
+        live = live[feature[node[live]] >= 0]
+    return value[node].reshape(len(trees), n)
 
 
 def _fit_gbt(X, y, spec):
@@ -308,7 +351,6 @@ def _fit_gbt(X, y, spec):
     score = np.full(n, f0)
     trees = []
     losses = []
-    rows = np.arange(n)
     for _ in range(spec.rounds):
         p = _sigmoid(score)
         losses.append(float(np.mean(
@@ -316,9 +358,9 @@ def _fit_gbt(X, y, spec):
         )))
         grad = y - p
         hess = p * (1.0 - p)
-        tree = _build_tree(X, grad, hess, rows, spec.depth)
+        tree, fitted = _build_tree(X, grad, hess, spec.depth)
         trees.append(tree)
-        score = score + spec.shrinkage * _tree_predict(tree, X)
+        score = score + spec.shrinkage * fitted
     return {"f0": f0, "trees": trees, "shrinkage": spec.shrinkage, "train_losses": losses}
 
 
@@ -416,8 +458,8 @@ def decision_values(model: FittedModel, X) -> np.ndarray:
         return K @ payload["coef"] + payload["b"]
     if kind == "gbt":
         score = np.full(Xs.shape[0], payload["f0"])
-        for tree in payload["trees"]:
-            score = score + payload["shrinkage"] * _tree_predict(tree, Xs)
+        for leaf_values in _forest_predict(payload["trees"], Xs):
+            score = score + payload["shrinkage"] * leaf_values
         return score
     return _mlp_decision(payload, Xs)
 

@@ -31,6 +31,21 @@ def _add_common(sub):
                      help="report format (default json)")
 
 
+def _from_config(action, value):
+    """A config-file value read as argparse would read it from a flag."""
+    if value is None:
+        return None
+    try:
+        converted = (action.type or str)(str(value))
+    except ValueError:
+        raise ValueError(f"config value {value!r} for {action.dest!r} "
+                         f"is not a valid {action.type.__name__}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"config value {value!r} for {action.dest!r} "
+                         f"is not one of {sorted(action.choices)}")
+    return converted
+
+
 def _resolve(args, defaults: dict) -> SimpleNamespace:
     """Merge CLI flags over config-file values over defaults."""
     merged = dict(defaults)
@@ -50,7 +65,8 @@ def _resolve(args, defaults: dict) -> SimpleNamespace:
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; "
                              f"expected a subset of {sorted(merged)}")
-        merged.update(loaded)
+        merged.update({key: _from_config(args.actions[key], value)
+                       for key, value in loaded.items()})
     for key in merged:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -244,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "au_effect": 0.0, "expr_effect": 0.0,
                              "arousal_effect": 0.0, "valence_effect": 0.0,
                              "noise": 0.5, "subject_scale": 0.3})
+    for sub in subs.choices.values():
+        sub.set_defaults(actions={action.dest: action for action in sub._actions})
     return parser
 
 

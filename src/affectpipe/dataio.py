@@ -142,6 +142,9 @@ def parse_manifest(path) -> tuple:
         if pid in seen:
             raise ParseError(f"duplicate participant id {pid!r}", path=path, row=i)
         seen.add(pid)
+        if not isinstance(item["frames"], str):
+            raise ParseError(f"frames for id {pid!r} must be a path string, "
+                             f"got {item['frames']!r}", path=path, row=i)
         frames = path.parent / item["frames"]
         if not frames.is_file():
             raise ParseError(f"frames file {str(frames)!r} for id {pid!r} not found",

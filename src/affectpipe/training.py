@@ -97,6 +97,8 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be None or a positive integer")
 
 
 def inverse_frequency(counts) -> np.ndarray:

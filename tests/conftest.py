@@ -33,6 +33,53 @@ def loop_conv2d(x, spec, weights, bias=None):
     return out
 
 
+def loop_best_split(X, grad, rows):
+    """Per-feature GBT split search, the reference for the vectorized path.
+
+    Scans one feature at a time and keeps a feature's best split only when
+    its gain strictly beats every earlier feature's and 1e-12.
+    """
+    base = grad[rows]
+    count = rows.size
+    total = float(base.sum())
+    sq_total = float(base @ base)
+    sse_parent = sq_total - total * total / count
+    best = None
+    best_gain = 1e-12
+    for j in range(X.shape[1]):
+        order = np.argsort(X[rows, j], kind="stable")
+        vals = X[rows[order], j]
+        g = base[order]
+        left_n = np.arange(1, count)
+        left_sum = np.cumsum(g)[:-1]
+        left_sq = np.cumsum(g * g)[:-1]
+        splittable = vals[1:] != vals[:-1]
+        if not splittable.any():
+            continue
+        left_sse = left_sq - left_sum**2 / left_n
+        right_sum = total - left_sum
+        right_sse = (sq_total - left_sq) - right_sum**2 / (count - left_n)
+        gains = np.where(splittable, sse_parent - (left_sse + right_sse), -np.inf)
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain:
+            best_gain = float(gains[k])
+            best = (j, (vals[k] + vals[k + 1]) / 2.0)
+    return best
+
+
+def walk_leaf_values(trees, X):
+    """Leaf value of each tree for each row, one root-to-leaf walk at a time."""
+    out = np.empty((len(trees), X.shape[0]))
+    for t, tree in enumerate(trees):
+        for i, x in enumerate(X):
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = x[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            out[t, i] = tree.value[node]
+    return out
+
+
 def max_rel_error(analytic, numeric):
     analytic = np.asarray(analytic, dtype=float)
     numeric = np.asarray(numeric, dtype=float)

@@ -1,9 +1,14 @@
 """Contract tests for the seven classifiers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
+from conftest import loop_best_split, walk_leaf_values
 
 
 def blobs(rng, n=40, d=6, gap=4.0, cov_scale=1.0):
@@ -42,6 +47,10 @@ class TestFitContract:
         X = np.random.default_rng(1).normal(size=(6, 3))
         with pytest.raises(cl.DegenerateTrainingError):
             cl.fit(cl.ClassifierSpec("logistic"), X, np.zeros(6, dtype=int))
+
+    def test_single_row_is_single_label(self):
+        with pytest.raises(cl.DegenerateTrainingError):
+            cl.fit(cl.ClassifierSpec("logistic"), np.ones((1, 3)), np.array([1]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -188,12 +197,82 @@ class TestGbt:
         X, y, _ = blobs(np.random.default_rng(25), n=30, d=4)
         model = cl.fit(cl.ClassifierSpec("gbt", rounds=5, depth=1), X, y)
 
-        def depth(tree):
-            if "value" in tree:
+        def depth(tree, node=0):
+            if tree.feature[node] < 0:
                 return 0
-            return 1 + max(depth(tree["left"]), depth(tree["right"]))
+            return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
 
         assert all(depth(t) <= 1 for t in model.payload["trees"])
+
+
+def tie_prone_matrix(rng, n, d, levels, n_constant):
+    """Normal draws, or integers in [0, levels) when levels > 0 (many ties);
+    the first n_constant columns are constant, and the last column mirrors
+    the first varying one, so equal gains sit at different positions of two
+    features."""
+    if levels:
+        X = rng.integers(0, levels, size=(n, d)).astype(float)
+    else:
+        X = rng.normal(size=(n, d))
+    X[:, :n_constant] = 1.5
+    if n_constant < d - 1:
+        X[:, -1] = -X[:, n_constant]
+    return X
+
+
+PROBLEM = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 12),
+    levels=st.sampled_from([0, 2, 3]), n_constant=st.integers(0, 2),
+)
+
+
+class TestGbtSplitSearch:
+    """The one-pass split search against the per-feature loop, exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(**PROBLEM, grad_kind=st.sampled_from(["normal", "tied", "equal"]))
+    def test_matches_per_feature_loop(self, seed, n, d, levels, n_constant, grad_kind):
+        rng = np.random.default_rng(seed)
+        X = tie_prone_matrix(rng, n, d, levels, n_constant)
+        grad = {
+            "normal": rng.normal(size=n),
+            "tied": rng.integers(-1, 2, size=n) * 0.25,
+            "equal": np.full(n, 0.3),
+        }[grad_kind]
+        rows = np.flatnonzero(rng.random(n) < 0.7)
+        if rows.size < 2:
+            rows = np.arange(n)
+        assert cl._best_split(X, grad, rows) == loop_best_split(X, grad, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**PROBLEM, depth=st.integers(1, 4))
+    def test_fit_matches_per_feature_loop(self, seed, n, d, levels, n_constant, depth):
+        rng = np.random.default_rng(seed)
+        X = tie_prone_matrix(rng, n, d, levels, n_constant)
+        y = rng.integers(0, 2, size=n)
+        y[rng.choice(n, size=2, replace=False)] = [0, 1]
+        spec = cl.ClassifierSpec("gbt", rounds=15, depth=depth)
+        fast = cl.fit(spec, X, y)
+        with mock.patch.object(cl, "_best_split", loop_best_split):
+            slow = cl.fit(spec, X, y)
+        assert fast.payload["train_losses"] == slow.payload["train_losses"]
+        assert len(fast.payload["trees"]) == len(slow.payload["trees"]) == 15
+        for a, b in zip(fast.payload["trees"], slow.payload["trees"]):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        probe = np.vstack([X, tie_prone_matrix(rng, 5, d, levels, n_constant)])
+        assert np.array_equal(cl.decision_values(fast, probe), cl.decision_values(slow, probe))
+        # standardized rows plus rows that sit exactly on each split threshold
+        Xs = fast.stats.apply(probe)
+        on_threshold = []
+        for tree in fast.payload["trees"]:
+            for j, thr in zip(tree.feature, tree.threshold):
+                if j >= 0:
+                    on_threshold.append(Xs[0].copy())
+                    on_threshold[-1][j] = thr
+        Xs = np.vstack([Xs] + on_threshold)
+        assert np.array_equal(cl._forest_predict(fast.payload["trees"], Xs),
+                              walk_leaf_values(fast.payload["trees"], Xs))
 
 
 class TestMlp:

@@ -138,6 +138,16 @@ class TestConfigMerging:
         assert code == 0
         assert len(json.loads(out)["losses"]) == 4
 
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"participants": "ten"}))
+        code, out, err = run(capsys, "synth", "--out-dir", str(tmp_path / "c"),
+                             "--config", str(config))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "participants" in payload["message"]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"epochz": 2}))
@@ -166,6 +176,22 @@ class TestErrorContract:
         assert payload["error"] == "ParseError"
         assert payload["row"] == 4
         assert payload["column"] == "arousal"
+
+    def test_manifest_frames_not_a_string(self, tmp_path, capsys):
+        manifest = make_cohort_dir(tmp_path)
+        entries = json.loads(manifest.read_text())
+        entries[1]["frames"] = 5
+        manifest.write_text(json.dumps(entries))
+        code, out, err = run(capsys, "loocv", "--manifest", str(manifest))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["row"] == 1
+
+    def test_zero_batch_size(self, capsys):
+        code, out, err = run(capsys, "train-toy", "--batch-size", "0")
+        assert code == 1 and out == ""
+        assert "batch_size" in json.loads(err)["message"]
 
     def test_text_format(self, tmp_path, capsys):
         manifest = make_cohort_dir(tmp_path)

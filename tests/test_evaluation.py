@@ -116,6 +116,16 @@ class TestLoocv:
         assert result.probabilities[idx] == 0.0
         assert any("single-label" in w for w in result.warnings)
 
+    def test_two_participants_every_fold_base_rate(self):
+        feats = np.random.default_rng(6).normal(size=(2, 58))
+        cohort = ev.Cohort((ev.StudyRecord("a", ev.ASD, feats[0]),
+                            ev.StudyRecord("b", ev.NON_ASD, feats[1])))
+        with pytest.warns(UserWarning, match="single-label"):
+            result = ev.loocv(cohort, cl.ClassifierSpec("logistic"))
+        # each fold trains on the one other participant's label
+        assert result.probabilities == (0.0, 1.0)
+        assert len(result.warnings) == 2
+
     def test_masked_features_only(self):
         rng = np.random.default_rng(5)
         cohort = make_cohort(rng, n_pos=6, n_neg=6, gap=4.0)
