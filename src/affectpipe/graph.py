@@ -58,7 +58,12 @@ class CuWidths:
 
 
 class ConvBlock:
-    """Convolution, learnable per-channel affine, optional ReLU."""
+    """Convolution, learnable per-channel affine, optional ReLU.
+
+    The forward pass folds the affine into the convolution (weights
+    ``scale*W``, bias ``scale*b + shift``), saving one pass over the
+    activations; training keeps them apart (``numerics.channel_affine``).
+    """
 
     def __init__(self, name: str, spec: nm.ConvSpec, relu: bool = True):
         self.name = name
@@ -82,9 +87,15 @@ class ConvBlock:
         }
 
     def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
-        y = nm.conv2d(x, self.spec, params[f"{self.name}.w"], params[f"{self.name}.b"])
-        y = nm.channel_affine(y, params[f"{self.name}.scale"], params[f"{self.name}.shift"])
-        return nm.relu(y) if self.relu else y
+        scale = params[f"{self.name}.scale"]
+        # A non-finite fold is reported by require_finite, not as a numpy warning.
+        with np.errstate(invalid="ignore", over="ignore"):
+            w = scale[:, None, None, None] * params[f"{self.name}.w"]
+            b = scale * params[f"{self.name}.b"] + params[f"{self.name}.shift"]
+        nm.require_finite(w, "folded weights")
+        nm.require_finite(b, "folded bias")
+        y = nm.conv2d(x, self.spec, w, b)
+        return np.maximum(y, 0.0, out=y) if self.relu else y
 
     def macs(self, hw) -> int:
         oh, ow = self.spec.out_hw(hw)

@@ -6,8 +6,10 @@ each forward op has a companion ``*_backward`` that returns the exact
 analytic adjoints of its inputs and parameters, verified against central
 finite differences in the test suite.
 
-Convolution is computed by direct summation: one grouped matrix product
-per kernel offset. Correctness over speed; sizes here are desk scale.
+Convolution lowers every ``ConvSpec`` to one path: the padded, strided
+and dilated input is gathered once into a column tensor (im2col) and
+multiplied by the grouped weights in one batched matrix product; its
+adjoint scatter-adds the columns back over the kernel offsets.
 """
 
 from __future__ import annotations
@@ -97,24 +99,39 @@ def _conv_geometry(x: np.ndarray, spec: ConvSpec, weights: np.ndarray):
     return x, weights, n, oh, ow
 
 
+def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
+    """Column tensor (n, groups, cin/g*k*k, oh*ow) of an unpadded input.
+
+    Row (c, ki, kj) of group gi holds input channel gi*cin/g + c at offset
+    (ki*d, kj*d) of every output position's receptive field.  A 1x1 kernel
+    without padding at stride 1 gives a view, not a copy.
+    """
+    p = spec.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    n = xp.shape[0]
+    g, k, s, d = spec.groups, spec.kernel, spec.stride, spec.dilation
+    cin_g = spec.in_channels // g
+    sn, sc, sh, sw = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, g, cin_g, k, k, oh, ow),
+        strides=(sn, sc * cin_g, sc, sh * d, sw * d, sh * s, sw * s),
+        writeable=False,
+    )
+    return windows.reshape(n, g, cin_g * k * k, oh * ow)
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Direct-summation grouped 2-d convolution (cross-correlation).
+    """Grouped 2-d convolution (cross-correlation) as im2col plus one batched GEMM.
 
     out[n,o,i,j] = sum_{c,ki,kj} w[o,c,ki,kj] * xpad[n, g(o)+c, i*s+ki*d, j*s+kj*d] + b[o]
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     require_finite(x, "conv2d input")
     g = spec.groups
-    s, d, p, k = spec.stride, spec.dilation, spec.padding, spec.kernel
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    xg = xp.reshape(n, g, spec.in_channels // g, *xp.shape[2:])
-    wg = weights.reshape(g, spec.out_channels // g, spec.in_channels // g, k, k)
-    out = np.zeros((n, g, spec.out_channels // g, oh, ow))
-    for ki in range(k):
-        for kj in range(k):
-            patch = xg[:, :, :, ki * d : ki * d + s * (oh - 1) + 1 : s, kj * d : kj * d + s * (ow - 1) + 1 : s]
-            out += np.einsum("ngchw,goc->ngohw", patch, wg[:, :, :, ki, kj], optimize=True)
-    y = out.reshape(n, spec.out_channels, oh, ow)
+    cols = _im2col(x, spec, oh, ow)
+    y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), cols)
+    y = y.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (spec.out_channels,):
@@ -126,31 +143,32 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
 def conv2d_backward(
     grad_out: np.ndarray, x: np.ndarray, spec: ConvSpec, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjoints (grad_x, grad_weights, grad_bias) of :func:`conv2d`."""
+    """Adjoints (grad_x, grad_weights, grad_bias) of :func:`conv2d`.
+
+    grad_weights is one matmul against the forward's column tensor;
+    grad_x scatter-adds the weight-transposed columns back over the k^2
+    kernel offsets (col2im).
+    """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (n, spec.out_channels, oh, ow):
         raise ShapeError(f"adjoint shape {grad_out.shape} != forward output {(n, spec.out_channels, oh, ow)}")
     g = spec.groups
     s, d, p, k = spec.stride, spec.dilation, spec.padding, spec.kernel
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    xg = xp.reshape(n, g, spec.in_channels // g, *xp.shape[2:])
-    wg = weights.reshape(g, spec.out_channels // g, spec.in_channels // g, k, k)
-    gyg = grad_out.reshape(n, g, spec.out_channels // g, oh, ow)
-    gxg = np.zeros_like(xg)
-    gwg = np.zeros_like(wg)
+    gy = grad_out.reshape(n, g, spec.out_channels // g, oh * ow)
+    wg = weights.reshape(g, spec.out_channels // g, -1)
+    gw = np.matmul(gy, _im2col(x, spec, oh, ow).transpose(0, 1, 3, 2)).sum(axis=0)
+    gcols = np.matmul(wg.transpose(0, 2, 1), gy).reshape(n, spec.in_channels, k, k, oh, ow)
+    h, w = x.shape[2:]
+    gxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p))
     for ki in range(k):
         for kj in range(k):
             rows = slice(ki * d, ki * d + s * (oh - 1) + 1, s)
             cols = slice(kj * d, kj * d + s * (ow - 1) + 1, s)
-            patch = xg[:, :, :, rows, cols]
-            gwg[:, :, :, ki, kj] = np.einsum("ngohw,ngchw->goc", gyg, patch, optimize=True)
-            gxg[:, :, :, rows, cols] += np.einsum("ngohw,goc->ngchw", gyg, wg[:, :, :, ki, kj], optimize=True)
-    gx = gxg.reshape(xp.shape)
-    if p:
-        gx = gx[:, :, p:-p, p:-p]
+            gxp[:, :, rows, cols] += gcols[:, :, ki, kj]
+    gx = gxp[:, :, p:-p, p:-p] if p else gxp
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    return gx, gwg.reshape(weights.shape), grad_bias
+    return gx, gw.reshape(weights.shape), grad_bias
 
 
 def linear(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:

@@ -400,8 +400,13 @@ def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):
 
     Each image is a class prototype plus noise; AU, arousal, and valence
     labels derive from channel statistics so a one-conv network can fit
-    them.
+    them.  AU labels read the left half of the image, so ``size`` must be
+    at least 2.
     """
+    if n < 1:
+        raise ValueError(f"samples must be a positive integer, got {n}")
+    if size < 2:
+        raise ValueError(f"image_size must be at least 2, got {size}")
     rng = np.random.default_rng(seed)
     protos = rng.normal(size=(N_EXPR, 3, size, size))
     images = np.empty((n, 3, size, size))

@@ -33,6 +33,26 @@ def loop_conv2d(x, spec, weights, bias=None):
     return out
 
 
+def offset_conv2d(x, spec, weights, bias=None):
+    """Direct-summation convolution, one grouped einsum per kernel offset."""
+    n = x.shape[0]
+    g = spec.groups
+    s, d, p, k = spec.stride, spec.dilation, spec.padding, spec.kernel
+    oh, ow = spec.out_hw(x.shape[2:])
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    xg = xp.reshape(n, g, spec.in_channels // g, *xp.shape[2:])
+    wg = weights.reshape(g, spec.out_channels // g, spec.in_channels // g, k, k)
+    out = np.zeros((n, g, spec.out_channels // g, oh, ow))
+    for ki in range(k):
+        for kj in range(k):
+            patch = xg[:, :, :, ki * d : ki * d + s * (oh - 1) + 1 : s, kj * d : kj * d + s * (ow - 1) + 1 : s]
+            out += np.einsum("ngchw,goc->ngohw", patch, wg[:, :, :, ki, kj], optimize=True)
+    y = out.reshape(n, spec.out_channels, oh, ow)
+    if bias is not None:
+        y += bias[None, :, None, None]
+    return y
+
+
 def loop_best_split(X, grad, rows):
     """Per-feature GBT split search, the reference for the vectorized path.
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from affectpipe import cli
 
 
@@ -192,6 +194,28 @@ class TestErrorContract:
         code, out, err = run(capsys, "train-toy", "--batch-size", "0")
         assert code == 1 and out == ""
         assert "batch_size" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples(self, capsys, samples):
+        code, out, err = run(capsys, "train-toy", "--samples", samples, "--epochs", "1")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "samples" in payload["message"]
+
+    @pytest.mark.parametrize("size", ["1", "0"])
+    def test_image_size_below_two(self, capsys, size):
+        code, out, err = run(capsys, "train-toy", "--image-size", size, "--epochs", "1")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "image_size" in payload["message"]
+
+    def test_smallest_image_size_trains(self, capsys):
+        code, out, err = run(capsys, "train-toy", "--image-size", "2", "--samples", "10",
+                             "--epochs", "2")
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["losses"]) == 2
 
     def test_text_format(self, tmp_path, capsys):
         manifest = make_cohort_dir(tmp_path)

@@ -256,6 +256,44 @@ class TestForward:
         np.testing.assert_allclose(y, h, atol=1e-12)
 
 
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("spec", [
+        nm.ConvSpec(3, 6, kernel=3, stride=2, padding=1),
+        nm.ConvSpec(4, 12, kernel=3, padding=1, groups=4),
+        nm.ConvSpec(8, 4, kernel=1, groups=2),
+        nm.ConvSpec(5, 5, kernel=3, stride=2, padding=3, dilation=3, groups=5),
+    ])
+    def test_folded_affine_matches_unfolded(self, spec, relu):
+        """The fold into W and b equals conv2d, then the affine, then ReLU."""
+        rng = np.random.default_rng(21)
+        block = gp.ConvBlock("blk", spec, relu=relu)
+        c = spec.out_channels
+        params = {
+            "blk.w": rng.normal(size=spec.weight_shape),
+            "blk.b": rng.normal(size=c),
+            "blk.scale": rng.uniform(0.2, 3.0, size=c) * rng.choice([-1.0, 1.0], size=c),
+            "blk.shift": rng.normal(scale=2.0, size=c),
+        }
+        x = rng.normal(size=(2, spec.in_channels, 9, 7))
+        want = nm.channel_affine(nm.conv2d(x, spec, params["blk.w"], params["blk.b"]),
+                                 params["blk.scale"], params["blk.shift"])
+        if relu:
+            want = nm.relu(want)
+        np.testing.assert_allclose(block.forward(params, x), want, rtol=1e-12, atol=1e-12)
+
+    def test_nonfinite_folded_parameters_raise_before_arithmetic(self):
+        spec = nm.ConvSpec(2, 2, kernel=1)
+        block = gp.ConvBlock("blk", spec)
+        params = {"blk.w": np.ones((2, 2, 1, 1)), "blk.b": np.zeros(2),
+                  "blk.scale": np.array([0.0, 1.0]), "blk.shift": np.zeros(2)}
+        params["blk.w"][0, 0, 0, 0] = np.inf
+        with pytest.raises(nm.NumericError, match="folded weights"):
+            block.forward(params, np.ones((1, 2, 3, 3)))
+        params["blk.w"][0, 0, 0, 0] = 1.0
+        params["blk.shift"][1] = np.nan
+        with pytest.raises(nm.NumericError, match="folded bias"):
+            block.forward(params, np.ones((1, 2, 3, 3)))
+
 class TestPredictAttributes:
     def test_zero_heads_uniform(self):
         out = {

@@ -5,7 +5,21 @@ from hypothesis import strategies as st
 
 from affectpipe import numerics as nm
 
-from conftest import loop_conv2d
+from conftest import loop_conv2d, offset_conv2d
+
+# One spec per convolution class the trunk uses, with the input size it runs at.
+CONV_CLASSES = {
+    "dense": (nm.ConvSpec(3, 5, kernel=3, padding=1), (2, 3, 6, 5)),
+    "dense_strided": (nm.ConvSpec(3, 4, kernel=3, stride=2, padding=1), (2, 3, 7, 9)),
+    "pointwise": (nm.ConvSpec(6, 4, kernel=1), (2, 6, 5, 7)),
+    "pointwise_stride2": (nm.ConvSpec(6, 4, kernel=1, stride=2), (2, 6, 7, 5)),
+    "grouped_pointwise": (nm.ConvSpec(8, 12, kernel=1, groups=4), (2, 8, 5, 6)),
+    "depthwise_mult1": (nm.ConvSpec(4, 4, kernel=3, padding=1, groups=4), (2, 4, 7, 6)),
+    "depthwise_mult14": (nm.ConvSpec(2, 28, kernel=3, stride=2, padding=1, groups=2), (2, 2, 7, 7)),
+    **{f"dilated_depthwise_d{d}": (nm.ConvSpec(3, 3, kernel=3, stride=2, padding=d, dilation=d, groups=3),
+                                   (2, 3, 9, 11)) for d in range(1, 5)},
+    "odd_kernel5": (nm.ConvSpec(4, 2, kernel=5, stride=3, padding=2, groups=2), (1, 4, 11, 13)),
+}
 
 
 class TestConvSpec:
@@ -79,6 +93,62 @@ class TestConv2d:
         lhs = nm.conv2d(2.5 * x1 - 0.7 * x2, spec, w)
         rhs = 2.5 * nm.conv2d(x1, spec, w) - 0.7 * nm.conv2d(x2, spec, w)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(CONV_CLASSES))
+    def test_matches_both_oracles_per_class(self, rng, name):
+        spec, shape = CONV_CLASSES[name]
+        x = rng.normal(size=shape)
+        w = rng.normal(size=spec.weight_shape)
+        b = rng.normal(size=spec.out_channels)
+        y = nm.conv2d(x, spec, w, b)
+        np.testing.assert_allclose(y, offset_conv2d(x, spec, w, b), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, loop_conv2d(x, spec, w, b), rtol=1e-12, atol=1e-12)
+
+    @given(
+        groups=st.integers(1, 3), cin_g=st.integers(1, 3), cout_g=st.integers(1, 4),
+        kernel=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3), dilation=st.integers(1, 4),
+        padding=st.integers(0, 4), extra_h=st.integers(0, 6), extra_w=st.integers(0, 6),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_both_oracles_random_specs(self, groups, cin_g, cout_g, kernel, stride,
+                                               dilation, padding, extra_h, extra_w, seed):
+        spec = nm.ConvSpec(groups * cin_g, groups * cout_g, kernel=kernel, stride=stride,
+                           padding=padding, groups=groups, dilation=dilation)
+        smallest = max(1, dilation * (kernel - 1) + 1 - 2 * padding)
+        h, w = smallest + extra_h, smallest + extra_w
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, spec.in_channels, h, w))
+        wt = rng.normal(size=spec.weight_shape)
+        b = rng.normal(size=spec.out_channels)
+        y = nm.conv2d(x, spec, wt, b)
+        np.testing.assert_allclose(y, offset_conv2d(x, spec, wt, b), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, loop_conv2d(x, spec, wt, b), rtol=1e-12, atol=1e-12)
+
+    def test_noncontiguous_input(self, rng):
+        spec = nm.ConvSpec(2, 3, kernel=3, stride=2, padding=1)
+        x = rng.normal(size=(2, 5, 9, 8))[:, 1:5:2, ::-1]
+        w = rng.normal(size=spec.weight_shape)
+        np.testing.assert_allclose(nm.conv2d(x, spec, w), loop_conv2d(x, spec, w), rtol=1e-12, atol=1e-12)
+
+    def test_pointwise_columns_are_a_view(self, rng):
+        spec = nm.ConvSpec(6, 4, kernel=1, groups=2)
+        x = rng.normal(size=(2, 6, 5, 7))
+        assert np.shares_memory(nm._im2col(x, spec, 5, 7), x)
+
+    @pytest.mark.parametrize("name", sorted(CONV_CLASSES))
+    def test_backward_is_the_adjoint_per_class(self, rng, name):
+        # <conv(x, w), gy> is bilinear, so it equals <x, gx> and <w, gw> exactly.
+        spec, shape = CONV_CLASSES[name]
+        x = rng.normal(size=shape)
+        w = rng.normal(size=spec.weight_shape)
+        gy = rng.normal(size=nm.conv2d(x, spec, w).shape)
+        gx, gw, gb = nm.conv2d_backward(gy, x, spec, w)
+        inner = float(np.sum(nm.conv2d(x, spec, w) * gy))
+        assert gx.shape == x.shape and gw.shape == w.shape
+        np.testing.assert_allclose(np.sum(gx * x), inner, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(np.sum(gw * w), inner, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gb, gy.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_shape_error_on_bad_weights(self, rng):
         spec = nm.ConvSpec(2, 3, kernel=3)
