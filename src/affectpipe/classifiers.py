@@ -101,10 +101,6 @@ def _check_training_set(X, y):
     return X, y
 
 
-def _sigmoid(z):
-    return nm.sigmoid(np.asarray(z, dtype=float))
-
-
 # --- linear family ---------------------------------------------------------
 
 def _fit_logistic(X, y, spec, lasso: bool):
@@ -112,7 +108,7 @@ def _fit_logistic(X, y, spec, lasso: bool):
     w = np.zeros(d)
     b = 0.0
     for _ in range(spec.iterations):
-        p = _sigmoid(X @ w + b)
+        p = nm.sigmoid(X @ w + b)
         err = p - y
         gw = X.T @ err / n
         gb = float(err.mean())
@@ -352,7 +348,7 @@ def _fit_gbt(X, y, spec):
     trees = []
     losses = []
     for _ in range(spec.rounds):
-        p = _sigmoid(score)
+        p = nm.sigmoid(score)
         losses.append(float(np.mean(
             np.maximum(score, 0.0) - score * y + np.log1p(np.exp(-np.abs(score)))
         )))
@@ -396,7 +392,7 @@ def _fit_mlp(X, y, spec):
         z2 = nm.linear(a1, params["l2.w"], params["l2.b"])
         a2 = nm.relu(z2)
         z = nm.linear(a2, params["out.w"], params["out.b"])[:, 0]
-        p = _sigmoid(z)
+        p = nm.sigmoid(z)
         gz = (sample_w * (p - y) / n)[:, None]
         ga2, gw_out, gb_out = nm.linear_backward(gz, a2, params["out.w"])
         gz2 = nm.relu_backward(ga2, z2)
@@ -467,7 +463,7 @@ def decision_values(model: FittedModel, X) -> np.ndarray:
 def predict_proba(model: FittedModel, x):
     """Probability of the positive label; scalar in, scalar out."""
     single = np.asarray(x).ndim == 1
-    p = _sigmoid(decision_values(model, x))
+    p = nm.sigmoid(decision_values(model, x))
     return float(p[0]) if single else p
 
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .temporal import FrameAttributes
+from . import temporal as tp
 
 CU_KINDS = ("bottleneck", "mobilenet", "eesp")
 TASKS = ("expr", "au", "arousal", "valence")
-HEAD_WIDTHS = {"expr": 8, "au": 12, "arousal": 1, "valence": 1}
+HEAD_WIDTHS = {"expr": tp.N_EXPR, "au": tp.N_AU, "arousal": 1, "valence": 1}
 
 STEM_CHANNELS = 32
 TAIL_CHANNELS = 512
@@ -60,9 +60,9 @@ class CuWidths:
 class ConvBlock:
     """Convolution, learnable per-channel affine, optional ReLU.
 
-    The forward pass folds the affine into the convolution (weights
-    ``scale*W``, bias ``scale*b + shift``), saving one pass over the
-    activations; training keeps them apart (``numerics.channel_affine``).
+    Both passes fold the affine into the convolution (weights ``scale*W``,
+    bias ``scale*b + shift``), saving one pass over the activations; the
+    backward pass applies the chain rule through the fold.
     """
 
     def __init__(self, name: str, spec: nm.ConvSpec, relu: bool = True):
@@ -86,7 +86,7 @@ class ConvBlock:
             f"{self.name}.shift": (c,),
         }
 
-    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
+    def _folded(self, params: dict):
         scale = params[f"{self.name}.scale"]
         # A non-finite fold is reported by require_finite, not as a numpy warning.
         with np.errstate(invalid="ignore", over="ignore"):
@@ -94,8 +94,30 @@ class ConvBlock:
             b = scale * params[f"{self.name}.b"] + params[f"{self.name}.shift"]
         nm.require_finite(w, "folded weights")
         nm.require_finite(b, "folded bias")
-        y = nm.conv2d(x, self.spec, w, b)
+        return w, b
+
+    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
+        y = nm.conv2d(x, self.spec, *self._folded(params))
         return np.maximum(y, 0.0, out=y) if self.relu else y
+
+    def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
+        """(grad_x, parameter grads) from input x, output y and d loss/d y.
+
+        With gWf, gbf the adjoints of the folded weights and bias:
+        gW = scale*gWf, gb = scale*gbf, gshift = gbf and
+        gscale = sum(gWf*W) + gbf*b per output channel.
+        """
+        if self.relu:
+            grad_y = nm.relu_backward(grad_y, y)
+        gx, gwf, gbf = nm.conv2d_backward(grad_y, x, self.spec, self._folded(params)[0])
+        n = self.name
+        scale = params[f"{n}.scale"]
+        return gx, {
+            f"{n}.w": scale[:, None, None, None] * gwf,
+            f"{n}.b": scale * gbf,
+            f"{n}.scale": (gwf * params[f"{n}.w"]).sum(axis=(1, 2, 3)) + gbf * params[f"{n}.b"],
+            f"{n}.shift": gbf,
+        }
 
     def macs(self, hw) -> int:
         oh, ow = self.spec.out_hw(hw)
@@ -244,7 +266,9 @@ class EespUnit:
 
 class GlobalPool:
     name = "pool"
-    out_channels = TAIL_CHANNELS
+
+    def __init__(self, channels: int):
+        self.out_channels = channels
 
     def out_hw(self, hw):
         return (1, 1)
@@ -255,26 +279,34 @@ class GlobalPool:
     def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
         return nm.global_avg_pool(x)
 
+    def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
+        return nm.global_avg_pool_backward(grad_y, x.shape), {}
+
     def macs(self, hw) -> int:
-        return hw[0] * hw[1] * TAIL_CHANNELS
+        return hw[0] * hw[1] * self.out_channels
 
 
 class Head:
     """Linear readout from pooled features; raw outputs, no activation."""
 
-    def __init__(self, task: str):
+    def __init__(self, task: str, channels: int):
         self.task = task
         self.name = f"head.{task}"
         self.width = HEAD_WIDTHS[task]
+        self.channels = channels
 
     def param_shapes(self) -> dict:
-        return {f"{self.name}.w": (self.width, TAIL_CHANNELS), f"{self.name}.b": (self.width,)}
+        return {f"{self.name}.w": (self.width, self.channels), f"{self.name}.b": (self.width,)}
 
     def forward(self, params: dict, pooled: np.ndarray) -> np.ndarray:
         return nm.linear(pooled, params[f"{self.name}.w"], params[f"{self.name}.b"])
 
+    def backward(self, params: dict, pooled: np.ndarray, grad_y: np.ndarray):
+        gx, gw, gb = nm.linear_backward(grad_y, pooled, params[f"{self.name}.w"])
+        return gx, {f"{self.name}.w": gw, f"{self.name}.b": gb}
+
     def macs(self) -> int:
-        return self.width * TAIL_CHANNELS
+        return self.width * self.channels
 
 
 @dataclass(frozen=True)
@@ -284,7 +316,7 @@ class ModelGraph:
     input_hw: tuple
     layers: tuple = field(repr=False)
     heads: tuple = field(repr=False)
-    widths: CuWidths = field(repr=False)
+    widths: CuWidths = field(default=CuWidths(), repr=False)
 
     @property
     def tasks(self):
@@ -314,8 +346,8 @@ def build_graph(cu: str, mode: str = "multi", input_hw=DEFAULT_INPUT_HW,
             layers.append(unit_type(name, cin, cout, stride if i == 0 else 1, widths))
             cin = cout
     layers.append(ConvBlock("tail", nm.ConvSpec(cin, TAIL_CHANNELS, kernel=3, padding=1, groups=cin)))
-    layers.append(GlobalPool())
-    heads = tuple(Head(t) for t in (TASKS if mode == "multi" else (mode,)))
+    layers.append(GlobalPool(TAIL_CHANNELS))
+    heads = tuple(Head(t, TAIL_CHANNELS) for t in (TASKS if mode == "multi" else (mode,)))
     return ModelGraph(cu=cu, mode=mode, input_hw=tuple(input_hw),
                       layers=tuple(layers), heads=heads, widths=widths)
 
@@ -385,8 +417,12 @@ def init_params(graph: ModelGraph, seed: int) -> dict:
     return params
 
 
-def forward(graph: ModelGraph, params: dict, batch: np.ndarray) -> dict:
-    """Run the trunk and heads; returns raw per-head outputs keyed by task."""
+def forward(graph: ModelGraph, params: dict, batch: np.ndarray, cache: list | None = None) -> dict:
+    """Run the trunk and heads; returns raw per-head outputs keyed by task.
+
+    If ``cache`` is a list, the input of every layer and then the pooled
+    features are appended to it, for :func:`backward`.
+    """
     x = np.asarray(batch, dtype=float)
     if x.ndim != 4 or x.shape[1] != 3:
         raise nm.ShapeError(f"expected a batch shaped (N, 3, H, W), got {x.shape}")
@@ -395,12 +431,16 @@ def forward(graph: ModelGraph, params: dict, batch: np.ndarray) -> dict:
             f"batch spatial size {x.shape[2:]} does not match graph input {graph.input_hw}"
         )
     for index, layer in enumerate(graph.layers):
+        if cache is not None:
+            cache.append(x)
         try:
             x = layer.forward(params, x)
         except nm.NumericError as err:
             raise nm.NumericError(f"layer {index} ({layer.name}): {err}") from err
         if not np.all(np.isfinite(x)):
             raise nm.NumericError(f"non-finite activations after layer {index} ({layer.name})")
+    if cache is not None:
+        cache.append(x)
     outputs = {}
     for head in graph.heads:
         y = head.forward(params, x)
@@ -408,7 +448,28 @@ def forward(graph: ModelGraph, params: dict, batch: np.ndarray) -> dict:
     return outputs
 
 
-def predict_attributes(outputs: dict) -> list[FrameAttributes]:
+def backward(graph: ModelGraph, params: dict, cache: list, head_grads: dict) -> dict:
+    """Gradients of every parameter, keyed like ``params``.
+
+    ``cache`` is the list a :func:`forward` call filled and ``head_grads``
+    the loss adjoints of the raw head outputs, keyed by task (width-1 heads
+    may take (N,) vectors).  The layers are walked in reverse.
+    """
+    pooled = cache[-1]
+    grads = {}
+    g = np.zeros_like(pooled)
+    for head in graph.heads:
+        grad_y = np.asarray(head_grads[head.task], dtype=float).reshape(len(pooled), head.width)
+        gx, head_param_grads = head.backward(params, pooled, grad_y)
+        grads.update(head_param_grads)
+        g += gx
+    for i in reversed(range(len(graph.layers))):
+        g, layer_grads = graph.layers[i].backward(params, cache[i], cache[i + 1], g)
+        grads.update(layer_grads)
+    return grads
+
+
+def predict_attributes(outputs: dict) -> list[tp.FrameAttributes]:
     """Squash raw multi-task head outputs into per-frame attributes."""
     missing = [t for t in TASKS if t not in outputs]
     if missing:
@@ -425,7 +486,7 @@ def predict_attributes(outputs: dict) -> list[FrameAttributes]:
     expr_p = nm.softmax(expr)
     au_p = nm.sigmoid(au)
     return [
-        FrameAttributes(
+        tp.FrameAttributes(
             au=tuple(au_p[i]),
             expr=tuple(expr_p[i]),
             arousal=float(np.tanh(aro[i])),

@@ -7,13 +7,15 @@ latents before squashing, so effect size 0 makes the groups exchangeable.
 """
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
 from . import evaluation as ev
+from . import numerics as nm
 from . import temporal as tp
 
 
@@ -30,6 +32,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.participants_per_group < 1:
             raise ValueError("participants_per_group must be >= 1")
         if self.frames_per_participant < 1:
@@ -38,21 +44,6 @@ class SynthSpec:
             raise ValueError("noise must be > 0")
         if self.subject_scale < 0:
             raise ValueError("subject_scale must be >= 0")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def participant_stream(spec: SynthSpec, rng: np.random.Generator,
@@ -72,8 +63,8 @@ def participant_stream(spec: SynthSpec, rng: np.random.Generator,
         affect_latent[:, 0] += spec.arousal_effect
         affect_latent[:, 1] += spec.valence_effect
     return np.column_stack([
-        _sigmoid(au_latent),
-        _softmax_rows(expr_latent),
+        nm.sigmoid(au_latent),
+        nm.softmax(expr_latent),
         np.tanh(affect_latent),
     ])
 

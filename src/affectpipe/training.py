@@ -3,7 +3,9 @@
 Losses consume raw head outputs and squash internally (softmax, sigmoid,
 tanh), returning both the value and the exact adjoint with respect to the
 raw output so the whole training path stays finite-difference checkable.
-UNK labels contribute zero loss and zero adjoint.
+UNK labels contribute zero loss and zero adjoint.  The toy model is a
+``graph.ModelGraph`` (a conv stem, pooling and the four heads), trained
+through ``graph.forward`` and ``graph.backward``.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph as gr
 from . import numerics as nm
-
-TASKS = ("expr", "au", "arousal", "valence")
-N_AU = 12
-N_EXPR = 8
+from .temporal import N_AU, N_EXPR
 
 
 @dataclass(frozen=True)
@@ -211,14 +211,14 @@ def l2_penalty(params: dict) -> float:
 def multitask_loss(outputs: dict, labels: TaskLabels, weights: ClassWeights,
                    params: dict, lam: float = 1e-4) -> float:
     """Unweighted sum of the four task losses plus lam * ||params||^2."""
-    missing = [t for t in TASKS if t not in outputs]
+    missing = [t for t in gr.TASKS if t not in outputs]
     if missing:
         raise ValueError(f"missing head outputs for {missing}")
     if (labels.expr is None and all(v is None for v in labels.au)
             and labels.arousal is None and labels.valence is None):
         raise ValueError("all tasks UNK")
     total = 0.0
-    for task in TASKS:
+    for task in gr.TASKS:
         value, _ = task_loss(task, outputs[task], labels, weights)
         total += value
     return total + lam * l2_penalty(params)
@@ -324,75 +324,28 @@ def augment(images: np.ndarray, seed: int, config: AugmentConfig = AugmentConfig
 
 
 # ---------------------------------------------------------------------------
-# Toy two-layer multi-task model: conv stem, pooled linear heads.
+# Toy multi-task model: a strided conv stem, pooling, the four linear heads.
 
-TOY_STEM = nm.ConvSpec(3, 8, kernel=3, stride=2, padding=1)
-HEAD_WIDTHS = {"expr": N_EXPR, "au": N_AU, "arousal": 1, "valence": 1}
-
-
-def toy_param_shapes() -> dict:
-    shapes = {
-        "stem.w": TOY_STEM.weight_shape,
-        "stem.b": (TOY_STEM.out_channels,),
-        "stem.scale": (TOY_STEM.out_channels,),
-        "stem.shift": (TOY_STEM.out_channels,),
-    }
-    for task, width in HEAD_WIDTHS.items():
-        shapes[f"head.{task}.w"] = (width, TOY_STEM.out_channels)
-        shapes[f"head.{task}.b"] = (width,)
-    return shapes
+TOY_CHANNELS = 8
 
 
-def init_toy_params(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    params = {}
-    for key, shape in sorted(toy_param_shapes().items()):
-        if key.endswith(".w"):
-            fan_in = int(np.prod(shape[1:]))
-            params[key] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        elif key.endswith(".scale"):
-            params[key] = np.ones(shape)
-        else:
-            params[key] = np.zeros(shape)
-    return params
+def toy_graph(size: int) -> gr.ModelGraph:
+    """The toy model as a graph over ``size`` x ``size`` images."""
+    stem = gr.ConvBlock("stem", nm.ConvSpec(3, TOY_CHANNELS, kernel=3, stride=2, padding=1))
+    return gr.ModelGraph(cu="toy", mode="multi", input_hw=(size, size),
+                         layers=(stem, gr.GlobalPool(TOY_CHANNELS)),
+                         heads=tuple(gr.Head(t, TOY_CHANNELS) for t in gr.TASKS))
 
 
 def toy_forward(params: dict, batch: np.ndarray):
     """Returns (head outputs, cache for the backward pass)."""
-    conv = nm.conv2d(batch, TOY_STEM, params["stem.w"], params["stem.b"])
-    affine = nm.channel_affine(conv, params["stem.scale"], params["stem.shift"])
-    hidden = nm.relu(affine)
-    pooled = nm.global_avg_pool(hidden)
-    outputs = {}
-    for task, width in HEAD_WIDTHS.items():
-        y = nm.linear(pooled, params[f"head.{task}.w"], params[f"head.{task}.b"])
-        outputs[task] = y[:, 0] if width == 1 else y
-    cache = {"batch": batch, "conv": conv, "affine": affine, "hidden": hidden, "pooled": pooled}
-    return outputs, cache
+    cache = []
+    return gr.forward(toy_graph(batch.shape[2]), params, batch, cache), cache
 
 
-def toy_backward(params: dict, cache: dict, head_grads: dict) -> dict:
+def toy_backward(params: dict, cache: list, head_grads: dict) -> dict:
     """Exact adjoints for every toy parameter given head-output adjoints."""
-    pooled = cache["pooled"]
-    grads = {}
-    gpooled = np.zeros_like(pooled)
-    for task, width in HEAD_WIDTHS.items():
-        gout = np.asarray(head_grads[task], dtype=float)
-        if width == 1:
-            gout = gout.reshape(-1, 1)
-        gx, gw, gb = nm.linear_backward(gout, pooled, params[f"head.{task}.w"])
-        grads[f"head.{task}.w"] = gw
-        grads[f"head.{task}.b"] = gb
-        gpooled += gx
-    ghidden = nm.global_avg_pool_backward(gpooled, cache["hidden"].shape)
-    gaffine = nm.relu_backward(ghidden, cache["affine"])
-    gconv, gscale, gshift = nm.channel_affine_backward(gaffine, cache["conv"], params["stem.scale"])
-    grads["stem.scale"] = gscale
-    grads["stem.shift"] = gshift
-    _, gw, gb = nm.conv2d_backward(gconv, cache["batch"], TOY_STEM, params["stem.w"])
-    grads["stem.w"] = gw
-    grads["stem.b"] = gb
-    return grads
+    return gr.backward(toy_graph(cache[0].shape[2]), params, cache, head_grads)
 
 
 def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):
@@ -431,18 +384,13 @@ def batch_loss_and_grads(params: dict, images: np.ndarray, labels,
     every parameter."""
     outputs, cache = toy_forward(params, images)
     n = images.shape[0]
-    head_grads = {t: np.zeros((n, HEAD_WIDTHS[t])) if HEAD_WIDTHS[t] > 1 else np.zeros(n)
-                  for t in TASKS}
+    head_grads = {t: np.zeros((n, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
     total = 0.0
     for i, lab in enumerate(labels):
-        for task in TASKS:
-            raw = outputs[task][i]
-            value, adj = task_loss(task, raw, lab, weights)
+        for task in gr.TASKS:
+            value, adj = task_loss(task, outputs[task][i], lab, weights)
             total += value
-            if HEAD_WIDTHS[task] > 1:
-                head_grads[task][i] = np.asarray(adj) / n
-            else:
-                head_grads[task][i] = float(adj) / n
+            head_grads[task][i] = np.asarray(adj) / n
     loss = total / n + lam * l2_penalty(params)
     grads = toy_backward(params, cache, head_grads)
     for key, p in params.items():
@@ -459,7 +407,7 @@ def train_toy(config: TrainConfig = TrainConfig(), n: int = 200, size: int = 16)
     """
     images, labels = toy_dataset(n=n, size=size, seed=config.seed)
     weights = class_weights(labels)
-    params = init_toy_params(config.seed)
+    params = gr.init_params(toy_graph(size), config.seed)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     batch = n if config.batch_size is None else min(config.batch_size, n)
     epoch_losses = []

@@ -123,6 +123,20 @@ class TestSynthCommand:
         assert len(manifest) == 4
         assert report["spec"]["participants_per_group"] == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--noise", "--subject-scale", "--au-effect",
+                                      "--expr-effect", "--arousal-effect",
+                                      "--valence-effect"])
+    def test_nonfinite_float_rejected(self, tmp_path, capsys, flag, value):
+        out_dir = tmp_path / "c"
+        code, out, err = run(capsys, "synth", "--out-dir", str(out_dir),
+                             "--participants", "2", "--frames", "10", flag, value)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert flag[2:].replace("-", "_") in payload["message"]
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestConfigMerging:
     def test_config_supplies_values(self, tmp_path, capsys):

@@ -10,11 +10,31 @@ import pytest
 from affectpipe import graph as gp
 from affectpipe import numerics as nm
 
+from conftest import max_rel_error
+
 PARAM_TARGETS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
+# Strided dense, grouped, grouped 1x1 and strided dilated depthwise blocks.
+BLOCK_SPECS = [
+    nm.ConvSpec(3, 6, kernel=3, stride=2, padding=1),
+    nm.ConvSpec(4, 12, kernel=3, padding=1, groups=4),
+    nm.ConvSpec(8, 4, kernel=1, groups=2),
+    nm.ConvSpec(5, 5, kernel=3, stride=2, padding=3, dilation=3, groups=5),
+]
 
 
 def tiny_graph(cu, mode="multi"):
     return gp.build_graph(cu, mode, input_hw=(32, 32))
+
+
+def block_params(rng, spec):
+    """ConvBlock "blk" parameters with signed non-unit scales and nonzero shifts."""
+    c = spec.out_channels
+    return {
+        "blk.w": rng.normal(size=spec.weight_shape),
+        "blk.b": rng.normal(size=c),
+        "blk.scale": rng.uniform(0.2, 3.0, size=c) * rng.choice([-1.0, 1.0], size=c),
+        "blk.shift": rng.normal(scale=2.0, size=c),
+    }
 
 
 class TestStructure:
@@ -128,7 +148,7 @@ class TestCountFlops:
             assert f[0] < f[1] < f[2]
 
     def test_pool_counts_hw_adds_per_channel(self):
-        pool = gp.GlobalPool()
+        pool = gp.GlobalPool(gp.TAIL_CHANNELS)
         assert pool.macs((7, 7)) == 7 * 7 * 512
 
     def test_layer_table_sums_to_totals(self):
@@ -257,23 +277,12 @@ class TestForward:
 
 
     @pytest.mark.parametrize("relu", [True, False])
-    @pytest.mark.parametrize("spec", [
-        nm.ConvSpec(3, 6, kernel=3, stride=2, padding=1),
-        nm.ConvSpec(4, 12, kernel=3, padding=1, groups=4),
-        nm.ConvSpec(8, 4, kernel=1, groups=2),
-        nm.ConvSpec(5, 5, kernel=3, stride=2, padding=3, dilation=3, groups=5),
-    ])
+    @pytest.mark.parametrize("spec", BLOCK_SPECS)
     def test_folded_affine_matches_unfolded(self, spec, relu):
         """The fold into W and b equals conv2d, then the affine, then ReLU."""
         rng = np.random.default_rng(21)
         block = gp.ConvBlock("blk", spec, relu=relu)
-        c = spec.out_channels
-        params = {
-            "blk.w": rng.normal(size=spec.weight_shape),
-            "blk.b": rng.normal(size=c),
-            "blk.scale": rng.uniform(0.2, 3.0, size=c) * rng.choice([-1.0, 1.0], size=c),
-            "blk.shift": rng.normal(scale=2.0, size=c),
-        }
+        params = block_params(rng, spec)
         x = rng.normal(size=(2, spec.in_channels, 9, 7))
         want = nm.channel_affine(nm.conv2d(x, spec, params["blk.w"], params["blk.b"]),
                                  params["blk.scale"], params["blk.shift"])
@@ -293,6 +302,89 @@ class TestForward:
         params["blk.shift"][1] = np.nan
         with pytest.raises(nm.NumericError, match="folded bias"):
             block.forward(params, np.ones((1, 2, 3, 3)))
+
+
+class TestBackward:
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("spec", BLOCK_SPECS)
+    def test_conv_block_matches_finite_differences(self, spec, relu):
+        rng = np.random.default_rng(31)
+        block = gp.ConvBlock("blk", spec, relu=relu)
+        params = block_params(rng, spec)
+        x = rng.normal(size=(2, spec.in_channels, 6, 5))
+        y = block.forward(params, x)
+        up = rng.normal(size=y.shape)
+        gx, grads = block.backward(params, x, y, up)
+
+        def loss(trial, v):
+            return float((block.forward(trial, v) * up).sum())
+
+        assert max_rel_error(gx, nm.central_difference(lambda v: loss(params, v), x.copy())) < 1e-6
+        for key in ("blk.w", "blk.b", "blk.scale", "blk.shift"):
+            num = nm.central_difference(lambda v: loss({**params, key: v}, x), params[key].copy())
+            assert max_rel_error(grads[key], num) < 1e-6, key
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("spec", BLOCK_SPECS)
+    def test_conv_block_matches_unfolded_oracle(self, spec, relu):
+        """The chain rule through the fold equals ReLU, affine and conv adjoints in turn."""
+        rng = np.random.default_rng(32)
+        block = gp.ConvBlock("blk", spec, relu=relu)
+        params = block_params(rng, spec)
+        x = rng.normal(size=(3, spec.in_channels, 9, 7))
+        y = block.forward(params, x)
+        up = rng.normal(size=y.shape)
+        gx, grads = block.backward(params, x, y, up)
+
+        conv = nm.conv2d(x, spec, params["blk.w"], params["blk.b"])
+        affine = nm.channel_affine(conv, params["blk.scale"], params["blk.shift"])
+        g = nm.relu_backward(up, affine) if relu else up
+        gconv, gscale, gshift = nm.channel_affine_backward(g, conv, params["blk.scale"])
+        want_x, want_w, want_b = nm.conv2d_backward(gconv, x, spec, params["blk.w"])
+        for got, want in ((gx, want_x), (grads["blk.w"], want_w), (grads["blk.b"], want_b),
+                          (grads["blk.scale"], gscale), (grads["blk.shift"], gshift)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_pool_matches_finite_differences(self):
+        rng = np.random.default_rng(33)
+        pool = gp.GlobalPool(4)
+        x = rng.normal(size=(2, 4, 3, 5))
+        up = rng.normal(size=(2, 4))
+        gx, grads = pool.backward({}, x, pool.forward({}, x), up)
+        num = nm.central_difference(lambda v: float((pool.forward({}, v) * up).sum()), x.copy())
+        assert grads == {}
+        assert max_rel_error(gx, num) < 1e-8
+
+    @pytest.mark.parametrize("task", gp.TASKS)
+    def test_head_matches_finite_differences(self, task):
+        rng = np.random.default_rng(34)
+        head = gp.Head(task, 5)
+        params = {k: rng.normal(size=s) for k, s in head.param_shapes().items()}
+        pooled = rng.normal(size=(3, 5))
+        up = rng.normal(size=(3, head.width))
+        gx, grads = head.backward(params, pooled, up)
+
+        def loss(trial, v):
+            return float((head.forward(trial, v) * up).sum())
+
+        assert max_rel_error(gx, nm.central_difference(lambda v: loss(params, v), pooled.copy())) < 1e-8
+        for key in head.param_shapes():
+            num = nm.central_difference(lambda v: loss({**params, key: v}, pooled),
+                                        params[key].copy())
+            assert max_rel_error(grads[key], num) < 1e-8, key
+
+    def test_forward_cache_holds_each_layer_input_then_pooled(self):
+        graph = tiny_graph("bottleneck")
+        params = gp.init_params(graph, seed=0)
+        batch = np.random.default_rng(35).normal(size=(2, 3, 32, 32))
+        cache = []
+        out = gp.forward(graph, params, batch, cache)
+        assert len(cache) == len(graph.layers) + 1
+        np.testing.assert_array_equal(cache[0], batch)
+        assert cache[-1].shape == (2, gp.TAIL_CHANNELS)
+        for task, y in gp.forward(graph, params, batch).items():
+            np.testing.assert_array_equal(out[task], y)
+
 
 class TestPredictAttributes:
     def test_zero_heads_uniform(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectpipe import graph as gr
 from affectpipe import numerics as nm
 from affectpipe import training as tr
 
@@ -222,7 +223,7 @@ class TestMultitaskLoss:
         params = {"a": rng.normal(size=(3, 3)), "b": rng.normal(size=4)}
         w = tr.unit_weights()
         lam = 1e-4
-        total = sum(tr.task_loss(t, outputs[t], labels, w)[0] for t in tr.TASKS)
+        total = sum(tr.task_loss(t, outputs[t], labels, w)[0] for t in gr.TASKS)
         total += lam * (np.sum(params["a"] ** 2) + np.sum(params["b"] ** 2))
         got = tr.multitask_loss(outputs, labels, w, params, lam)
         assert got == pytest.approx(total, rel=1e-12)
@@ -340,7 +341,7 @@ class TestToyTraining:
     def test_toy_gradients_match_finite_differences(self):
         images, labels = tr.toy_dataset(n=4, size=8, seed=1)
         weights = tr.class_weights(labels)
-        params = tr.init_toy_params(1)
+        params = gr.init_params(tr.toy_graph(8), 1)
         _, grads = tr.batch_loss_and_grads(params, images, labels, weights, lam=1e-4)
 
         def loss_of(key, flat):
@@ -349,10 +350,10 @@ class TestToyTraining:
             out, _ = tr.toy_forward(trial, images)
             total = 0.0
             for i, lab in enumerate(labels):
-                for task in tr.TASKS:
+                for task in gr.TASKS:
                     total += tr.task_loss(task, out[task][i], lab, weights)[0]
             return total / len(labels) + 1e-4 * tr.l2_penalty(trial)
 
-        for key in ("stem.w", "stem.scale", "head.expr.w", "head.arousal.b"):
+        for key in ("stem.w", "stem.scale", "stem.shift", "head.expr.w", "head.arousal.b"):
             num = nm.central_difference(lambda v: loss_of(key, v), params[key].copy().ravel())
             assert max_rel_error(grads[key].ravel(), num) < 1e-4, key
