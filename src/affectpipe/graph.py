@@ -430,15 +430,25 @@ def forward(graph: ModelGraph, params: dict, batch: np.ndarray, cache: list | No
         raise nm.ShapeError(
             f"batch spatial size {x.shape[2:]} does not match graph input {graph.input_hw}"
         )
-    for index, layer in enumerate(graph.layers):
-        if cache is not None:
-            cache.append(x)
-        try:
-            x = layer.forward(params, x)
-        except nm.NumericError as err:
-            raise nm.NumericError(f"layer {index} ({layer.name}): {err}") from err
-        if not np.all(np.isfinite(x)):
-            raise nm.NumericError(f"non-finite activations after layer {index} ({layer.name})")
+    # Every convolution checks its input, so of the activations only the
+    # pooled features, the last layer's output, are scanned here.  An
+    # overflow is reported as a NumericError naming the layer that made the
+    # non-finite values, not as a numpy warning.
+    last = len(graph.layers) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, layer in enumerate(graph.layers):
+            if cache is not None:
+                cache.append(x)
+            try:
+                y = layer.forward(params, x)
+                if index == last:
+                    nm.require_finite(y, "layer output")
+            except nm.NumericError as err:
+                if index and not np.all(np.isfinite(x)):
+                    before = graph.layers[index - 1].name
+                    raise nm.NumericError(f"non-finite activations after layer {index - 1} ({before})") from err
+                raise nm.NumericError(f"layer {index} ({layer.name}): {err}") from err
+            x = y
     if cache is not None:
         cache.append(x)
     outputs = {}

@@ -1,15 +1,20 @@
 """Dense tensor kernels with matching analytic adjoints.
 
-A Tensor4 is a float64 numpy array laid out (batch, channels, height,
-width), C-contiguous row-major. Every operation here is a pure function;
+A Tensor4 is a float64 numpy array indexed (batch, channels, height,
+width) in any strided memory layout; the depthwise path below returns a
+view of channels-last memory. Every operation here is a pure function;
 each forward op has a companion ``*_backward`` that returns the exact
 analytic adjoints of its inputs and parameters, verified against central
 finite differences in the test suite.
 
-Convolution lowers every ``ConvSpec`` to one path: the padded, strided
-and dilated input is gathered once into a column tensor (im2col) and
-multiplied by the grouped weights in one batched matrix product; its
-adjoint scatter-adds the columns back over the kernel offsets.
+Convolution takes one of two paths, chosen only by the ``ConvSpec``.  A
+depthwise spec whose every group has one input and one output channel
+(``in_channels == out_channels == groups``) sums its k*k kernel taps over
+a strided window view of one zero-padded channels-last copy of the input.
+Every other spec gathers the padded, strided and dilated input once into
+a column tensor (im2col) and multiplies it by the grouped weights in one
+batched matrix product.  The adjoint of both is the im2col one, which
+scatter-adds the columns back over the kernel offsets.
 """
 
 from __future__ import annotations
@@ -121,17 +126,49 @@ def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     return windows.reshape(n, g, cin_g * k * k, oh * ow)
 
 
+def _depthwise_taps(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Channel-multiplier-1 depthwise convolution as one sum over the k*k taps.
+
+    The input is copied once into a zero-padded channels-last buffer; a
+    window view (n, oh, ow, k, k, c) of it covers stride and dilation, and
+    one einsum against the (k, k, c) weights sums the taps.  Both operands
+    keep the channel axis innermost and contiguous: with the weights as a
+    transposed view instead, this path ran slower than im2col.  The result
+    is an NCHW view of an NHWC array.
+    """
+    n, c, h, w = x.shape
+    p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
+    xp = np.zeros((n, h + 2 * p, w + 2 * p, c))
+    xp[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
+    sn, sh, sw, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, oh, ow, k, k, c),
+        strides=(sn, sh * s, sw * s, sh * d, sw * d, sc),
+        writeable=False,
+    )
+    taps = np.ascontiguousarray(weights.reshape(c, k, k).transpose(1, 2, 0))
+    return np.einsum("nhwijc,ijc->nhwc", windows, taps).transpose(0, 3, 1, 2)
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Grouped 2-d convolution (cross-correlation) as im2col plus one batched GEMM.
+    """Grouped 2-d convolution (cross-correlation).
 
     out[n,o,i,j] = sum_{c,ki,kj} w[o,c,ki,kj] * xpad[n, g(o)+c, i*s+ki*d, j*s+kj*d] + b[o]
+
+    A spec with one input and one output channel per group sums its taps
+    directly (:func:`_depthwise_taps`); every other spec is im2col plus one
+    batched GEMM.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     require_finite(x, "conv2d input")
     g = spec.groups
-    cols = _im2col(x, spec, oh, ow)
-    y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), cols)
-    y = y.reshape(n, spec.out_channels, oh, ow)
+    if spec.in_channels == spec.out_channels == g:
+        y = _depthwise_taps(x, spec, weights, oh, ow)
+    else:
+        cols = _im2col(x, spec, oh, ow)
+        y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), cols)
+        y = y.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (spec.out_channels,):

@@ -165,7 +165,8 @@ def _au_loss(raw, labels, pair_weights):
         xi = float(x[i])
         # stable: -y log s(x) - (1-y) log(1-s(x)) = max(x,0) - x y + log1p(e^-|x|)
         total += w * (max(xi, 0.0) - xi * y + math.log1p(math.exp(-abs(xi))))
-        grad[i] = w * (float(nm.sigmoid(np.array(xi))) - y)
+    rows, ys = (np.array(column) for column in zip(*observed))
+    grad[rows] = pair_weights[rows, ys] * (nm.sigmoid(x[rows]) - ys)
     return total / m, grad / m
 
 

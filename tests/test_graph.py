@@ -10,7 +10,7 @@ import pytest
 from affectpipe import graph as gp
 from affectpipe import numerics as nm
 
-from conftest import max_rel_error
+from conftest import max_rel_error, offset_conv2d
 
 PARAM_TARGETS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
 # Strided dense, grouped, grouped 1x1 and strided dilated depthwise blocks.
@@ -235,6 +235,34 @@ class TestForward:
         params["cu3.dw.w"] = np.full_like(params["cu3.dw.w"], np.inf)
         with pytest.raises(nm.NumericError, match="cu3"):
             gp.forward(graph, params, np.ones((1, 3, 32, 32)))
+
+    @pytest.mark.parametrize("cu", gp.CU_KINDS)
+    @pytest.mark.parametrize("where", ["cu3", "tail"])
+    def test_finite_huge_scales_overflow_to_a_named_layer(self, cu, where):
+        # Two blocks scaled by 1e200 in turn overflow the second's output.
+        graph = tiny_graph(cu)
+        params = gp.init_params(graph, seed=0)
+        first, second = {"bottleneck": ("reduce", "expand"), "mobilenet": ("dw", "pw"),
+                         "eesp": ("reduce", "expand")}[cu]
+        if where == "cu3":
+            keys = [f"cu3.{first}.scale", f"cu3.{second}.scale"]
+        else:
+            keys = [f"cu8.3.{second}.scale", "tail.scale"]
+        for key in keys:
+            params[key] = np.full_like(params[key], 1e200)
+        batch = np.random.default_rng(0).normal(size=(2, 3, 32, 32))
+        with pytest.raises(nm.NumericError, match=rf"after layer \d+ \({where}\)"):
+            gp.forward(graph, params, batch)
+
+    def test_eesp_heads_match_offset_oracle(self, monkeypatch):
+        graph = tiny_graph("eesp")
+        params = gp.init_params(graph, seed=2)
+        batch = np.random.default_rng(5).normal(size=(2, 3, 32, 32))
+        fast = gp.forward(graph, params, batch)
+        monkeypatch.setattr(nm, "conv2d", offset_conv2d)
+        slow = gp.forward(graph, params, batch)
+        for task in gp.TASKS:
+            np.testing.assert_allclose(fast[task], slow[task], rtol=1e-12, atol=1e-12)
 
     def test_batch_permutation_equivariance(self):
         graph = tiny_graph("bottleneck")

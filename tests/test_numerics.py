@@ -18,6 +18,12 @@ CONV_CLASSES = {
     "depthwise_mult14": (nm.ConvSpec(2, 28, kernel=3, stride=2, padding=1, groups=2), (2, 2, 7, 7)),
     **{f"dilated_depthwise_d{d}": (nm.ConvSpec(3, 3, kernel=3, stride=2, padding=d, dilation=d, groups=3),
                                    (2, 3, 9, 11)) for d in range(1, 5)},
+    **{f"dilated_depthwise_stride1_d{d}": (nm.ConvSpec(5, 5, kernel=3, padding=d, dilation=d, groups=5),
+                                           (2, 5, 8, 7)) for d in range(1, 5)},
+    # Smaller than the dilated span, as EESP's last stage runs at 112 px.
+    "dilated_depthwise_4x4_d4": (nm.ConvSpec(3, 3, kernel=3, padding=4, dilation=4, groups=3), (2, 3, 4, 4)),
+    "dilated_depthwise_4x4_d4_stride2": (nm.ConvSpec(3, 3, kernel=3, stride=2, padding=4, dilation=4, groups=3),
+                                         (2, 3, 4, 4)),
     "odd_kernel5": (nm.ConvSpec(4, 2, kernel=5, stride=3, padding=2, groups=2), (1, 4, 11, 13)),
 }
 
@@ -125,11 +131,61 @@ class TestConv2d:
         np.testing.assert_allclose(y, offset_conv2d(x, spec, wt, b), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(y, loop_conv2d(x, spec, wt, b), rtol=1e-12, atol=1e-12)
 
+    @given(
+        channels=st.integers(1, 6), kernel=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3),
+        dilation=st.integers(1, 4), padding=st.integers(0, 4), extra_h=st.integers(0, 6),
+        extra_w=st.integers(0, 6), batch=st.integers(1, 3), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_multiplier1_depthwise_matches_both_oracles(self, channels, kernel, stride, dilation,
+                                                        padding, extra_h, extra_w, batch, seed):
+        spec = nm.ConvSpec(channels, channels, kernel=kernel, stride=stride, padding=padding,
+                           groups=channels, dilation=dilation)
+        smallest = max(1, dilation * (kernel - 1) + 1 - 2 * padding)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, channels, smallest + extra_h, smallest + extra_w))
+        wt = rng.normal(size=spec.weight_shape)
+        b = rng.normal(size=channels)
+        y = nm.conv2d(x, spec, wt, b)
+        np.testing.assert_allclose(y, offset_conv2d(x, spec, wt, b), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, loop_conv2d(x, spec, wt, b), rtol=1e-12, atol=1e-12)
+
     def test_noncontiguous_input(self, rng):
         spec = nm.ConvSpec(2, 3, kernel=3, stride=2, padding=1)
         x = rng.normal(size=(2, 5, 9, 8))[:, 1:5:2, ::-1]
         w = rng.normal(size=spec.weight_shape)
         np.testing.assert_allclose(nm.conv2d(x, spec, w), loop_conv2d(x, spec, w), rtol=1e-12, atol=1e-12)
+
+    def test_multiplier1_depthwise_edge_inputs(self, rng):
+        spec = nm.ConvSpec(4, 4, kernel=3, stride=2, padding=2, dilation=2, groups=4)
+        w = rng.normal(size=spec.weight_shape)
+        b = rng.normal(size=4)
+        batch1 = rng.normal(size=(1, 4, 7, 9))
+        strided = rng.normal(size=(2, 9, 16, 9))[:, 1::2, ::-2, ::-1]
+        assert not strided.flags.c_contiguous
+        for x in (batch1, strided):
+            y = nm.conv2d(x, spec, w, b)
+            np.testing.assert_allclose(y, offset_conv2d(x, spec, w, b), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(y, loop_conv2d(x, spec, w, b), rtol=1e-12, atol=1e-12)
+        bad = batch1.copy()
+        bad[0, 2, 3, 4] = np.nan
+        with pytest.raises(nm.NumericError):
+            nm.conv2d(bad, spec, w, b)
+
+    @pytest.mark.parametrize("spec,taps", [
+        (nm.ConvSpec(6, 6, kernel=3, stride=2, padding=3, dilation=3, groups=6), True),
+        (nm.ConvSpec(1, 1, kernel=3, padding=1), True),
+        (nm.ConvSpec(2, 28, kernel=3, stride=2, padding=1, groups=2), False),
+        (nm.ConvSpec(3, 6, kernel=3, padding=1, groups=3), False),
+        (nm.ConvSpec(6, 6, kernel=3, padding=1, groups=3), False),
+    ])
+    def test_path_depends_only_on_the_spec(self, rng, monkeypatch, spec, taps):
+        calls = []
+        for name in ("_im2col", "_depthwise_taps"):
+            real = getattr(nm, name)
+            monkeypatch.setattr(nm, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        nm.conv2d(rng.normal(size=(2, spec.in_channels, 7, 7)), spec, rng.normal(size=spec.weight_shape))
+        assert calls == ["_depthwise_taps" if taps else "_im2col"]
 
     def test_pointwise_columns_are_a_view(self, rng):
         spec = nm.ConvSpec(6, 4, kernel=1, groups=2)

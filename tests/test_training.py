@@ -126,6 +126,23 @@ class TestTaskLoss:
         with pytest.raises(ValueError):
             au_none(arousal=-1.5)
 
+    @pytest.mark.parametrize("observed", ["all", "partial", "none"])
+    def test_au_adjoint_equals_per_element_formula(self, observed):
+        rng = np.random.default_rng(8)
+        weights = tr.ClassWeights(expr=np.ones(8), au=rng.uniform(0.2, 3.0, size=(12, 2)))
+        for _ in range(20):
+            raw = rng.normal(scale=20.0, size=12)
+            raw[rng.integers(12, size=3)] = rng.choice([-1.0, 1.0], 3) * rng.uniform(30.0, 800.0, 3)
+            au = [int(v) for v in rng.integers(0, 2, 12)]
+            if observed != "all":
+                au = [v if observed == "partial" and rng.random() < 0.5 else None for v in au]
+            _, grad = tr.task_loss("au", raw, au_none(expr=0, au=tuple(au)), weights)
+            seen = [(i, y) for i, y in enumerate(au) if y is not None]
+            want = np.zeros(12)
+            for i, y in seen:
+                want[i] = float(weights.au[i, y]) * (float(nm.sigmoid(np.array(raw[i]))) - y)
+            assert np.all(grad == (want / len(seen) if seen else want))
+
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(4)
         w = tr.unit_weights()
