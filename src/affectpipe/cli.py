@@ -21,6 +21,13 @@ from . import temporal as tp
 from . import training as tr
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises on a bad command line instead of exiting 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     sub.add_argument("--config", type=Path, default=None,
@@ -53,14 +60,19 @@ def _resolve(args, defaults: dict) -> SimpleNamespace:
     merged.setdefault("format", "json")
     merged.setdefault("output", None)
     if args.config is not None:
+        config = str(args.config)
         try:
-            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            text = Path(config).read_text(encoding="utf-8")
         except OSError as err:
-            raise ValueError(f"cannot read config: {err}") from None
-        except json.JSONDecodeError as err:
-            raise ValueError(f"config is not valid JSON: {err}") from None
+            raise ValueError(f"cannot read config {config!r}: {err}") from None
+        except UnicodeDecodeError as err:
+            raise ValueError(f"config {config!r} is not valid UTF-8: {err}") from None
+        try:
+            loaded = json.loads(text)
+        except (ValueError, RecursionError) as err:
+            raise ValueError(f"config {config!r} is not valid JSON: {err}") from None
         if not isinstance(loaded, dict):
-            raise ValueError("config must be a JSON object")
+            raise ValueError(f"config {config!r} must be a JSON object")
         unknown = sorted(set(loaded) - set(merged))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; "
@@ -188,7 +200,7 @@ _COHORT_DEFAULTS = {"manifest": None, "tau": tp.DEFAULT_TAU}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="affectpipe",
         description="Facial-attribute pipeline: architecture analysis, toy "
                     "training, temporal features, LOOCV, statistics, and "
@@ -266,21 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         opts = _resolve(args, args.defaults)
-        report = args.handler(opts)
-        rendered = dataio.render_report(report, fmt=opts.format)
+        rendered = dataio.render_report(args.handler(opts), fmt=opts.format)
+        if opts.output is not None:
+            Path(opts.output).write_text(rendered, encoding="utf-8")
+        else:
+            sys.stdout.write(rendered)
     except (ValueError, ArithmeticError, OSError) as err:
         payload = {"error": type(err).__name__, "message": str(err)}
         if isinstance(err, dataio.ParseError):
             payload.update({"path": err.path, "row": err.row, "column": err.column})
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         return 1
-    if opts.output is not None:
-        Path(opts.output).write_text(rendered, encoding="utf-8")
-    else:
-        sys.stdout.write(rendered)
     return 0
 
 

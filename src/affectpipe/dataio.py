@@ -23,7 +23,11 @@ FRAME_HEADER = ",".join(FRAME_COLUMNS)
 
 # Inclusive bounds for every value column (everything after the frame index).
 _VALUE_RANGES = [(0.0, 1.0)] * (tp.N_AU + tp.N_EXPR) + [(-1.0, 1.0), (-1.0, 1.0)]
+_VALUE_LO, _VALUE_HI = np.array(_VALUE_RANGES).T
 _EXPR_SUM_TOL = 1e-9
+# sys.set_int_max_str_digits accepts no non-zero limit below 640, so int()
+# converts every digit string up to this length under any setting.
+_MAX_INDEX_DIGITS = 640
 
 
 class ParseError(ValueError):
@@ -46,16 +50,70 @@ def parse_frames(path) -> np.ndarray:
 
     Enforces the exact header, per-column ranges, and unit expression mass
     so downstream feature extraction never sees out-of-contract values.
+
+    A well-formed file is accepted in one pass over the whole body: the
+    body is split into cells once, converted with one ``np.array`` call,
+    and checked column-wise.  Any file that pass cannot accept for certain
+    goes to the row-by-row parser, which defines the grammar, raises the
+    located ``ParseError``, and serves as the oracle the fast pass is
+    tested against; both return the same matrix bit for bit.
     """
+    F = _whole_body_matrix(_frame_body(path))
+    return F if F is not None else _parse_frame_rows(path)
+
+
+def _frame_body(path) -> list:
+    """The lines of a frames CSV after its checked header."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as err:
         raise ParseError(str(err), path=path) from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not valid UTF-8: {err}", path=path) from None
     if not lines or lines[0] != FRAME_HEADER:
         raise ParseError(f"header must be exactly {FRAME_HEADER!r}", path=path, row=1)
+    return lines[1:]
+
+
+def _whole_body_matrix(body: list):
+    """The attribute matrix of ``body`` if every row surely parses, else None.
+
+    Each check accepts a subset of what the row parser accepts: frame
+    indices must be plain ASCII digits no longer than the smallest
+    digit limit ``int()`` can be given, cells convert exactly as
+    ``float()`` converts them (``np.array`` on Python strings, not
+    ``astype`` on a string array), and the expression sums, taken in any
+    order, must lie within half the tolerance of 1 so that ``math.fsum``
+    would accept them too.
+    """
+    width = len(FRAME_COLUMNS)
+    if not body or not all(line.count(",") == width - 1 for line in body):
+        return None
+    cells = ",".join(body).split(",")
+    index = cells[::width]
+    digits = "".join(index)
+    if not (all(index) and digits.isascii() and digits.isdigit()
+            and max(map(len, index)) <= _MAX_INDEX_DIGITS):
+        return None
+    del cells[::width]
+    try:
+        F = np.array(cells, dtype=float).reshape(len(body), width - 1)
+    except ValueError:
+        return None
+    # The bounds are finite, so this also rejects NaN and infinities.
+    if not np.all((F >= _VALUE_LO) & (F <= _VALUE_HI)):
+        return None
+    if not np.all(np.abs(F[:, tp.EXPR_COLS].sum(axis=1) - 1.0) <= _EXPR_SUM_TOL / 2):
+        return None
+    return F
+
+
+def _parse_frame_rows(path) -> np.ndarray:
+    """Row-by-row ``parse_frames``: the grammar's definition and error locator."""
+    path = Path(path)
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(_frame_body(path), start=2):
         cells = line.split(",")
         if len(cells) != len(FRAME_COLUMNS):
             raise ParseError(
@@ -119,10 +177,15 @@ def parse_manifest(path) -> tuple:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as err:
         raise ParseError(str(err), path=path) from None
-    except json.JSONDecodeError as err:
+    except UnicodeDecodeError as err:
+        raise ParseError(f"not valid UTF-8: {err}", path=path) from None
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        # ValueError also covers integers past int()'s digit limit.
         raise ParseError(f"invalid JSON: {err}", path=path) from None
     if not isinstance(raw, list):
         raise ParseError("manifest must be a JSON array", path=path)

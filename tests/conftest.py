@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 @pytest.fixture
@@ -105,3 +106,31 @@ def max_rel_error(analytic, numeric):
     numeric = np.asarray(numeric, dtype=float)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+# Bytes inserted by the mutation test: separators, characters splitlines()
+# treats as line breaks, characters float() or int() skip or accept
+# (underscores, whitespace, Arabic-Indic digits), and non-finite spellings.
+INSERTS = [b",", b"\n", b"\r", b"\x0c", b"\x00", b"_", "\u0661".encode(), b"nan",
+           b"1e400", b" "]
+
+MUTATION = st.tuples(
+    st.sampled_from(["flip", "delete", "insert"]),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 255),
+    st.sampled_from(INSERTS),
+)
+
+
+def mutate(data: bytes, start: int, mutations) -> bytes:
+    """Apply byte flips, deletions and insertions at positions past ``start``."""
+    buf = bytearray(data)
+    for kind, where, mask, insert in mutations:
+        at = start + int(where * (len(buf) - start))
+        if kind == "flip":
+            buf[at] ^= mask
+        elif kind == "delete":
+            del buf[at]
+        else:
+            buf[at:at] = insert
+    return bytes(buf)

@@ -1,10 +1,16 @@
 """CLI contract: reproducible reports, config merging, error JSON on stderr."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectpipe import cli
+
+from conftest import MUTATION, mutate
 
 
 def run(capsys, *argv):
@@ -237,3 +243,98 @@ class TestErrorContract:
                            "--format", "text")
         assert code == 0
         assert "f1:" in out and "sensitivity:" in out and "specificity:" in out
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, "analyze-graph", "--cu", "eesp", "--input-hw", "32",
+                             "--output", str(target))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "FileNotFoundError"
+        assert str(target) in payload["message"]
+
+    def test_frames_not_utf8(self, tmp_path, capsys):
+        manifest = make_cohort_dir(tmp_path)
+        csv = manifest.parent / "ctl_001.csv"
+        csv.write_bytes(csv.read_bytes() + b"\xff\n")
+        code, out, err = run(capsys, "extract-features", "--manifest", str(manifest))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["path"] == str(csv)
+
+    def test_manifest_not_utf8(self, tmp_path, capsys):
+        manifest = make_cohort_dir(tmp_path)
+        manifest.write_bytes(b"\xff" + manifest.read_bytes())
+        code, out, err = run(capsys, "ttest", "--manifest", str(manifest))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParseError"
+        assert payload["path"] == str(manifest)
+
+    @pytest.mark.parametrize("content", [b'{"epochs": "\xff"}', b"[" * 100_000])
+    def test_unreadable_config_is_named(self, tmp_path, capsys, content):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(content)
+        code, out, err = run(capsys, "train-toy", "--config", str(config))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert str(config) in payload["message"]
+
+
+class TestMalformedFlags:
+    @pytest.mark.parametrize("argv, fragment", [
+        (["loocv", "--classifier", "nope"], "argument --classifier: invalid choice: 'nope'"),
+        (["train-toy", "--epochs", "two"], "argument --epochs: invalid int value: 'two'"),
+        (["loocv", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        (["no-such-command"], "invalid choice: 'no-such-command'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_exit_1_with_json_error(self, capsys, argv, fragment):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert fragment in payload["message"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["loocv", "--help"])
+        assert done.value.code == 0
+        out, err = capsys.readouterr()
+        assert "--classifier" in out and err == ""
+
+
+class TestMutatedCohortFiles:
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory):
+        manifest = make_cohort_dir(tmp_path_factory.mktemp("mutated"))
+        (manifest.parent / "config.json").write_text(json.dumps({"tau": 0.25, "seed": 3}))
+        return manifest.parent
+
+    @settings(max_examples=150, deadline=None)
+    @given(target=st.sampled_from(["manifest.json", "config.json", "asd_001.csv",
+                                   "ctl_000.csv"]),
+           command=st.sampled_from(["extract-features", "ttest", "loocv"]),
+           mutations=st.lists(MUTATION, min_size=1, max_size=3))
+    def test_exit_0_or_one_json_error(self, cohort, target, command, mutations):
+        path = cohort / target
+        original = path.read_bytes()
+        start = 0 if target.endswith(".json") else original.index(b"\n") + 1
+        path.write_bytes(mutate(original, start, mutations))
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--manifest", str(cohort / "manifest.json"),
+                                 "--config", str(cohort / "config.json")])
+        finally:
+            path.write_bytes(original)
+        if code == 0:
+            assert err.getvalue() == ""
+            assert json.loads(out.getvalue())["command"] == command
+        else:
+            assert code == 1 and out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert {"error", "message"} <= set(json.loads(lines[0]))

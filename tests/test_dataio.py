@@ -1,13 +1,18 @@
 """Frame CSV, manifest, and report round trips plus error locations."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affectpipe import dataio as dio
 from affectpipe import evaluation as ev
 from affectpipe import temporal as tp
+
+from conftest import MUTATION, mutate
 
 
 def random_matrix(rng, m=5):
@@ -119,6 +124,120 @@ class TestFrameCsv:
             dio.write_frames(tmp_path / "w.csv", F)
 
 
+def parse_outcome(parse, path):
+    """A parser's matrix, or the message and location of its ParseError."""
+    try:
+        return parse(path)
+    except dio.ParseError as err:
+        return (str(err), err.path, err.row, err.column)
+
+
+def assert_same_outcome(path):
+    fast = parse_outcome(dio.parse_frames, path)
+    rows = parse_outcome(dio._parse_frame_rows, path)
+    if isinstance(rows, np.ndarray):
+        assert isinstance(fast, np.ndarray), fast
+        assert fast.dtype == rows.dtype and fast.shape == rows.shape
+        assert fast.flags.c_contiguous
+        assert fast.tobytes() == rows.tobytes()
+    else:
+        assert fast == rows
+
+
+def disputed_sum_row(rng, bound):
+    """Expression values within a few ulp of summing to 1 + bound, on which a
+    numpy row sum and ``math.fsum`` fall on opposite sides of ``|bound|``."""
+    for _ in range(100_000):
+        expr = rng.uniform(0.1, 1.0, 8)
+        expr /= expr.sum()
+        expr[rng.integers(8)] += bound + rng.integers(-8, 9) * math.ulp(1.0)
+        numpy_sum = expr[None, :].sum(axis=1)[0]
+        if (abs(numpy_sum - 1.0) <= abs(bound)) != (abs(math.fsum(expr) - 1.0) <= abs(bound)):
+            return expr
+    raise AssertionError("no disputed row found")
+
+
+class TestFastPathMatchesRowLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6),
+           mutations=st.lists(MUTATION, min_size=1, max_size=3))
+    def test_mutated_bytes(self, tmp_path_factory, seed, m, mutations):
+        path = tmp_path_factory.mktemp("mutated") / "frames.csv"
+        dio.write_frames(path, random_matrix(np.random.default_rng(seed), m))
+        data = path.read_bytes()
+        path.write_bytes(mutate(data, len(dio.FRAME_HEADER) + 1, mutations))
+        assert_same_outcome(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), bound=st.sampled_from([1.0, -1.0, 0.5, -0.5]))
+    def test_expression_sums_at_the_tolerance(self, tmp_path_factory, seed, bound):
+        rng = np.random.default_rng(seed)
+        F = random_matrix(rng, m=3)
+        F[1, tp.EXPR_COLS] = disputed_sum_row(rng, bound * dio._EXPR_SUM_TOL)
+        path = tmp_path_factory.mktemp("sums") / "frames.csv"
+        dio.write_frames(path, F)
+        assert_same_outcome(path)
+
+    def test_valid_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        path = tmp_path / "frames.csv"
+        F = random_matrix(np.random.default_rng(11), m=50)
+        dio.write_frames(path, F)
+
+        def unreachable(_):
+            raise AssertionError("row loop called on a valid file")
+
+        monkeypatch.setattr(dio, "_parse_frame_rows", unreachable)
+        np.testing.assert_array_equal(dio.parse_frames(path), F)
+
+    @pytest.mark.parametrize("index, accepted", [
+        (" 1", True), ("+1", True), ("1_0", True), ("\u0661", True),
+        ("7" * 700, True), ("7" * 5000, False), ("-", False), ("", False),
+    ])
+    def test_frame_indices_beyond_plain_digits(self, tmp_path, index, accepted):
+        path = tmp_path / "frames.csv"
+        dio.write_frames(path, random_matrix(np.random.default_rng(12), m=2))
+        lines = path.read_text().splitlines()
+        lines[2] = index + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        assert_same_outcome(path)
+        assert isinstance(parse_outcome(dio.parse_frames, path), np.ndarray) == accepted
+
+    @pytest.mark.parametrize("cell, accepted", [
+        ("0.1_5", True), (" 0.5\t", True), ("\u0660.\u0665", True), ("0.5\x00", False),
+        ("0x1", False), ("1e400", False), ("-nan", False), ("1.0000000000000002", False),
+        ("-5e-324", False),
+    ])
+    def test_cells_follow_float(self, tmp_path, cell, accepted):
+        path = tmp_path / "frames.csv"
+        F = random_matrix(np.random.default_rng(13), m=2)
+        F[1, 0] = 0.5
+        dio.write_frames(path, F)
+        path.write_text(path.read_text().replace(",0.5,", f",{cell},", 1))
+        assert_same_outcome(path)
+        assert isinstance(parse_outcome(dio.parse_frames, path), np.ndarray) == accepted
+
+    def test_cell_moved_between_lines(self, tmp_path):
+        # One line gains a cell and the next loses one, so the file still has
+        # 23 cells per line on average and the shifted cells all pass the
+        # column checks; only counting per line tells the row loop's error.
+        first = ["0"] + ["0.5"] * 12 + ["0.125"] * 8 + ["0.0", "0.0"] + ["1"]
+        second = ["1"] + ["0.125"] * 19 + ["0.0", "0.0"]
+        path = tmp_path / "frames.csv"
+        path.write_text("\n".join([dio.FRAME_HEADER, ",".join(first), ",".join(second)]))
+        assert_same_outcome(path)
+        with pytest.raises(dio.ParseError, match="got 24") as err:
+            dio.parse_frames(path)
+        assert err.value.row == 2
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        dio.write_frames(path, random_matrix(np.random.default_rng(14), m=2))
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(dio.ParseError, match="not valid UTF-8") as err:
+            dio.parse_frames(path)
+        assert err.value.path == str(path)
+
+
 class TestManifest:
     def test_two_records(self, tmp_path):
         manifest = write_cohort(tmp_path, np.random.default_rng(4), n_pos=1, n_neg=1)
@@ -163,6 +282,21 @@ class TestManifest:
         manifest.write_text(json.dumps([{"id": "a", "label": "ASD", "frames": "gone.csv"}]))
         with pytest.raises(dio.ParseError, match="not found"):
             dio.parse_manifest(manifest)
+
+    def test_not_utf8_names_the_file(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(b'[{"id": "\xff"}]')
+        with pytest.raises(dio.ParseError, match="not valid UTF-8") as err:
+            dio.parse_manifest(manifest)
+        assert err.value.path == str(manifest)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, "[" + "1" * 5000 + "]"])
+    def test_json_beyond_the_decoder_limits(self, tmp_path, text):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(text)
+        with pytest.raises(dio.ParseError, match="invalid JSON") as err:
+            dio.parse_manifest(manifest)
+        assert err.value.path == str(manifest)
 
     def test_invalid_json(self, tmp_path):
         manifest = tmp_path / "m.json"
