@@ -20,6 +20,9 @@ from . import training as tr
 KINDS = (
     "logistic", "lasso", "lda", "qda", "svm_rbf", "gbt", "mlp2",
 )
+# Kinds whose fit is a fixed-length gradient loop, so one loop can train a
+# stack of same-shape training sets together.
+STACKED_KINDS = ("logistic", "lasso", "mlp2")
 
 
 class DegenerateTrainingError(ValueError):
@@ -53,24 +56,33 @@ class ClassifierSpec:
         for name in ("iterations", "rounds", "depth", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        hidden = self.hidden
+        if not (isinstance(hidden, (tuple, list)) and len(hidden) == 2 and all(
+                isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h > 0
+                for h in hidden)):
+            raise ValueError(f"hidden must be two positive ints, got {hidden!r}")
 
 
 @dataclass(frozen=True)
 class Standardizer:
+    """Column statistics (d,), or one row of them per matrix of a stack (s, d)."""
     mean: np.ndarray
     std: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) / self.std
+        return (np.asarray(X, dtype=float) - self.mean[..., None, :]) / self.std[..., None, :]
 
 
 def standardize_fit(X: np.ndarray):
-    """Column z-scores; zero-variance columns are centered with unit divisor."""
+    """Column z-scores of X (n, d), or of each matrix of a stack (s, n, d).
+
+    Zero-variance columns are centered with unit divisor.
+    """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
+    if X.ndim not in (2, 3) or X.shape[-2] < 2:
         raise ValueError("standardization needs a matrix with at least 2 rows")
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    mean = X.mean(axis=-2)
+    std = X.std(axis=-2)
     std = np.where(std > 0.0, std, 1.0)
     stats = Standardizer(mean=mean, std=std)
     return stats, stats.apply(X)
@@ -104,23 +116,29 @@ def _check_training_set(X, y):
 # --- linear family ---------------------------------------------------------
 
 def _fit_logistic(X, y, spec, lasso: bool):
-    n, d = X.shape
-    w = np.zeros(d)
-    b = 0.0
+    """Gradient descent on every training set of the stack X (s, n, d), y (s, n).
+
+    Each matrix product is one gemv per stack entry, so every set's payload
+    is the one a loop over the sets would give.
+    """
+    s, n, d = X.shape
+    Xt = np.swapaxes(X, 1, 2)
+    w = np.zeros((s, d, 1))
+    b = np.zeros((s, 1))
     for _ in range(spec.iterations):
-        p = nm.sigmoid(X @ w + b)
+        p = nm.sigmoid((X @ w)[..., 0] + b)
         err = p - y
-        gw = X.T @ err / n
-        gb = float(err.mean())
+        gw = Xt @ err[..., None] / n
+        gb = err.mean(axis=1, keepdims=True)
         if lasso:
             w = w - spec.step * gw
-            b -= spec.step * gb
+            b = b - spec.step * gb
             cut = spec.step * spec.l1
             w = np.sign(w) * np.maximum(np.abs(w) - cut, 0.0)
         else:
             w = w - spec.step * (gw + spec.l2 * w)
-            b -= spec.step * gb
-    return {"w": w, "b": b}
+            b = b - spec.step * gb
+    return [{"w": w[k, :, 0], "b": float(b[k, 0])} for k in range(s)]
 
 
 # --- Gaussian discriminants ------------------------------------------------
@@ -372,28 +390,35 @@ def _mlp_shapes(d, hidden):
 
 
 def _fit_mlp(X, y, spec):
+    """Momentum SGD on every training set of the stack X (s, n, d), y (s, n).
+
+    All sets start from the same seeded weights; each keeps its own class
+    weights, and each matrix product is one gemm or gemv per stack entry.
+    """
+    s, n, d = X.shape
     rng = np.random.default_rng(spec.seed)
     params = {}
-    for key, shape in sorted(_mlp_shapes(X.shape[1], spec.hidden).items()):
+    for key, shape in sorted(_mlp_shapes(d, spec.hidden).items()):
         if key.endswith(".w"):
-            params[key] = rng.normal(0.0, np.sqrt(2.0 / shape[1]), size=shape)
+            init = rng.normal(0.0, np.sqrt(2.0 / shape[1]), size=shape)
         else:
-            params[key] = np.zeros(shape)
+            init = np.zeros(shape)
+        params[key] = np.repeat(init[None], s, axis=0)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     config = tr.TrainConfig(lr0=0.1, momentum=0.9, lr_decay=0.01,
                             epochs=spec.epochs, weight_decay=1e-4, seed=spec.seed)
-    n = X.shape[0]
-    counts = np.array([(y == 0).sum(), (y == 1).sum()], dtype=float)
-    cls_w = tr.inverse_frequency(counts)
-    sample_w = cls_w[y]
+    sample_w = np.empty((s, n))
+    for k in range(s):
+        counts = np.array([(y[k] == 0).sum(), (y[k] == 1).sum()], dtype=float)
+        sample_w[k] = tr.inverse_frequency(counts)[y[k]]
     for epoch in range(config.epochs):
         z1 = nm.linear(X, params["l1.w"], params["l1.b"])
         a1 = nm.relu(z1)
         z2 = nm.linear(a1, params["l2.w"], params["l2.b"])
         a2 = nm.relu(z2)
-        z = nm.linear(a2, params["out.w"], params["out.b"])[:, 0]
+        z = nm.linear(a2, params["out.w"], params["out.b"])[..., 0]
         p = nm.sigmoid(z)
-        gz = (sample_w * (p - y) / n)[:, None]
+        gz = (sample_w * (p - y) / n)[..., None]
         ga2, gw_out, gb_out = nm.linear_backward(gz, a2, params["out.w"])
         gz2 = nm.relu_backward(ga2, z2)
         ga1, gw2, gb2 = nm.linear_backward(gz2, a1, params["l2.w"])
@@ -406,7 +431,8 @@ def _fit_mlp(X, y, spec):
         for key in params:
             grads[key] = grads[key] + 2.0 * config.weight_decay * params[key]
         params, velocity = tr.sgd_step(params, velocity, grads, epoch, config)
-    return {"params": params, "hidden": tuple(spec.hidden)}
+    return [{"params": {key: v[k] for key, v in params.items()}, "hidden": tuple(spec.hidden)}
+            for k in range(s)]
 
 
 def _mlp_decision(payload, X):
@@ -418,25 +444,57 @@ def _mlp_decision(payload, X):
 
 # --- public contract ---------------------------------------------------------
 
-def fit(spec: ClassifierSpec, X, y) -> FittedModel:
-    """Standardize, then train the classifier named by the spec."""
-    X, y = _check_training_set(X, y)
+def _fit_stack(spec, X, y) -> list[FittedModel]:
+    """Standardize and train every set of a checked stack X (s, n, d), y (s, n)."""
     stats, Xs = standardize_fit(X)
-    if spec.kind == "logistic":
-        payload = _fit_logistic(Xs, y, spec, lasso=False)
-    elif spec.kind == "lasso":
-        payload = _fit_logistic(Xs, y, spec, lasso=True)
-    elif spec.kind == "lda":
+    if spec.kind == "mlp2":
+        payloads = _fit_mlp(Xs, y, spec)
+    else:
+        payloads = _fit_logistic(Xs, y, spec, lasso=spec.kind == "lasso")
+    return [FittedModel(kind=spec.kind, stats=Standardizer(stats.mean[k], stats.std[k]),
+                        payload=payload) for k, payload in enumerate(payloads)]
+
+
+def fit(spec: ClassifierSpec, X, y) -> FittedModel | list[FittedModel]:
+    """Standardize, then train the classifier named by the spec.
+
+    X (n, d) with labels y (n,) gives one model.  For the STACKED_KINDS, a
+    stack X (s, n, d) with labels y (s, n) gives a list of s models, trained
+    in one loop and equal to s separate fits.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 3 and spec.kind in STACKED_KINDS:
+        y = np.asarray(y, dtype=int)
+        if y.shape != X.shape[:2]:
+            raise ValueError(f"feature stack {X.shape} and labels {y.shape} do not align")
+        for X_set, y_set in zip(X, y):
+            _check_training_set(X_set, y_set)
+        return _fit_stack(spec, X, y)
+    X, y = _check_training_set(X, y)
+    if spec.kind in STACKED_KINDS:
+        return _fit_stack(spec, X[None], y[None])[0]
+    stats, Xs = standardize_fit(X)
+    if spec.kind == "lda":
         payload = _fit_lda(Xs, y)
     elif spec.kind == "qda":
         payload = _fit_qda(Xs, y)
     elif spec.kind == "svm_rbf":
         payload = _fit_svm(Xs, y, spec)
-    elif spec.kind == "gbt":
-        payload = _fit_gbt(Xs, y, spec)
     else:
-        payload = _fit_mlp(Xs, y, spec)
+        payload = _fit_gbt(Xs, y, spec)
     return FittedModel(kind=spec.kind, stats=stats, payload=payload)
+
+
+def fit_folds(spec: ClassifierSpec, X_folds, y_folds) -> list[FittedModel]:
+    """One model per training set (for example, per LOOCV fold), in order.
+
+    The STACKED_KINDS train every set in one stacked ``fit`` call, so their
+    sets must share one shape.  The kinds whose fits branch on the data
+    (lda, qda, svm_rbf, gbt) call ``fit`` once per set.
+    """
+    if spec.kind in STACKED_KINDS and len(X_folds):
+        return fit(spec, np.stack(X_folds), np.stack(y_folds))
+    return [fit(spec, X, y) for X, y in zip(X_folds, y_folds, strict=True)]
 
 
 def decision_values(model: FittedModel, X) -> np.ndarray:

@@ -92,10 +92,12 @@ class LoocvResult:
 
 def loocv(cohort: Cohort, spec: cl.ClassifierSpec, mask=None,
           return_models: bool = False) -> LoocvResult:
-    """One fit per participant, trained on the rest, in participant-id order.
+    """One model per participant, trained on the rest, in participant-id order.
 
     A fold whose training set collapses to a single label predicts the
-    training base rate and is reported in the result's warnings.
+    training base rate and is reported in the result's warnings.  The other
+    folds are fitted by one ``classifiers.fit_folds`` call, so logistic, lasso
+    and mlp2 train all of them in one stacked loop.
     """
     cohort.require_evaluable()
     if mask is None:
@@ -106,31 +108,40 @@ def loocv(cohort: Cohort, spec: cl.ClassifierSpec, mask=None,
     records = sorted(cohort.records, key=lambda r: r.participant_id)
     X = np.vstack([r.features for r in records])[:, mask]
     y = np.array([1 if r.diagnosis == ASD else 0 for r in records], dtype=int)
-    ids, truths, preds, probs, notes, models = [], [], [], [], [], []
-    for i in range(len(records)):
-        keep = np.arange(len(records)) != i
+    n = len(records)
+    notes, base_rates, train_X, train_y = [], {}, [], []
+    for i in range(n):
+        keep = np.arange(n) != i
         X_train, y_train = X[keep], y[keep]
         try:
-            model = cl.fit(spec, X_train, y_train)
-            p = cl.predict_proba(model, X[i])
+            cl._check_training_set(X_train, y_train)
         except cl.DegenerateTrainingError:
             base = float(y_train.mean())
-            p = base
-            model = None
+            base_rates[i] = base
             message = (
                 f"fold {records[i].participant_id}: single-label training set, "
                 f"predicting base rate {base:.3f}"
             )
             notes.append(message)
             warnings.warn(message)
-        ids.append(records[i].participant_id)
+        else:
+            train_X.append(X_train)
+            train_y.append(y_train)
+    fitted = iter(cl.fit_folds(spec, train_X, train_y))
+    truths, preds, probs, models = [], [], [], []
+    for i in range(n):
+        if i in base_rates:
+            model, p = None, base_rates[i]
+        else:
+            model = next(fitted)
+            p = cl.predict_proba(model, X[i])
         truths.append(bool(y[i]))
         preds.append(bool(cl.decide(p)))
         probs.append(float(p))
         models.append(model)
     return LoocvResult(
-        ids=tuple(ids), truths=tuple(truths), predictions=tuple(preds),
-        probabilities=tuple(probs), warnings=tuple(notes),
+        ids=tuple(r.participant_id for r in records), truths=tuple(truths),
+        predictions=tuple(preds), probabilities=tuple(probs), warnings=tuple(notes),
         models=tuple(models) if return_models else (),
     )
 

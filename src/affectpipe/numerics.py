@@ -209,35 +209,41 @@ def conv2d_backward(
 
 
 def linear(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """y = W x + b, rows of ``x`` treated as independent samples."""
+    """y = W x + b, rows of ``x`` treated as independent samples.
+
+    A leading stack axis on all three, x (s, n, i), W (s, o, i) and b (s, o),
+    applies stack entry k's layer to stack entry k's rows.
+    """
     x = np.asarray(x, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     single = x.ndim == 1
     xb = x[None, :] if single else x
-    if xb.ndim != 2 or weights.ndim != 2 or xb.shape[1] != weights.shape[1]:
+    if (weights.ndim not in (2, 3) or xb.ndim != weights.ndim
+            or xb.shape[:-2] != weights.shape[:-2] or xb.shape[-1] != weights.shape[-1]):
         raise ShapeError(f"linear dims do not conform: x {x.shape}, W {weights.shape}")
-    y = xb @ weights.T
+    y = xb @ np.swapaxes(weights, -1, -2)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (weights.shape[0],):
-            raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
-        y = y + bias
+        if bias.shape != weights.shape[:-1]:
+            raise ShapeError(f"bias shape {bias.shape} != {weights.shape[:-1]}")
+        y = y + bias[..., None, :]
     return y[0] if single else y
 
 
 def linear_backward(
     grad_out: np.ndarray, x: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjoints of ``linear`` for x, W and b, with the same optional stack axis."""
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     single = x.ndim == 1
     xb = x[None, :] if single else x
     gy = grad_out[None, :] if single else grad_out
-    if gy.shape != (xb.shape[0], weights.shape[0]):
+    if gy.shape != xb.shape[:-1] + (weights.shape[-2],) or xb.shape[:-2] != weights.shape[:-2]:
         raise ShapeError(f"adjoint shape {grad_out.shape} does not match output")
     gx = gy @ weights
-    gw = gy.T @ xb
-    gb = gy.sum(axis=0)
+    gw = np.swapaxes(gy, -1, -2) @ xb
+    gb = gy.sum(axis=-2)
     return (gx[0] if single else gx), gw, gb
 
 
@@ -288,13 +294,10 @@ def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), with e^-|x| as the only exponential so nothing overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.asarray(np.where(x >= 0, 1.0, e) / (1.0 + e))
 
 
 def sigmoid_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from affectpipe import classifiers as cl
+from affectpipe import numerics as nm
+from affectpipe import training as tr
+
 
 @pytest.fixture
 def rng():
@@ -99,6 +103,110 @@ def walk_leaf_values(trees, X):
                 node = tree.left[node] if go_left else tree.right[node]
             out[t, i] = tree.value[node]
     return out
+
+
+def two_branch_sigmoid(x):
+    """Sigmoid by sign of x with boolean indexing, the reference for nm.sigmoid."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def loop_standardize(X):
+    """Column z-scores of one training matrix, the reference for a stacked fit."""
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std > 0.0, std, 1.0)
+    return mean, std, (X - mean) / std
+
+
+def loop_fit_logistic(X, y, spec, lasso: bool):
+    """Gradient descent on one training set, the reference for the stacked fit."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    for _ in range(spec.iterations):
+        p = nm.sigmoid(X @ w + b)
+        err = p - y
+        gw = X.T @ err / n
+        gb = float(err.mean())
+        if lasso:
+            w = w - spec.step * gw
+            b -= spec.step * gb
+            cut = spec.step * spec.l1
+            w = np.sign(w) * np.maximum(np.abs(w) - cut, 0.0)
+        else:
+            w = w - spec.step * (gw + spec.l2 * w)
+            b -= spec.step * gb
+    return {"w": w, "b": b}
+
+
+def loop_fit_mlp(X, y, spec):
+    """Momentum SGD on one training set, the reference for the stacked fit."""
+    rng = np.random.default_rng(spec.seed)
+    params = {}
+    for key, shape in sorted(cl._mlp_shapes(X.shape[1], spec.hidden).items()):
+        if key.endswith(".w"):
+            params[key] = rng.normal(0.0, np.sqrt(2.0 / shape[1]), size=shape)
+        else:
+            params[key] = np.zeros(shape)
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    config = tr.TrainConfig(lr0=0.1, momentum=0.9, lr_decay=0.01,
+                            epochs=spec.epochs, weight_decay=1e-4, seed=spec.seed)
+    n = X.shape[0]
+    counts = np.array([(y == 0).sum(), (y == 1).sum()], dtype=float)
+    cls_w = tr.inverse_frequency(counts)
+    sample_w = cls_w[y]
+    for epoch in range(config.epochs):
+        z1 = nm.linear(X, params["l1.w"], params["l1.b"])
+        a1 = nm.relu(z1)
+        z2 = nm.linear(a1, params["l2.w"], params["l2.b"])
+        a2 = nm.relu(z2)
+        z = nm.linear(a2, params["out.w"], params["out.b"])[:, 0]
+        p = nm.sigmoid(z)
+        gz = (sample_w * (p - y) / n)[:, None]
+        ga2, gw_out, gb_out = nm.linear_backward(gz, a2, params["out.w"])
+        gz2 = nm.relu_backward(ga2, z2)
+        ga1, gw2, gb2 = nm.linear_backward(gz2, a1, params["l2.w"])
+        gz1 = nm.relu_backward(ga1, z1)
+        _, gw1, gb1 = nm.linear_backward(gz1, X, params["l1.w"])
+        grads = {
+            "l1.w": gw1, "l1.b": gb1, "l2.w": gw2, "l2.b": gb2,
+            "out.w": gw_out, "out.b": gb_out,
+        }
+        for key in params:
+            grads[key] = grads[key] + 2.0 * config.weight_decay * params[key]
+        params, velocity = tr.sgd_step(params, velocity, grads, epoch, config)
+    return {"params": params, "hidden": tuple(spec.hidden)}
+
+
+def loop_fit(spec, X, y):
+    """One logistic, lasso or mlp2 model fitted alone by the reference loops."""
+    X, y = cl._check_training_set(X, y)
+    mean, std, Xs = loop_standardize(X)
+    if spec.kind == "mlp2":
+        payload = loop_fit_mlp(Xs, y, spec)
+    else:
+        payload = loop_fit_logistic(Xs, y, spec, lasso=spec.kind == "lasso")
+    return cl.FittedModel(kind=spec.kind, stats=cl.Standardizer(mean, std), payload=payload)
+
+
+def model_bytes(model):
+    """A fitted linear or MLP model as bytes, for exact comparison."""
+    if model is None:
+        return None
+    payload = model.payload
+    if "params" in payload:
+        body = [(key, value.tobytes()) for key, value in sorted(payload["params"].items())]
+        body.append(payload["hidden"])
+    else:
+        assert type(payload["b"]) is float
+        body = [payload["w"].tobytes(), np.float64(payload["b"]).tobytes()]
+    return (model.kind, model.stats.mean.tobytes(), model.stats.std.tobytes(), body)
 
 
 def max_rel_error(analytic, numeric):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
-from conftest import loop_best_split, walk_leaf_values
+from conftest import loop_best_split, loop_fit, model_bytes, walk_leaf_values
 
 
 def blobs(rng, n=40, d=6, gap=4.0, cov_scale=1.0):
@@ -55,6 +55,17 @@ class TestFitContract:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             cl.ClassifierSpec("random_forest")
+
+    @pytest.mark.parametrize("hidden", [
+        (0, 16), (32,), (32, 16, 8), (2.5, 3), (-1, 4), (True, 4), (4, None), 32, "ab", (),
+    ])
+    def test_hidden_must_be_two_positive_ints(self, hidden):
+        with pytest.raises(ValueError, match="hidden"):
+            cl.ClassifierSpec("mlp2", hidden=hidden)
+
+    @pytest.mark.parametrize("hidden", [(1, 1), (32, 16), (np.int64(3), 2), [4, 5]])
+    def test_hidden_accepts_two_positive_ints(self, hidden):
+        assert cl.ClassifierSpec("mlp2", hidden=hidden).hidden == hidden
 
     def test_dim_mismatch_at_predict(self):
         X, y, _ = blobs(np.random.default_rng(2))
@@ -273,6 +284,64 @@ class TestGbtSplitSearch:
         Xs = np.vstack([Xs] + on_threshold)
         assert np.array_equal(cl._forest_predict(fast.payload["trees"], Xs),
                               walk_leaf_values(fast.payload["trees"], Xs))
+
+
+def training_sets(rng, sets, n, d, n_constant):
+    """Stack of two-label training sets with some constant columns."""
+    X = rng.normal(size=(sets, n, d)) * rng.uniform(0.1, 10.0, size=(sets, 1, d))
+    X[:, :, rng.choice(d, min(n_constant, d), replace=False)] = rng.normal()
+    y = rng.integers(0, 2, size=(sets, n))
+    y[:, :2] = [0, 1]
+    return X, y
+
+
+class TestFitFolds:
+    """The stacked fit of logistic, lasso and mlp2 against one reference fit per set."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(cl.STACKED_KINDS), sets=st.integers(1, 6),
+           n=st.integers(2, 12), d=st.integers(1, 9), n_constant=st.integers(0, 3),
+           seed=st.integers(0, 2**16))
+    def test_equals_per_set_reference(self, kind, sets, n, d, n_constant, seed):
+        rng = np.random.default_rng(seed)
+        X, y = training_sets(rng, sets, n, d, n_constant)
+        spec = cl.ClassifierSpec(kind, iterations=30, epochs=8, hidden=(5, 3), seed=seed % 4)
+        expect = [model_bytes(loop_fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)]
+        assert [model_bytes(m) for m in cl.fit_folds(spec, list(X), list(y))] == expect
+        assert [model_bytes(cl.fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)] == expect
+
+    @pytest.mark.parametrize("kind", cl.STACKED_KINDS)
+    def test_sets_of_different_shapes_rejected(self, kind):
+        rng = np.random.default_rng(40)
+        (X_a,), (y_a,) = training_sets(rng, 1, 6, 4, 1)
+        (X_b,), (y_b,) = training_sets(rng, 1, 9, 4, 0)
+        with pytest.raises(ValueError):
+            cl.fit_folds(cl.ClassifierSpec(kind), [X_a, X_b], [y_a, y_b])
+
+    @pytest.mark.parametrize("kind", ["lda", "qda", "svm_rbf", "gbt"])
+    def test_other_kinds_fit_each_set(self, kind):
+        X, y = training_sets(np.random.default_rng(41), 3, 8, 3, 0)
+        spec = cl.ClassifierSpec(kind, rounds=5)
+        probe = np.random.default_rng(42).normal(size=(4, 3))
+        got = cl.fit_folds(spec, X, y)
+        for model, X_set, y_set in zip(got, X, y):
+            expect = cl.predict_proba(cl.fit(spec, X_set, y_set), probe)
+            assert cl.predict_proba(model, probe).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("kind", cl.KINDS)
+    def test_no_sets_no_models(self, kind):
+        assert cl.fit_folds(cl.ClassifierSpec(kind), [], []) == []
+
+    def test_stack_checks_every_set(self):
+        X, y = training_sets(np.random.default_rng(43), 3, 5, 2, 0)
+        spec = cl.ClassifierSpec("logistic")
+        y[2] = 1
+        with pytest.raises(cl.DegenerateTrainingError):
+            cl.fit(spec, X, y)
+        with pytest.raises(ValueError, match="do not align"):
+            cl.fit(spec, X, y[:, :4])
+        with pytest.raises(ValueError, match="do not align"):
+            cl.fit(cl.ClassifierSpec("lda"), X, y)
 
 
 class TestMlp:

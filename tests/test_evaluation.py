@@ -1,6 +1,7 @@
 """LOOCV harness, metrics, and t-test against scipy oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
 from affectpipe import evaluation as ev
+from conftest import loop_fit, model_bytes
 
 
 def make_cohort(rng, n_pos=10, n_neg=10, gap=3.0, prefix="p"):
@@ -149,6 +151,81 @@ class TestLoocv:
                            return_models=True)
         np.testing.assert_array_equal(result.models[2].payload["w"], result2.models[2].payload["w"])
         assert result.models[2].payload["b"] == result2.models[2].payload["b"]
+
+
+STACKED_SPECS = st.builds(
+    lambda kind, iterations, epochs, h1, h2, seed: cl.ClassifierSpec(
+        kind, iterations=iterations, epochs=epochs, hidden=(h1, h2), seed=seed),
+    st.sampled_from(cl.STACKED_KINDS), st.integers(1, 40), st.integers(1, 12),
+    st.integers(1, 8), st.integers(1, 8), st.integers(0, 3),
+)
+MASKS = (None,) + tuple(ev.attribute_mask(flags) for flags in ev.DEFAULT_ABLATION)
+
+
+def oracle_loocv(cohort, spec, mask):
+    """LOOCV as one reference fit per fold: probabilities, warnings, models."""
+    records = sorted(cohort.records, key=lambda r: r.participant_id)
+    X = np.vstack([r.features for r in records])[:, list(mask or range(58))]
+    y = np.array([r.diagnosis == ev.ASD for r in records], dtype=int)
+    probs, notes, models = [], [], []
+    for i, record in enumerate(records):
+        keep = np.arange(len(records)) != i
+        try:
+            model = loop_fit(spec, X[keep], y[keep])
+        except cl.DegenerateTrainingError:
+            base = float(y[keep].mean())
+            notes.append(f"fold {record.participant_id}: single-label training set, "
+                         f"predicting base rate {base:.3f}")
+            probs.append(base)
+            models.append(None)
+        else:
+            probs.append(cl.predict_proba(model, X[i]))
+            models.append(model)
+    return probs, notes, models
+
+
+class TestStackedLoocvMatchesPerFoldLoop:
+    """LOOCV of logistic, lasso and mlp2 fits every fold in one stacked loop;
+    the result must equal one reference fit per fold, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n_pos=st.integers(1, 12), n_neg=st.integers(1, 12), seed=st.integers(0, 2**16),
+           scale=st.sampled_from([1e-3, 1.0, 50.0]), n_constant=st.integers(0, 6),
+           mask=st.sampled_from(MASKS), spec=STACKED_SPECS)
+    def test_probabilities_warnings_and_models(self, n_pos, n_neg, seed, scale, n_constant,
+                                               mask, spec):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(n_pos + n_neg, 58)) * scale
+        feats[:n_pos, :6] += scale
+        feats[:, rng.choice(58, n_constant, replace=False)] = rng.normal()
+        ids = [f"p{i:02d}" for i in rng.permutation(n_pos + n_neg)]
+        cohort = ev.Cohort(tuple(
+            ev.StudyRecord(pid, ev.ASD if i < n_pos else ev.NON_ASD, f)
+            for i, (pid, f) in enumerate(zip(ids, feats))))
+        probs, notes, models = oracle_loocv(cohort, spec, mask)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = ev.loocv(cohort, spec, mask=mask, return_models=True)
+        assert np.array(result.probabilities).tobytes() == np.array(probs).tobytes()
+        assert result.predictions == tuple(p > 0.5 for p in probs)
+        assert result.warnings == tuple(notes)
+        assert [str(w.message) for w in caught] == notes
+        assert [model_bytes(m) for m in result.models] == [model_bytes(m) for m in models]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            plain = ev.loocv(cohort, spec, mask=mask)
+        assert plain.probabilities == result.probabilities and plain.models == ()
+
+    @pytest.mark.parametrize("kind", cl.STACKED_KINDS)
+    def test_fallback_folds_keep_their_place(self, kind):
+        cohort = make_cohort(np.random.default_rng(8), n_pos=1, n_neg=4)
+        spec = cl.ClassifierSpec(kind, iterations=20, epochs=5)
+        probs, notes, models = oracle_loocv(cohort, spec, None)
+        with pytest.warns(UserWarning, match="single-label"):
+            result = ev.loocv(cohort, spec, return_models=True)
+        assert result.models[0] is None and len(notes) == 1
+        assert np.array(result.probabilities).tobytes() == np.array(probs).tobytes()
+        assert [model_bytes(m) for m in result.models] == [model_bytes(m) for m in models]
 
 
 class TestConfusionMetrics:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from affectpipe import numerics as nm
 
-from conftest import loop_conv2d, offset_conv2d
+from conftest import loop_conv2d, offset_conv2d, two_branch_sigmoid
 
 # One spec per convolution class the trunk uses, with the input size it runs at.
 CONV_CLASSES = {
@@ -238,6 +238,33 @@ class TestLinear:
         with pytest.raises(nm.ShapeError):
             nm.linear(np.zeros(3), np.zeros((2, 4)))
 
+    def test_stack_equals_each_entry(self, rng):
+        x = rng.normal(size=(3, 5, 7))
+        w = rng.normal(size=(3, 4, 7))
+        b = rng.normal(size=(3, 4))
+        gy = rng.normal(size=(3, 5, 4))
+        y = nm.linear(x, w, b)
+        grads = nm.linear_backward(gy, x, w)
+        for k in range(3):
+            assert y[k].tobytes() == nm.linear(x[k], w[k], b[k]).tobytes()
+            for got, expect in zip(grads, nm.linear_backward(gy[k], x[k], w[k])):
+                assert got[k].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((2, 5, 7), (3, 4, 7), (3, 4)),
+        ((5, 7), (3, 4, 7), (3, 4)),
+        ((2, 5, 7), (4, 7), (4,)),
+        ((2, 5, 7), (2, 4, 7), (4,)),
+        ((2, 5, 7), (2, 4, 7), (3, 4)),
+    ])
+    def test_stack_mismatch(self, x_shape, w_shape, b_shape):
+        with pytest.raises(nm.ShapeError):
+            nm.linear(np.zeros(x_shape), np.zeros(w_shape), np.zeros(b_shape))
+
+    def test_backward_stack_mismatch(self):
+        with pytest.raises(nm.ShapeError):
+            nm.linear_backward(np.zeros((2, 5, 4)), np.zeros((2, 5, 7)), np.zeros((3, 4, 7)))
+
 
 class TestGlobalAvgPool:
     def test_constant(self):
@@ -261,6 +288,25 @@ class TestActivations:
     def test_sigmoid_tanh_at_zero(self):
         assert nm.sigmoid(np.array(0.0)) == 0.5
         assert nm.tanh(np.array(0.0)) == 0.0
+
+    def test_sigmoid_equals_two_branch_form_at_edges(self):
+        tiny = np.nextafter(0.0, 1.0)
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0, -746.0,
+                      tiny, -tiny, 2.2e-308, -2.2e-308, 36.7, -36.7, 1e-300, -1e-300])
+        assert nm.sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False), st.floats(-800.0, 800.0),
+                              st.floats(-1e-300, 1e-300)), min_size=1, max_size=12))
+    def test_sigmoid_equals_two_branch_form(self, values):
+        x = np.array(values)
+        assert nm.sigmoid(x).tobytes() == two_branch_sigmoid(x).tobytes()
+
+    def test_sigmoid_keeps_0d_and_nan(self):
+        y = nm.sigmoid(np.array(-3.0))
+        assert isinstance(y, np.ndarray) and y.shape == ()
+        assert y == two_branch_sigmoid(np.array(-3.0))
+        assert np.isnan(nm.sigmoid(np.array([np.nan]))[0])
 
     def test_softmax_overflow_stability(self):
         y = nm.softmax(np.array([1000.0, 1000.0]))
