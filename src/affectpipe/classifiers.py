@@ -48,18 +48,19 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}; choose from {KINDS}")
-        for name in ("l2", "l1", "step", "svm_c", "shrinkage"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.svm_gamma is not None and self.svm_gamma <= 0:
-            raise ValueError("svm_gamma must be positive")
+        floats = {name: getattr(self, name) for name in ("l2", "l1", "step", "svm_c", "shrinkage")}
+        if self.svm_gamma is not None:
+            floats["svm_gamma"] = self.svm_gamma
+        for name, value in floats.items():
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("iterations", "rounds", "depth", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if not tr._is_count(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         hidden = self.hidden
         if not (isinstance(hidden, (tuple, list)) and len(hidden) == 2 and all(
-                isinstance(h, (int, np.integer)) and not isinstance(h, bool) and h > 0
-                for h in hidden)):
+                tr._is_count(h) and h > 0 for h in hidden)):
             raise ValueError(f"hidden must be two positive ints, got {hidden!r}")
 
 
@@ -528,7 +529,7 @@ def predict_proba(model: FittedModel, x):
 def decide(p, threshold: float = 0.5):
     """Positive iff p strictly exceeds the threshold."""
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("probabilities must lie in [0, 1]")
     out = p > threshold
     return bool(out) if out.ndim == 0 else out

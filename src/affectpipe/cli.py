@@ -95,6 +95,9 @@ def cmd_analyze_graph(opts) -> dict:
         variants[kind] = {
             "params": gr.count_params(g),
             "flops": gr.count_flops(g),
+            "single_task_params": sum(
+                gr.count_params(gr.build_graph(kind, mode=t, input_hw=hw))
+                for t in gr.TASKS),
             "layers": gr.layer_table(g),
         }
     return {"command": "analyze-graph", "mode": opts.mode,
@@ -116,10 +119,14 @@ def cmd_train_toy(opts) -> dict:
     }
 
 
-def cmd_extract_features(opts) -> dict:
+def _load_cohort(opts, command: str):
     if opts.manifest is None:
-        raise ValueError("extract-features requires --manifest")
-    cohort = dataio.load_cohort(opts.manifest, tau=opts.tau)
+        raise ValueError(f"{command} requires --manifest")
+    return dataio.load_cohort(opts.manifest, tau=opts.tau)
+
+
+def cmd_extract_features(opts) -> dict:
+    cohort = _load_cohort(opts, "extract-features")
     return {
         "command": "extract-features",
         "tau": opts.tau,
@@ -137,9 +144,7 @@ def _classifier_spec(opts) -> cl.ClassifierSpec:
 
 
 def cmd_loocv(opts) -> dict:
-    if opts.manifest is None:
-        raise ValueError("loocv requires --manifest")
-    cohort = dataio.load_cohort(opts.manifest, tau=opts.tau)
+    cohort = _load_cohort(opts, "loocv")
     attrs = tuple(a.strip() for a in opts.attributes.split(",") if a.strip())
     mask = ev.attribute_mask(attrs)
     result = ev.loocv(cohort, _classifier_spec(opts), mask=mask)
@@ -160,18 +165,14 @@ def cmd_loocv(opts) -> dict:
 
 
 def cmd_ablate(opts) -> dict:
-    if opts.manifest is None:
-        raise ValueError("ablate requires --manifest")
-    cohort = dataio.load_cohort(opts.manifest, tau=opts.tau)
+    cohort = _load_cohort(opts, "ablate")
     rows = ev.ablation_study(cohort, _classifier_spec(opts))
     return {"command": "ablate", "classifier": opts.classifier,
             "seed": opts.seed, "rows": list(rows)}
 
 
 def cmd_ttest(opts) -> dict:
-    if opts.manifest is None:
-        raise ValueError("ttest requires --manifest")
-    cohort = dataio.load_cohort(opts.manifest, tau=opts.tau)
+    cohort = _load_cohort(opts, "ttest")
     result = ev.attribute_significance(cohort)
     return {"command": "ttest",
             "attributes": result["attributes"],
@@ -197,6 +198,11 @@ def cmd_synth(opts) -> dict:
 
 
 _COHORT_DEFAULTS = {"manifest": None, "tau": tp.DEFAULT_TAU}
+
+
+def _add_cohort(sub):
+    sub.add_argument("--manifest", type=Path, default=None)
+    sub.add_argument("--tau", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,14 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "batch_size": 25})
 
     p = subs.add_parser("extract-features", help="temporal features from a cohort manifest")
-    p.add_argument("--manifest", type=Path, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    _add_cohort(p)
     _add_common(p)
     p.set_defaults(handler=cmd_extract_features, defaults=dict(_COHORT_DEFAULTS))
 
     p = subs.add_parser("loocv", help="leave-one-out cross-validation over a cohort")
-    p.add_argument("--manifest", type=Path, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    _add_cohort(p)
     p.add_argument("--classifier", choices=cl.KINDS, default=None)
     p.add_argument("--attributes", default=None,
                    help="comma-separated subset of au,expr,arousal,valence")
@@ -243,16 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  attributes="au,expr,arousal,valence"))
 
     p = subs.add_parser("ablate", help="attribute-subset ablation table")
-    p.add_argument("--manifest", type=Path, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    _add_cohort(p)
     p.add_argument("--classifier", choices=cl.KINDS, default=None)
     _add_common(p)
     p.set_defaults(handler=cmd_ablate,
                    defaults=dict(_COHORT_DEFAULTS, classifier="logistic"))
 
     p = subs.add_parser("ttest", help="per-attribute group significance")
-    p.add_argument("--manifest", type=Path, default=None)
-    p.add_argument("--tau", type=float, default=None)
+    _add_cohort(p)
     _add_common(p)
     p.set_defaults(handler=cmd_ttest, defaults=dict(_COHORT_DEFAULTS))
 

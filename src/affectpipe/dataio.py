@@ -260,14 +260,6 @@ def render_report(result: dict, fmt: str = "json") -> str:
     raise ValueError(f"unknown report format {fmt!r}; expected 'json' or 'text'")
 
 
-def write_report(result: dict, path, fmt: str = "json") -> None:
-    Path(path).write_text(render_report(result, fmt), encoding="utf-8")
-
-
-def read_report(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def _text_lines(value, indent: int = 0) -> list:
     pad = "  " * indent
     lines = []

@@ -61,12 +61,6 @@ class Cohort:
         if len(self.records) < 2 or n_pos == 0 or n_pos == len(self.records):
             raise ValueError("evaluation needs >= 2 participants with both diagnoses present")
 
-    def feature_matrix(self) -> np.ndarray:
-        return np.vstack([r.features for r in self.records])
-
-    def label_vector(self) -> np.ndarray:
-        return np.array([1 if r.diagnosis == ASD else 0 for r in self.records], dtype=int)
-
 
 def attribute_mask(flags) -> tuple:
     """Union of the 58-dim slice map entries for the named attributes."""

@@ -328,17 +328,6 @@ def softmax_backward(grad_out: np.ndarray, y: np.ndarray, axis: int = -1) -> np.
     return y * (grad_out - inner)
 
 
-ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "softmax": softmax, "tanh": tanh}
-
-
-def activation(kind: str, x: np.ndarray) -> np.ndarray:
-    try:
-        fn = ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-    return fn(x)
-
-
 def central_difference(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
     """Numerical gradient of scalar-valued ``f`` at ``x`` by central differences."""
     x = np.asarray(x, dtype=np.float64)

@@ -76,6 +76,11 @@ def unit_weights(n_expr: int = N_EXPR, n_au: int = N_AU) -> ClassWeights:
     return ClassWeights(expr=np.ones(n_expr), au=np.ones((n_au, 2)))
 
 
+def _is_count(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr0: float = 0.01
@@ -87,16 +92,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not _is_count(self.epochs):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
+        if self.batch_size is not None and not _is_count(self.batch_size):
+            raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
+        if not (self.lr0 > 0 and math.isfinite(self.lr0)):
+            raise ValueError(f"lr0 must be positive and finite, got {self.lr0!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 <= self.lr_decay < 1.0:
             raise ValueError("lr_decay must lie in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be nonnegative")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ValueError(f"weight_decay must be nonnegative and finite, got {self.weight_decay!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be None or a positive integer")
 

@@ -67,6 +67,25 @@ class TestFitContract:
     def test_hidden_accepts_two_positive_ints(self, hidden):
         assert cl.ClassifierSpec("mlp2", hidden=hidden).hidden == hidden
 
+    @pytest.mark.parametrize("field,value", [
+        ("step", float("nan")), ("shrinkage", float("nan")), ("l1", float("inf")),
+        ("l2", float("nan")), ("svm_c", float("nan")), ("svm_gamma", float("nan")),
+        ("svm_gamma", float("inf")),
+    ])
+    def test_nonfinite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            cl.ClassifierSpec("logistic", **{field: value})
+
+    @pytest.mark.parametrize("field", ["iterations", "rounds", "depth", "epochs"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0)])
+    def test_count_must_be_int(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            cl.ClassifierSpec("logistic", **{field: value})
+
+    @pytest.mark.parametrize("field", ["iterations", "rounds", "depth", "epochs"])
+    def test_count_accepts_numpy_int(self, field):
+        assert getattr(cl.ClassifierSpec("logistic", **{field: np.int64(2)}), field) == 2
+
     def test_dim_mismatch_at_predict(self):
         X, y, _ = blobs(np.random.default_rng(2))
         model = cl.fit(cl.ClassifierSpec("lda"), X, y)
@@ -364,5 +383,6 @@ class TestDecide:
         np.testing.assert_array_equal(cl.decide(np.array([0.2, 0.8])), [False, True])
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            cl.decide(1.3)
+        for p in (1.3, float("nan"), np.array([0.2, np.nan])):
+            with pytest.raises(ValueError):
+                cl.decide(p)

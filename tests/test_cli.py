@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe import cli
+from affectpipe import graph as gr
 
 from conftest import MUTATION, mutate
 
@@ -48,6 +49,30 @@ class TestAnalyzeGraph:
         assert cli.main(["analyze-graph", "--output", str(a)]) == 0
         assert cli.main(["analyze-graph", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_budgets_at_224(self, capsys):
+        code, out, _ = run(capsys, "analyze-graph")
+        assert code == 0
+        variants = json.loads(out)["variants"]
+        budgets = {kind: (v["params"], v["flops"], v["single_task_params"])
+                   for kind, v in variants.items()}
+        assert budgets == {
+            "bottleneck": (6_364_782, 934_223_949, 25_425_270),
+            "mobilenet": (5_546_646, 839_154_688, 22_152_726),
+            "eesp": (2_055_366, 351_409_472, 8_187_606),
+        }
+
+    @pytest.mark.parametrize("mode", ["multi", "au"])
+    def test_single_task_params_is_per_task_sum(self, capsys, mode):
+        code, out, _ = run(capsys, "analyze-graph", "--input-hw", "64", "--mode", mode)
+        assert code == 0
+        for kind, v in json.loads(out)["variants"].items():
+            g = gr.build_graph(kind, mode=mode, input_hw=(64, 64))
+            assert v["params"] == gr.count_params(g)
+            assert v["flops"] == gr.count_flops(g)
+            assert v["single_task_params"] == sum(
+                gr.count_params(gr.build_graph(kind, mode=t, input_hw=(64, 64)))
+                for t in gr.TASKS)
 
 
 class TestTrainToy:
@@ -183,6 +208,17 @@ class TestErrorContract:
         code, out, err = run(capsys, "loocv")
         assert code == 1 and out == ""
         assert "manifest" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("extract-features", "--manifest"), ("loocv", "--manifest"),
+        ("ablate", "--manifest"), ("ttest", "--manifest"), ("synth", "--out-dir"),
+    ])
+    def test_missing_required_path(self, capsys, command, flag):
+        code, out, err = run(capsys, command)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"{command} requires {flag}"}
 
     def test_parse_error_carries_location(self, tmp_path, capsys):
         manifest = make_cohort_dir(tmp_path)

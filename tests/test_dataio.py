@@ -328,27 +328,23 @@ class TestLoadCohort:
 
 
 class TestReports:
-    def test_json_round_trip_exact(self, tmp_path):
+    def test_json_round_trip_exact(self):
         rng = np.random.default_rng(10)
         payload = {
             "metrics": {"f1": float(rng.random()), "sensitivity": 1 / 3, "specificity": None},
             "values": list(rng.normal(size=5)),
             "counts": {"tp": 38, "fn": 11},
         }
-        path = tmp_path / "r.json"
-        dio.write_report(payload, path, fmt="json")
-        back = dio.read_report(path)
+        back = json.loads(dio.render_report(payload, fmt="json"))
         assert back["schema_version"] == dio.SCHEMA_VERSION
         assert back["metrics"]["f1"] == payload["metrics"]["f1"]
         assert back["metrics"]["specificity"] is None
         assert back["values"] == payload["values"]
 
-    def test_numpy_and_dataclass_conversion(self, tmp_path):
+    def test_numpy_and_dataclass_conversion(self):
         result = ev.confusion_metrics([True, False], [True, False])
         payload = {"metrics": result, "arr": np.arange(3.0)}
-        path = tmp_path / "r.json"
-        dio.write_report(payload, path)
-        back = dio.read_report(path)
+        back = json.loads(dio.render_report(payload))
         assert back["metrics"]["tp"] == 1
         assert back["arr"] == [0.0, 1.0, 2.0]
 
@@ -358,10 +354,8 @@ class TestReports:
         for key in ("f1: 0.768", "sensitivity: 0.776", "specificity: 0.692"):
             assert key in text
 
-    def test_empty_table_valid(self, tmp_path):
-        path = tmp_path / "r.json"
-        dio.write_report({"rows": []}, path)
-        assert dio.read_report(path)["rows"] == []
+    def test_empty_table_valid(self):
+        assert json.loads(dio.render_report({"rows": []}))["rows"] == []
         text = dio.render_report({"rows": []}, fmt="text")
         assert "rows" in text
 

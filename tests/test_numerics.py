@@ -313,12 +313,6 @@ class TestActivations:
         np.testing.assert_allclose(y, [0.5, 0.5])
         assert np.all(np.isfinite(y))
 
-    def test_activation_dispatch(self):
-        x = np.array([-1.0, 2.0])
-        np.testing.assert_array_equal(nm.activation("relu", x), [0.0, 2.0])
-        with pytest.raises(ValueError):
-            nm.activation("gelu", x)
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=16))
     def test_softmax_is_probability_vector(self, logits):

@@ -72,11 +72,11 @@ class TestGroupStructure:
     def test_null_groups_indistinguishable(self, tmp_path):
         spec = synth.SynthSpec(participants_per_group=8, frames_per_participant=60, seed=3)
         cohort = cohort_for(spec, tmp_path, "null")
-        X = cohort.feature_matrix()
-        y = cohort.label_vector()
+        X = np.vstack([r.features for r in cohort.records])
+        y = np.array([r.diagnosis == ev.ASD for r in cohort.records])
         ps = []
         for j in range(tp.FEATURE_DIM):
-            r = ev.t_test(X[y == 1, j], X[y == 0, j])
+            r = ev.t_test(X[y, j], X[~y, j])
             ps.append(r.p)
         assert np.median(ps) > 0.2
 

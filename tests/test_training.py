@@ -261,6 +261,30 @@ class TestMultitaskLoss:
             tr.multitask_loss({"expr": np.zeros(8)}, au_none(expr=0), tr.unit_weights(), {}, 0.0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("lr0", float("nan")), ("lr0", float("inf")), ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")), ("momentum", float("nan")), ("lr_decay", float("nan")),
+    ])
+    def test_nonfinite_float_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must "):
+            tr.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "4"])
+    def test_count_must_be_int(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tr.TrainConfig(**{field: value})
+
+    def test_epochs_none_rejected(self):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            tr.TrainConfig(epochs=None)
+
+    def test_counts_accept_numpy_int_and_none_batch(self):
+        cfg = tr.TrainConfig(epochs=np.int64(3), batch_size=None)
+        assert cfg.epochs == 3 and cfg.batch_size is None
+
+
 class TestSgd:
     def test_plain_step(self):
         cfg = tr.TrainConfig(momentum=0.0)
