@@ -58,6 +58,8 @@ class ClassifierSpec:
             value = getattr(self, name)
             if not tr._is_count(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not tr._is_count(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         hidden = self.hidden
         if not (isinstance(hidden, (tuple, list)) and len(hidden) == 2 and all(
                 tr._is_count(h) and h > 0 for h in hidden)):

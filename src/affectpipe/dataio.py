@@ -13,18 +13,9 @@ from . import temporal as tp
 
 SCHEMA_VERSION = 1
 
-FRAME_COLUMNS = (
-    ("frame",)
-    + tuple(f"au_{i:02d}" for i in range(1, tp.N_AU + 1))
-    + tuple(f"expr_{i:02d}" for i in range(1, tp.N_EXPR + 1))
-    + ("arousal", "valence")
-)
+FRAME_COLUMNS = ("frame",) + tp.COLUMN_NAMES
 FRAME_HEADER = ",".join(FRAME_COLUMNS)
 
-# Inclusive bounds for every value column (everything after the frame index).
-_VALUE_RANGES = [(0.0, 1.0)] * (tp.N_AU + tp.N_EXPR) + [(-1.0, 1.0), (-1.0, 1.0)]
-_VALUE_LO, _VALUE_HI = np.array(_VALUE_RANGES).T
-_EXPR_SUM_TOL = 1e-9
 # sys.set_int_max_str_digits accepts no non-zero limit below 640, so int()
 # converts every digit string up to this length under any setting.
 _MAX_INDEX_DIGITS = 640
@@ -83,9 +74,9 @@ def _whole_body_matrix(body: list):
     indices must be plain ASCII digits no longer than the smallest
     digit limit ``int()`` can be given, cells convert exactly as
     ``float()`` converts them (``np.array`` on Python strings, not
-    ``astype`` on a string array), and the expression sums, taken in any
-    order, must lie within half the tolerance of 1 so that ``math.fsum``
-    would accept them too.
+    ``astype`` on a string array), and the values must pass
+    ``temporal.attribute_matrix``, whose expression-sum margin makes
+    ``math.fsum`` accept them too.
     """
     width = len(FRAME_COLUMNS)
     if not body or not all(line.count(",") == width - 1 for line in body):
@@ -98,15 +89,9 @@ def _whole_body_matrix(body: list):
         return None
     del cells[::width]
     try:
-        F = np.array(cells, dtype=float).reshape(len(body), width - 1)
+        return tp.attribute_matrix(np.array(cells, dtype=float).reshape(len(body), width - 1))
     except ValueError:
         return None
-    # The bounds are finite, so this also rejects NaN and infinities.
-    if not np.all((F >= _VALUE_LO) & (F <= _VALUE_HI)):
-        return None
-    if not np.all(np.abs(F[:, tp.EXPR_COLS].sum(axis=1) - 1.0) <= _EXPR_SUM_TOL / 2):
-        return None
-    return F
 
 
 def _parse_frame_rows(path) -> np.ndarray:
@@ -125,7 +110,7 @@ def _parse_frame_rows(path) -> np.ndarray:
             raise ParseError(f"frame index {cells[0]!r} is not an integer",
                              path=path, row=lineno, column="frame") from None
         values = []
-        for cell, name, (lo, hi) in zip(cells[1:], FRAME_COLUMNS[1:], _VALUE_RANGES):
+        for cell, name, (lo, hi) in zip(cells[1:], FRAME_COLUMNS[1:], tp.COLUMN_BOUNDS):
             try:
                 value = float(cell)
             except ValueError:
@@ -139,7 +124,7 @@ def _parse_frame_rows(path) -> np.ndarray:
                                  path=path, row=lineno, column=name)
             values.append(value)
         expr_sum = math.fsum(values[tp.EXPR_COLS])
-        if abs(expr_sum - 1.0) > _EXPR_SUM_TOL:
+        if abs(expr_sum - 1.0) > tp.EXPR_SUM_TOL:
             raise ParseError(
                 f"expression probabilities must sum to 1, got {expr_sum}",
                 path=path, row=lineno, column="expr_01..expr_08")
@@ -150,13 +135,12 @@ def _parse_frame_rows(path) -> np.ndarray:
 
 
 def write_frames(path, matrix) -> None:
-    """Write an M x 22 attribute matrix as FrameCsv with round-trip-exact floats."""
-    F = np.asarray(matrix, dtype=float)
-    if F.ndim != 2 or F.shape[1] != tp.FRAME_DIM:
-        raise ValueError(f"expected an M x {tp.FRAME_DIM} matrix, got shape {F.shape}")
-    for name, (lo, hi), col in zip(FRAME_COLUMNS[1:], _VALUE_RANGES, F.T):
-        if not np.all((col >= lo) & (col <= hi)):
-            raise ValueError(f"column {name} has values outside [{lo}, {hi}]")
+    """Write an M x 22 attribute matrix as FrameCsv with round-trip-exact floats.
+
+    The matrix must pass ``temporal.attribute_matrix``, so ``parse_frames``
+    reads every file written here back bit for bit.
+    """
+    F = tp.attribute_matrix(matrix)
     lines = [FRAME_HEADER]
     for i, row in enumerate(F):
         lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))

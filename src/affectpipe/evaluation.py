@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifiers as cl
-from .temporal import ATTRIBUTE_DIMS, FEATURE_DIM, feature_names
+from .temporal import (AROUSAL_COL, ATTRIBUTE_DIMS, AU_COLS, EXPR_COLS, FEATURE_DIM, N_EXPR,
+                       VALENCE_COL, feature_names)
 
 ASD = "ASD"
 NON_ASD = "non-ASD"
@@ -177,7 +178,7 @@ def _binary_f1(tp, fp, fn):
     return 2 * tp / (2 * tp + fp + fn)
 
 
-def expr_macro_f1(predicted, target, n_classes: int = 8) -> float:
+def expr_macro_f1(predicted, target, n_classes: int = N_EXPR) -> float:
     predicted = np.asarray(predicted, dtype=int)
     target = np.asarray(target, dtype=int)
     if predicted.shape != target.shape:
@@ -327,17 +328,18 @@ def _attribute_summary(features: np.ndarray, attribute: str) -> float:
     AU averages the 12 AU mean probabilities; arousal and valence are their
     mean dims.  The expression mean-slice always averages to 1/8 (softmax
     rows sum to one), so expression uses the total-variation distance of the
-    mean distribution from uniform instead.
+    mean distribution from uniform instead.  The mean block leads the
+    feature vector in frame-column order, so the frame columns index it.
     """
     if attribute == "au":
-        return float(features[0:12].mean())
+        return float(features[AU_COLS].mean())
     if attribute == "expr":
-        probs = features[12:20]
-        return float(0.5 * np.abs(probs - 1.0 / 8.0).sum())
+        probs = features[EXPR_COLS]
+        return float(0.5 * np.abs(probs - 1.0 / N_EXPR).sum())
     if attribute == "arousal":
-        return float(features[20])
+        return float(features[AROUSAL_COL])
     if attribute == "valence":
-        return float(features[21])
+        return float(features[VALENCE_COL])
     raise ValueError(f"unknown attribute {attribute!r}")
 
 

@@ -479,8 +479,9 @@ def backward(graph: ModelGraph, params: dict, cache: list, head_grads: dict) -> 
     return grads
 
 
-def predict_attributes(outputs: dict) -> list[tp.FrameAttributes]:
-    """Squash raw multi-task head outputs into per-frame attributes."""
+def predict_attributes(outputs: dict) -> np.ndarray:
+    """Squash raw multi-task head outputs into an M x 22 attribute matrix:
+    sigmoid(au) | softmax(expr) | tanh(arousal) | tanh(valence)."""
     missing = [t for t in TASKS if t not in outputs]
     if missing:
         raise ValueError(f"missing head outputs for {missing}")
@@ -493,14 +494,7 @@ def predict_attributes(outputs: dict) -> list[tp.FrameAttributes]:
             f"expected head widths ({HEAD_WIDTHS['expr']}, {HEAD_WIDTHS['au']}, 1, 1), "
             f"got ({expr.shape[1]}, {au.shape[1]})"
         )
-    expr_p = nm.softmax(expr)
-    au_p = nm.sigmoid(au)
-    return [
-        tp.FrameAttributes(
-            au=tuple(au_p[i]),
-            expr=tuple(expr_p[i]),
-            arousal=float(np.tanh(aro[i])),
-            valence=float(np.tanh(val[i])),
-        )
-        for i in range(expr.shape[0])
-    ]
+    for task, raw in (("expr", expr), ("au", au), ("arousal", aro), ("valence", val)):
+        nm.require_finite(raw, f"the {task} head output")
+    affect = np.tanh(np.column_stack([aro, val]))
+    return tp.attribute_matrix(np.hstack([nm.sigmoid(au), nm.softmax(expr), affect]))

@@ -1,9 +1,11 @@
-"""Temporal summarization of per-frame attributes.
+"""Per-frame attributes and their temporal summary.
 
-A video is reduced to a 58-dim participant vector: per-column mean and
-population standard deviation of the 22-dim frame vectors, per-AU activation
-fractions at a threshold, and the fractions of strictly positive arousal and
-valence frames.
+A frame stream is an M x 22 float64 matrix, AU(12) | expr(8) | arousal |
+valence; this module defines its columns and value contract, checked by
+``attribute_matrix``.  A video is reduced to a 58-dim participant vector:
+per-column mean and population standard deviation of the 22-dim frame
+vectors, per-AU activation fractions at a threshold, and the fractions of
+strictly positive arousal and valence frames.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ EXPR_COLS = slice(N_AU, N_AU + N_EXPR)
 AROUSAL_COL = N_AU + N_EXPR
 VALENCE_COL = N_AU + N_EXPR + 1
 
+# The frame contract: the name and inclusive bounds of each column, and how
+# far a row's expression probabilities may sum from 1.
+COLUMN_NAMES = (
+    tuple(f"au_{i:02d}" for i in range(1, N_AU + 1))
+    + tuple(f"expr_{i:02d}" for i in range(1, N_EXPR + 1))
+    + ("arousal", "valence")
+)
+COLUMN_BOUNDS = ((0.0, 1.0),) * (N_AU + N_EXPR) + ((-1.0, 1.0),) * 2
+EXPR_SUM_TOL = 1e-9
+_LO, _HI = np.array(COLUMN_BOUNDS).T
+
 # Indices of the 58-dim vector owned by each attribute.  Mean and std slices
 # follow the frame layout; activations cover the AU block only.  The four
 # groups partition all 58 dims (36 + 16 + 3 + 3).
@@ -35,60 +48,25 @@ ATTRIBUTE_DIMS = {
 }
 
 
-class AttributeRangeError(ValueError):
-    """A frame attribute lies outside its documented range."""
+def attribute_matrix(F) -> np.ndarray:
+    """Check an M x 22 frame matrix against the frame contract and return it.
 
-
-@dataclass(frozen=True)
-class FrameAttributes:
-    """Squashed per-frame outputs: AU and expression probabilities plus
-    arousal/valence scalars in [-1, 1]."""
-
-    au: tuple
-    expr: tuple
-    arousal: float
-    valence: float
-
-    def __post_init__(self):
-        au = tuple(float(v) for v in self.au)
-        expr = tuple(float(v) for v in self.expr)
-        object.__setattr__(self, "au", au)
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "arousal", float(self.arousal))
-        object.__setattr__(self, "valence", float(self.valence))
-        if len(au) != N_AU:
-            raise AttributeRangeError(f"expected {N_AU} AU values, got {len(au)}")
-        if len(expr) != N_EXPR:
-            raise AttributeRangeError(f"expected {N_EXPR} expression values, got {len(expr)}")
-        if any(not 0.0 <= v <= 1.0 for v in au):
-            raise AttributeRangeError("AU probabilities must lie in [0, 1]")
-        if any(not 0.0 <= v <= 1.0 for v in expr):
-            raise AttributeRangeError("expression probabilities must lie in [0, 1]")
-        if abs(sum(expr) - 1.0) > 1e-9:
-            raise AttributeRangeError("expression probabilities must sum to 1")
-        for label, v in (("arousal", self.arousal), ("valence", self.valence)):
-            if not -1.0 <= v <= 1.0:
-                raise AttributeRangeError(f"{label} must lie in [-1, 1], got {v}")
-
-
-def frame_vector(attrs: FrameAttributes) -> np.ndarray:
-    """Concatenate one frame's attributes as AU(12) | expr(8) | arousal | valence."""
-    return np.concatenate([
-        np.asarray(attrs.au, dtype=float),
-        np.asarray(attrs.expr, dtype=float),
-        [attrs.arousal, attrs.valence],
-    ])
-
-
-def attribute_matrix(frames) -> np.ndarray:
-    """Stack FrameAttributes (or ready-made 22-dim rows) into an M x 22 matrix."""
-    rows = [frame_vector(f) if isinstance(f, FrameAttributes) else np.asarray(f, dtype=float) for f in frames]
-    if not rows:
-        raise ValueError("attribute matrix needs at least one frame")
-    mat = np.vstack(rows)
-    if mat.shape[1] != FRAME_DIM:
-        raise ValueError(f"frame vectors must have {FRAME_DIM} columns, got {mat.shape[1]}")
-    return mat
+    Every value must lie within its column's bounds, which also rules out
+    NaN and infinities, and every row's expression probabilities, summed by
+    numpy over the C-contiguous matrix, must lie within half of
+    ``EXPR_SUM_TOL`` of 1; that margin covers any summation order, so
+    ``math.fsum`` accepts them too.  The checked matrix comes back
+    C-contiguous float64.  A ``ValueError`` names the first column out of
+    bounds, or says the expressions do not sum to 1.
+    """
+    F = _check_matrix(np.ascontiguousarray(F, dtype=float))
+    if (np.all((F >= _LO) & (F <= _HI))
+            and np.all(np.abs(F[:, EXPR_COLS].sum(axis=1) - 1.0) <= EXPR_SUM_TOL / 2)):
+        return F
+    for name, (lo, hi), col in zip(COLUMN_NAMES, COLUMN_BOUNDS, F.T):
+        if not np.all((col >= lo) & (col <= hi)):
+            raise ValueError(f"column {name} has values outside [{lo}, {hi}]")
+    raise ValueError(f"expression probabilities must sum to 1 within {EXPR_SUM_TOL / 2}")
 
 
 def _check_matrix(F: np.ndarray) -> np.ndarray:
@@ -149,11 +127,8 @@ def temporal_feature_vector(F: np.ndarray, tau: float = DEFAULT_TAU) -> Temporal
 
 def feature_names() -> list[str]:
     """Column names for the 58-dim participant vector, in vector order."""
-    frame = [f"au_{i + 1:02d}" for i in range(N_AU)]
-    frame += [f"expr_{i + 1:02d}" for i in range(N_EXPR)]
-    frame += ["arousal", "valence"]
-    names = [f"mean_{n}" for n in frame]
-    names += [f"std_{n}" for n in frame]
+    names = [f"mean_{n}" for n in COLUMN_NAMES]
+    names += [f"std_{n}" for n in COLUMN_NAMES]
     names += [f"act_au_{i + 1:02d}" for i in range(N_AU)]
     names += ["p_arousal", "p_valence"]
     return names

@@ -72,10 +72,6 @@ class ClassWeights:
             raise ValueError("class weights must be positive")
 
 
-def unit_weights(n_expr: int = N_EXPR, n_au: int = N_AU) -> ClassWeights:
-    return ClassWeights(expr=np.ones(n_expr), au=np.ones((n_au, 2)))
-
-
 def _is_count(value) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -96,6 +92,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.batch_size is not None and not _is_count(self.batch_size):
             raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
+        if not _is_count(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (self.lr0 > 0 and math.isfinite(self.lr0)):
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0!r}")
         if not 0.0 <= self.momentum < 1.0:
@@ -216,22 +214,6 @@ def task_loss(task: str, raw, labels: TaskLabels, weights: ClassWeights):
 
 def l2_penalty(params: dict) -> float:
     return float(sum(np.sum(np.square(v)) for v in params.values()))
-
-
-def multitask_loss(outputs: dict, labels: TaskLabels, weights: ClassWeights,
-                   params: dict, lam: float = 1e-4) -> float:
-    """Unweighted sum of the four task losses plus lam * ||params||^2."""
-    missing = [t for t in gr.TASKS if t not in outputs]
-    if missing:
-        raise ValueError(f"missing head outputs for {missing}")
-    if (labels.expr is None and all(v is None for v in labels.au)
-            and labels.arousal is None and labels.valence is None):
-        raise ValueError("all tasks UNK")
-    total = 0.0
-    for task in gr.TASKS:
-        value, _ = task_loss(task, outputs[task], labels, weights)
-        total += value
-    return total + lam * l2_penalty(params)
 
 
 def learning_rate(epoch: int, config: TrainConfig) -> float:

@@ -209,6 +209,11 @@ def model_bytes(model):
     return (model.kind, model.stats.mean.tobytes(), model.stats.std.tobytes(), body)
 
 
+def unit_weights():
+    """Class weights of one for every expression class and AU label."""
+    return tr.ClassWeights(expr=np.ones(tr.N_EXPR), au=np.ones((tr.N_AU, 2)))
+
+
 def max_rel_error(analytic, numeric):
     analytic = np.asarray(analytic, dtype=float)
     numeric = np.asarray(numeric, dtype=float)

@@ -82,6 +82,11 @@ class TestFitContract:
         with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
             cl.ClassifierSpec("logistic", **{field: value})
 
+    @pytest.mark.parametrize("value", [-1, 2.5, True, np.float64(0.0)])
+    def test_seed_must_be_non_negative_int(self, value):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            cl.ClassifierSpec("logistic", seed=value)
+
     @pytest.mark.parametrize("field", ["iterations", "rounds", "depth", "epochs"])
     def test_count_accepts_numpy_int(self, field):
         assert getattr(cl.ClassifierSpec("logistic", **{field: np.int64(2)}), field) == 2

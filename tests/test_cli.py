@@ -334,6 +334,23 @@ class TestMalformedFlags:
         assert payload["error"] == "ValueError"
         assert fragment in payload["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--participants", "1", "--frames", "2"],
+        ["train-toy", "--epochs", "1", "--samples", "4"],
+        ["loocv", "--classifier", "mlp2"],
+    ])
+    def test_negative_seed_is_named(self, tmp_path, capsys, argv):
+        if argv[0] == "synth":
+            argv = argv + ["--out-dir", str(tmp_path / "c")]
+        if argv[0] == "loocv":
+            argv = argv + ["--manifest", str(make_cohort_dir(tmp_path))]
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == "seed must be a non-negative integer, got -1"
+        assert not list(tmp_path.glob("c/*.csv"))
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as done:
             cli.main(["loocv", "--help"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,14 @@ def random_matrix(rng, m=5):
     expr = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     affect = rng.uniform(-1, 1, (m, 2))
     return np.column_stack([au, expr, affect])
+
+
+def write_unchecked(path, F):
+    """FrameCsv text of ``F`` laid out as ``write_frames`` lays it out, with
+    the same ``repr`` cells, but without its contract check."""
+    lines = [dio.FRAME_HEADER] + [",".join([str(i)] + [repr(float(v)) for v in row])
+                                  for i, row in enumerate(F)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_cohort(tmp_path, rng, n_pos=2, n_neg=2, m=6):
@@ -123,6 +132,49 @@ class TestFrameCsv:
         with pytest.raises(ValueError, match="valence"):
             dio.write_frames(tmp_path / "w.csv", F)
 
+    def test_write_rejects_expression_sum_off_one(self, tmp_path):
+        F = random_matrix(np.random.default_rng(4), m=2)
+        F[1, tp.EXPR_COLS] = 0.5
+        with pytest.raises(ValueError, match="sum to 1"):
+            dio.write_frames(tmp_path / "w.csv", F)
+        assert not (tmp_path / "w.csv").exists()
+
+    def test_write_rejects_zero_rows(self, tmp_path):
+        with pytest.raises(ValueError, match="empty"):
+            dio.write_frames(tmp_path / "w.csv", np.empty((0, 22)))
+        assert not (tmp_path / "w.csv").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5),
+           bound=st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]), edges=st.booleans(),
+           order=st.sampled_from("CF"))
+    def test_every_written_matrix_reads_back_exactly(self, tmp_path_factory, seed, m,
+                                                     bound, edges, order):
+        rng = np.random.default_rng(seed)
+        F = random_matrix(rng, m)
+        if bound:
+            F[0, tp.EXPR_COLS] = disputed_sum_row(rng, bound * tp.EXPR_SUM_TOL)
+        if edges:
+            F[:, tp.AU_COLS] = rng.integers(0, 2, (m, tp.N_AU))
+            F[:, tp.AROUSAL_COL:] = rng.choice([-1.0, 1.0], (m, 2))
+        F = np.asarray(F, order=order)
+        path = tmp_path_factory.mktemp("written") / "frames.csv"
+        try:
+            dio.write_frames(path, F)
+        except ValueError as err:
+            assert bound and "sum to 1" in str(err)
+            return
+        unchecked = path.with_name("unchecked.csv")
+        write_unchecked(unchecked, F)
+        assert path.read_bytes() == unchecked.read_bytes()
+
+        def unreachable(_):
+            raise AssertionError("row loop called on a written file")
+
+        with mock.patch.object(dio, "_parse_frame_rows", unreachable):
+            back = dio.parse_frames(path)
+        assert back.tobytes() == np.ascontiguousarray(F).tobytes()
+
 
 def parse_outcome(parse, path):
     """A parser's matrix, or the message and location of its ParseError."""
@@ -173,9 +225,9 @@ class TestFastPathMatchesRowLoop:
     def test_expression_sums_at_the_tolerance(self, tmp_path_factory, seed, bound):
         rng = np.random.default_rng(seed)
         F = random_matrix(rng, m=3)
-        F[1, tp.EXPR_COLS] = disputed_sum_row(rng, bound * dio._EXPR_SUM_TOL)
+        F[1, tp.EXPR_COLS] = disputed_sum_row(rng, bound * tp.EXPR_SUM_TOL)
         path = tmp_path_factory.mktemp("sums") / "frames.csv"
-        dio.write_frames(path, F)
+        write_unchecked(path, F)
         assert_same_outcome(path)
 
     def test_valid_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch):

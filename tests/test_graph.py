@@ -4,6 +4,8 @@ Forward passes run at reduced input sizes (e.g. 32x32) to keep the suite
 fast; counting tests use the full 224x224 contract.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -420,11 +422,9 @@ class TestPredictAttributes:
             "expr": np.zeros((1, 8)), "au": np.zeros((1, 12)),
             "arousal": np.zeros(1), "valence": np.zeros(1),
         }
-        attrs = gp.predict_attributes(out)
-        assert len(attrs) == 1
-        np.testing.assert_allclose(attrs[0].expr, [0.125] * 8)
-        np.testing.assert_allclose(attrs[0].au, [0.5] * 12)
-        assert attrs[0].arousal == 0.0 and attrs[0].valence == 0.0
+        F = gp.predict_attributes(out)
+        expected = np.concatenate([np.full(12, 0.5), np.full(8, 0.125), [0.0, 0.0]])
+        np.testing.assert_array_equal(F, expected[None, :])
 
     def test_random_outputs_valid_ranges(self):
         rng = np.random.default_rng(8)
@@ -432,10 +432,38 @@ class TestPredictAttributes:
             "expr": rng.normal(size=(5, 8)) * 10, "au": rng.normal(size=(5, 12)) * 10,
             "arousal": rng.normal(size=5) * 10, "valence": rng.normal(size=5) * 10,
         }
-        for a in gp.predict_attributes(out):
-            assert abs(sum(a.expr) - 1.0) <= 1e-12
-            assert all(0 <= v <= 1 for v in a.au)
-            assert -1 <= a.arousal <= 1 and -1 <= a.valence <= 1
+        F = gp.predict_attributes(out)
+        assert F.shape == (5, 22) and F.dtype == np.float64
+        assert np.all(np.abs(F[:, 12:20].sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all((F[:, :20] >= 0) & (F[:, :20] <= 1))
+        assert np.all(np.abs(F[:, 20:]) <= 1)
+
+    def test_equals_per_row_squashing(self):
+        rng = np.random.default_rng(9)
+        out = {
+            "expr": rng.normal(size=(7, 8)) * 5, "au": rng.normal(size=(7, 12)) * 5,
+            "arousal": rng.normal(size=7) * 2, "valence": rng.normal(size=7) * 2,
+        }
+        F = gp.predict_attributes(out)
+        for i in range(7):
+            assert np.all(F[i, :12] == nm.sigmoid(out["au"][i]))
+            assert np.all(F[i, 12:20] == nm.softmax(out["expr"][i]))
+            assert F[i, 20] == np.tanh(out["arousal"][i])
+            assert F[i, 21] == np.tanh(out["valence"][i])
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("task", gp.TASKS)
+    def test_non_finite_head_output_names_the_head(self, task, value):
+        out = {
+            "expr": np.zeros((2, 8)), "au": np.zeros((2, 12)),
+            "arousal": np.zeros(2), "valence": np.zeros(2),
+        }
+        out[task] = out[task].copy()
+        out[task][(1,) + (0,) * (out[task].ndim - 1)] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nm.NumericError, match=f"the {task} head output"):
+                gp.predict_attributes(out)
 
     def test_wrong_widths_rejected(self):
         out = {

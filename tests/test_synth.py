@@ -24,6 +24,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             synth.SynthSpec(noise=0.0)
 
+    @pytest.mark.parametrize("value", [-1, 2.5, True])
+    def test_seed_must_be_non_negative_int(self, value):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            synth.SynthSpec(seed=value)
+
 
 class TestStream:
     def test_shape_and_ranges(self):

@@ -17,40 +17,50 @@ def random_matrix(rng, m):
     return np.hstack([au, expr, aro, val])
 
 
-class TestFrameAttributes:
-    def test_rejects_bad_au_count(self):
-        with pytest.raises(tp.AttributeRangeError):
-            tp.FrameAttributes(au=(0.5,) * 11, expr=(0.125,) * 8, arousal=0.0, valence=0.0)
+class TestAttributeMatrix:
+    def test_valid_matrix_comes_back_unchanged(self):
+        F = random_matrix(np.random.default_rng(7), 5)
+        F[0, tp.AU_COLS] = 1.0
+        F[1, tp.AU_COLS] = 0.0
+        F[2, [tp.AROUSAL_COL, tp.VALENCE_COL]] = -1.0
+        out = tp.attribute_matrix(np.asfortranarray(F))
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert out.tobytes() == F.tobytes()
 
-    def test_rejects_out_of_range_arousal(self):
-        with pytest.raises(tp.AttributeRangeError):
-            tp.FrameAttributes(au=(0.5,) * 12, expr=(0.125,) * 8, arousal=1.5, valence=0.0)
+    def test_rejects_wrong_column_count(self):
+        with pytest.raises(ValueError, match="M x 22 matrix, got shape"):
+            tp.attribute_matrix(np.full((2, 21), 0.125))
 
-    def test_rejects_non_normalized_expr(self):
-        with pytest.raises(tp.AttributeRangeError):
-            tp.FrameAttributes(au=(0.5,) * 12, expr=(0.2,) * 8, arousal=0.0, valence=0.0)
+    def test_rejects_a_single_row_vector_and_no_rows(self):
+        with pytest.raises(ValueError, match="M x 22 matrix, got shape"):
+            tp.attribute_matrix(np.full(22, 0.125))
+        with pytest.raises(ValueError, match="empty"):
+            tp.attribute_matrix(np.empty((0, 22)))
 
+    @pytest.mark.parametrize("col, value, name", [
+        (tp.AROUSAL_COL, 1.5, "arousal"), (tp.VALENCE_COL, -1.0000000000000002, "valence"),
+        (2, np.nan, "au_03"), (tp.N_AU, np.inf, "expr_01"),
+    ], ids=["arousal", "valence", "au_03", "expr_01"])
+    def test_names_the_column_out_of_bounds(self, col, value, name):
+        F = random_matrix(np.random.default_rng(8), 3)
+        F[1, col] = value
+        with pytest.raises(ValueError, match=f"column {name} has values outside"):
+            tp.attribute_matrix(F)
 
-class TestFrameVector:
-    def test_uniform_frame_layout(self):
-        attrs = tp.FrameAttributes(au=(0.5,) * 12, expr=(0.125,) * 8, arousal=0.0, valence=0.0)
-        v = tp.frame_vector(attrs)
-        expected = np.concatenate([np.full(12, 0.5), np.full(8, 0.125), [0.0, 0.0]])
-        np.testing.assert_array_equal(v, expected)
-        assert v.shape == (22,)
+    def test_rejects_expression_sum_off_one(self):
+        F = random_matrix(np.random.default_rng(9), 3)
+        F[2, tp.EXPR_COLS] = 0.2
+        with pytest.raises(ValueError, match="sum to 1"):
+            tp.attribute_matrix(F)
 
-    def test_slices_round_trip(self):
-        rng = np.random.default_rng(7)
-        au = tuple(rng.uniform(0, 1, 12))
-        logits = rng.normal(size=8)
-        expr = tuple(np.exp(logits) / np.exp(logits).sum())
-        attrs = tp.FrameAttributes(au=au, expr=expr, arousal=-0.3, valence=0.8)
-        v = tp.frame_vector(attrs)
-        np.testing.assert_array_equal(v[tp.AU_COLS], au)
-        np.testing.assert_allclose(v[tp.EXPR_COLS], expr)
-        assert v[tp.AROUSAL_COL] == -0.3
-        assert v[tp.VALENCE_COL] == 0.8
-        assert v[20] == -0.3 and v[21] == 0.8
+    def test_column_names_follow_the_layout(self):
+        names = np.array(tp.COLUMN_NAMES)
+        assert len(names) == len(tp.COLUMN_BOUNDS) == tp.FRAME_DIM
+        assert [n[:3] for n in names[tp.AU_COLS]] == ["au_"] * tp.N_AU
+        assert [n[:5] for n in names[tp.EXPR_COLS]] == ["expr_"] * tp.N_EXPR
+        assert names[tp.AROUSAL_COL] == "arousal" and names[tp.VALENCE_COL] == "valence"
+        assert tp.COLUMN_BOUNDS[tp.N_AU + tp.N_EXPR - 1] == (0.0, 1.0)
+        assert tp.COLUMN_BOUNDS[tp.AROUSAL_COL] == tp.COLUMN_BOUNDS[tp.VALENCE_COL] == (-1.0, 1.0)
 
 
 class TestMeanStd:

@@ -11,7 +11,7 @@ from affectpipe import graph as gr
 from affectpipe import numerics as nm
 from affectpipe import training as tr
 
-from conftest import max_rel_error
+from conftest import max_rel_error, unit_weights
 
 
 def au_none(**overrides):
@@ -75,7 +75,7 @@ class TestClassWeights:
 class TestTaskLoss:
     def test_expr_perfect_prediction(self):
         raw = np.array([100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        loss, grad = tr.task_loss("expr", raw, au_none(expr=0), tr.unit_weights())
+        loss, grad = tr.task_loss("expr", raw, au_none(expr=0), unit_weights())
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -87,38 +87,38 @@ class TestTaskLoss:
     def test_expr_weight_scales_loss(self):
         w = tr.ClassWeights(expr=np.array([3.0] + [1.0] * 7), au=np.ones((12, 2)))
         raw = np.random.default_rng(0).normal(size=8)
-        base, _ = tr.task_loss("expr", raw, au_none(expr=0), tr.unit_weights())
+        base, _ = tr.task_loss("expr", raw, au_none(expr=0), unit_weights())
         scaled, _ = tr.task_loss("expr", raw, au_none(expr=0), w)
         assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
     def test_arousal_l1_value(self):
         raw = math.atanh(0.5)
-        loss, _ = tr.task_loss("arousal", raw, au_none(arousal=0.2), tr.unit_weights())
+        loss, _ = tr.task_loss("arousal", raw, au_none(arousal=0.2), unit_weights())
         assert loss == pytest.approx(0.3, abs=1e-12)
 
     def test_valence_l2_value(self):
         raw = math.atanh(0.5)
-        loss, _ = tr.task_loss("valence", raw, au_none(valence=0.2), tr.unit_weights())
+        loss, _ = tr.task_loss("valence", raw, au_none(valence=0.2), unit_weights())
         assert loss == pytest.approx(0.09, abs=1e-12)
 
     def test_au_balanced_midpoint(self):
         # raw 0 -> p=0.5 -> bce ln 2 per observed unit
         labels = au_none(au=(0, 1) * 6)
-        loss, _ = tr.task_loss("au", np.zeros(12), labels, tr.unit_weights())
+        loss, _ = tr.task_loss("au", np.zeros(12), labels, unit_weights())
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_au_unk_units_excluded(self):
         labels = au_none(au=(1,) + (None,) * 11)
         raw = np.zeros(12)
         raw[1:] = 50.0
-        loss, grad = tr.task_loss("au", raw, labels, tr.unit_weights())
+        loss, grad = tr.task_loss("au", raw, labels, unit_weights())
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
         np.testing.assert_array_equal(grad[1:], 0.0)
 
     def test_unk_task_zero_loss_and_adjoint(self):
         labels = au_none(expr=3)
         for task, raw in (("au", np.ones(12)), ("arousal", 0.7), ("valence", -0.2)):
-            loss, grad = tr.task_loss(task, raw, labels, tr.unit_weights())
+            loss, grad = tr.task_loss(task, raw, labels, unit_weights())
             assert loss == 0.0
             assert np.all(np.asarray(grad) == 0.0)
 
@@ -145,7 +145,7 @@ class TestTaskLoss:
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(4)
-        w = tr.unit_weights()
+        w = unit_weights()
         for _ in range(50):
             labels = tr.TaskLabels(
                 expr=int(rng.integers(8)),
@@ -194,9 +194,9 @@ class TestTaskLossGradients:
         if abs(math.tanh(raw) - target) < 1e-2:
             raw += 0.1
         labels = au_none(arousal=target)
-        _, grad = tr.task_loss("arousal", raw, labels, tr.unit_weights())
+        _, grad = tr.task_loss("arousal", raw, labels, unit_weights())
         x = np.array([raw])
-        num = nm.central_difference(lambda v: tr.task_loss("arousal", float(v[0]), labels, tr.unit_weights())[0], x)
+        num = nm.central_difference(lambda v: tr.task_loss("arousal", float(v[0]), labels, unit_weights())[0], x)
         assert max_rel_error(np.array([grad]), num) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
@@ -204,61 +204,54 @@ class TestTaskLossGradients:
         rng = np.random.default_rng(seed)
         raw = float(rng.normal())
         labels = au_none(valence=float(rng.uniform(-0.95, 0.95)))
-        _, grad = tr.task_loss("valence", raw, labels, tr.unit_weights())
+        _, grad = tr.task_loss("valence", raw, labels, unit_weights())
         x = np.array([raw])
-        num = nm.central_difference(lambda v: tr.task_loss("valence", float(v[0]), labels, tr.unit_weights())[0], x)
+        num = nm.central_difference(lambda v: tr.task_loss("valence", float(v[0]), labels, unit_weights())[0], x)
         assert max_rel_error(np.array([grad]), num) < 1e-4
 
 
 class TestMultitaskLoss:
-    def outputs(self, rng):
-        return {
-            "expr": rng.normal(size=8), "au": rng.normal(size=12),
-            "arousal": float(rng.normal()), "valence": float(rng.normal()),
-        }
+    """The objective ``batch_loss_and_grads`` returns: the mean over the batch
+    of the four task losses, plus lam * ||params||^2."""
+
+    def batch(self, seed, n=3, size=8):
+        images, labels = tr.toy_dataset(n=n, size=size, seed=seed)
+        return gr.init_params(tr.toy_graph(size), seed), images, labels
 
     def test_only_regularizer_when_rest_unk_and_exact(self):
-        labels = au_none(arousal=0.4)
-        outputs = {"expr": np.zeros(8), "au": np.zeros(12),
-                   "arousal": math.atanh(0.4), "valence": 0.0}
-        params = {"w": np.array([1.0, 2.0])}
-        loss = tr.multitask_loss(outputs, labels, tr.unit_weights(), params, lam=0.1)
-        assert loss == pytest.approx(0.1 * 5.0, abs=1e-12)
+        params, images, _ = self.batch(seed=3, n=1)
+        outputs, _ = tr.toy_forward(params, images)
+        labels = [au_none(arousal=math.tanh(float(outputs["arousal"][0])))]
+        loss, _ = tr.batch_loss_and_grads(params, images, labels, unit_weights(), lam=0.1)
+        assert loss == 0.1 * tr.l2_penalty(params)
 
     def test_zero_params_no_penalty(self):
-        labels = au_none(expr=0)
-        outputs = {"expr": np.zeros(8), "au": np.zeros(12), "arousal": 0.0, "valence": 0.0}
-        loss = tr.multitask_loss(outputs, labels, tr.unit_weights(), {"w": np.zeros(3)}, lam=123.0)
-        expr_only = tr.task_loss("expr", np.zeros(8), labels, tr.unit_weights())[0]
+        params, images, _ = self.batch(seed=4, n=2)
+        params = {key: np.zeros_like(value) for key, value in params.items()}
+        labels = [au_none(expr=0), au_none(expr=5)]
+        loss, _ = tr.batch_loss_and_grads(params, images, labels, unit_weights(), lam=123.0)
+        expr_only = tr.task_loss("expr", np.zeros(8), labels[0], unit_weights())[0]
         assert loss == pytest.approx(expr_only, abs=1e-12)
 
     def test_compositional_oracle(self):
-        rng = np.random.default_rng(5)
-        outputs = self.outputs(rng)
-        labels = tr.TaskLabels(expr=2, au=tuple(int(v) for v in rng.integers(0, 2, 12)),
-                               arousal=0.3, valence=-0.7)
-        params = {"a": rng.normal(size=(3, 3)), "b": rng.normal(size=4)}
-        w = tr.unit_weights()
+        params, images, labels = self.batch(seed=5)
+        w = tr.class_weights(labels)
         lam = 1e-4
-        total = sum(tr.task_loss(t, outputs[t], labels, w)[0] for t in gr.TASKS)
-        total += lam * (np.sum(params["a"] ** 2) + np.sum(params["b"] ** 2))
-        got = tr.multitask_loss(outputs, labels, w, params, lam)
+        outputs, _ = tr.toy_forward(params, images)
+        total = sum(tr.task_loss(t, outputs[t][i], lab, w)[0]
+                    for i, lab in enumerate(labels) for t in gr.TASKS)
+        total = total / len(labels) + lam * sum(np.sum(p ** 2) for p in params.values())
+        got, _ = tr.batch_loss_and_grads(params, images, labels, w, lam)
         assert got == pytest.approx(total, rel=1e-12)
 
     def test_unk_monotonicity(self):
-        rng = np.random.default_rng(6)
-        outputs = self.outputs(rng)
-        params = {"w": rng.normal(size=5)}
-        w = tr.unit_weights()
-        partial = au_none(expr=1)
-        full = au_none(expr=1, arousal=None, valence=None)
-        assert tr.multitask_loss(outputs, partial, w, params) == pytest.approx(
-            tr.multitask_loss(outputs, full, w, params), rel=1e-15
+        params, images, _ = self.batch(seed=6, n=1)
+        w = unit_weights()
+        partial = [au_none(expr=1)]
+        full = [au_none(expr=1, arousal=None, valence=None)]
+        assert tr.batch_loss_and_grads(params, images, partial, w, 1e-4)[0] == pytest.approx(
+            tr.batch_loss_and_grads(params, images, full, w, 1e-4)[0], rel=1e-15
         )
-
-    def test_missing_head_rejected(self):
-        with pytest.raises(ValueError):
-            tr.multitask_loss({"expr": np.zeros(8)}, au_none(expr=0), tr.unit_weights(), {}, 0.0)
 
 
 class TestTrainConfig:
@@ -279,6 +272,11 @@ class TestTrainConfig:
     def test_epochs_none_rejected(self):
         with pytest.raises(ValueError, match="epochs must be an integer"):
             tr.TrainConfig(epochs=None)
+
+    @pytest.mark.parametrize("value", [-1, 2.5, True, None])
+    def test_seed_must_be_non_negative_int(self, value):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            tr.TrainConfig(seed=value)
 
     def test_counts_accept_numpy_int_and_none_batch(self):
         cfg = tr.TrainConfig(epochs=np.int64(3), batch_size=None)
