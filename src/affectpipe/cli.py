@@ -54,7 +54,7 @@ def _from_config(action, value):
 
 
 def _resolve(args, defaults: dict) -> SimpleNamespace:
-    """Merge CLI flags over config-file values over defaults."""
+    """Merge CLI flags over config-file values over defaults; check the seed."""
     merged = dict(defaults)
     merged.setdefault("seed", 0)
     merged.setdefault("format", "json")
@@ -83,6 +83,8 @@ def _resolve(args, defaults: dict) -> SimpleNamespace:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    if merged["seed"] < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
     return SimpleNamespace(**merged)
 
 

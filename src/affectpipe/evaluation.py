@@ -91,8 +91,8 @@ def loocv(cohort: Cohort, spec: cl.ClassifierSpec, mask=None,
 
     A fold whose training set collapses to a single label predicts the
     training base rate and is reported in the result's warnings.  The other
-    folds are fitted by one ``classifiers.fit_folds`` call, so logistic, lasso
-    and mlp2 train all of them in one stacked loop.
+    folds are fitted by one ``classifiers.fit_folds`` call, so logistic, lasso,
+    gbt and mlp2 train all of them in one stacked loop.
     """
     cohort.require_evaluable()
     if mask is None:

@@ -494,7 +494,11 @@ def predict_attributes(outputs: dict) -> np.ndarray:
             f"expected head widths ({HEAD_WIDTHS['expr']}, {HEAD_WIDTHS['au']}, 1, 1), "
             f"got ({expr.shape[1]}, {au.shape[1]})"
         )
-    for task, raw in (("expr", expr), ("au", au), ("arousal", aro), ("valence", val)):
+    heads = (("expr", expr), ("au", au), ("arousal", aro), ("valence", val))
+    if len({raw.shape[0] for _, raw in heads}) > 1:
+        counts = ", ".join(f"{task} {raw.shape[0]}" for task, raw in heads)
+        raise ValueError(f"head outputs differ in row count: {counts}")
+    for task, raw in heads:
         nm.require_finite(raw, f"the {task} head output")
     affect = np.tanh(np.column_stack([aro, val]))
     return tp.attribute_matrix(np.hstack([nm.sigmoid(au), nm.softmax(expr), affect]))

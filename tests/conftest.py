@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -92,6 +94,93 @@ def loop_best_split(X, grad, rows):
     return best
 
 
+def node_best_split(X, grad, rows):
+    """Split search of one node over all its features at once, the per-node
+    reference for the level-wise search.
+
+    gains[k, j] is the gain of splitting feature j between its k-th and
+    (k+1)-th smallest node value.  Ties go to the lowest feature, then to
+    the lowest position.
+    """
+    base = grad[rows]
+    count = rows.size
+    total = float(base.sum())
+    sq_total = float(base @ base)
+    sse_parent = sq_total - total * total / count
+    node_X = X[rows]
+    order = np.argsort(node_X, axis=0, kind="stable")
+    vals = np.take_along_axis(node_X, order, axis=0)
+    g = base[order]
+    left_n = np.arange(1, count)[:, None]
+    left_sum = np.cumsum(g, axis=0)[:-1]
+    left_sq = np.cumsum(g * g, axis=0)[:-1]
+    left_sse = left_sq - left_sum**2 / left_n
+    right_sum = total - left_sum
+    right_sse = (sq_total - left_sq) - right_sum**2 / (count - left_n)
+    splittable = vals[1:] != vals[:-1]
+    gains = np.where(splittable, sse_parent - (left_sse + right_sse), -np.inf)
+    j, k = divmod(int(np.argmax(gains.T)), count - 1)
+    if not gains[k, j] > 1e-12:
+        return None
+    return j, (vals[k, j] + vals[k + 1, j]) / 2.0
+
+
+def loop_build_tree(X, grad, hess, depth, best_split=node_best_split):
+    """Grow one tree by recursion, node by node, depth-first; returns it with
+    each row's leaf value."""
+    nodes = []
+    fitted = np.empty(X.shape[0])
+
+    def grow(rows, depth):
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        split = best_split(X, grad, rows) if depth > 0 and rows.size >= 2 else None
+        if split is not None:
+            j, thr = split
+            go_left = X[rows, j] <= thr
+            if go_left.any() and not go_left.all():
+                nodes[node][:2] = j, thr
+                nodes[node][2] = grow(rows[go_left], depth - 1)
+                nodes[node][3] = grow(rows[~go_left], depth - 1)
+                return node
+        value = grad[rows].sum() / (hess[rows].sum() + 1e-12)
+        value = float(np.clip(value, -cl.MAX_LEAF_VALUE, cl.MAX_LEAF_VALUE))
+        nodes[node][4] = value
+        fitted[rows] = value
+        return node
+
+    grow(np.arange(X.shape[0]), depth)
+    feature, threshold, left, right, value = zip(*nodes)
+    tree = cl.Tree(
+        feature=np.array(feature, dtype=np.intp), threshold=np.array(threshold),
+        left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
+        value=np.array(value),
+    )
+    return tree, fitted
+
+
+def loop_fit_gbt(X, y, spec, best_split=node_best_split):
+    """Gradient boosting on one training set, one tree at a time, the
+    reference for the stacked fit."""
+    n = X.shape[0]
+    pos = float(y.mean())
+    f0 = math.log(pos / (1.0 - pos))
+    score = np.full(n, f0)
+    trees = []
+    losses = []
+    for _ in range(spec.rounds):
+        p = nm.sigmoid(score)
+        losses.append(float(np.mean(
+            np.maximum(score, 0.0) - score * y + np.log1p(np.exp(-np.abs(score)))
+        )))
+        grad = y - p
+        hess = p * (1.0 - p)
+        tree, fitted = loop_build_tree(X, grad, hess, spec.depth, best_split)
+        trees.append(tree)
+        score = score + spec.shrinkage * fitted
+    return {"f0": f0, "trees": trees, "shrinkage": spec.shrinkage, "train_losses": losses}
+
+
 def walk_leaf_values(trees, X):
     """Leaf value of each tree for each row, one root-to-leaf walk at a time."""
     out = np.empty((len(trees), X.shape[0]))
@@ -184,25 +273,35 @@ def loop_fit_mlp(X, y, spec):
     return {"params": params, "hidden": tuple(spec.hidden)}
 
 
-def loop_fit(spec, X, y):
-    """One logistic, lasso or mlp2 model fitted alone by the reference loops."""
+def loop_fit(spec, X, y, best_split=node_best_split):
+    """One model of a stacked kind fitted alone by the reference loops."""
     X, y = cl._check_training_set(X, y)
     mean, std, Xs = loop_standardize(X)
     if spec.kind == "mlp2":
         payload = loop_fit_mlp(Xs, y, spec)
+    elif spec.kind == "gbt":
+        payload = loop_fit_gbt(Xs, y, spec, best_split)
     else:
         payload = loop_fit_logistic(Xs, y, spec, lasso=spec.kind == "lasso")
     return cl.FittedModel(kind=spec.kind, stats=cl.Standardizer(mean, std), payload=payload)
 
 
 def model_bytes(model):
-    """A fitted linear or MLP model as bytes, for exact comparison."""
+    """A fitted linear, tree or MLP model as bytes, for exact comparison."""
     if model is None:
         return None
     payload = model.payload
     if "params" in payload:
         body = [(key, value.tobytes()) for key, value in sorted(payload["params"].items())]
         body.append(payload["hidden"])
+    elif "trees" in payload:
+        scalars = [payload["f0"], *payload["train_losses"]]
+        assert all(type(value) is float for value in scalars)
+        body = [np.array(scalars).tobytes(), len(scalars), payload["shrinkage"]]
+        for tree in payload["trees"]:
+            for name in ("feature", "threshold", "left", "right", "value"):
+                array = getattr(tree, name)
+                body.append((name, array.dtype.str, array.tobytes()))
     else:
         assert type(payload["b"]) is float
         body = [payload["w"].tobytes(), np.float64(payload["b"]).tobytes()]

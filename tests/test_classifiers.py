@@ -1,14 +1,12 @@
 """Contract tests for the seven classifiers."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
-from conftest import loop_best_split, loop_fit, model_bytes, walk_leaf_values
+from conftest import loop_best_split, loop_fit, model_bytes, node_best_split, walk_leaf_values
 
 
 def blobs(rng, n=40, d=6, gap=4.0, cov_scale=1.0):
@@ -262,11 +260,12 @@ PROBLEM = dict(
 
 
 class TestGbtSplitSearch:
-    """The one-pass split search against the per-feature loop, exactly."""
+    """The level-wise split search against the per-feature loop, exactly."""
 
     @settings(max_examples=150, deadline=None)
-    @given(**PROBLEM, grad_kind=st.sampled_from(["normal", "tied", "equal"]))
-    def test_matches_per_feature_loop(self, seed, n, d, levels, n_constant, grad_kind):
+    @given(**PROBLEM, grad_kind=st.sampled_from(["normal", "tied", "equal"]),
+           nodes=st.integers(1, 4))
+    def test_matches_per_feature_loop(self, seed, n, d, levels, n_constant, grad_kind, nodes):
         rng = np.random.default_rng(seed)
         X = tie_prone_matrix(rng, n, d, levels, n_constant)
         grad = {
@@ -274,10 +273,25 @@ class TestGbtSplitSearch:
             "tied": rng.integers(-1, 2, size=n) * 0.25,
             "equal": np.full(n, 0.3),
         }[grad_kind]
-        rows = np.flatnonzero(rng.random(n) < 0.7)
-        if rows.size < 2:
-            rows = np.arange(n)
-        assert cl._best_split(X, grad, rows) == loop_best_split(X, grad, rows)
+        node_rows = []
+        for _ in range(nodes):
+            rows = np.flatnonzero(rng.random(n) < 0.7)
+            node_rows.append(rows if rows.size >= 2 else np.arange(n))
+        # one tree level: node values padded with NaN, gradients with 0
+        counts = np.array([rows.size for rows in node_rows])
+        node_X = np.full((counts.max(), nodes, d), np.nan)
+        gh = np.zeros((nodes, 2, counts.max()))
+        for k, rows in enumerate(node_rows):
+            node_X[:rows.size, k] = X[rows]
+            gh[k, 0, :rows.size] = grad[rows]
+        order = node_X.argsort(axis=0, kind="stable")
+        node = np.arange(nodes)[:, None]
+        total, _, sq_total = cl._node_sums(gh, counts)
+        feature, threshold, found = cl._best_splits(
+            np.take_along_axis(node_X, order, axis=0), gh[node, 0, order], total, sq_total, counts)
+        for k, rows in enumerate(node_rows):
+            got = (int(feature[k]), threshold[k]) if found[k] else None
+            assert got == loop_best_split(X, grad, rows) == node_best_split(X, grad, rows)
 
     @settings(max_examples=40, deadline=None)
     @given(**PROBLEM, depth=st.integers(1, 4))
@@ -288,13 +302,9 @@ class TestGbtSplitSearch:
         y[rng.choice(n, size=2, replace=False)] = [0, 1]
         spec = cl.ClassifierSpec("gbt", rounds=15, depth=depth)
         fast = cl.fit(spec, X, y)
-        with mock.patch.object(cl, "_best_split", loop_best_split):
-            slow = cl.fit(spec, X, y)
-        assert fast.payload["train_losses"] == slow.payload["train_losses"]
-        assert len(fast.payload["trees"]) == len(slow.payload["trees"]) == 15
-        for a, b in zip(fast.payload["trees"], slow.payload["trees"]):
-            for name in ("feature", "threshold", "left", "right", "value"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        slow = loop_fit(spec, X, y, best_split=loop_best_split)
+        assert model_bytes(fast) == model_bytes(slow)
+        assert len(fast.payload["trees"]) == 15
         probe = np.vstack([X, tie_prone_matrix(rng, 5, d, levels, n_constant)])
         assert np.array_equal(cl.decision_values(fast, probe), cl.decision_values(slow, probe))
         # standardized rows plus rows that sit exactly on each split threshold
@@ -320,19 +330,47 @@ def training_sets(rng, sets, n, d, n_constant):
 
 
 class TestFitFolds:
-    """The stacked fit of logistic, lasso and mlp2 against one reference fit per set."""
+    """The stacked fit of logistic, lasso, gbt and mlp2 against one reference
+    fit per set."""
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(cl.STACKED_KINDS), sets=st.integers(1, 6),
            n=st.integers(2, 12), d=st.integers(1, 9), n_constant=st.integers(0, 3),
-           seed=st.integers(0, 2**16))
-    def test_equals_per_set_reference(self, kind, sets, n, d, n_constant, seed):
+           rounds=st.integers(1, 8), depth=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_equals_per_set_reference(self, kind, sets, n, d, n_constant, rounds, depth, seed):
         rng = np.random.default_rng(seed)
         X, y = training_sets(rng, sets, n, d, n_constant)
-        spec = cl.ClassifierSpec(kind, iterations=30, epochs=8, hidden=(5, 3), seed=seed % 4)
+        spec = cl.ClassifierSpec(kind, iterations=30, epochs=8, hidden=(5, 3), rounds=rounds,
+                                 depth=depth, seed=seed % 4)
         expect = [model_bytes(loop_fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)]
         assert [model_bytes(m) for m in cl.fit_folds(spec, list(X), list(y))] == expect
         assert [model_bytes(cl.fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)] == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(sets=st.integers(1, 6), n=st.integers(8, 40), d=st.integers(1, 64),
+           levels=st.sampled_from([0, 2, 3]), n_constant=st.integers(0, 2),
+           depth=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_gbt_stacks_of_many_rows(self, sets, n, d, levels, n_constant, depth, seed):
+        """Nodes of 8 rows and more, where numpy's pairwise sum and the BLAS
+        dot no longer add in plain order, and levels searched in several
+        chunks."""
+        rng = np.random.default_rng(seed)
+        X = np.stack([tie_prone_matrix(rng, n, d, levels, n_constant) for _ in range(sets)])
+        y = rng.integers(0, 2, size=(sets, n))
+        y[:, :2] = [0, 1]
+        spec = cl.ClassifierSpec("gbt", rounds=6, depth=depth)
+        expect = [model_bytes(loop_fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)]
+        assert [model_bytes(m) for m in cl.fit_folds(spec, list(X), list(y))] == expect
+
+    def test_gbt_node_storage_bounded_by_rows(self):
+        """depth 64 on 12 rows: the trees stop where the rows run out."""
+        X = np.arange(24.0).reshape(12, 2)
+        y = np.arange(12) % 2
+        spec = cl.ClassifierSpec("gbt", rounds=3, depth=64)
+        model = cl.fit(spec, X, y)
+        assert model_bytes(model) == model_bytes(loop_fit(spec, X, y))
+        sizes = [tree.feature.size for tree in model.payload["trees"]]
+        assert sizes[0] == 2 * 12 - 1 and max(sizes) <= 2 * 12 - 1
 
     @pytest.mark.parametrize("kind", cl.STACKED_KINDS)
     def test_sets_of_different_shapes_rejected(self, kind):
@@ -342,10 +380,10 @@ class TestFitFolds:
         with pytest.raises(ValueError):
             cl.fit_folds(cl.ClassifierSpec(kind), [X_a, X_b], [y_a, y_b])
 
-    @pytest.mark.parametrize("kind", ["lda", "qda", "svm_rbf", "gbt"])
+    @pytest.mark.parametrize("kind", sorted(set(cl.KINDS) - set(cl.STACKED_KINDS)))
     def test_other_kinds_fit_each_set(self, kind):
         X, y = training_sets(np.random.default_rng(41), 3, 8, 3, 0)
-        spec = cl.ClassifierSpec(kind, rounds=5)
+        spec = cl.ClassifierSpec(kind)
         probe = np.random.default_rng(42).normal(size=(4, 3))
         got = cl.fit_folds(spec, X, y)
         for model, X_set, y_set in zip(got, X, y):

@@ -338,6 +338,10 @@ class TestMalformedFlags:
         ["synth", "--participants", "1", "--frames", "2"],
         ["train-toy", "--epochs", "1", "--samples", "4"],
         ["loocv", "--classifier", "mlp2"],
+        ["analyze-graph", "--cu", "eesp", "--input-hw", "32"],
+        ["extract-features"],
+        ["ttest"],
+        ["ablate"],
     ])
     def test_negative_seed_is_named(self, tmp_path, capsys, argv):
         if argv[0] == "synth":
@@ -350,6 +354,15 @@ class TestMalformedFlags:
         assert payload["error"] == "ValueError"
         assert payload["message"] == "seed must be a non-negative integer, got -1"
         assert not list(tmp_path.glob("c/*.csv"))
+
+    @pytest.mark.parametrize("command", ["analyze-graph", "train-toy", "extract-features",
+                                         "loocv", "ablate", "ttest", "synth"])
+    def test_negative_config_seed_is_named(self, tmp_path, capsys, command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"seed": -1}))
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == "seed must be a non-negative integer, got -1"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as done:

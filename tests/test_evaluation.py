@@ -154,10 +154,12 @@ class TestLoocv:
 
 
 STACKED_SPECS = st.builds(
-    lambda kind, iterations, epochs, h1, h2, seed: cl.ClassifierSpec(
-        kind, iterations=iterations, epochs=epochs, hidden=(h1, h2), seed=seed),
+    lambda kind, iterations, epochs, h1, h2, rounds, depth, seed: cl.ClassifierSpec(
+        kind, iterations=iterations, epochs=epochs, hidden=(h1, h2), rounds=rounds,
+        depth=depth, seed=seed),
     st.sampled_from(cl.STACKED_KINDS), st.integers(1, 40), st.integers(1, 12),
-    st.integers(1, 8), st.integers(1, 8), st.integers(0, 3),
+    st.integers(1, 8), st.integers(1, 8), st.integers(1, 12), st.integers(1, 4),
+    st.integers(0, 3),
 )
 MASKS = (None,) + tuple(ev.attribute_mask(flags) for flags in ev.DEFAULT_ABLATION)
 
@@ -185,7 +187,7 @@ def oracle_loocv(cohort, spec, mask):
 
 
 class TestStackedLoocvMatchesPerFoldLoop:
-    """LOOCV of logistic, lasso and mlp2 fits every fold in one stacked loop;
+    """LOOCV of logistic, lasso, gbt and mlp2 fits every fold in one stacked loop;
     the result must equal one reference fit per fold, byte for byte."""
 
     @settings(max_examples=60, deadline=None)

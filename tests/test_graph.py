@@ -465,6 +465,14 @@ class TestPredictAttributes:
             with pytest.raises(nm.NumericError, match=f"the {task} head output"):
                 gp.predict_attributes(out)
 
+    def test_row_count_mismatch_names_each_head(self):
+        out = {
+            "expr": np.zeros((3, 8)), "au": np.zeros((3, 12)),
+            "arousal": np.zeros(2), "valence": np.zeros(3),
+        }
+        with pytest.raises(ValueError, match="expr 3, au 3, arousal 2, valence 3"):
+            gp.predict_attributes(out)
+
     def test_wrong_widths_rejected(self):
         out = {
             "expr": np.zeros((1, 7)), "au": np.zeros((1, 12)),
