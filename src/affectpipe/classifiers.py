@@ -57,13 +57,13 @@ class ClassifierSpec:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("iterations", "rounds", "depth", "epochs"):
             value = getattr(self, name)
-            if not tr._is_count(value) or value < 1:
+            if not nm._is_count(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not tr._is_count(self.seed) or self.seed < 0:
+        if not nm._is_count(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         hidden = self.hidden
         if not (isinstance(hidden, (tuple, list)) and len(hidden) == 2 and all(
-                tr._is_count(h) and h > 0 for h in hidden)):
+                nm._is_count(h) and h > 0 for h in hidden)):
             raise ValueError(f"hidden must be two positive ints, got {hidden!r}")
 
 

@@ -1,16 +1,21 @@
 """Trunk builder: stem, CU stages, depthwise tail, pooled heads.
 
-The CU internals (bottleneck width, depthwise multiplier, EESP branch width
-and group count) are not pinned by the layer table, so they live in CuWidths
-with defaults calibrated to land inside the target parameter and FLOP
-budgets for each variant.  Counting conventions: 1 MAC = 1 FLOP, convolution
-MACs exclude the bias add, the global average pool contributes H*W adds per
-channel, and the per-channel affine that stands in for normalization costs
-one MAC per activation.
+Each convolutional unit (CU) is data: a short list of steps (a ConvBlock, an
+add, the EESP branch merge or a ReLU) over named activation slots, and one
+walker gives all three kinds their forward pass, output size, MACs,
+parameter shapes and backward pass.  The CU internals (bottleneck width,
+depthwise multiplier, EESP branch width and group count) are not pinned by
+the layer table, so they live in CuWidths with defaults calibrated to land
+inside the target parameter and FLOP budgets for each variant.  Counting
+conventions: 1 MAC = 1 FLOP, convolution MACs exclude the bias add, adds,
+merges and ReLUs cost nothing, the global average pool contributes H*W adds
+per channel, and the per-channel affine that stands in for normalization
+costs one MAC per activation.
 """
-
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +55,13 @@ class CuWidths:
     eesp_width_mult: int = 13
 
     def __post_init__(self):
-        if self.bottleneck_mid_ratio <= 0:
-            raise ValueError("bottleneck_mid_ratio must be positive")
+        ratio = self.bottleneck_mid_ratio
+        if not (ratio > 0 and math.isfinite(ratio)):
+            raise ValueError(f"bottleneck_mid_ratio must be positive and finite, got {ratio!r}")
         for name in ("mobilenet_depth_mult", "eesp_branches", "eesp_groups", "eesp_width_mult"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if not nm._is_count(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 class ConvBlock:
@@ -124,7 +131,81 @@ class ConvBlock:
         return self.spec.macs(hw) + oh * ow * self.spec.out_channels
 
 
-class BottleneckUnit:
+# The other ops of a unit's steps.  The merge concatenates running sums of the
+# branches, NCHW views of channels-last memory; concatenate keeps that layout
+# and with it the expand GEMM's rounding (a C-order stack + cumsum moves it).
+_OPS = {
+    "add": np.add,
+    "merge": lambda *branches: np.concatenate(list(itertools.accumulate(branches)), axis=1),
+    "relu": nm.relu,
+}
+
+
+class Unit:
+    """A CU as data: ``steps`` is a tuple of ``(op, out_slot, in_slots)``.
+
+    An op is a ConvBlock or a key of ``_OPS``; slot ``"x"`` is the unit's
+    input and the last step's slot its output.  One walker over the steps
+    serves forward, out_hw, macs and param_shapes; backward walks them in
+    reverse.  Each kind binds ``forward`` in its own class body because the
+    benchmark's tracer times the kinds apart by wrapping ``vars(cls)["forward"]``.
+    """
+
+    def __init__(self, name: str, cout: int, steps):
+        self.name, self.out_channels, self.steps = name, cout, tuple(steps)
+        self.blocks = [(op, ins[0]) for op, _, ins in self.steps if isinstance(op, ConvBlock)]
+
+    def _walk(self, x, step) -> dict:
+        """Every slot's value, with step(op, inputs) giving one step's output."""
+        slots = {"x": x}
+        for op, out, ins in self.steps:
+            slots[out] = step(op, [slots[s] for s in ins])
+        return slots
+
+    def _values(self, params: dict, x: np.ndarray) -> dict:
+        return self._walk(x, lambda op, a: op.forward(params, *a) if isinstance(op, ConvBlock) else _OPS[op](*a))
+
+    def _sizes(self, hw) -> dict:
+        return self._walk(tuple(hw), lambda op, a: op.out_hw(*a) if isinstance(op, ConvBlock) else a[0])
+
+    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
+        return self._values(params, x)[self.steps[-1][1]]
+
+    def out_hw(self, hw):
+        return self._sizes(hw)[self.steps[-1][1]]
+
+    def macs(self, hw) -> int:
+        sizes = self._sizes(hw)
+        return sum(block.macs(sizes[src]) for block, src in self.blocks)
+
+    def param_shapes(self) -> dict:
+        return {key: shape for block, _ in self.blocks for key, shape in block.param_shapes().items()}
+
+    def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
+        """(grad_x, parameter grads), recomputing the inner activations from x.
+
+        ``add`` fans the gradient out, ``merge`` splits it by channel block
+        and suffix-sums it over the branches, ``relu`` masks it by the step's
+        output, and a ConvBlock runs its own backward.
+        """
+        slots = self._values(params, x)
+        grads, param_grads = {self.steps[-1][1]: grad_y}, {}
+        for op, out, ins in reversed(self.steps):
+            g = grads.pop(out)
+            if isinstance(op, ConvBlock):
+                g, block_grads = op.backward(params, slots[ins[0]], slots[out], g)
+                param_grads.update(block_grads)
+            elif op == "relu":
+                g = nm.relu_backward(g, slots[out])
+            g_ins = [g] * len(ins)
+            if op == "merge":
+                g_ins = list(itertools.accumulate(np.split(g, len(ins), axis=1)[::-1]))[::-1]
+            for slot, g_in in zip(ins, g_ins):
+                grads[slot] = grads[slot] + g_in if slot in grads else g_in
+        return grads["x"], param_grads
+
+
+class BottleneckUnit(Unit):
     """1x1 reduce, 3x3 spatial, 1x1 expand, residual add, final ReLU.
 
     The shortcut is the identity when shapes agree and a strided 1x1
@@ -133,73 +214,35 @@ class BottleneckUnit:
 
     def __init__(self, name: str, cin: int, cout: int, stride: int, widths: CuWidths):
         mid = max(1, round(widths.bottleneck_mid_ratio * cout))
-        self.name = name
-        self.stride = stride
-        self.out_channels = cout
-        self.reduce = ConvBlock(f"{name}.reduce", nm.ConvSpec(cin, mid, kernel=1))
-        self.spatial = ConvBlock(f"{name}.spatial", nm.ConvSpec(mid, mid, kernel=3, stride=stride, padding=1))
-        self.expand = ConvBlock(f"{name}.expand", nm.ConvSpec(mid, cout, kernel=1), relu=False)
-        self.project = None
+        spatial = nm.ConvSpec(mid, mid, kernel=3, stride=stride, padding=1)
+        steps = [
+            (ConvBlock(f"{name}.reduce", nm.ConvSpec(cin, mid, kernel=1)), "r", ("x",)),
+            (ConvBlock(f"{name}.spatial", spatial), "s", ("r",)),
+            (ConvBlock(f"{name}.expand", nm.ConvSpec(mid, cout, kernel=1), relu=False), "e", ("s",)),
+        ]
+        shortcut = "x"
         if stride != 1 or cin != cout:
-            self.project = ConvBlock(f"{name}.project", nm.ConvSpec(cin, cout, kernel=1, stride=stride), relu=False)
+            shortcut = "p"
+            project = nm.ConvSpec(cin, cout, kernel=1, stride=stride)
+            steps.append((ConvBlock(f"{name}.project", project, relu=False), "p", ("x",)))
+        super().__init__(name, cout, steps + [("add", "sum", ("e", shortcut)), ("relu", "y", ("sum",))])
 
-    def _blocks(self):
-        blocks = [self.reduce, self.spatial, self.expand]
-        if self.project is not None:
-            blocks.append(self.project)
-        return blocks
-
-    def out_hw(self, hw):
-        return self.spatial.out_hw(self.reduce.out_hw(hw))
-
-    def param_shapes(self) -> dict:
-        shapes = {}
-        for block in self._blocks():
-            shapes.update(block.param_shapes())
-        return shapes
-
-    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
-        y = self.expand.forward(params, self.spatial.forward(params, self.reduce.forward(params, x)))
-        shortcut = x if self.project is None else self.project.forward(params, x)
-        return nm.relu(y + shortcut)
-
-    def macs(self, hw) -> int:
-        total = self.reduce.macs(hw)
-        inner = self.reduce.out_hw(hw)
-        total += self.spatial.macs(inner)
-        total += self.expand.macs(self.spatial.out_hw(inner))
-        if self.project is not None:
-            total += self.project.macs(hw)
-        return total
+    forward = Unit.forward
 
 
-class MobileNetUnit:
+class MobileNetUnit(Unit):
     """Depthwise 3x3 with channel multiplier, then 1x1 pointwise."""
 
     def __init__(self, name: str, cin: int, cout: int, stride: int, widths: CuWidths):
         mid = cin * widths.mobilenet_depth_mult
-        self.name = name
-        self.stride = stride
-        self.out_channels = cout
-        self.depthwise = ConvBlock(
-            f"{name}.dw", nm.ConvSpec(cin, mid, kernel=3, stride=stride, padding=1, groups=cin)
-        )
-        self.pointwise = ConvBlock(f"{name}.pw", nm.ConvSpec(mid, cout, kernel=1))
+        dw = nm.ConvSpec(cin, mid, kernel=3, stride=stride, padding=1, groups=cin)
+        super().__init__(name, cout, [(ConvBlock(f"{name}.dw", dw), "dw", ("x",)),
+                                      (ConvBlock(f"{name}.pw", nm.ConvSpec(mid, cout, kernel=1)), "y", ("dw",))])
 
-    def out_hw(self, hw):
-        return self.depthwise.out_hw(hw)
-
-    def param_shapes(self) -> dict:
-        return {**self.depthwise.param_shapes(), **self.pointwise.param_shapes()}
-
-    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
-        return self.pointwise.forward(params, self.depthwise.forward(params, x))
-
-    def macs(self, hw) -> int:
-        return self.depthwise.macs(hw) + self.pointwise.macs(self.depthwise.out_hw(hw))
+    forward = Unit.forward
 
 
-class EespUnit:
+class EespUnit(Unit):
     """Grouped 1x1 reduce, parallel dilated depthwise branches, hierarchical
     sum before concatenation, grouped 1x1 expand, residual when shapes match.
 
@@ -208,60 +251,22 @@ class EespUnit:
     """
 
     def __init__(self, name: str, cin: int, cout: int, stride: int, widths: CuWidths):
-        k = widths.eesp_branches
+        k, g = widths.eesp_branches, widths.eesp_groups
         if (widths.eesp_width_mult * cout) % k:
             raise ValueError("eesp_width_mult * out_channels must be divisible by eesp_branches")
-        branch_width = widths.eesp_width_mult * cout // k
-        g = widths.eesp_groups
-        self.name = name
-        self.stride = stride
-        self.out_channels = cout
-        self.residual = stride == 1 and cin == cout
-        self.reduce = ConvBlock(f"{name}.reduce", nm.ConvSpec(cin, branch_width, kernel=1, groups=g))
-        self.branches = [
-            ConvBlock(
-                f"{name}.branch{d}",
-                nm.ConvSpec(
-                    branch_width, branch_width, kernel=3, stride=stride,
-                    padding=d, dilation=d, groups=branch_width,
-                ),
-            )
-            for d in range(1, k + 1)
-        ]
-        self.expand = ConvBlock(
-            f"{name}.expand", nm.ConvSpec(k * branch_width, cout, kernel=1, groups=g), relu=False
-        )
+        width = widths.eesp_width_mult * cout // k
+        branches = tuple(f"b{d}" for d in range(1, k + 1))
+        steps = [(ConvBlock(f"{name}.reduce", nm.ConvSpec(cin, width, kernel=1, groups=g)), "r", ("x",))]
+        for d in range(1, k + 1):
+            spec = nm.ConvSpec(width, width, kernel=3, stride=stride, padding=d, dilation=d, groups=width)
+            steps.append((ConvBlock(f"{name}.branch{d}", spec), f"b{d}", ("r",)))
+        expand = nm.ConvSpec(k * width, cout, kernel=1, groups=g)
+        steps += [("merge", "m", branches), (ConvBlock(f"{name}.expand", expand, relu=False), "e", ("m",))]
+        if stride == 1 and cin == cout:
+            steps.append(("add", "sum", ("e", "x")))
+        super().__init__(name, cout, steps + [("relu", "y", (steps[-1][1],))])
 
-    def out_hw(self, hw):
-        return self.branches[0].out_hw(self.reduce.out_hw(hw))
-
-    def param_shapes(self) -> dict:
-        shapes = self.reduce.param_shapes()
-        for block in self.branches:
-            shapes.update(block.param_shapes())
-        shapes.update(self.expand.param_shapes())
-        return shapes
-
-    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
-        reduced = self.reduce.forward(params, x)
-        outs = [block.forward(params, reduced) for block in self.branches]
-        merged = []
-        running = np.zeros_like(outs[0])
-        for out in outs:
-            running = running + out
-            merged.append(running)
-        y = self.expand.forward(params, np.concatenate(merged, axis=1))
-        if self.residual:
-            y = y + x
-        return nm.relu(y)
-
-    def macs(self, hw) -> int:
-        total = self.reduce.macs(hw)
-        inner = self.reduce.out_hw(hw)
-        for block in self.branches:
-            total += block.macs(inner)
-        total += self.expand.macs(self.branches[0].out_hw(inner))
-        return total
+    forward = Unit.forward
 
 
 class GlobalPool:
@@ -367,13 +372,7 @@ def count_params(graph: ModelGraph) -> int:
 
 def count_flops(graph: ModelGraph, input_hw=None) -> int:
     """Total MACs for one forward pass at the given input size."""
-    hw = tuple(input_hw) if input_hw is not None else graph.input_hw
-    total = 0
-    for layer in graph.layers:
-        total += layer.macs(hw)
-        hw = layer.out_hw(hw)
-    total += sum(h.macs() for h in graph.heads)
-    return total
+    return sum(row["flops"] for row in layer_table(graph, input_hw))
 
 
 def layer_table(graph: ModelGraph, input_hw=None) -> list[dict]:

@@ -3,9 +3,10 @@
 A Tensor4 is a float64 numpy array indexed (batch, channels, height,
 width) in any strided memory layout; the depthwise path below returns a
 view of channels-last memory. Every operation here is a pure function;
-each forward op has a companion ``*_backward`` that returns the exact
+each layer op has a companion ``*_backward`` that returns the exact
 analytic adjoints of its inputs and parameters, verified against central
-finite differences in the test suite.
+finite differences in the test suite.  Sigmoid and softmax only squash
+outputs; the training losses derive their adjoints inline.
 
 Convolution takes one of two paths, chosen only by the ``ConvSpec``.  A
 depthwise spec whose every group has one input and one output channel
@@ -35,6 +36,11 @@ class NumericError(ValueError):
 def require_finite(x: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite values in {what}")
+
+
+def _is_count(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_tensor4(x: np.ndarray, what: str = "input") -> np.ndarray:
@@ -300,19 +306,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.asarray(np.where(x >= 0, 1.0, e) / (1.0 + e))
 
 
-def sigmoid_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Adjoint in terms of the forward output y = sigmoid(x)."""
-    return grad_out * y * (1.0 - y)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
-
-
-def tanh_backward(grad_out: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return grad_out * (1.0 - y * y)
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax; output rows are probability vectors."""
     x = np.asarray(x, dtype=np.float64)
@@ -321,11 +314,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_backward(grad_out: np.ndarray, y: np.ndarray, axis: int = -1) -> np.ndarray:
-    inner = (grad_out * y).sum(axis=axis, keepdims=True)
-    return y * (grad_out - inner)
 
 
 def central_difference(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:

@@ -17,7 +17,6 @@ from . import dataio
 from . import evaluation as ev
 from . import numerics as nm
 from . import temporal as tp
-from . import training as tr
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class SynthSpec:
             raise ValueError("noise must be > 0")
         if self.subject_scale < 0:
             raise ValueError("subject_scale must be >= 0")
-        if not tr._is_count(self.seed) or self.seed < 0:
+        if not nm._is_count(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 

@@ -72,11 +72,6 @@ class ClassWeights:
             raise ValueError("class weights must be positive")
 
 
-def _is_count(value) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lr0: float = 0.01
@@ -88,11 +83,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not _is_count(self.epochs):
+        if not nm._is_count(self.epochs):
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
-        if self.batch_size is not None and not _is_count(self.batch_size):
+        if self.batch_size is not None and not nm._is_count(self.batch_size):
             raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
-        if not _is_count(self.seed) or self.seed < 0:
+        if not nm._is_count(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (self.lr0 > 0 and math.isfinite(self.lr0)):
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0!r}")

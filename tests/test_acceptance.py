@@ -109,15 +109,6 @@ def test_gradient_suite():
         err = max_rel_err(nm.relu_backward(probe, z), nm.central_difference(
             lambda v: float(np.sum(nm.relu(v) * probe)), z))
         check(failures, err < 1e-4, f"seed {seed} relu rel err {err:.2e}")
-        for label, fwd, bwd in (
-            ("sigmoid", nm.sigmoid, nm.sigmoid_backward),
-            ("tanh", nm.tanh, nm.tanh_backward),
-            ("softmax", nm.softmax, nm.softmax_backward),
-        ):
-            analytic = bwd(probe, fwd(z))
-            err = max_rel_err(analytic, nm.central_difference(
-                lambda v: float(np.sum(fwd(v) * probe)), z))
-            check(failures, err < 1e-4, f"seed {seed} {label} rel err {err:.2e}")
 
         weights = tr.ClassWeights(expr=rng.uniform(0.5, 2.0, 8),
                                   au=rng.uniform(0.5, 2.0, (12, 2)))

@@ -4,11 +4,13 @@ Forward passes run at reduced input sizes (e.g. 32x32) to keep the suite
 fast; counting tests use the full 224x224 contract.
 """
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
+from affectpipe import cli
 from affectpipe import graph as gp
 from affectpipe import numerics as nm
 
@@ -24,6 +26,38 @@ BLOCK_SPECS = [
 ]
 
 
+# (unit class, cin, cout, stride, widths): identity and projection shortcuts,
+# stride 1 and 2, and EESP with 1 to 4 branches, with and without residual.
+UNIT_CASES = [
+    (gp.BottleneckUnit, 4, 4, 1, gp.CuWidths()),
+    (gp.BottleneckUnit, 3, 4, 1, gp.CuWidths()),
+    (gp.BottleneckUnit, 4, 4, 2, gp.CuWidths(bottleneck_mid_ratio=0.5)),
+    (gp.MobileNetUnit, 3, 4, 1, gp.CuWidths(mobilenet_depth_mult=2)),
+    (gp.MobileNetUnit, 2, 3, 2, gp.CuWidths(mobilenet_depth_mult=3)),
+] + [
+    (gp.EespUnit, 4, 4, 1, gp.CuWidths(eesp_branches=k, eesp_groups=2, eesp_width_mult=k))
+    for k in range(1, 5)
+] + [
+    (gp.EespUnit, 4, 4, 2, gp.CuWidths(eesp_branches=3, eesp_groups=2, eesp_width_mult=3)),
+    (gp.EespUnit, 2, 4, 1, gp.CuWidths(eesp_branches=2, eesp_groups=2, eesp_width_mult=2)),
+]
+
+# SHA-256 of `analyze-graph --cu all --input-hw HW --mode MODE` reports: the
+# output sizes, MACs and parameter counts walked from the unit steps are pinned.
+REPORT_SHA256 = {
+    (224, "multi"): "5fae13abdd68223b5ffca2086c94da0139f8d5771cfbaeec5acc1b8b471985c7",
+    (224, "expr"): "421d5ef43374e1215cd628338b55e77cc17aad0c4d101a4b9ec4539f91a0a36b",
+    (224, "au"): "49649dd17175f631243533ef1b2e3d479852d82ccc973065afadddd49b6aeaf2",
+    (224, "arousal"): "706e23af1837dad75d981437336c1858733e445e00d70cd037cb2facab90bd92",
+    (224, "valence"): "675b2d76dc4642190b02ab10b286bcf3ffc25b5f9e682e7410699c5ba1291036",
+    (32, "multi"): "5f3a9d5f7b0134645cf4a466a243cd0405d811673874b3aafd52b116c0f942e6",
+    (32, "expr"): "614c2e9d583a9cec77caad885b5e9e9285f115a46f740dc75be2281ef2a64036",
+    (32, "au"): "60b1602b3f26a730bc9c90c1ab366ddc762d600b874ce0770e779d250a67c73b",
+    (32, "arousal"): "b54e857f6745149b79f9e6fb7478575edeb3aa852b57a23f9063ca1d3618983a",
+    (32, "valence"): "a359165389e68e3717afb6bde939e3cbfdbfde1055ca2ab69f684362ee5075b6",
+}
+
+
 def tiny_graph(cu, mode="multi"):
     return gp.build_graph(cu, mode, input_hw=(32, 32))
 
@@ -37,6 +71,46 @@ def block_params(rng, spec):
         "blk.scale": rng.uniform(0.2, 3.0, size=c) * rng.choice([-1.0, 1.0], size=c),
         "blk.shift": rng.normal(scale=2.0, size=c),
     }
+
+
+def unit_params(rng, unit):
+    """Normal weights and biases, signed non-unit scales, nonzero shifts."""
+    params = {}
+    for key, shape in unit.param_shapes().items():
+        if key.endswith(".scale"):
+            params[key] = rng.uniform(0.5, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        else:
+            params[key] = rng.normal(scale=0.5 if key.endswith(".shift") else 1.0, size=shape)
+    return params
+
+
+def oracle_block(params, key, spec, x, relu=True):
+    """One ConvBlock from raw numerics calls: conv2d, channel_affine, ReLU."""
+    h = nm.channel_affine(nm.conv2d(x, spec, params[f"{key}.w"], params[f"{key}.b"]),
+                          params[f"{key}.scale"], params[f"{key}.shift"])
+    return nm.relu(h) if relu else h
+
+
+def unit_case_id(case):
+    cls, cin, cout, stride, widths = case
+    extra = f"-k{widths.eesp_branches}" if cls is gp.EespUnit else ""
+    return f"{cls.__name__}-{cin}to{cout}-s{stride}{extra}"
+
+
+class TestCuWidths:
+    @pytest.mark.parametrize("field, value", [
+        ("mobilenet_depth_mult", 2.5), ("mobilenet_depth_mult", 0), ("eesp_groups", True),
+        ("eesp_branches", 4.0), ("eesp_width_mult", -1), ("eesp_groups", "4"),
+        ("bottleneck_mid_ratio", float("nan")), ("bottleneck_mid_ratio", float("inf")),
+        ("bottleneck_mid_ratio", 0.0), ("bottleneck_mid_ratio", -1.2),
+    ])
+    def test_bad_value_rejected_by_field_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value!r}"):
+            gp.CuWidths(**{field: value})
+
+    def test_numpy_integers_and_integer_ratio_accepted(self):
+        widths = gp.CuWidths(bottleneck_mid_ratio=1, mobilenet_depth_mult=np.int64(2))
+        assert gp.build_graph("mobilenet", input_hw=(32, 32), widths=widths).layers[1].out_channels == 32
 
 
 class TestStructure:
@@ -305,6 +379,34 @@ class TestForward:
         h = nm.relu(nm.channel_affine(h, params["cu1.pw.scale"], params["cu1.pw.shift"]))
         np.testing.assert_allclose(y, h, atol=1e-12)
 
+    def test_projection_bottleneck_matches_raw_oracle(self):
+        rng = np.random.default_rng(12)
+        unit = gp.BottleneckUnit("u", 3, 4, 2, gp.CuWidths())
+        params = unit_params(rng, unit)
+        x = rng.normal(size=(2, 3, 9, 8))
+        h = oracle_block(params, "u.reduce", nm.ConvSpec(3, 5, kernel=1), x)
+        h = oracle_block(params, "u.spatial", nm.ConvSpec(5, 5, kernel=3, stride=2, padding=1), h)
+        h = oracle_block(params, "u.expand", nm.ConvSpec(5, 4, kernel=1), h, relu=False)
+        shortcut = oracle_block(params, "u.project", nm.ConvSpec(3, 4, kernel=1, stride=2), x, relu=False)
+        np.testing.assert_allclose(unit.forward(params, x), nm.relu(h + shortcut), rtol=1e-12, atol=1e-12)
+
+    def test_residual_eesp_matches_raw_oracle(self):
+        """Branch sums b1, b1+b2, b1+b2+b3 are concatenated, expanded, added to x."""
+        rng = np.random.default_rng(13)
+        unit = gp.EespUnit("u", 4, 4, 1, gp.CuWidths(eesp_branches=3, eesp_groups=2, eesp_width_mult=3))
+        params = unit_params(rng, unit)
+        x = rng.normal(size=(2, 4, 9, 8))
+        reduced = oracle_block(params, "u.reduce", nm.ConvSpec(4, 4, kernel=1, groups=2), x)
+        branches = [
+            oracle_block(params, f"u.branch{d}",
+                         nm.ConvSpec(4, 4, kernel=3, padding=d, dilation=d, groups=4), reduced)
+            for d in (1, 2, 3)
+        ]
+        merged = np.concatenate([branches[0], branches[0] + branches[1],
+                                 branches[0] + branches[1] + branches[2]], axis=1)
+        h = oracle_block(params, "u.expand", nm.ConvSpec(12, 4, kernel=1, groups=2), merged, relu=False)
+        np.testing.assert_allclose(unit.forward(params, x), nm.relu(h + x), rtol=1e-12, atol=1e-12)
+
 
     @pytest.mark.parametrize("relu", [True, False])
     @pytest.mark.parametrize("spec", BLOCK_SPECS)
@@ -403,6 +505,60 @@ class TestBackward:
                                         params[key].copy())
             assert max_rel_error(grads[key], num) < 1e-8, key
 
+    @pytest.mark.parametrize("case", UNIT_CASES, ids=unit_case_id)
+    def test_unit_matches_finite_differences(self, case):
+        cls, cin, cout, stride, widths = case
+        rng = np.random.default_rng(36)
+        unit = cls("u", cin, cout, stride, widths)
+        params = unit_params(rng, unit)
+        x = rng.normal(size=(2, cin, 7, 6))
+        y = unit.forward(params, x)
+        assert y.shape == (2, cout) + unit.out_hw((7, 6))
+        up = rng.normal(size=y.shape)
+        gx, grads = unit.backward(params, x, y, up)
+        assert sorted(grads) == sorted(params)
+
+        def loss(trial, v):
+            return float((unit.forward(trial, v) * up).sum())
+
+        assert max_rel_error(gx, nm.central_difference(lambda v: loss(params, v), x.copy(), 1e-6)) < 1e-6
+        for key in params:
+            num = nm.central_difference(lambda v: loss({**params, key: v}, x), params[key].copy(), 1e-6)
+            assert max_rel_error(grads[key], num) < 1e-6, key
+
+    @pytest.mark.parametrize("cu, mode, size", [(cu, "multi", 16) for cu in gp.CU_KINDS]
+                             + [("eesp", "valence", 32)])
+    def test_graph_backward_on_every_trunk(self, cu, mode, size):
+        graph = gp.build_graph(cu, mode, input_hw=(size, size))
+        rng = np.random.default_rng(37)
+        # Nonzero biases: with the zero init, padding-only windows put
+        # pre-activations exactly on the ReLU kink, where a difference
+        # quotient straddles two slopes.
+        params = {k: v + rng.normal(scale=0.1, size=v.shape) if k.endswith(".b") else v
+                  for k, v in gp.init_params(graph, seed=3).items()}
+        batch = rng.normal(size=(2, 3, size, size))
+        cache = []
+        out = gp.forward(graph, params, batch, cache)
+        ups = {task: rng.normal(size=np.shape(y)) for task, y in out.items()}
+        grads = gp.backward(graph, params, cache, ups)
+        assert {k: g.shape for k, g in grads.items()} == {k: p.shape for k, p in params.items()}
+
+        def loss(trial):
+            return sum(float((y * ups[task]).sum()) for task, y in gp.forward(graph, trial, batch).items())
+
+        # One scalar of one parameter of every layer and head.
+        owners = list(graph.layers[:-1]) + list(graph.heads)
+        for owner in owners:
+            keys = sorted(owner.param_shapes())
+            key = keys[rng.integers(len(keys))]
+            index = tuple(int(rng.integers(n)) for n in params[key].shape)
+            trial = {**params, key: params[key].copy()}
+            trial[key][index] += 1e-4
+            hi = loss(trial)
+            trial[key][index] -= 2e-4
+            num = (hi - loss(trial)) / 2e-4
+            assert abs(grads[key][index] - num) <= 1e-6 * max(1.0, abs(num)), key
+
     def test_forward_cache_holds_each_layer_input_then_pooled(self):
         graph = tiny_graph("bottleneck")
         params = gp.init_params(graph, seed=0)
@@ -414,6 +570,15 @@ class TestBackward:
         assert cache[-1].shape == (2, gp.TAIL_CHANNELS)
         for task, y in gp.forward(graph, params, batch).items():
             np.testing.assert_array_equal(out[task], y)
+
+
+class TestAnalyzeGraphReport:
+    @pytest.mark.parametrize("hw, mode", sorted(REPORT_SHA256))
+    def test_report_bytes_pinned(self, tmp_path, hw, mode):
+        path = tmp_path / "report.json"
+        argv = ["analyze-graph", "--cu", "all", "--input-hw", str(hw), "--mode", mode, "--output", str(path)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[hw, mode]
 
 
 class TestPredictAttributes:

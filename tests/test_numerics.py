@@ -287,7 +287,6 @@ class TestActivations:
 
     def test_sigmoid_tanh_at_zero(self):
         assert nm.sigmoid(np.array(0.0)) == 0.5
-        assert nm.tanh(np.array(0.0)) == 0.0
 
     def test_sigmoid_equals_two_branch_form_at_edges(self):
         tiny = np.nextafter(0.0, 1.0)
