@@ -103,8 +103,9 @@ class ConvBlock:
         nm.require_finite(b, "folded bias")
         return w, b
 
-    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
-        y = nm.conv2d(x, self.spec, *self._folded(params))
+    def forward(self, params: dict, x: np.ndarray, *, padded: np.ndarray | None = None) -> np.ndarray:
+        """``padded`` is a shared channels-last copy of x, see :func:`numerics.conv2d`."""
+        y = nm.conv2d(x, self.spec, *self._folded(params), padded=padded)
         return np.maximum(y, 0.0, out=y) if self.relu else y
 
     def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
@@ -131,12 +132,26 @@ class ConvBlock:
         return self.spec.macs(hw) + oh * ow * self.spec.out_channels
 
 
-# The other ops of a unit's steps.  The merge concatenates running sums of the
-# branches, NCHW views of channels-last memory; concatenate keeps that layout
-# and with it the expand GEMM's rounding (a C-order stack + cumsum moves it).
+def _merge(*branches):
+    """Running sums of equal-width branches side by side along channels."""
+    n, c, h, w = branches[0].shape
+    out = np.empty_like(branches[0], shape=(n, c * len(branches), h, w))
+    out[:, :c] = branches[0]
+    for i in range(1, len(branches)):
+        np.add(out[:, (i - 1) * c : i * c], branches[i], out=out[:, i * c : (i + 1) * c])
+    return out
+
+
+# The other ops of a unit's steps.  The merge writes the running sums of the
+# branches in place into one buffer: slice 1 is b1 and slice i is slice i-1 +
+# b_i, the order itertools.accumulate adds in.  empty_like lays the buffer out
+# as np.concatenate would for these branches (NCHW views of channels-last
+# memory, so channels-last unless a branch has one channel), and the expand
+# GEMM rounds as it would after concatenate (a C-order stack + cumsum moves
+# its rounding).
 _OPS = {
     "add": np.add,
-    "merge": lambda *branches: np.concatenate(list(itertools.accumulate(branches)), axis=1),
+    "merge": _merge,
     "relu": nm.relu,
 }
 
@@ -149,11 +164,26 @@ class Unit:
     serves forward, out_hw, macs and param_shapes; backward walks them in
     reverse.  Each kind binds ``forward`` in its own class body because the
     benchmark's tracer times the kinds apart by wrapping ``vars(cls)["forward"]``.
+
+    A slot read by two or more per-channel depthwise blocks (EESP's branches)
+    is copied once into a zero-padded channels-last buffer, padded for the
+    widest of them; each reads it at its own offset, and the copy is dropped
+    after its last reader.  ``shared`` maps each such block to
+    ``(slot, margin, is_last_reader)``.
     """
 
     def __init__(self, name: str, cout: int, steps):
         self.name, self.out_channels, self.steps = name, cout, tuple(steps)
         self.blocks = [(op, ins[0]) for op, _, ins in self.steps if isinstance(op, ConvBlock)]
+        readers = {}
+        for block, src in self.blocks:
+            if block.spec.per_channel:
+                readers.setdefault(src, []).append(block)
+        self.shared = {}
+        for src, blocks in readers.items():
+            if len(blocks) > 1:
+                margin = max(block.spec.padding for block in blocks)
+                self.shared.update((block, (src, margin, block is blocks[-1])) for block in blocks)
 
     def _walk(self, x, step) -> dict:
         """Every slot's value, with step(op, inputs) giving one step's output."""
@@ -163,7 +193,19 @@ class Unit:
         return slots
 
     def _values(self, params: dict, x: np.ndarray) -> dict:
-        return self._walk(x, lambda op, a: op.forward(params, *a) if isinstance(op, ConvBlock) else _OPS[op](*a))
+        copies = {}
+
+        def step(op, args):
+            if not isinstance(op, ConvBlock):
+                return _OPS[op](*args)
+            if op not in self.shared:
+                return op.forward(params, *args)
+            src, margin, last = self.shared[op]
+            if src not in copies:
+                copies[src] = nm._pad_channels_last(args[0], margin)
+            return op.forward(params, *args, padded=copies.pop(src) if last else copies[src])
+
+        return self._walk(x, step)
 
     def _sizes(self, hw) -> dict:
         return self._walk(tuple(hw), lambda op, a: op.out_hw(*a) if isinstance(op, ConvBlock) else a[0])

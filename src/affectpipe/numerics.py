@@ -11,11 +11,15 @@ outputs; the training losses derive their adjoints inline.
 Convolution takes one of two paths, chosen only by the ``ConvSpec``.  A
 depthwise spec whose every group has one input and one output channel
 (``in_channels == out_channels == groups``) sums its k*k kernel taps over
-a strided window view of one zero-padded channels-last copy of the input.
-Every other spec gathers the padded, strided and dilated input once into
-a column tensor (im2col) and multiplies it by the grouped weights in one
-batched matrix product.  The adjoint of both is the im2col one, which
-scatter-adds the columns back over the kernel offsets.
+a strided window view of a zero-padded channels-last copy of the input.
+``conv2d`` makes that copy itself unless the caller passes one in as
+``padded``: a unit whose several dilated branches read the same input
+makes one copy, padded for the widest branch, and every branch reads it
+at its own offset.  Every other spec gathers the padded, strided and
+dilated input once into a column tensor (im2col) and multiplies it by the
+grouped weights in one batched matrix product.  The adjoint of both is
+the im2col one, which scatter-adds the columns back over the kernel
+offsets.
 """
 
 from __future__ import annotations
@@ -70,14 +74,20 @@ class ConvSpec:
 
     def __post_init__(self) -> None:
         for name in ("in_channels", "out_channels", "kernel", "stride", "groups", "dilation"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"ConvSpec.{name} must be positive")
-        if self.padding < 0:
-            raise ShapeError("ConvSpec.padding must be nonnegative")
+            value = getattr(self, name)
+            if not _is_count(value) or value < 1:
+                raise ShapeError(f"ConvSpec.{name} must be a positive integer, got {value!r}")
+        if not _is_count(self.padding) or self.padding < 0:
+            raise ShapeError(f"ConvSpec.padding must be a nonnegative integer, got {self.padding!r}")
         if self.kernel % 2 == 0:
             raise ShapeError("only odd kernels are supported")
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ShapeError("in_channels and out_channels must be divisible by groups")
+
+    @property
+    def per_channel(self) -> bool:
+        """One input and one output channel per group: the depthwise taps path."""
+        return self.in_channels == self.out_channels == self.groups
 
     @property
     def weight_shape(self) -> tuple[int, int, int, int]:
@@ -132,24 +142,40 @@ def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     return windows.reshape(n, g, cin_g * k * k, oh * ow)
 
 
-def _depthwise_taps(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, oh: int, ow: int) -> np.ndarray:
+def _pad_channels_last(x: np.ndarray, margin: int) -> np.ndarray:
+    """Zero-padded channels-last copy (n, h + 2*margin, w + 2*margin, c) of x.
+
+    The copy is where the depthwise taps path checks its input, so a copy
+    that several convolutions share is checked once.
+    """
+    require_finite(x, "conv2d input")
+    n, c, h, w = x.shape
+    xp = np.zeros((n, h + 2 * margin, w + 2 * margin, c))
+    xp[:, margin : margin + h, margin : margin + w] = x.transpose(0, 2, 3, 1)
+    return xp
+
+
+def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.ndarray,
+                    oh: int, ow: int) -> np.ndarray:
     """Channel-multiplier-1 depthwise convolution as one sum over the k*k taps.
 
-    The input is copied once into a zero-padded channels-last buffer; a
-    window view (n, oh, ow, k, k, c) of it covers stride and dilation, and
-    one einsum against the (k, k, c) weights sums the taps.  Both operands
-    keep the channel axis innermost and contiguous: with the weights as a
+    ``xp`` is a zero-padded channels-last copy of the input (see
+    :func:`_pad_channels_last`), made by :func:`conv2d` or passed in by a
+    caller that shares it between several convolutions; its ``margin`` may
+    exceed ``spec.padding``.  A window view (n, oh, ow, k, k, c) of it that
+    starts at ``margin - spec.padding`` covers stride and dilation, and one
+    einsum against the (k, k, c) weights sums the taps.  Both operands keep
+    the channel axis innermost and contiguous: with the weights as a
     transposed view instead, this path ran slower than im2col.  The result
     is an NCHW view of an NHWC array.
     """
-    n, c, h, w = x.shape
-    p, k, s, d = spec.padding, spec.kernel, spec.stride, spec.dilation
-    xp = np.zeros((n, h + 2 * p, w + 2 * p, c))
-    xp[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
+    c = xp.shape[3]
+    k, s, d = spec.kernel, spec.stride, spec.dilation
+    start = margin - spec.padding
     sn, sh, sw, sc = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, oh, ow, k, k, c),
+        xp[:, start:, start:],
+        shape=(xp.shape[0], oh, ow, k, k, c),
         strides=(sn, sh * s, sw * s, sh * d, sw * d, sc),
         writeable=False,
     )
@@ -157,21 +183,31 @@ def _depthwise_taps(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, oh: int,
     return np.einsum("nhwijc,ijc->nhwc", windows, taps).transpose(0, 3, 1, 2)
 
 
-def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None,
+           *, padded: np.ndarray | None = None) -> np.ndarray:
     """Grouped 2-d convolution (cross-correlation).
 
     out[n,o,i,j] = sum_{c,ki,kj} w[o,c,ki,kj] * xpad[n, g(o)+c, i*s+ki*d, j*s+kj*d] + b[o]
 
     A spec with one input and one output channel per group sums its taps
     directly (:func:`_depthwise_taps`); every other spec is im2col plus one
-    batched GEMM.
+    batched GEMM.  ``padded`` is only for the former: an already checked
+    ``_pad_channels_last(x, margin)`` copy with ``margin >= spec.padding``,
+    which is read in place of a new copy of ``x``.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
-    require_finite(x, "conv2d input")
     g = spec.groups
-    if spec.in_channels == spec.out_channels == g:
-        y = _depthwise_taps(x, spec, weights, oh, ow)
+    if padded is not None:
+        margin = (padded.shape[1] - x.shape[2]) // 2
+        if not spec.per_channel or margin < spec.padding or padded.shape != (
+                n, x.shape[2] + 2 * margin, x.shape[3] + 2 * margin, spec.in_channels):
+            raise ShapeError(f"padded copy of shape {padded.shape} does not fit input "
+                             f"{x.shape} under {spec}")
+        y = _depthwise_taps(padded, margin, spec, weights, oh, ow)
+    elif spec.per_channel:
+        y = _depthwise_taps(_pad_channels_last(x, spec.padding), spec.padding, spec, weights, oh, ow)
     else:
+        require_finite(x, "conv2d input")
         cols = _im2col(x, spec, oh, ow)
         y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), cols)
         y = y.reshape(n, spec.out_channels, oh, ow)
@@ -314,20 +350,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def central_difference(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
-    """Numerical gradient of scalar-valued ``f`` at ``x`` by central differences."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = f(x)
-        flat[i] = orig - eps
-        lo = f(x)
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * eps)
-    return grad

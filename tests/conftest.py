@@ -40,8 +40,11 @@ def loop_conv2d(x, spec, weights, bias=None):
     return out
 
 
-def offset_conv2d(x, spec, weights, bias=None):
-    """Direct-summation convolution, one grouped einsum per kernel offset."""
+def offset_conv2d(x, spec, weights, bias=None, *, padded=None):
+    """Direct-summation convolution, one grouped einsum per kernel offset.
+
+    A shared padded copy is ignored: the oracle pads ``x`` itself.
+    """
     n = x.shape[0]
     g = spec.groups
     s, d, p, k = spec.stride, spec.dilation, spec.padding, spec.kernel
@@ -311,6 +314,23 @@ def model_bytes(model):
 def unit_weights():
     """Class weights of one for every expression class and AU label."""
     return tr.ClassWeights(expr=np.ones(tr.N_EXPR), au=np.ones((tr.N_AU, 2)))
+
+
+def central_difference(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
+    """Numerical gradient of scalar-valued ``f`` at ``x`` by central differences."""
+    x = np.asarray(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat = x.ravel()
+    gflat = grad.ravel()
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + eps
+        hi = f(x)
+        flat[i] = orig - eps
+        lo = f(x)
+        flat[i] = orig
+        gflat[i] = (hi - lo) / (2.0 * eps)
+    return grad
 
 
 def max_rel_error(analytic, numeric):

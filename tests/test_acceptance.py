@@ -21,6 +21,8 @@ from affectpipe import synth as sy
 from affectpipe import temporal as tp
 from affectpipe import training as tr
 
+from conftest import central_difference
+
 TARGET_PARAMS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
 
 
@@ -66,7 +68,7 @@ def test_gradient_suite():
                 ("w", gw, w, lambda v: float(np.sum(nm.conv2d(x, spec, v, b) * probe))),
                 ("b", gb, b, lambda v: float(np.sum(nm.conv2d(x, spec, w, v) * probe))),
             ):
-                err = max_rel_err(analytic, nm.central_difference(f, arg))
+                err = max_rel_err(analytic, central_difference(f, arg))
                 check(failures, err < 1e-4, f"seed {seed} {name} grad_{label} rel err {err:.2e}")
 
         x = rng.normal(size=(3, 6))
@@ -79,13 +81,13 @@ def test_gradient_suite():
             ("w", gw, w, lambda v: float(np.sum(nm.linear(x, v, b) * probe))),
             ("b", gb, b, lambda v: float(np.sum(nm.linear(x, w, v) * probe))),
         ):
-            err = max_rel_err(analytic, nm.central_difference(f, arg))
+            err = max_rel_err(analytic, central_difference(f, arg))
             check(failures, err < 1e-4, f"seed {seed} linear grad_{label} rel err {err:.2e}")
 
         x = rng.normal(size=(2, 3, 4, 4))
         probe = rng.normal(size=(2, 3))
         analytic = nm.global_avg_pool_backward(probe, x.shape)
-        err = max_rel_err(analytic, nm.central_difference(
+        err = max_rel_err(analytic, central_difference(
             lambda v: float(np.sum(nm.global_avg_pool(v) * probe)), x))
         check(failures, err < 1e-4, f"seed {seed} global_avg_pool rel err {err:.2e}")
 
@@ -100,13 +102,13 @@ def test_gradient_suite():
             ("shift", gshift, shift,
              lambda v: float(np.sum(nm.channel_affine(x, scale, v) * probe))),
         ):
-            err = max_rel_err(analytic, nm.central_difference(f, arg))
+            err = max_rel_err(analytic, central_difference(f, arg))
             check(failures, err < 1e-4, f"seed {seed} affine grad_{label} rel err {err:.2e}")
 
         z = rng.normal(size=(3, 7))
         z = z + np.sign(z) * 0.05  # keep clear of the relu kink
         probe = rng.normal(size=z.shape)
-        err = max_rel_err(nm.relu_backward(probe, z), nm.central_difference(
+        err = max_rel_err(nm.relu_backward(probe, z), central_difference(
             lambda v: float(np.sum(nm.relu(v) * probe)), z))
         check(failures, err < 1e-4, f"seed {seed} relu rel err {err:.2e}")
 
@@ -125,7 +127,7 @@ def test_gradient_suite():
                     raw = float(rng.normal())
             _, grad = tr.task_loss(task, raw, labels, weights)
             f = lambda v: tr.task_loss(task, v if dim > 1 else float(v), labels, weights)[0]
-            numeric = nm.central_difference(f, np.asarray(raw, dtype=float))
+            numeric = central_difference(f, np.asarray(raw, dtype=float))
             err = max_rel_err(np.asarray(grad), numeric)
             check(failures, err < 1e-4, f"seed {seed} loss {task} rel err {err:.2e}")
 

@@ -10,7 +10,7 @@ import pytest
 
 from affectpipe import numerics as nm
 
-from conftest import max_rel_error
+from conftest import central_difference, max_rel_error
 
 SEEDS = range(20)
 EPS = 1e-4
@@ -32,9 +32,9 @@ def test_conv2d_adjoints(seed):
     b = rng.normal(size=6)
     up = rng.normal(size=nm.conv2d(x, spec, w, b).shape)
     gx, gw, gb = nm.conv2d_backward(up, x, spec, w)
-    assert max_rel_error(gx, nm.central_difference(lambda v: float((nm.conv2d(v, spec, w, b) * up).sum()), x.copy(), EPS)) < TOL
-    assert max_rel_error(gw, nm.central_difference(lambda v: float((nm.conv2d(x, spec, v, b) * up).sum()), w.copy(), EPS)) < TOL
-    assert max_rel_error(gb, nm.central_difference(lambda v: float((nm.conv2d(x, spec, w, v) * up).sum()), b.copy(), EPS)) < TOL
+    assert max_rel_error(gx, central_difference(lambda v: float((nm.conv2d(v, spec, w, b) * up).sum()), x.copy(), EPS)) < TOL
+    assert max_rel_error(gw, central_difference(lambda v: float((nm.conv2d(x, spec, v, b) * up).sum()), w.copy(), EPS)) < TOL
+    assert max_rel_error(gb, central_difference(lambda v: float((nm.conv2d(x, spec, w, v) * up).sum()), b.copy(), EPS)) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -45,8 +45,8 @@ def test_conv2d_adjoints_dilated_depthwise(seed):
     w = rng.normal(size=spec.weight_shape)
     up = rng.normal(size=nm.conv2d(x, spec, w).shape)
     gx, gw, _ = nm.conv2d_backward(up, x, spec, w)
-    assert max_rel_error(gx, nm.central_difference(lambda v: float((nm.conv2d(v, spec, w) * up).sum()), x.copy(), EPS)) < TOL
-    assert max_rel_error(gw, nm.central_difference(lambda v: float((nm.conv2d(x, spec, v) * up).sum()), w.copy(), EPS)) < TOL
+    assert max_rel_error(gx, central_difference(lambda v: float((nm.conv2d(v, spec, w) * up).sum()), x.copy(), EPS)) < TOL
+    assert max_rel_error(gw, central_difference(lambda v: float((nm.conv2d(x, spec, v) * up).sum()), w.copy(), EPS)) < TOL
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -57,9 +57,9 @@ def test_linear_adjoints(seed):
     b = rng.normal(size=4)
     up = rng.normal(size=(3, 4))
     gx, gw, gb = nm.linear_backward(up, x, w)
-    assert max_rel_error(gx, nm.central_difference(lambda v: float((nm.linear(v, w, b) * up).sum()), x.copy(), EPS)) < TOL
-    assert max_rel_error(gw, nm.central_difference(lambda v: float((nm.linear(x, v, b) * up).sum()), w.copy(), EPS)) < TOL
-    assert max_rel_error(gb, nm.central_difference(lambda v: float((nm.linear(x, w, v) * up).sum()), b.copy(), EPS)) < TOL
+    assert max_rel_error(gx, central_difference(lambda v: float((nm.linear(v, w, b) * up).sum()), x.copy(), EPS)) < TOL
+    assert max_rel_error(gw, central_difference(lambda v: float((nm.linear(x, v, b) * up).sum()), w.copy(), EPS)) < TOL
+    assert max_rel_error(gb, central_difference(lambda v: float((nm.linear(x, w, v) * up).sum()), b.copy(), EPS)) < TOL
 
 
 def test_linear_weight_adjoint_is_outer_product():
@@ -75,7 +75,7 @@ def test_global_avg_pool_adjoint(seed):
     x = rng.normal(size=(2, 3, 4, 5))
     up = rng.normal(size=(2, 3))
     gx = nm.global_avg_pool_backward(up, x.shape)
-    num = nm.central_difference(lambda v: float((nm.global_avg_pool(v) * up).sum()), x.copy(), EPS)
+    num = central_difference(lambda v: float((nm.global_avg_pool(v) * up).sum()), x.copy(), EPS)
     assert max_rel_error(gx, num) < TOL
 
 
@@ -87,9 +87,9 @@ def test_channel_affine_adjoints(seed):
     shift = rng.normal(size=3)
     up = rng.normal(size=x.shape)
     gx, gscale, gshift = nm.channel_affine_backward(up, x, scale)
-    assert max_rel_error(gx, nm.central_difference(lambda v: float((nm.channel_affine(v, scale, shift) * up).sum()), x.copy(), EPS)) < TOL
-    assert max_rel_error(gscale, nm.central_difference(lambda v: float((nm.channel_affine(x, v, shift) * up).sum()), scale.copy(), EPS)) < TOL
-    assert max_rel_error(gshift, nm.central_difference(lambda v: float((nm.channel_affine(x, scale, v) * up).sum()), shift.copy(), EPS)) < TOL
+    assert max_rel_error(gx, central_difference(lambda v: float((nm.channel_affine(v, scale, shift) * up).sum()), x.copy(), EPS)) < TOL
+    assert max_rel_error(gscale, central_difference(lambda v: float((nm.channel_affine(x, v, shift) * up).sum()), scale.copy(), EPS)) < TOL
+    assert max_rel_error(gshift, central_difference(lambda v: float((nm.channel_affine(x, scale, v) * up).sum()), shift.copy(), EPS)) < TOL
 
 
 def test_relu_adjoint_sign_cases():
@@ -105,4 +105,4 @@ def test_activation_adjoints(seed):
     up = rng.normal(size=(3, 7))
 
     gx = nm.relu_backward(up, x)
-    assert max_rel_error(gx, nm.central_difference(lambda v: float((nm.relu(v) * up).sum()), x.copy(), EPS)) < TOL
+    assert max_rel_error(gx, central_difference(lambda v: float((nm.relu(v) * up).sum()), x.copy(), EPS)) < TOL

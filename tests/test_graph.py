@@ -5,16 +5,20 @@ fast; counting tests use the full 224x224 contract.
 """
 
 import hashlib
+import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affectpipe import cli
 from affectpipe import graph as gp
 from affectpipe import numerics as nm
 
-from conftest import max_rel_error, offset_conv2d
+from conftest import central_difference, max_rel_error, offset_conv2d
 
 PARAM_TARGETS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
 # Strided dense, grouped, grouped 1x1 and strided dilated depthwise blocks.
@@ -89,6 +93,31 @@ def oracle_block(params, key, spec, x, relu=True):
     h = nm.channel_affine(nm.conv2d(x, spec, params[f"{key}.w"], params[f"{key}.b"]),
                           params[f"{key}.scale"], params[f"{key}.shift"])
     return nm.relu(h) if relu else h
+
+
+def reference_walk(unit, params, x):
+    """A unit's steps with one padded copy per branch and the merge built by
+    accumulate and concatenate, the reference for the shared copy."""
+    ops = {"add": np.add, "relu": nm.relu,
+           "merge": lambda *branches: np.concatenate(list(itertools.accumulate(branches)), axis=1)}
+    slots = {"x": x}
+    for op, out, ins in unit.steps:
+        args = [slots[s] for s in ins]
+        slots[out] = op.forward(params, *args) if isinstance(op, gp.ConvBlock) else ops[op](*args)
+    return slots[unit.steps[-1][1]]
+
+
+def count_copies(monkeypatch):
+    """Record the margin of every padded channels-last copy made from now on."""
+    margins = []
+    real = nm._pad_channels_last
+
+    def counted(x, margin):
+        margins.append(margin)
+        return real(x, margin)
+
+    monkeypatch.setattr(nm, "_pad_channels_last", counted)
+    return margins
 
 
 def unit_case_id(case):
@@ -436,6 +465,121 @@ class TestForward:
             block.forward(params, np.ones((1, 2, 3, 3)))
 
 
+class TestSharedBranchCopy:
+    """EESP branches read one padded copy of the reduce output and merge in place."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 4), groups=st.sampled_from([1, 2]), cin=st.integers(1, 3),
+           cout=st.integers(1, 3), residual=st.booleans(), stride=st.sampled_from([1, 2]),
+           width=st.integers(1, 2), n=st.integers(1, 3), h=st.integers(4, 11), w=st.integers(4, 11),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=4, groups=1, cin=2, cout=2, residual=True, stride=1, width=1, n=1, h=4, w=4, seed=0)
+    @example(k=4, groups=2, cin=1, cout=2, residual=False, stride=2, width=2, n=2, h=5, w=7, seed=1)
+    def test_unit_equals_per_branch_copies(self, k, groups, cin, cout, residual, stride, width,
+                                           n, h, w, seed):
+        # cout and width of 1 give one-channel branches, whose running sums
+        # np.concatenate lays out channels-first, not channels-last.
+        cin, cout = groups * cin, groups * cout
+        if residual:
+            cin, stride = cout, 1
+        widths = gp.CuWidths(eesp_branches=k, eesp_groups=groups, eesp_width_mult=k * width)
+        unit = gp.EespUnit("u", cin, cout, stride, widths)
+        rng = np.random.default_rng(seed)
+        params = unit_params(rng, unit)
+        x = rng.normal(size=(n, cin, h, w))
+        y = unit.forward(params, x)
+        np.testing.assert_array_equal(y, reference_walk(unit, params, x))
+        assert y.shape == (n, cout) + unit.out_hw((h, w))
+
+    @pytest.mark.parametrize("channels_last", [True, False])
+    @pytest.mark.parametrize("c, h, w", [(3, 5, 6), (1, 5, 6), (3, 1, 1), (2, 1, 4)])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_merge_keeps_the_layout_of_concatenate(self, k, c, h, w, channels_last):
+        rng = np.random.default_rng(41)
+        if channels_last:
+            branches = [rng.normal(size=(2, h, w, c)).transpose(0, 3, 1, 2) for _ in range(k)]
+        else:
+            branches = [rng.normal(size=(2, c, h, w)) for _ in range(k)]
+        merged = gp._OPS["merge"](*branches)
+        want = np.concatenate(list(itertools.accumulate(branches)), axis=1)
+        np.testing.assert_array_equal(merged, want)
+        # Strides of axes of length one do not move any element.
+        assert ([s for s, n in zip(merged.strides, merged.shape) if n > 1]
+                == [s for s, n in zip(want.strides, want.shape) if n > 1])
+
+    def test_one_copy_per_eesp_unit(self, monkeypatch):
+        graph = tiny_graph("eesp")
+        params = gp.init_params(graph, seed=0)
+        margins = count_copies(monkeypatch)
+        gp.forward(graph, params, np.random.default_rng(42).normal(size=(2, 3, 32, 32)))
+        units = [layer for layer in graph.layers if isinstance(layer, gp.EespUnit)]
+        assert len(units) == 18
+        assert margins == [gp.CuWidths().eesp_branches] * len(units)
+
+    def test_copy_is_freed_after_the_last_branch(self, monkeypatch):
+        graph = tiny_graph("eesp")
+        params = gp.init_params(graph, seed=0)
+        copies, alive_at_merge = [], []
+        real_copy, real_merge = nm._pad_channels_last, gp._OPS["merge"]
+
+        def copy(x, margin):
+            xp = real_copy(x, margin)
+            copies.append(weakref.ref(xp))
+            return xp
+
+        def merge(*branches):
+            alive_at_merge.append(copies[-1]() is not None)
+            return real_merge(*branches)
+
+        monkeypatch.setattr(nm, "_pad_channels_last", copy)
+        monkeypatch.setitem(gp._OPS, "merge", merge)
+        gp.forward(graph, params, np.random.default_rng(45).normal(size=(2, 3, 32, 32)))
+        assert alive_at_merge == [False] * 18
+
+    @pytest.mark.parametrize("mult, copies", [(1, 18), (gp.CuWidths().mobilenet_depth_mult, 0)])
+    def test_one_copy_per_block_without_sharing(self, monkeypatch, mult, copies):
+        """Per-channel blocks that share no input copy it once per block.
+
+        MobileNet's depthwise blocks take the taps path only at channel
+        multiplier 1; the default multiplier and the tail's 2 go through
+        im2col.  A lone block stands in for a per-channel tail.
+        """
+        graph = gp.build_graph("mobilenet", input_hw=(32, 32), widths=gp.CuWidths(mobilenet_depth_mult=mult))
+        params = gp.init_params(graph, seed=0)
+        margins = count_copies(monkeypatch)
+        gp.forward(graph, params, np.random.default_rng(43).normal(size=(2, 3, 32, 32)))
+        assert margins == [1] * copies
+        margins.clear()
+        spec = nm.ConvSpec(4, 4, kernel=3, padding=1, groups=4)
+        tail = gp.ConvBlock("blk", spec)
+        tail.forward(block_params(np.random.default_rng(44), spec), np.ones((1, 4, 5, 5)))
+        assert margins == [1]
+
+    def test_shared_copy_only_for_two_or_more_depthwise_readers(self):
+        one = gp.EespUnit("u", 4, 4, 1, gp.CuWidths(eesp_branches=1, eesp_groups=2, eesp_width_mult=1))
+        assert one.shared == {}
+        unit = gp.EespUnit("u", 4, 4, 2, gp.CuWidths(eesp_branches=3, eesp_groups=2, eesp_width_mult=3))
+        branches = [block for block, _ in unit.blocks if block.name.startswith("u.branch")]
+        assert unit.shared == {block: ("r", 3, block is branches[-1]) for block in branches}
+        mobile = gp.MobileNetUnit("m", 4, 4, 1, gp.CuWidths(mobilenet_depth_mult=1))
+        assert mobile.shared == {}
+
+    def test_nonfinite_reduce_output_names_the_input(self):
+        graph = tiny_graph("eesp")
+        params = gp.init_params(graph, seed=0)
+        params["cu3.reduce.scale"] = np.full_like(params["cu3.reduce.scale"], 1e300)
+        batch = 1e10 * np.random.default_rng(0).normal(size=(2, 3, 32, 32))
+        with pytest.raises(nm.NumericError, match=r"^layer 3 \(cu3\): non-finite values in conv2d input$"):
+            gp.forward(graph, params, batch)
+        unit = gp.EespUnit("u", 4, 4, 1, gp.CuWidths(eesp_branches=3, eesp_groups=2, eesp_width_mult=3))
+        rng = np.random.default_rng(0)
+        params = unit_params(rng, unit)
+        params["u.reduce.scale"] = np.full_like(params["u.reduce.scale"], 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(nm.NumericError, match="^non-finite values in conv2d input$"):
+                unit.forward(params, 1e10 * rng.normal(size=(2, 4, 6, 5)))
+
+
 class TestBackward:
     @pytest.mark.parametrize("relu", [True, False])
     @pytest.mark.parametrize("spec", BLOCK_SPECS)
@@ -451,9 +595,9 @@ class TestBackward:
         def loss(trial, v):
             return float((block.forward(trial, v) * up).sum())
 
-        assert max_rel_error(gx, nm.central_difference(lambda v: loss(params, v), x.copy())) < 1e-6
+        assert max_rel_error(gx, central_difference(lambda v: loss(params, v), x.copy())) < 1e-6
         for key in ("blk.w", "blk.b", "blk.scale", "blk.shift"):
-            num = nm.central_difference(lambda v: loss({**params, key: v}, x), params[key].copy())
+            num = central_difference(lambda v: loss({**params, key: v}, x), params[key].copy())
             assert max_rel_error(grads[key], num) < 1e-6, key
 
     @pytest.mark.parametrize("relu", [True, False])
@@ -483,7 +627,7 @@ class TestBackward:
         x = rng.normal(size=(2, 4, 3, 5))
         up = rng.normal(size=(2, 4))
         gx, grads = pool.backward({}, x, pool.forward({}, x), up)
-        num = nm.central_difference(lambda v: float((pool.forward({}, v) * up).sum()), x.copy())
+        num = central_difference(lambda v: float((pool.forward({}, v) * up).sum()), x.copy())
         assert grads == {}
         assert max_rel_error(gx, num) < 1e-8
 
@@ -499,9 +643,9 @@ class TestBackward:
         def loss(trial, v):
             return float((head.forward(trial, v) * up).sum())
 
-        assert max_rel_error(gx, nm.central_difference(lambda v: loss(params, v), pooled.copy())) < 1e-8
+        assert max_rel_error(gx, central_difference(lambda v: loss(params, v), pooled.copy())) < 1e-8
         for key in head.param_shapes():
-            num = nm.central_difference(lambda v: loss({**params, key: v}, pooled),
+            num = central_difference(lambda v: loss({**params, key: v}, pooled),
                                         params[key].copy())
             assert max_rel_error(grads[key], num) < 1e-8, key
 
@@ -521,9 +665,9 @@ class TestBackward:
         def loss(trial, v):
             return float((unit.forward(trial, v) * up).sum())
 
-        assert max_rel_error(gx, nm.central_difference(lambda v: loss(params, v), x.copy(), 1e-6)) < 1e-6
+        assert max_rel_error(gx, central_difference(lambda v: loss(params, v), x.copy(), 1e-6)) < 1e-6
         for key in params:
-            num = nm.central_difference(lambda v: loss({**params, key: v}, x), params[key].copy(), 1e-6)
+            num = central_difference(lambda v: loss({**params, key: v}, x), params[key].copy(), 1e-6)
             assert max_rel_error(grads[key], num) < 1e-6, key
 
     @pytest.mark.parametrize("cu, mode, size", [(cu, "multi", 16) for cu in gp.CU_KINDS]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,22 @@ class TestConvSpec:
     def test_rejects_bad_groups(self):
         with pytest.raises(nm.ShapeError):
             nm.ConvSpec(4, 6, kernel=3, groups=4)
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("kernel", True, "positive"), ("out_channels", 4.0, "positive"), ("stride", 1.5, "positive"),
+        ("padding", 0.5, "nonnegative"), ("out_channels", 2.5, "positive"),
+        ("in_channels", "3", "positive"), ("groups", np.float64(1.0), "positive"),
+        ("padding", False, "nonnegative"), ("dilation", 0, "positive"), ("padding", -1, "nonnegative"),
+    ])
+    def test_rejects_non_integer_fields_by_name(self, field, value, what):
+        with pytest.raises(nm.ShapeError,
+                           match=rf"^ConvSpec\.{field} must be a {what} integer, got {re.escape(repr(value))}$"):
+            nm.ConvSpec(**{"in_channels": 3, "out_channels": 6, field: value})
+
+    def test_accepts_numpy_integers(self):
+        spec = nm.ConvSpec(np.int64(3), np.int32(6), kernel=np.int64(3), padding=np.int8(1),
+                           groups=np.int64(3))
+        assert spec.out_hw((5, 5)) == (5, 5)
 
     def test_output_size_formula(self):
         spec = nm.ConvSpec(3, 8, kernel=3, stride=2, padding=1)
@@ -216,6 +234,34 @@ class TestConv2d:
         x = np.full((1, 1, 2, 2), np.nan)
         with pytest.raises(nm.NumericError):
             nm.conv2d(x, spec, np.ones((1, 1, 1, 1)))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("extra", [0, 1, 3])
+    def test_shared_padded_copy_equals_own_copy(self, rng, stride, extra):
+        spec = nm.ConvSpec(5, 5, kernel=3, stride=stride, padding=2, dilation=2, groups=5)
+        x = rng.normal(size=(2, 5, 7, 6))
+        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=5)
+        padded = nm._pad_channels_last(x, spec.padding + extra)
+        assert padded.shape == (2, 7 + 2 * (2 + extra), 6 + 2 * (2 + extra), 5)
+        np.testing.assert_array_equal(nm.conv2d(x, spec, w, b, padded=padded), nm.conv2d(x, spec, w, b))
+
+    def test_padded_copy_that_does_not_fit_is_rejected(self, rng):
+        spec = nm.ConvSpec(5, 5, kernel=3, padding=2, dilation=2, groups=5)
+        x = rng.normal(size=(2, 5, 7, 6))
+        w = rng.normal(size=spec.weight_shape)
+        for bad in (nm._pad_channels_last(x, 1), nm._pad_channels_last(x[:, :, :, 1:], 3),
+                    nm._pad_channels_last(x[:1], 2), nm._pad_channels_last(x[:, 1:], 2)):
+            with pytest.raises(nm.ShapeError, match="padded copy"):
+                nm.conv2d(x, spec, w, padded=bad)
+        dense = nm.ConvSpec(5, 5, kernel=3, padding=2)
+        with pytest.raises(nm.ShapeError, match="padded copy"):
+            nm.conv2d(x, dense, rng.normal(size=dense.weight_shape), padded=nm._pad_channels_last(x, 2))
+
+    def test_padded_copy_checks_its_input(self):
+        x = np.zeros((1, 2, 3, 3))
+        x[0, 1, 2, 0] = np.inf
+        with pytest.raises(nm.NumericError, match="^non-finite values in conv2d input$"):
+            nm._pad_channels_last(x, 1)
 
 
 class TestLinear:

@@ -11,7 +11,7 @@ from affectpipe import graph as gr
 from affectpipe import numerics as nm
 from affectpipe import training as tr
 
-from conftest import max_rel_error, unit_weights
+from conftest import central_difference, max_rel_error, unit_weights
 
 
 def au_none(**overrides):
@@ -169,7 +169,7 @@ class TestTaskLossGradients:
         weights = tr.ClassWeights(expr=rng.uniform(0.5, 2.0, 8), au=np.ones((12, 2)))
         labels = au_none(expr=int(rng.integers(8)))
         _, grad = tr.task_loss("expr", raw, labels, weights)
-        num = nm.central_difference(lambda v: tr.task_loss("expr", v, labels, weights)[0], raw.copy())
+        num = central_difference(lambda v: tr.task_loss("expr", v, labels, weights)[0], raw.copy())
         assert max_rel_error(grad, num) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
@@ -182,7 +182,7 @@ class TestTaskLossGradients:
         labels = au_none(au=au)
         weights = tr.ClassWeights(expr=np.ones(8), au=rng.uniform(0.5, 2.0, (12, 2)))
         _, grad = tr.task_loss("au", raw, labels, weights)
-        num = nm.central_difference(lambda v: tr.task_loss("au", v, labels, weights)[0], raw.copy())
+        num = central_difference(lambda v: tr.task_loss("au", v, labels, weights)[0], raw.copy())
         assert max_rel_error(grad, num) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
@@ -196,7 +196,7 @@ class TestTaskLossGradients:
         labels = au_none(arousal=target)
         _, grad = tr.task_loss("arousal", raw, labels, unit_weights())
         x = np.array([raw])
-        num = nm.central_difference(lambda v: tr.task_loss("arousal", float(v[0]), labels, unit_weights())[0], x)
+        num = central_difference(lambda v: tr.task_loss("arousal", float(v[0]), labels, unit_weights())[0], x)
         assert max_rel_error(np.array([grad]), num) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
@@ -206,7 +206,7 @@ class TestTaskLossGradients:
         labels = au_none(valence=float(rng.uniform(-0.95, 0.95)))
         _, grad = tr.task_loss("valence", raw, labels, unit_weights())
         x = np.array([raw])
-        num = nm.central_difference(lambda v: tr.task_loss("valence", float(v[0]), labels, unit_weights())[0], x)
+        num = central_difference(lambda v: tr.task_loss("valence", float(v[0]), labels, unit_weights())[0], x)
         assert max_rel_error(np.array([grad]), num) < 1e-4
 
 
@@ -394,5 +394,5 @@ class TestToyTraining:
             return total / len(labels) + 1e-4 * tr.l2_penalty(trial)
 
         for key in ("stem.w", "stem.scale", "stem.shift", "head.expr.w", "head.arousal.b"):
-            num = nm.central_difference(lambda v: loss_of(key, v), params[key].copy().ravel())
+            num = central_difference(lambda v: loss_of(key, v), params[key].copy().ravel())
             assert max_rel_error(grads[key].ravel(), num) < 1e-4, key
