@@ -3,8 +3,10 @@
 All are hand-built on numpy behind one fit/predict contract: features are
 standardized with statistics captured at fit time, fitting is deterministic
 given the spec seed, and predict_proba returns the probability of the
-positive (ASD) label.  Only the model families are pinned down; every
-hyperparameter default here is our own choice.
+positive (ASD) label.  ``fit`` also takes a stack of same-shape training
+sets, such as the folds of one LOOCV, and gives one model per set.  Only
+the model families are pinned down; every hyperparameter default here is
+our own choice.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from . import training as tr
 KINDS = (
     "logistic", "lasso", "lda", "qda", "svm_rbf", "gbt", "mlp2",
 )
-# Kinds that train a stack of same-shape training sets in one loop: a
-# fixed-length gradient loop, or boosting rounds whose trees grow level by
-# level over the open nodes of every set.
-STACKED_KINDS = ("logistic", "lasso", "gbt", "mlp2")
 
 
 class DegenerateTrainingError(ValueError):
@@ -574,58 +572,44 @@ def _mlp_decision(payload, X):
 
 # --- public contract ---------------------------------------------------------
 
-def _fit_stack(spec, X, y) -> list[FittedModel]:
-    """Standardize and train every set of a checked stack X (s, n, d), y (s, n)."""
+def fit(spec: ClassifierSpec, X, y) -> FittedModel | list[FittedModel]:
+    """Standardize, then train the classifier named by the spec.
+
+    X (n, d) with labels y (n,) gives one model.  A stack X (s, n, d) with
+    labels y (s, n) gives a list of s models, each equal to a separate fit
+    of its set; a single fit is the stack of one.  logistic, lasso, gbt and
+    mlp2 train the whole stack in one loop, lda, qda and svm_rbf train its
+    sets in turn.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    single = X.ndim != 3
+    if single:
+        X, y = _check_training_set(X, y)
+        X, y = X[None], y[None]
+    elif y.shape != X.shape[:2]:
+        raise ValueError(f"feature stack {X.shape} and labels {y.shape} do not align")
+    else:
+        for X_set, y_set in zip(X, y):
+            _check_training_set(X_set, y_set)
+    if not len(X):
+        return []
     stats, Xs = standardize_fit(X)
     if spec.kind == "mlp2":
         payloads = _fit_mlp(Xs, y, spec)
     elif spec.kind == "gbt":
         payloads = _fit_gbt(Xs, y, spec)
-    else:
+    elif spec.kind in ("logistic", "lasso"):
         payloads = _fit_logistic(Xs, y, spec, lasso=spec.kind == "lasso")
-    return [FittedModel(kind=spec.kind, stats=Standardizer(stats.mean[k], stats.std[k]),
-                        payload=payload) for k, payload in enumerate(payloads)]
-
-
-def fit(spec: ClassifierSpec, X, y) -> FittedModel | list[FittedModel]:
-    """Standardize, then train the classifier named by the spec.
-
-    X (n, d) with labels y (n,) gives one model.  For the STACKED_KINDS, a
-    stack X (s, n, d) with labels y (s, n) gives a list of s models, trained
-    in one loop and equal to s separate fits; their single fit is the stack
-    of one.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 3 and spec.kind in STACKED_KINDS:
-        y = np.asarray(y, dtype=int)
-        if y.shape != X.shape[:2]:
-            raise ValueError(f"feature stack {X.shape} and labels {y.shape} do not align")
-        for X_set, y_set in zip(X, y):
-            _check_training_set(X_set, y_set)
-        return _fit_stack(spec, X, y)
-    X, y = _check_training_set(X, y)
-    if spec.kind in STACKED_KINDS:
-        return _fit_stack(spec, X[None], y[None])[0]
-    stats, Xs = standardize_fit(X)
-    if spec.kind == "lda":
-        payload = _fit_lda(Xs, y)
+    elif spec.kind == "lda":
+        payloads = [_fit_lda(X_set, y_set) for X_set, y_set in zip(Xs, y)]
     elif spec.kind == "qda":
-        payload = _fit_qda(Xs, y)
+        payloads = [_fit_qda(X_set, y_set) for X_set, y_set in zip(Xs, y)]
     else:
-        payload = _fit_svm(Xs, y, spec)
-    return FittedModel(kind=spec.kind, stats=stats, payload=payload)
-
-
-def fit_folds(spec: ClassifierSpec, X_folds, y_folds) -> list[FittedModel]:
-    """One model per training set (for example, per LOOCV fold), in order.
-
-    The STACKED_KINDS (logistic, lasso, gbt, mlp2) train every set in one
-    stacked ``fit`` call, so their sets must share one shape.  lda, qda and
-    svm_rbf call ``fit`` once per set.
-    """
-    if spec.kind in STACKED_KINDS and len(X_folds):
-        return fit(spec, np.stack(X_folds), np.stack(y_folds))
-    return [fit(spec, X, y) for X, y in zip(X_folds, y_folds, strict=True)]
+        payloads = [_fit_svm(X_set, y_set, spec) for X_set, y_set in zip(Xs, y)]
+    models = [FittedModel(kind=spec.kind, stats=Standardizer(stats.mean[k], stats.std[k]),
+                          payload=payload) for k, payload in enumerate(payloads)]
+    return models[0] if single else models
 
 
 def decision_values(model: FittedModel, X) -> np.ndarray:

@@ -134,9 +134,8 @@ def cmd_extract_features(opts) -> dict:
         "tau": opts.tau,
         "feature_names": tp.feature_names(),
         "participants": [
-            {"id": r.participant_id, "label": r.diagnosis,
-             "features": list(r.features)}
-            for r in cohort.records
+            {"id": pid, "label": label, "features": row}
+            for pid, label, row in zip(cohort.ids, cohort.diagnoses, cohort.features)
         ],
     }
 

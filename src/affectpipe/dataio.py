@@ -202,12 +202,12 @@ def parse_manifest(path) -> tuple:
 
 def load_cohort(manifest_path, tau: float = tp.DEFAULT_TAU) -> ev.Cohort:
     """Parse a manifest and all referenced frame streams into a feature cohort."""
-    records = []
-    for entry in parse_manifest(manifest_path):
-        F = parse_frames(entry.frames)
-        feats = tp.temporal_feature_vector(F, tau=tau)
-        records.append(ev.StudyRecord(entry.participant_id, entry.label, feats.vector()))
-    return ev.Cohort(tuple(records))
+    entries = parse_manifest(manifest_path)
+    features = np.empty((len(entries), tp.FEATURE_DIM))
+    for row, entry in zip(features, entries):
+        row[:] = tp.temporal_feature_vector(parse_frames(entry.frames), tau=tau).vector()
+    return ev.Cohort(tuple(e.participant_id for e in entries),
+                     tuple(e.label for e in entries), features)
 
 
 def to_jsonable(obj):

@@ -1,14 +1,15 @@
 """Leave-one-out evaluation, classification metrics, and Student's t-tests.
 
-ASD is the positive label throughout.  The t-test p-value is computed with
-an in-package regularized incomplete beta (continued fraction); external
-statistics libraries appear only as oracles in the test suite.
+A cohort is its participants' ids, their diagnoses and one n x 58 feature
+matrix.  ASD is the positive label throughout.  The t-test p-value is
+computed with an in-package regularized incomplete beta (continued
+fraction); external statistics libraries appear only as oracles in the test
+suite.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,33 +34,37 @@ DEFAULT_ABLATION = (
 
 
 @dataclass(frozen=True)
-class StudyRecord:
-    participant_id: str
-    diagnosis: str
+class Cohort:
+    """Participant ids, their diagnoses, and their n x 58 feature matrix, row i
+    belonging to participant i."""
+    ids: tuple
+    diagnoses: tuple
     features: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.diagnosis not in DIAGNOSES:
-            raise ValueError(f"diagnosis must be one of {DIAGNOSES}, got {self.diagnosis!r}")
-        if self.features.shape != (FEATURE_DIM,):
-            raise ValueError(f"features must be {FEATURE_DIM}-dim, got {self.features.shape}")
-
-
-@dataclass(frozen=True)
-class Cohort:
-    records: tuple
-
-    def __post_init__(self):
-        records = tuple(self.records)
-        object.__setattr__(self, "records", records)
-        ids = [r.participant_id for r in records]
+        ids, diagnoses = tuple(self.ids), tuple(self.diagnoses)
+        features = np.array(self.features, dtype=float)
+        features.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "diagnoses", diagnoses)
+        object.__setattr__(self, "features", features)
         if len(set(ids)) != len(ids):
             raise ValueError("participant ids must be unique")
+        unknown = sorted(set(diagnoses) - set(DIAGNOSES))
+        if unknown:
+            raise ValueError(f"diagnosis must be one of {DIAGNOSES}, got {unknown[0]!r}")
+        if len(diagnoses) != len(ids) or features.shape != (len(ids), FEATURE_DIM):
+            raise ValueError(f"{len(ids)} ids and {len(diagnoses)} diagnoses need a "
+                             f"{len(ids)} x {FEATURE_DIM} feature matrix, got {features.shape}")
+
+    @property
+    def labels(self) -> np.ndarray:
+        """1 for each ASD participant, 0 for each non-ASD one."""
+        return np.array([d == ASD for d in self.diagnoses], dtype=int)
 
     def require_evaluable(self):
-        n_pos = sum(r.diagnosis == ASD for r in self.records)
-        if len(self.records) < 2 or n_pos == 0 or n_pos == len(self.records):
+        n_pos = int(self.labels.sum())
+        if len(self.ids) < 2 or n_pos == 0 or n_pos == len(self.ids):
             raise ValueError("evaluation needs >= 2 participants with both diagnoses present")
 
 
@@ -89,10 +94,9 @@ def loocv(cohort: Cohort, spec: cl.ClassifierSpec, mask=None,
           return_models: bool = False) -> LoocvResult:
     """One model per participant, trained on the rest, in participant-id order.
 
-    A fold whose training set collapses to a single label predicts the
-    training base rate and is reported in the result's warnings.  The other
-    folds are fitted by one ``classifiers.fit_folds`` call, so logistic, lasso,
-    gbt and mlp2 train all of them in one stacked loop.
+    A fold whose training set holds a single label predicts the training
+    base rate and is named in the result's warnings.  The other folds are
+    fitted by one stacked ``classifiers.fit`` call.
     """
     cohort.require_evaluable()
     if mask is None:
@@ -100,44 +104,28 @@ def loocv(cohort: Cohort, spec: cl.ClassifierSpec, mask=None,
     mask = tuple(mask)
     if not mask:
         raise ValueError("feature mask must be non-empty")
-    records = sorted(cohort.records, key=lambda r: r.participant_id)
-    X = np.vstack([r.features for r in records])[:, mask]
-    y = np.array([1 if r.diagnosis == ASD else 0 for r in records], dtype=int)
-    n = len(records)
-    notes, base_rates, train_X, train_y = [], {}, [], []
-    for i in range(n):
-        keep = np.arange(n) != i
-        X_train, y_train = X[keep], y[keep]
-        try:
-            cl._check_training_set(X_train, y_train)
-        except cl.DegenerateTrainingError:
-            base = float(y_train.mean())
-            base_rates[i] = base
-            message = (
-                f"fold {records[i].participant_id}: single-label training set, "
-                f"predicting base rate {base:.3f}"
-            )
-            notes.append(message)
-            warnings.warn(message)
-        else:
-            train_X.append(X_train)
-            train_y.append(y_train)
-    fitted = iter(cl.fit_folds(spec, train_X, train_y))
-    truths, preds, probs, models = [], [], [], []
-    for i in range(n):
-        if i in base_rates:
-            model, p = None, base_rates[i]
-        else:
-            model = next(fitted)
-            p = cl.predict_proba(model, X[i])
-        truths.append(bool(y[i]))
-        preds.append(bool(cl.decide(p)))
-        probs.append(float(p))
-        models.append(model)
+    order = sorted(range(len(cohort.ids)), key=cohort.ids.__getitem__)
+    ids = tuple(cohort.ids[i] for i in order)
+    X = cohort.features[order][:, mask]
+    y = cohort.labels[order]
+    n = len(ids)
+    # row i: every participant but i
+    folds = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    positives = y[folds].sum(axis=1)
+    single = (positives == 0) | (positives == n - 1)
+    probs = (positives / (n - 1)).tolist()
+    notes = [f"fold {ids[i]}: single-label training set, predicting base rate {probs[i]:.3f}"
+             for i in np.flatnonzero(single)]
+    models = [None] * n
+    fitted = np.flatnonzero(~single)
+    if fitted.size:
+        for i, model in zip(fitted, cl.fit(spec, X[folds[fitted]], y[folds[fitted]])):
+            models[i] = model
+            probs[i] = cl.predict_proba(model, X[i])
     return LoocvResult(
-        ids=tuple(r.participant_id for r in records), truths=tuple(truths),
-        predictions=tuple(preds), probabilities=tuple(probs), warnings=tuple(notes),
-        models=tuple(models) if return_models else (),
+        ids=ids, truths=tuple(bool(t) for t in y),
+        predictions=tuple(bool(cl.decide(p)) for p in probs), probabilities=tuple(probs),
+        warnings=tuple(notes), models=tuple(models) if return_models else (),
     )
 
 
@@ -322,8 +310,9 @@ def ablation_study(cohort: Cohort, spec: cl.ClassifierSpec,
     return rows
 
 
-def _attribute_summary(features: np.ndarray, attribute: str) -> float:
-    """Participant-level scalar summarizing one attribute.
+def _attribute_summary(features: np.ndarray, attribute: str) -> np.ndarray:
+    """Participant-level scalar summarizing one attribute, for each row of an
+    m x 58 feature matrix.
 
     AU averages the 12 AU mean probabilities; arousal and valence are their
     mean dims.  The expression mean-slice always averages to 1/8 (softmax
@@ -332,30 +321,25 @@ def _attribute_summary(features: np.ndarray, attribute: str) -> float:
     feature vector in frame-column order, so the frame columns index it.
     """
     if attribute == "au":
-        return float(features[AU_COLS].mean())
+        return features[:, AU_COLS].mean(axis=1)
     if attribute == "expr":
-        probs = features[EXPR_COLS]
-        return float(0.5 * np.abs(probs - 1.0 / N_EXPR).sum())
+        return 0.5 * np.abs(features[:, EXPR_COLS] - 1.0 / N_EXPR).sum(axis=1)
     if attribute == "arousal":
-        return float(features[AROUSAL_COL])
+        return features[:, AROUSAL_COL]
     if attribute == "valence":
-        return float(features[VALENCE_COL])
+        return features[:, VALENCE_COL]
     raise ValueError(f"unknown attribute {attribute!r}")
 
 
 def attribute_significance(cohort: Cohort) -> dict:
     """Group t-tests per attribute summary plus per-feature p-values."""
-    asd = [r.features for r in cohort.records if r.diagnosis == ASD]
-    non = [r.features for r in cohort.records if r.diagnosis != ASD]
+    is_asd = cohort.labels == 1
+    asd, non = cohort.features[is_asd], cohort.features[~is_asd]
     if len(asd) < 2 or len(non) < 2:
         raise ValueError("both diagnosis groups need at least 2 participants")
-    asd = np.vstack(asd)
-    non = np.vstack(non)
-    by_attribute = {}
-    for attribute in ATTRIBUTES:
-        xs = np.array([_attribute_summary(row, attribute) for row in asd])
-        ys = np.array([_attribute_summary(row, attribute) for row in non])
-        by_attribute[attribute] = t_test(xs, ys)
+    by_attribute = {attribute: t_test(_attribute_summary(asd, attribute),
+                                      _attribute_summary(non, attribute))
+                    for attribute in ATTRIBUTES}
     names = feature_names()
     per_feature = {names[j]: t_test(asd[:, j], non[:, j]) for j in range(FEATURE_DIM)}
     return {"attributes": by_attribute, "features": per_feature}

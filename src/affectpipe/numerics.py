@@ -305,26 +305,6 @@ def global_avg_pool_backward(grad_out: np.ndarray, x_shape: tuple[int, ...]) -> 
     return np.broadcast_to(grad_out[:, :, None, None] / (h * w), x_shape).copy()
 
 
-def channel_affine(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Learnable per-channel y = scale[c] * x + shift[c] (normalization stand-in)."""
-    x = _as_tensor4(x)
-    if scale.shape != (x.shape[1],) or shift.shape != (x.shape[1],):
-        raise ShapeError("scale/shift must be per-channel vectors")
-    return x * scale[None, :, None, None] + shift[None, :, None, None]
-
-
-def channel_affine_backward(
-    grad_out: np.ndarray, x: np.ndarray, scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != x.shape:
-        raise ShapeError("adjoint shape must match forward output")
-    gx = grad_out * scale[None, :, None, None]
-    gscale = (grad_out * x).sum(axis=(0, 2, 3))
-    gshift = grad_out.sum(axis=(0, 2, 3))
-    return gx, gscale, gshift
-
-
 # -- elementwise activations ------------------------------------------------
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -63,6 +63,19 @@ def offset_conv2d(x, spec, weights, bias=None, *, padded=None):
     return y
 
 
+def channel_affine(x, scale, shift):
+    """Per-channel y = scale[c] * x + shift[c], the oracle for a folded affine."""
+    return x * scale[None, :, None, None] + shift[None, :, None, None]
+
+
+def channel_affine_backward(grad_out, x, scale):
+    """Adjoints of ``channel_affine`` in x, scale and shift."""
+    gx = grad_out * scale[None, :, None, None]
+    gscale = (grad_out * x).sum(axis=(0, 2, 3))
+    gshift = grad_out.sum(axis=(0, 2, 3))
+    return gx, gscale, gshift
+
+
 def loop_best_split(X, grad, rows):
     """Per-feature GBT split search, the reference for the vectorized path.
 
@@ -277,38 +290,44 @@ def loop_fit_mlp(X, y, spec):
 
 
 def loop_fit(spec, X, y, best_split=node_best_split):
-    """One model of a stacked kind fitted alone by the reference loops."""
+    """One model fitted alone on its own standardized matrix: the reference
+    loops of the kinds that train a stack in one loop, and the single-set
+    fits of lda, qda and svm_rbf."""
     X, y = cl._check_training_set(X, y)
     mean, std, Xs = loop_standardize(X)
     if spec.kind == "mlp2":
         payload = loop_fit_mlp(Xs, y, spec)
     elif spec.kind == "gbt":
         payload = loop_fit_gbt(Xs, y, spec, best_split)
+    elif spec.kind == "lda":
+        payload = cl._fit_lda(Xs, y)
+    elif spec.kind == "qda":
+        payload = cl._fit_qda(Xs, y)
+    elif spec.kind == "svm_rbf":
+        payload = cl._fit_svm(Xs, y, spec)
     else:
         payload = loop_fit_logistic(Xs, y, spec, lasso=spec.kind == "lasso")
     return cl.FittedModel(kind=spec.kind, stats=cl.Standardizer(mean, std), payload=payload)
 
 
+def exact(value):
+    """A payload value as nested tuples, each array and scalar by its type,
+    dtype, shape and bytes, for exact comparison."""
+    if isinstance(value, dict):
+        return tuple((key, exact(inner)) for key, inner in sorted(value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(exact(inner) for inner in value)
+    if isinstance(value, cl.Tree):
+        return exact(vars(value))
+    array = np.asarray(value)
+    return type(value).__name__, array.dtype.str, array.shape, array.tobytes()
+
+
 def model_bytes(model):
-    """A fitted linear, tree or MLP model as bytes, for exact comparison."""
+    """A fitted model as bytes, for exact comparison."""
     if model is None:
         return None
-    payload = model.payload
-    if "params" in payload:
-        body = [(key, value.tobytes()) for key, value in sorted(payload["params"].items())]
-        body.append(payload["hidden"])
-    elif "trees" in payload:
-        scalars = [payload["f0"], *payload["train_losses"]]
-        assert all(type(value) is float for value in scalars)
-        body = [np.array(scalars).tobytes(), len(scalars), payload["shrinkage"]]
-        for tree in payload["trees"]:
-            for name in ("feature", "threshold", "left", "right", "value"):
-                array = getattr(tree, name)
-                body.append((name, array.dtype.str, array.tobytes()))
-    else:
-        assert type(payload["b"]) is float
-        body = [payload["w"].tobytes(), np.float64(payload["b"]).tobytes()]
-    return (model.kind, model.stats.mean.tobytes(), model.stats.std.tobytes(), body)
+    return model.kind, exact(model.stats.mean), exact(model.stats.std), exact(model.payload)
 
 
 def unit_weights():

@@ -330,11 +330,11 @@ def training_sets(rng, sets, n, d, n_constant):
 
 
 class TestFitFolds:
-    """The stacked fit of logistic, lasso, gbt and mlp2 against one reference
-    fit per set."""
+    """The fit of a stack of training sets, such as LOOCV folds, against one
+    reference fit per set, for every kind."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(cl.STACKED_KINDS), sets=st.integers(1, 6),
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(cl.KINDS), sets=st.integers(1, 6),
            n=st.integers(2, 12), d=st.integers(1, 9), n_constant=st.integers(0, 3),
            rounds=st.integers(1, 8), depth=st.integers(1, 4), seed=st.integers(0, 2**16))
     def test_equals_per_set_reference(self, kind, sets, n, d, n_constant, rounds, depth, seed):
@@ -343,7 +343,7 @@ class TestFitFolds:
         spec = cl.ClassifierSpec(kind, iterations=30, epochs=8, hidden=(5, 3), rounds=rounds,
                                  depth=depth, seed=seed % 4)
         expect = [model_bytes(loop_fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)]
-        assert [model_bytes(m) for m in cl.fit_folds(spec, list(X), list(y))] == expect
+        assert [model_bytes(m) for m in cl.fit(spec, X, y)] == expect
         assert [model_bytes(cl.fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)] == expect
 
     @settings(max_examples=40, deadline=None)
@@ -360,7 +360,7 @@ class TestFitFolds:
         y[:, :2] = [0, 1]
         spec = cl.ClassifierSpec("gbt", rounds=6, depth=depth)
         expect = [model_bytes(loop_fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)]
-        assert [model_bytes(m) for m in cl.fit_folds(spec, list(X), list(y))] == expect
+        assert [model_bytes(m) for m in cl.fit(spec, X, y)] == expect
 
     def test_gbt_node_storage_bounded_by_rows(self):
         """depth 64 on 12 rows: the trees stop where the rows run out."""
@@ -372,38 +372,41 @@ class TestFitFolds:
         sizes = [tree.feature.size for tree in model.payload["trees"]]
         assert sizes[0] == 2 * 12 - 1 and max(sizes) <= 2 * 12 - 1
 
-    @pytest.mark.parametrize("kind", cl.STACKED_KINDS)
+    @pytest.mark.parametrize("kind", cl.KINDS)
     def test_sets_of_different_shapes_rejected(self, kind):
         rng = np.random.default_rng(40)
         (X_a,), (y_a,) = training_sets(rng, 1, 6, 4, 1)
         (X_b,), (y_b,) = training_sets(rng, 1, 9, 4, 0)
         with pytest.raises(ValueError):
-            cl.fit_folds(cl.ClassifierSpec(kind), [X_a, X_b], [y_a, y_b])
+            cl.fit(cl.ClassifierSpec(kind), [X_a, X_b], [y_a, y_b])
 
-    @pytest.mark.parametrize("kind", sorted(set(cl.KINDS) - set(cl.STACKED_KINDS)))
+    @pytest.mark.parametrize("kind", cl.KINDS)
     def test_other_kinds_fit_each_set(self, kind):
+        """Each model of a stack predicts as the single fit of its set."""
         X, y = training_sets(np.random.default_rng(41), 3, 8, 3, 0)
-        spec = cl.ClassifierSpec(kind)
+        spec = cl.ClassifierSpec(kind, iterations=30, epochs=8, rounds=5)
         probe = np.random.default_rng(42).normal(size=(4, 3))
-        got = cl.fit_folds(spec, X, y)
-        for model, X_set, y_set in zip(got, X, y):
+        got = cl.fit(spec, X, y)
+        for model, X_set, y_set in zip(got, X, y, strict=True):
             expect = cl.predict_proba(cl.fit(spec, X_set, y_set), probe)
             assert cl.predict_proba(model, probe).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("kind", cl.KINDS)
     def test_no_sets_no_models(self, kind):
-        assert cl.fit_folds(cl.ClassifierSpec(kind), [], []) == []
+        X = np.zeros((0, 5, 3))
+        assert cl.fit(cl.ClassifierSpec(kind), X, np.zeros((0, 5), dtype=int)) == []
 
     def test_stack_checks_every_set(self):
         X, y = training_sets(np.random.default_rng(43), 3, 5, 2, 0)
-        spec = cl.ClassifierSpec("logistic")
         y[2] = 1
-        with pytest.raises(cl.DegenerateTrainingError):
-            cl.fit(spec, X, y)
-        with pytest.raises(ValueError, match="do not align"):
-            cl.fit(spec, X, y[:, :4])
-        with pytest.raises(ValueError, match="do not align"):
-            cl.fit(cl.ClassifierSpec("lda"), X, y)
+        for kind in cl.KINDS:
+            spec = cl.ClassifierSpec(kind)
+            with pytest.raises(cl.DegenerateTrainingError):
+                cl.fit(spec, X, y)
+            with pytest.raises(ValueError, match="do not align"):
+                cl.fit(spec, X, y[:, :4])
+            with pytest.raises(ValueError, match="do not align"):
+                cl.fit(spec, X[None], y[None])
 
 
 class TestMlp:

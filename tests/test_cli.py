@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affectpipe import classifiers as cl
 from affectpipe import cli
 from affectpipe import graph as gr
 
@@ -20,9 +25,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def make_cohort_dir(tmp_path, **kwargs):
+def make_cohort_dir(tmp_path, participants=4, **kwargs):
     code = cli.main(["synth", "--out-dir", str(tmp_path / "cohort"),
-                     "--participants", "4", "--frames", "30",
+                     "--participants", str(participants), "--frames", "30",
                      "--output", str(tmp_path / "synth.json")] + sum(
                          ([f"--{k.replace('_', '-')}", str(v)] for k, v in kwargs.items()), []))
     assert code == 0
@@ -134,6 +139,22 @@ class TestCohortCommands:
         report = json.loads(out)
         assert set(report["attributes"]) == {"au", "expr", "arousal", "valence"}
         assert len(report["features"]) == 58
+
+    @pytest.mark.parametrize("classifier", cl.KINDS)
+    def test_single_label_folds_write_nothing_to_stderr(self, tmp_path, classifier):
+        """A 1+1 cohort: every fold predicts its base rate, noted in the report only."""
+        manifest = make_cohort_dir(tmp_path, participants=1)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "affectpipe.cli", "loocv", "--manifest", str(manifest),
+             "--classifier", classifier], capture_output=True, text=True, env=env, check=False)
+        assert (done.returncode, done.stderr) == (0, "")
+        report = json.loads(done.stdout)
+        assert report["warnings"] == [
+            "fold asd_000: single-label training set, predicting base rate 0.000",
+            "fold ctl_000: single-label training set, predicting base rate 1.000",
+        ]
+        assert [fold["probability"] for fold in report["folds"]] == [0.0, 1.0]
 
     def test_loocv_byte_identical(self, tmp_path):
         manifest = make_cohort_dir(tmp_path, valence_effect=1.0)

@@ -370,13 +370,20 @@ class TestLoadCohort:
         ]))
         cohort = dio.load_cohort(manifest)
         expected = tp.temporal_feature_vector(F).vector()
-        np.testing.assert_array_equal(cohort.records[0].features, expected)
+        np.testing.assert_array_equal(cohort.features[0], expected)
+        assert cohort.ids == ("p", "q") and cohort.diagnoses == (ev.ASD, ev.NON_ASD)
 
     def test_cohort_sizes(self, tmp_path):
         manifest = write_cohort(tmp_path, np.random.default_rng(9), n_pos=3, n_neg=2)
         cohort = dio.load_cohort(manifest)
-        assert len(cohort.records) == 5
-        assert sum(r.diagnosis == ev.ASD for r in cohort.records) == 3
+        assert cohort.features.shape == (5, tp.FEATURE_DIM)
+        assert cohort.diagnoses.count(ev.ASD) == 3
+
+    def test_empty_manifest_gives_empty_matrix(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        manifest.write_text("[]")
+        cohort = dio.load_cohort(manifest)
+        assert cohort.ids == () and cohort.features.shape == (0, tp.FEATURE_DIM)
 
 
 class TestReports:

@@ -16,35 +16,47 @@ from conftest import loop_fit, model_bytes
 
 def make_cohort(rng, n_pos=10, n_neg=10, gap=3.0, prefix="p"):
     """Separable synthetic cohort; signal lives in the AU mean dims."""
-    records = []
-    for i in range(n_pos + n_neg):
-        positive = i < n_pos
-        feats = rng.normal(size=58) * 0.5
-        if positive:
-            feats[0:6] += gap
-        label = ev.ASD if positive else ev.NON_ASD
-        records.append(ev.StudyRecord(f"{prefix}{i:03d}", label, np.clip(feats, -8, 8)))
-    return ev.Cohort(tuple(records))
+    n = n_pos + n_neg
+    feats = np.array([rng.normal(size=58) * 0.5 for _ in range(n)])
+    feats[:n_pos, 0:6] += gap
+    return ev.Cohort([f"{prefix}{i:03d}" for i in range(n)],
+                     [ev.ASD] * n_pos + [ev.NON_ASD] * n_neg, np.clip(feats, -8, 8))
 
 
 class TestCohort:
     def test_duplicate_ids_rejected(self):
-        rec = ev.StudyRecord("a", ev.ASD, np.zeros(58))
-        with pytest.raises(ValueError):
-            ev.Cohort((rec, ev.StudyRecord("a", ev.NON_ASD, np.zeros(58))))
+        with pytest.raises(ValueError, match="unique"):
+            ev.Cohort(("a", "a"), (ev.ASD, ev.NON_ASD), np.zeros((2, 58)))
 
     def test_bad_diagnosis_rejected(self):
-        with pytest.raises(ValueError):
-            ev.StudyRecord("a", "autism", np.zeros(58))
+        with pytest.raises(ValueError, match="autism"):
+            ev.Cohort(("a", "b"), (ev.ASD, "autism"), np.zeros((2, 58)))
 
     def test_wrong_dim_rejected(self):
+        with pytest.raises(ValueError, match="feature matrix"):
+            ev.Cohort(("a",), (ev.ASD,), np.zeros((1, 57)))
+
+    def test_misaligned_rows_rejected(self):
+        for diagnoses, features in (((ev.ASD,), np.zeros((2, 58))),
+                                    ((ev.ASD, ev.NON_ASD), np.zeros((1, 58))),
+                                    ((ev.ASD, ev.NON_ASD), np.zeros(58))):
+            with pytest.raises(ValueError, match="feature matrix"):
+                ev.Cohort(("a", "b")[:len(features)], diagnoses, features)
+
+    def test_features_are_a_frozen_copy(self):
+        features = np.zeros((2, 58))
+        cohort = ev.Cohort(["a", "b"], [ev.ASD, ev.NON_ASD], features)
+        features[0, 0] = 1.0
+        assert cohort.features[0, 0] == 0.0 and cohort.ids == ("a", "b")
         with pytest.raises(ValueError):
-            ev.StudyRecord("a", ev.ASD, np.zeros(57))
+            cohort.features[0, 0] = 1.0
+        np.testing.assert_array_equal(cohort.labels, [1, 0])
 
     def test_single_class_not_evaluable(self):
-        records = tuple(ev.StudyRecord(f"r{i}", ev.ASD, np.zeros(58)) for i in range(4))
-        with pytest.raises(ValueError):
-            ev.Cohort(records).require_evaluable()
+        for n in (0, 4):
+            cohort = ev.Cohort([f"r{i}" for i in range(n)], [ev.ASD] * n, np.zeros((n, 58)))
+            with pytest.raises(ValueError, match="evaluation needs"):
+                cohort.require_evaluable()
 
 
 class TestAttributeMask:
@@ -93,10 +105,8 @@ class TestLoocv:
         rng = np.random.default_rng(3)
         cohort = make_cohort(rng, n_pos=5, n_neg=5, gap=4.0)
         result = ev.loocv(cohort, cl.ClassifierSpec("logistic"))
-        doubled = ev.Cohort(cohort.records + tuple(
-            ev.StudyRecord(r.participant_id + "_dup", r.diagnosis, r.features)
-            for r in cohort.records
-        ))
+        doubled = ev.Cohort(cohort.ids + tuple(pid + "_dup" for pid in cohort.ids),
+                            cohort.diagnoses * 2, np.vstack([cohort.features] * 2))
         result2 = ev.loocv(doubled, cl.ClassifierSpec("logistic"))
         acc1 = np.mean([p == t for p, t in zip(result.predictions, result.truths)])
         acc2 = np.mean([p == t for p, t in zip(result2.predictions, result2.truths)])
@@ -104,29 +114,41 @@ class TestLoocv:
 
     def test_single_label_fold_base_rate_with_warning(self):
         feats = np.random.default_rng(4).normal(size=(3, 58))
-        records = (
-            ev.StudyRecord("a", ev.ASD, feats[0]),
-            ev.StudyRecord("b", ev.NON_ASD, feats[1]),
-            ev.StudyRecord("c", ev.NON_ASD, feats[2]),
-        )
-        cohort = ev.Cohort(records)
-        with pytest.warns(UserWarning, match="single-label"):
+        cohort = ev.Cohort("abc", (ev.ASD, ev.NON_ASD, ev.NON_ASD), feats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = ev.loocv(cohort, cl.ClassifierSpec("logistic"))
         # holding out "a" leaves only non-ASD rows: base rate 0 -> predict negative
         idx = result.ids.index("a")
         assert result.predictions[idx] is False
         assert result.probabilities[idx] == 0.0
-        assert any("single-label" in w for w in result.warnings)
+        assert result.warnings == ("fold a: single-label training set, "
+                                   "predicting base rate 0.000",)
 
     def test_two_participants_every_fold_base_rate(self):
         feats = np.random.default_rng(6).normal(size=(2, 58))
-        cohort = ev.Cohort((ev.StudyRecord("a", ev.ASD, feats[0]),
-                            ev.StudyRecord("b", ev.NON_ASD, feats[1])))
-        with pytest.warns(UserWarning, match="single-label"):
-            result = ev.loocv(cohort, cl.ClassifierSpec("logistic"))
+        cohort = ev.Cohort("ab", (ev.ASD, ev.NON_ASD), feats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = ev.loocv(cohort, cl.ClassifierSpec("logistic"), return_models=True)
         # each fold trains on the one other participant's label
         assert result.probabilities == (0.0, 1.0)
-        assert len(result.warnings) == 2
+        assert len(result.warnings) == 2 and result.models == (None, None)
+
+    @pytest.mark.parametrize("n_pos, n_neg, calls", [(1, 1, 0), (1, 4, 1), (3, 3, 1)])
+    def test_one_fit_call_for_all_folds(self, monkeypatch, n_pos, n_neg, calls):
+        stacks = []
+
+        def fit(spec, X, y):
+            stacks.append(X.shape)
+            return real_fit(spec, X, y)
+
+        real_fit = cl.fit
+        monkeypatch.setattr(cl, "fit", fit)
+        cohort = make_cohort(np.random.default_rng(7), n_pos=n_pos, n_neg=n_neg)
+        ev.loocv(cohort, cl.ClassifierSpec("lda"), mask=ev.attribute_mask(["arousal"]))
+        n = n_pos + n_neg
+        assert stacks == [(n - (n_pos == 1) - (n_neg == 1), n - 1, 3)] * calls
 
     def test_masked_features_only(self):
         rng = np.random.default_rng(5)
@@ -142,22 +164,19 @@ class TestLoocv:
         rng = np.random.default_rng(6)
         cohort = make_cohort(rng, n_pos=4, n_neg=4)
         result = ev.loocv(cohort, cl.ClassifierSpec("logistic"), return_models=True)
-        mutated_records = list(cohort.records)
-        victim = sorted(cohort.records, key=lambda r: r.participant_id)[2]
-        for i, r in enumerate(mutated_records):
-            if r.participant_id == victim.participant_id:
-                mutated_records[i] = ev.StudyRecord(r.participant_id, r.diagnosis, r.features + 100.0)
-        result2 = ev.loocv(ev.Cohort(tuple(mutated_records)), cl.ClassifierSpec("logistic"),
-                           return_models=True)
+        features = cohort.features.copy()
+        features[cohort.ids.index(sorted(cohort.ids)[2])] += 100.0
+        result2 = ev.loocv(ev.Cohort(cohort.ids, cohort.diagnoses, features),
+                           cl.ClassifierSpec("logistic"), return_models=True)
         np.testing.assert_array_equal(result.models[2].payload["w"], result2.models[2].payload["w"])
         assert result.models[2].payload["b"] == result2.models[2].payload["b"]
 
 
-STACKED_SPECS = st.builds(
+SPECS = st.builds(
     lambda kind, iterations, epochs, h1, h2, rounds, depth, seed: cl.ClassifierSpec(
         kind, iterations=iterations, epochs=epochs, hidden=(h1, h2), rounds=rounds,
         depth=depth, seed=seed),
-    st.sampled_from(cl.STACKED_KINDS), st.integers(1, 40), st.integers(1, 12),
+    st.sampled_from(cl.KINDS), st.integers(1, 40), st.integers(1, 12),
     st.integers(1, 8), st.integers(1, 8), st.integers(1, 12), st.integers(1, 4),
     st.integers(0, 3),
 )
@@ -166,17 +185,18 @@ MASKS = (None,) + tuple(ev.attribute_mask(flags) for flags in ev.DEFAULT_ABLATIO
 
 def oracle_loocv(cohort, spec, mask):
     """LOOCV as one reference fit per fold: probabilities, warnings, models."""
-    records = sorted(cohort.records, key=lambda r: r.participant_id)
-    X = np.vstack([r.features for r in records])[:, list(mask or range(58))]
-    y = np.array([r.diagnosis == ev.ASD for r in records], dtype=int)
+    ids = sorted(cohort.ids)
+    rows = [cohort.ids.index(pid) for pid in ids]
+    X = cohort.features[rows][:, list(mask or range(58))]
+    y = np.array([cohort.diagnoses[row] == ev.ASD for row in rows], dtype=int)
     probs, notes, models = [], [], []
-    for i, record in enumerate(records):
-        keep = np.arange(len(records)) != i
+    for i, pid in enumerate(ids):
+        keep = np.arange(len(ids)) != i
         try:
             model = loop_fit(spec, X[keep], y[keep])
         except cl.DegenerateTrainingError:
             base = float(y[keep].mean())
-            notes.append(f"fold {record.participant_id}: single-label training set, "
+            notes.append(f"fold {pid}: single-label training set, "
                          f"predicting base rate {base:.3f}")
             probs.append(base)
             models.append(None)
@@ -187,13 +207,13 @@ def oracle_loocv(cohort, spec, mask):
 
 
 class TestStackedLoocvMatchesPerFoldLoop:
-    """LOOCV of logistic, lasso, gbt and mlp2 fits every fold in one stacked loop;
-    the result must equal one reference fit per fold, byte for byte."""
+    """LOOCV fits every fold in one stacked ``fit`` call; the result must equal
+    one reference fit per fold, byte for byte, for every kind."""
 
     @settings(max_examples=60, deadline=None)
     @given(n_pos=st.integers(1, 12), n_neg=st.integers(1, 12), seed=st.integers(0, 2**16),
            scale=st.sampled_from([1e-3, 1.0, 50.0]), n_constant=st.integers(0, 6),
-           mask=st.sampled_from(MASKS), spec=STACKED_SPECS)
+           mask=st.sampled_from(MASKS), spec=SPECS)
     def test_probabilities_warnings_and_models(self, n_pos, n_neg, seed, scale, n_constant,
                                                mask, spec):
         rng = np.random.default_rng(seed)
@@ -201,9 +221,7 @@ class TestStackedLoocvMatchesPerFoldLoop:
         feats[:n_pos, :6] += scale
         feats[:, rng.choice(58, n_constant, replace=False)] = rng.normal()
         ids = [f"p{i:02d}" for i in rng.permutation(n_pos + n_neg)]
-        cohort = ev.Cohort(tuple(
-            ev.StudyRecord(pid, ev.ASD if i < n_pos else ev.NON_ASD, f)
-            for i, (pid, f) in enumerate(zip(ids, feats))))
+        cohort = ev.Cohort(ids, [ev.ASD] * n_pos + [ev.NON_ASD] * n_neg, feats)
         probs, notes, models = oracle_loocv(cohort, spec, mask)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -211,21 +229,21 @@ class TestStackedLoocvMatchesPerFoldLoop:
         assert np.array(result.probabilities).tobytes() == np.array(probs).tobytes()
         assert result.predictions == tuple(p > 0.5 for p in probs)
         assert result.warnings == tuple(notes)
-        assert [str(w.message) for w in caught] == notes
+        assert caught == []
         assert [model_bytes(m) for m in result.models] == [model_bytes(m) for m in models]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plain = ev.loocv(cohort, spec, mask=mask)
+        plain = ev.loocv(cohort, spec, mask=mask)
         assert plain.probabilities == result.probabilities and plain.models == ()
 
-    @pytest.mark.parametrize("kind", cl.STACKED_KINDS)
+    @pytest.mark.parametrize("kind", cl.KINDS)
     def test_fallback_folds_keep_their_place(self, kind):
         cohort = make_cohort(np.random.default_rng(8), n_pos=1, n_neg=4)
         spec = cl.ClassifierSpec(kind, iterations=20, epochs=5)
         probs, notes, models = oracle_loocv(cohort, spec, None)
-        with pytest.warns(UserWarning, match="single-label"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = ev.loocv(cohort, spec, return_models=True)
         assert result.models[0] is None and len(notes) == 1
+        assert result.warnings == tuple(notes)
         assert np.array(result.probabilities).tobytes() == np.array(probs).tobytes()
         assert [model_bytes(m) for m in result.models] == [model_bytes(m) for m in models]
 
@@ -383,15 +401,10 @@ class TestIncompleteBeta:
 class TestAblation:
     def test_full_beats_au_only_when_signal_in_expr(self):
         rng = np.random.default_rng(15)
-        records = []
-        for i in range(16):
-            positive = i < 8
-            feats = rng.normal(size=58) * 0.3
-            if positive:
-                feats[12:20] += 2.5
-            records.append(ev.StudyRecord(
-                f"q{i:02d}", ev.ASD if positive else ev.NON_ASD, feats))
-        cohort = ev.Cohort(tuple(records))
+        feats = np.array([rng.normal(size=58) * 0.3 for _ in range(16)])
+        feats[:8, 12:20] += 2.5
+        cohort = ev.Cohort([f"q{i:02d}" for i in range(16)],
+                           [ev.ASD] * 8 + [ev.NON_ASD] * 8, feats)
         rows = ev.ablation_study(cohort, cl.ClassifierSpec("logistic"))
         assert rows[0].attributes == ("au",)
         assert rows[-1].attributes == ("au", "arousal", "valence", "expr")
@@ -421,8 +434,8 @@ class TestAttributeSignificance:
         act = rng.uniform(0, 1, 12)
         return np.concatenate([frame, sigma, act, rng.uniform(0, 1, 2)])
 
-    def make_records(self, rng, shift_attr=None, shift=0.0, n=12):
-        records = []
+    def make_cohort(self, rng, shift_attr=None, shift=0.0, n=12):
+        rows = []
         for i in range(n):
             positive = i < n // 2
             feats = self.base_features(rng)
@@ -432,19 +445,19 @@ class TestAttributeSignificance:
                 probs = feats[12:20]
                 probs[0] += shift
                 feats[12:20] = probs / probs.sum()
-            records.append(ev.StudyRecord(
-                f"s{i:02d}", ev.ASD if positive else ev.NON_ASD, feats))
-        return ev.Cohort(tuple(records))
+            rows.append(feats)
+        return ev.Cohort([f"s{i:02d}" for i in range(n)],
+                         [ev.ASD] * (n // 2) + [ev.NON_ASD] * (n - n // 2), rows)
 
     def test_valence_shift_detected(self):
         rng = np.random.default_rng(18)
-        cohort = self.make_records(rng, shift_attr="valence", shift=1.0, n=16)
+        cohort = self.make_cohort(rng, shift_attr="valence", shift=1.0, n=16)
         result = ev.attribute_significance(cohort)
         assert result["attributes"]["valence"].p < 0.01
 
     def test_expr_summary_not_degenerate(self):
         rng = np.random.default_rng(19)
-        cohort = self.make_records(rng, shift_attr="expr", shift=1.5, n=16)
+        cohort = self.make_cohort(rng, shift_attr="expr", shift=1.5, n=16)
         result = ev.attribute_significance(cohort)
         assert not result["attributes"]["expr"].degenerate
         assert result["attributes"]["expr"].p < 0.05
@@ -453,23 +466,34 @@ class TestAttributeSignificance:
         rng = np.random.default_rng(20)
         ps = []
         for _ in range(100):
-            cohort = self.make_records(rng, n=12)
+            cohort = self.make_cohort(rng, n=12)
             ps.append(ev.attribute_significance(cohort)["attributes"]["au"].p)
         assert np.median(ps) > 0.2
 
     def test_per_feature_pvalues_present(self):
         rng = np.random.default_rng(21)
-        cohort = self.make_records(rng, n=10)
+        cohort = self.make_cohort(rng, n=10)
         result = ev.attribute_significance(cohort)
         assert len(result["features"]) == 58
         assert all(0 <= r.p <= 1 for r in result["features"].values())
 
     def test_small_group_rejected(self):
         rng = np.random.default_rng(22)
-        records = (
-            ev.StudyRecord("a", ev.ASD, self.base_features(rng)),
-            ev.StudyRecord("b", ev.NON_ASD, self.base_features(rng)),
-            ev.StudyRecord("c", ev.NON_ASD, self.base_features(rng)),
-        )
+        rows = [self.base_features(rng) for _ in range(3)]
+        cohort = ev.Cohort("abc", (ev.ASD, ev.NON_ASD, ev.NON_ASD), rows)
         with pytest.raises(ValueError):
-            ev.attribute_significance(ev.Cohort(records))
+            ev.attribute_significance(cohort)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_summaries_equal_per_row_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        features = np.array([self.base_features(rng) for _ in range(1 + 7 * seed)])
+        reference = {
+            "au": [float(row[:12].mean()) for row in features],
+            "expr": [float(0.5 * np.abs(row[12:20] - 1.0 / 8).sum()) for row in features],
+            "arousal": [float(row[20]) for row in features],
+            "valence": [float(row[21]) for row in features],
+        }
+        for attribute, want in reference.items():
+            got = ev._attribute_summary(features, attribute)
+            assert got.tobytes() == np.array(want).tobytes()

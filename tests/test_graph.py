@@ -18,7 +18,8 @@ from affectpipe import cli
 from affectpipe import graph as gp
 from affectpipe import numerics as nm
 
-from conftest import central_difference, max_rel_error, offset_conv2d
+from conftest import (central_difference, channel_affine, channel_affine_backward, max_rel_error,
+                      offset_conv2d)
 
 PARAM_TARGETS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
 # Strided dense, grouped, grouped 1x1 and strided dilated depthwise blocks.
@@ -90,8 +91,8 @@ def unit_params(rng, unit):
 
 def oracle_block(params, key, spec, x, relu=True):
     """One ConvBlock from raw numerics calls: conv2d, channel_affine, ReLU."""
-    h = nm.channel_affine(nm.conv2d(x, spec, params[f"{key}.w"], params[f"{key}.b"]),
-                          params[f"{key}.scale"], params[f"{key}.shift"])
+    h = channel_affine(nm.conv2d(x, spec, params[f"{key}.w"], params[f"{key}.b"]),
+                       params[f"{key}.scale"], params[f"{key}.shift"])
     return nm.relu(h) if relu else h
 
 
@@ -399,13 +400,13 @@ class TestForward:
 
         stem_spec = nm.ConvSpec(3, 32, kernel=3, stride=2, padding=1)
         h = nm.conv2d(x, stem_spec, params["stem.w"], params["stem.b"])
-        h = nm.relu(nm.channel_affine(h, params["stem.scale"], params["stem.shift"]))
+        h = nm.relu(channel_affine(h, params["stem.scale"], params["stem.shift"]))
         dw_spec = nm.ConvSpec(32, 64, kernel=3, stride=2, padding=1, groups=32)
         h = nm.conv2d(h, dw_spec, params["cu1.dw.w"], params["cu1.dw.b"])
-        h = nm.relu(nm.channel_affine(h, params["cu1.dw.scale"], params["cu1.dw.shift"]))
+        h = nm.relu(channel_affine(h, params["cu1.dw.scale"], params["cu1.dw.shift"]))
         pw_spec = nm.ConvSpec(64, 32, kernel=1)
         h = nm.conv2d(h, pw_spec, params["cu1.pw.w"], params["cu1.pw.b"])
-        h = nm.relu(nm.channel_affine(h, params["cu1.pw.scale"], params["cu1.pw.shift"]))
+        h = nm.relu(channel_affine(h, params["cu1.pw.scale"], params["cu1.pw.shift"]))
         np.testing.assert_allclose(y, h, atol=1e-12)
 
     def test_projection_bottleneck_matches_raw_oracle(self):
@@ -445,8 +446,8 @@ class TestForward:
         block = gp.ConvBlock("blk", spec, relu=relu)
         params = block_params(rng, spec)
         x = rng.normal(size=(2, spec.in_channels, 9, 7))
-        want = nm.channel_affine(nm.conv2d(x, spec, params["blk.w"], params["blk.b"]),
-                                 params["blk.scale"], params["blk.shift"])
+        want = channel_affine(nm.conv2d(x, spec, params["blk.w"], params["blk.b"]),
+                              params["blk.scale"], params["blk.shift"])
         if relu:
             want = nm.relu(want)
         np.testing.assert_allclose(block.forward(params, x), want, rtol=1e-12, atol=1e-12)
@@ -613,9 +614,9 @@ class TestBackward:
         gx, grads = block.backward(params, x, y, up)
 
         conv = nm.conv2d(x, spec, params["blk.w"], params["blk.b"])
-        affine = nm.channel_affine(conv, params["blk.scale"], params["blk.shift"])
+        affine = channel_affine(conv, params["blk.scale"], params["blk.shift"])
         g = nm.relu_backward(up, affine) if relu else up
-        gconv, gscale, gshift = nm.channel_affine_backward(g, conv, params["blk.scale"])
+        gconv, gscale, gshift = channel_affine_backward(g, conv, params["blk.scale"])
         want_x, want_w, want_b = nm.conv2d_backward(gconv, x, spec, params["blk.w"])
         for got, want in ((gx, want_x), (grads["blk.w"], want_w), (grads["blk.b"], want_b),
                           (grads["blk.scale"], gscale), (grads["blk.shift"], gshift)):

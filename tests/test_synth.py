@@ -70,15 +70,15 @@ class TestGroupStructure:
     def test_manifest_counts(self, tmp_path):
         spec = synth.SynthSpec(participants_per_group=4, frames_per_participant=10)
         cohort = cohort_for(spec, tmp_path, "c")
-        labels = [r.diagnosis for r in cohort.records]
+        labels = cohort.diagnoses
         assert labels.count(ev.ASD) == 4
         assert labels.count(ev.NON_ASD) == 4
 
     def test_null_groups_indistinguishable(self, tmp_path):
         spec = synth.SynthSpec(participants_per_group=8, frames_per_participant=60, seed=3)
         cohort = cohort_for(spec, tmp_path, "null")
-        X = np.vstack([r.features for r in cohort.records])
-        y = np.array([r.diagnosis == ev.ASD for r in cohort.records])
+        X = cohort.features
+        y = cohort.labels == 1
         ps = []
         for j in range(tp.FEATURE_DIM):
             r = ev.t_test(X[y, j], X[~y, j])
