@@ -103,11 +103,13 @@ class FittedModel:
 
 def _check_training_set(X, y):
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise ValueError(f"feature matrix {X.shape} and labels {y.shape} do not align")
-    if not set(np.unique(y)) <= {0, 1}:
+    # checked before the cast, so 0.7 or 1.9 is refused rather than truncated
+    if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be binary 0/1")
+    y = y.astype(int)
     if np.unique(y).size == 1:
         raise DegenerateTrainingError("training set has a single label")
     if X.shape[0] < 2:
@@ -582,7 +584,7 @@ def fit(spec: ClassifierSpec, X, y) -> FittedModel | list[FittedModel]:
     sets in turn.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     single = X.ndim != 3
     if single:
         X, y = _check_training_set(X, y)
@@ -592,6 +594,7 @@ def fit(spec: ClassifierSpec, X, y) -> FittedModel | list[FittedModel]:
     else:
         for X_set, y_set in zip(X, y):
             _check_training_set(X_set, y_set)
+        y = y.astype(int)
     if not len(X):
         return []
     stats, Xs = standardize_fit(X)

@@ -1,9 +1,12 @@
 """Losses, optimizer, augmentation, and the toy multi-task trainer.
 
-Losses consume raw head outputs and squash internally (softmax, sigmoid,
-tanh), returning both the value and the exact adjoint with respect to the
-raw output so the whole training path stays finite-difference checkable.
-UNK labels contribute zero loss and zero adjoint.  The toy model is a
+Labels are checked per sample (``TaskLabels``) and stacked into one
+``LabelBatch`` of arrays, with -1 (classes) or NaN (targets) marking UNK.
+Each task's loss is evaluated over a whole batch at once: it consumes the
+raw head outputs, squashes internally (softmax, sigmoid, tanh) and returns
+per-sample losses and the exact adjoint with respect to the raw output, so
+the whole training path stays finite-difference checkable.  UNK labels
+contribute zero loss and zero adjoint.  The toy model is a
 ``graph.ModelGraph`` (a conv stem, pooling and the four heads), trained
 through ``graph.forward`` and ``graph.backward``.
 """
@@ -35,10 +38,11 @@ class TaskLabels:
         if len(au) != N_AU:
             raise ValueError(f"expected {N_AU} AU labels, got {len(au)}")
         for v in au:
-            if v is not None and v not in (0, 1):
+            if v is not None and not (nm._is_count(v) and v in (0, 1)):
                 raise ValueError(f"AU labels must be 0, 1, or None, got {v!r}")
-        if self.expr is not None and not 0 <= int(self.expr) < N_EXPR:
-            raise ValueError(f"expression index out of range: {self.expr}")
+        if self.expr is not None and not (nm._is_count(self.expr) and 0 <= self.expr < N_EXPR):
+            raise ValueError(f"expr must be an integer class index below {N_EXPR} or None, "
+                             f"got {self.expr!r}")
         for name in ("arousal", "valence"):
             v = getattr(self, name)
             if v is not None and not -1.0 <= float(v) <= 1.0:
@@ -51,6 +55,63 @@ class TaskLabels:
         )
         if not observed:
             raise ValueError("every sample must supervise at least one task")
+
+
+@dataclass(frozen=True, eq=False)
+class LabelBatch:
+    """The labels of n samples as one read-only array per task: ``expr`` (n,)
+    and ``au`` (n, N_AU) as int with -1 for UNK, ``arousal`` and ``valence``
+    (n,) as float with NaN for UNK.  Indexing takes a sub-batch."""
+
+    expr: np.ndarray
+    au: np.ndarray
+    arousal: np.ndarray
+    valence: np.ndarray
+
+    def __post_init__(self):
+        arrays = {}
+        for name in ("expr", "au"):
+            value = np.array(getattr(self, name))
+            if value.size and not np.issubdtype(value.dtype, np.integer):
+                raise ValueError(f"{name} labels must be integers, got dtype {value.dtype}")
+            arrays[name] = value.astype(int, copy=False)
+        for name in ("arousal", "valence"):
+            arrays[name] = np.array(getattr(self, name), dtype=float)
+        n = len(arrays["expr"]) if arrays["expr"].ndim else 0
+        for name, value in arrays.items():
+            want = (n, N_AU) if name == "au" else (n,)
+            if value.shape != want:
+                raise ValueError(f"{name} labels have shape {value.shape}, expected {want}")
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        if np.any((self.expr < -1) | (self.expr >= N_EXPR)):
+            raise ValueError(f"expr labels must be -1 (UNK) or a class index below {N_EXPR}")
+        if np.any((self.au < -1) | (self.au > 1)):
+            raise ValueError("AU labels must be -1 (UNK), 0 or 1")
+        for name in ("arousal", "valence"):
+            if np.any(np.abs(getattr(self, name)) > 1.0):
+                raise ValueError(f"{name} targets must be NaN (UNK) or lie in [-1, 1]")
+
+    @classmethod
+    def from_labels(cls, labels) -> LabelBatch:
+        """Stack checked per-sample ``TaskLabels`` into one batch."""
+        labels = list(labels)
+        for lab in labels:
+            if not isinstance(lab, TaskLabels):
+                raise TypeError(f"expected TaskLabels, got {type(lab).__name__}")
+        unk = lambda v, missing: missing if v is None else v
+        return cls(
+            expr=np.array([unk(lab.expr, -1) for lab in labels], dtype=int),
+            au=np.array([[unk(v, -1) for v in lab.au] for lab in labels], dtype=int).reshape(-1, N_AU),
+            arousal=np.array([unk(lab.arousal, np.nan) for lab in labels], dtype=float),
+            valence=np.array([unk(lab.valence, np.nan) for lab in labels], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.expr)
+
+    def __getitem__(self, index) -> LabelBatch:
+        return LabelBatch(self.expr[index], self.au[index], self.arousal[index], self.valence[index])
 
 
 @dataclass(frozen=True)
@@ -136,75 +197,90 @@ def class_weights(labels) -> ClassWeights:
     return ClassWeights(expr=expr_w, au=au_w)
 
 
-def _expr_loss(raw, label, weights):
-    x = np.asarray(raw, dtype=float)
-    if label is None:
-        return 0.0, np.zeros_like(x)
+# The batched losses keep libm (math.log, math.exp, math.log1p, math.tanh)
+# for the scalars a per-sample loop computed with it: numpy's vectorized
+# versions differ from libm in the last bit on some inputs, and tanh feeds
+# the arousal and valence adjoints, so the training trajectory would move.
+
+def _expr_loss(x, y, weights):
     w = np.asarray(weights, dtype=float)
-    if w.shape != x.shape:
-        raise ValueError(f"expression weights {w.shape} do not match logits {x.shape}")
-    p = nm.softmax(x)
-    wy = float(w[label])
-    m = x.max()
-    logsum = m + math.log(np.exp(x - m).sum())
-    loss = wy * (logsum - float(x[label]))
-    grad = wy * p
-    grad[label] -= wy
+    if w.shape != x.shape[1:]:
+        raise ValueError(f"expression weights {w.shape} do not match logits {x.shape[1:]}")
+    loss, grad = np.zeros(len(x)), np.zeros_like(x)
+    rows = np.flatnonzero(y >= 0)
+    if not rows.size:
+        return loss, grad
+    xs, ys = x[rows], y[rows]
+    picked = np.arange(rows.size), ys
+    wy = w[ys]
+    m = xs.max(axis=1)
+    logsum = m + np.array([math.log(s) for s in np.exp(xs - m[:, None]).sum(axis=1).tolist()])
+    loss[rows] = wy * (logsum - xs[picked])
+    g = wy[:, None] * nm.softmax(xs)
+    g[picked] -= wy
+    grad[rows] = g
     return loss, grad
 
 
-def _au_loss(raw, labels, pair_weights):
-    x = np.asarray(raw, dtype=float)
-    grad = np.zeros_like(x)
-    observed = [(i, int(v)) for i, v in enumerate(labels) if v is not None]
-    if not observed:
-        return 0.0, grad
+def _au_loss(x, y, pair_weights):
     pair_weights = np.asarray(pair_weights, dtype=float)
-    total = 0.0
-    m = len(observed)
-    for i, y in observed:
-        w = float(pair_weights[i, y])
-        xi = float(x[i])
-        # stable: -y log s(x) - (1-y) log(1-s(x)) = max(x,0) - x y + log1p(e^-|x|)
-        total += w * (max(xi, 0.0) - xi * y + math.log1p(math.exp(-abs(xi))))
-    rows, ys = (np.array(column) for column in zip(*observed))
-    grad[rows] = pair_weights[rows, ys] * (nm.sigmoid(x[rows]) - ys)
-    return total / m, grad / m
+    if x.shape != y.shape or pair_weights.shape != (y.shape[1], 2):
+        raise ValueError(f"AU outputs {x.shape} and weights {pair_weights.shape} do not "
+                         f"match labels {y.shape}")
+    rows, units = np.nonzero(y >= 0)
+    xs, ys = x[rows, units], y[rows, units]
+    w = pair_weights[units, ys]
+    # stable: -y log s(x) - (1-y) log(1-s(x)) = max(x,0) - x y + log1p(e^-|x|)
+    softplus = np.array([math.log1p(math.exp(-abs(v))) for v in xs.tolist()])
+    terms = np.zeros_like(x)
+    terms[rows, units] = w * (np.maximum(xs, 0.0) - xs * ys + softplus)
+    grad = np.zeros_like(x)
+    grad[rows, units] = w * (nm.sigmoid(xs) - ys)
+    # each sample's terms summed left to right (np.sum would add them pairwise),
+    # then averaged over its observed units
+    total = np.zeros(len(x))
+    for column in terms.T:
+        total += column
+    m = np.maximum(np.count_nonzero(y >= 0, axis=1), 1)
+    return total / m, grad / m[:, None]
 
 
-def _arousal_loss(raw, target):
-    if target is None:
-        return 0.0, 0.0
-    t = float(target)
-    if not -1.0 <= t <= 1.0:
-        raise ValueError(f"arousal target must lie in [-1, 1], got {t}")
-    pred = math.tanh(float(raw))
-    diff = pred - t
-    return abs(diff), float(np.sign(diff)) * (1.0 - pred * pred)
+def _affect_loss(x, t, squared: bool):
+    """L1 (arousal) or L2 (valence) distance between tanh(raw) and the target."""
+    flat = x.reshape(len(x))
+    loss, grad = np.zeros(len(x)), np.zeros(len(x))
+    rows = np.flatnonzero(~np.isnan(t))
+    pred = np.array([math.tanh(v) for v in flat[rows].tolist()])
+    diff = pred - t[rows]
+    if squared:
+        loss[rows] = diff * diff
+        grad[rows] = 2.0 * diff * (1.0 - pred * pred)
+    else:
+        loss[rows] = np.abs(diff)
+        grad[rows] = np.sign(diff) * (1.0 - pred * pred)
+    return loss, grad.reshape(x.shape)
 
 
-def _valence_loss(raw, target):
-    if target is None:
-        return 0.0, 0.0
-    t = float(target)
-    if not -1.0 <= t <= 1.0:
-        raise ValueError(f"valence target must lie in [-1, 1], got {t}")
-    pred = math.tanh(float(raw))
-    diff = pred - t
-    return diff * diff, 2.0 * diff * (1.0 - pred * pred)
+def task_loss(task: str, raw, labels: LabelBatch, weights: ClassWeights):
+    """One task's losses over a batch and their adjoint with respect to the
+    raw head output.
 
-
-def task_loss(task: str, raw, labels: TaskLabels, weights: ClassWeights):
-    """One task's loss and its adjoint with respect to the raw head output."""
+    ``raw`` is the head output, (n, width), or (n,) for a width-1 head.
+    Returns per-sample losses (n,) and an adjoint shaped like ``raw``;
+    UNK samples (and UNK AUs) give a loss of 0 and an adjoint of 0.
+    """
+    if task not in gr.TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    x = np.asarray(raw, dtype=float)
+    if x.ndim not in (1, 2) or len(x) != len(labels):
+        raise ValueError(f"{task} head output {x.shape} does not match {len(labels)} samples")
     if task == "expr":
-        return _expr_loss(raw, labels.expr, weights.expr)
+        return _expr_loss(x, labels.expr, weights.expr)
     if task == "au":
-        return _au_loss(raw, labels.au, weights.au)
-    if task == "arousal":
-        return _arousal_loss(raw, labels.arousal)
-    if task == "valence":
-        return _valence_loss(raw, labels.valence)
-    raise ValueError(f"unknown task {task!r}")
+        return _au_loss(x, labels.au, weights.au)
+    if x.shape[1:] not in ((), (1,)):
+        raise ValueError(f"{task} head output must be (n,) or (n, 1), got {x.shape}")
+    return _affect_loss(x, getattr(labels, task), squared=task == "valence")
 
 
 def l2_penalty(params: dict) -> float:
@@ -355,7 +431,8 @@ def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):
         cls = int(rng.integers(N_EXPR))
         images[i] = protos[cls] + 0.3 * rng.normal(size=(3, size, size))
         means = images[i].mean(axis=(1, 2))
-        au = tuple(int(images[i, j % 3, :, : size // 2].mean() > 0) for j in range(N_AU))
+        left = [int(images[i, c, :, : size // 2].mean() > 0) for c in range(3)]
+        au = tuple(left[j % 3] for j in range(N_AU))
         labels.append(TaskLabels(
             expr=cls,
             au=au,
@@ -365,19 +442,21 @@ def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):
     return images, labels
 
 
-def batch_loss_and_grads(params: dict, images: np.ndarray, labels,
+def batch_loss_and_grads(params: dict, images: np.ndarray, labels: LabelBatch,
                          weights: ClassWeights, lam: float):
     """Mean total (multitask plus L2) loss over a batch and adjoints for
-    every parameter."""
+    every parameter; one ``task_loss`` call per task."""
     outputs, cache = toy_forward(params, images)
     n = images.shape[0]
-    head_grads = {t: np.zeros((n, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
+    losses, head_grads = [], {}
+    for task in gr.TASKS:
+        value, adj = task_loss(task, outputs[task], labels, weights)
+        losses.append(value)
+        head_grads[task] = adj / n
+    # added one at a time, sample-major in TASKS order; np.sum would pair and round differently
     total = 0.0
-    for i, lab in enumerate(labels):
-        for task in gr.TASKS:
-            value, adj = task_loss(task, outputs[task][i], lab, weights)
-            total += value
-            head_grads[task][i] = np.asarray(adj) / n
+    for value in np.column_stack(losses).ravel().tolist():
+        total += value
     loss = total / n + lam * l2_penalty(params)
     grads = toy_backward(params, cache, head_grads)
     for key, p in params.items():
@@ -394,20 +473,21 @@ def train_toy(config: TrainConfig = TrainConfig(), n: int = 200, size: int = 16)
     """
     images, labels = toy_dataset(n=n, size=size, seed=config.seed)
     weights = class_weights(labels)
+    targets = LabelBatch.from_labels(labels)
     params = gr.init_params(toy_graph(size), config.seed)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    batch = n if config.batch_size is None else min(config.batch_size, n)
+    step = n if config.batch_size is None else min(config.batch_size, n)
+    batches = [(images[start:start + step], targets[start:start + step])
+               for start in range(0, n, step)]
     epoch_losses = []
     for epoch in range(config.epochs):
         seen, accum = 0, 0.0
-        for start in range(0, n, batch):
-            chunk = slice(start, min(start + batch, n))
+        for batch_images, batch_targets in batches:
             loss, grads = batch_loss_and_grads(
-                params, images[chunk], labels[chunk], weights, config.weight_decay
+                params, batch_images, batch_targets, weights, config.weight_decay
             )
             params, velocity = sgd_step(params, velocity, grads, epoch, config)
-            size_ = chunk.stop - chunk.start
-            accum += loss * size_
-            seen += size_
+            accum += loss * len(batch_targets)
+            seen += len(batch_targets)
         epoch_losses.append(accum / seen)
     return {"losses": epoch_losses, "params": params, "weights": weights}

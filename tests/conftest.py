@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
+from affectpipe import graph as gr
 from affectpipe import numerics as nm
 from affectpipe import training as tr
 
@@ -333,6 +334,83 @@ def model_bytes(model):
 def unit_weights():
     """Class weights of one for every expression class and AU label."""
     return tr.ClassWeights(expr=np.ones(tr.N_EXPR), au=np.ones((tr.N_AU, 2)))
+
+
+def sample_task_loss(task, raw, labels, weights):
+    """One task's loss and adjoint for one sample with per-sample ``TaskLabels``,
+    the reference for the batched ``training.task_loss``."""
+    if task == "expr":
+        x = np.asarray(raw, dtype=float)
+        if labels.expr is None:
+            return 0.0, np.zeros_like(x)
+        wy = float(weights.expr[labels.expr])
+        m = x.max()
+        logsum = m + math.log(np.exp(x - m).sum())
+        grad = wy * nm.softmax(x)
+        grad[labels.expr] -= wy
+        return wy * (logsum - float(x[labels.expr])), grad
+    if task == "au":
+        x = np.asarray(raw, dtype=float)
+        grad = np.zeros_like(x)
+        observed = [(i, int(v)) for i, v in enumerate(labels.au) if v is not None]
+        if not observed:
+            return 0.0, grad
+        total = 0.0
+        for i, y in observed:
+            w = float(weights.au[i, y])
+            xi = float(x[i])
+            total += w * (max(xi, 0.0) - xi * y + math.log1p(math.exp(-abs(xi))))
+        rows, ys = (np.array(column) for column in zip(*observed))
+        grad[rows] = weights.au[rows, ys] * (nm.sigmoid(x[rows]) - ys)
+        return total / len(observed), grad / len(observed)
+    target = getattr(labels, task)
+    if target is None:
+        return 0.0, 0.0
+    pred = math.tanh(float(raw))
+    diff = pred - float(target)
+    if task == "arousal":
+        return abs(diff), float(np.sign(diff)) * (1.0 - pred * pred)
+    return diff * diff, 2.0 * diff * (1.0 - pred * pred)
+
+
+def sample_batch_loss_and_grads(params, images, labels, weights, lam):
+    """``training.batch_loss_and_grads`` with one ``sample_task_loss`` call per
+    sample and task; ``labels`` is a list of ``TaskLabels``."""
+    outputs, cache = tr.toy_forward(params, images)
+    n = images.shape[0]
+    head_grads = {t: np.zeros((n, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
+    total = 0.0
+    for i, lab in enumerate(labels):
+        for task in gr.TASKS:
+            value, adj = sample_task_loss(task, outputs[task][i], lab, weights)
+            total += value
+            head_grads[task][i] = np.asarray(adj) / n
+    loss = total / n + lam * tr.l2_penalty(params)
+    grads = tr.toy_backward(params, cache, head_grads)
+    for key, p in params.items():
+        grads[key] = grads[key] + 2.0 * lam * np.asarray(p)
+    return loss, grads
+
+
+def sample_train_toy(config, n=200, size=16):
+    """``training.train_toy`` over ``sample_batch_loss_and_grads``."""
+    images, labels = tr.toy_dataset(n=n, size=size, seed=config.seed)
+    weights = tr.class_weights(labels)
+    params = gr.init_params(tr.toy_graph(size), config.seed)
+    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    batch = n if config.batch_size is None else min(config.batch_size, n)
+    losses = []
+    for epoch in range(config.epochs):
+        seen, accum = 0, 0.0
+        for start in range(0, n, batch):
+            chunk = slice(start, min(start + batch, n))
+            loss, grads = sample_batch_loss_and_grads(
+                params, images[chunk], labels[chunk], weights, config.weight_decay)
+            params, velocity = tr.sgd_step(params, velocity, grads, epoch, config)
+            accum += loss * (chunk.stop - chunk.start)
+            seen += chunk.stop - chunk.start
+        losses.append(accum / seen)
+    return {"losses": losses, "params": params, "weights": weights}
 
 
 def central_difference(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:

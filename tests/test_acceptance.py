@@ -116,19 +116,19 @@ def test_gradient_suite():
                                   au=rng.uniform(0.5, 2.0, (12, 2)))
         au_labels = tuple(None if i % 4 == 3 else int(rng.integers(0, 2))
                           for i in range(12))
-        labels = tr.TaskLabels(expr=int(rng.integers(0, 8)), au=au_labels,
-                               arousal=float(rng.uniform(-0.9, 0.9)),
-                               valence=float(rng.uniform(-0.9, 0.9)))
+        labels = tr.LabelBatch.from_labels([tr.TaskLabels(
+            expr=int(rng.integers(0, 8)), au=au_labels,
+            arousal=float(rng.uniform(-0.9, 0.9)), valence=float(rng.uniform(-0.9, 0.9)))])
         for task, dim in (("expr", 8), ("au", 12), ("arousal", 1), ("valence", 1)):
-            raw = rng.normal(size=dim) if dim > 1 else float(rng.normal())
+            raw = rng.normal(size=(1, dim))
             if task == "arousal":
                 # keep away from the L1 kink at tanh(raw) == target
-                while abs(math.tanh(float(raw)) - labels.arousal) < 1e-2:
-                    raw = float(rng.normal())
+                while abs(math.tanh(float(raw[0, 0])) - labels.arousal[0]) < 1e-2:
+                    raw = rng.normal(size=(1, dim))
             _, grad = tr.task_loss(task, raw, labels, weights)
-            f = lambda v: tr.task_loss(task, v if dim > 1 else float(v), labels, weights)[0]
-            numeric = central_difference(f, np.asarray(raw, dtype=float))
-            err = max_rel_err(np.asarray(grad), numeric)
+            f = lambda v: float(tr.task_loss(task, v, labels, weights)[0].sum())
+            numeric = central_difference(f, raw)
+            err = max_rel_err(grad, numeric)
             check(failures, err < 1e-4, f"seed {seed} loss {task} rel err {err:.2e}")
 
     elapsed = time.perf_counter() - t0

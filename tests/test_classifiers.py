@@ -50,6 +50,29 @@ class TestFitContract:
         with pytest.raises(cl.DegenerateTrainingError):
             cl.fit(cl.ClassifierSpec("logistic"), np.ones((1, 3)), np.array([1]))
 
+    @pytest.mark.parametrize("labels", [
+        [0.7, 1.9, 0.2, 1.0], [0, 1, 2, 1], [0, 1, -1, 1], [0.0, 1.0, float("nan"), 1.0],
+        ["0", "1", "0", "1"],
+    ])
+    def test_non_binary_labels_rejected(self, labels):
+        """Checked before the cast to int, so 0.7 is not read as 0."""
+        X = np.random.default_rng(6).normal(size=(4, 3))
+        with pytest.raises(ValueError, match="labels must be binary 0/1"):
+            cl.fit(cl.ClassifierSpec("lda"), X, labels)
+
+    @pytest.mark.parametrize("kind", cl.KINDS)
+    def test_non_binary_labels_rejected_in_a_stack(self, kind):
+        X = np.random.default_rng(7).normal(size=(2, 4, 3))
+        with pytest.raises(ValueError, match="labels must be binary 0/1"):
+            cl.fit(cl.ClassifierSpec(kind), X, [[0, 1, 0, 1], [0.7, 1.9, 0.2, 1.0]])
+
+    def test_float_and_bool_binary_labels_fit_as_ints(self):
+        X, y, _ = blobs(np.random.default_rng(8), n=6, d=3)
+        spec = cl.ClassifierSpec("lda")
+        expect = model_bytes(cl.fit(spec, X, y))
+        assert model_bytes(cl.fit(spec, X, y.astype(float))) == expect
+        assert model_bytes(cl.fit(spec, X, y.astype(bool))) == expect
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             cl.ClassifierSpec("random_forest")

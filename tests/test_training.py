@@ -11,13 +11,19 @@ from affectpipe import graph as gr
 from affectpipe import numerics as nm
 from affectpipe import training as tr
 
-from conftest import central_difference, max_rel_error, unit_weights
+from conftest import (central_difference, exact, max_rel_error, sample_batch_loss_and_grads,
+                      sample_task_loss, sample_train_toy, unit_weights)
 
 
 def au_none(**overrides):
     base = dict(expr=None, au=(None,) * 12, arousal=None, valence=None)
     base.update(overrides)
     return tr.TaskLabels(**base)
+
+
+def one(**overrides):
+    """A label batch of one sample."""
+    return tr.LabelBatch.from_labels([au_none(**overrides)])
 
 
 class TestTaskLabels:
@@ -36,6 +42,73 @@ class TestTaskLabels:
     def test_out_of_range_valence(self):
         with pytest.raises(ValueError):
             au_none(valence=1.2)
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, False, np.float64(1.0), "3"])
+    def test_non_integer_expr_rejected(self, value):
+        with pytest.raises(ValueError, match="expr must be an integer"):
+            au_none(expr=value)
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, True, False, 0.5, np.float64(1.0)])
+    def test_non_integer_au_rejected(self, value):
+        with pytest.raises(ValueError, match="AU labels"):
+            au_none(au=(value,) + (None,) * 11)
+
+    def test_numpy_integers_accepted(self):
+        lab = au_none(expr=np.int64(3), au=(np.int32(1),) + (None,) * 11)
+        assert lab.expr == 3 and lab.au[0] == 1
+
+
+class TestLabelBatch:
+    def test_from_labels_marks_unk(self):
+        batch = tr.LabelBatch.from_labels([
+            au_none(expr=2, au=(1, None) * 6),
+            au_none(arousal=0.5),
+            au_none(valence=-0.25, au=(0,) + (None,) * 11),
+        ])
+        np.testing.assert_array_equal(batch.expr, [2, -1, -1])
+        np.testing.assert_array_equal(batch.au[0], [1, -1] * 6)
+        np.testing.assert_array_equal(batch.au[1], [-1] * 12)
+        np.testing.assert_array_equal(batch.au[2], [0] + [-1] * 11)
+        np.testing.assert_array_equal(batch.arousal, [np.nan, 0.5, np.nan])
+        np.testing.assert_array_equal(batch.valence, [np.nan, np.nan, -0.25])
+        assert batch.expr.dtype == batch.au.dtype == np.dtype(int)
+        assert len(batch) == 3
+
+    def test_read_only_and_sliced(self):
+        _, labels = tr.toy_dataset(n=9, size=4, seed=2)
+        batch = tr.LabelBatch.from_labels(labels)
+        with pytest.raises(ValueError):
+            batch.au[0, 0] = 1
+        part = batch[3:7]
+        assert len(part) == 4
+        np.testing.assert_array_equal(part.au, batch.au[3:7])
+        np.testing.assert_array_equal(part.valence, batch.valence[3:7])
+        assert tr.LabelBatch.from_labels([]).au.shape == (0, 12)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("expr", [1.0, 2.0], "expr labels must be integers"),
+        ("expr", [True, False], "expr labels must be integers"),
+        ("au", np.ones((2, 12), dtype=bool), "au labels must be integers"),
+        ("au", np.full((2, 12), 0.5), "au labels must be integers"),
+        ("expr", [8, 0], "expr labels must be -1"),
+        ("expr", [-2, 0], "expr labels must be -1"),
+        ("au", np.full((2, 12), 2), "AU labels must be -1"),
+        ("au", np.zeros((2, 11), dtype=int), "au labels have shape"),
+        ("expr", [0, 1, 2], "au labels have shape"),
+        ("arousal", [1.5, np.nan], "arousal targets"),
+        ("valence", [np.inf, 0.0], "valence targets"),
+        ("valence", [0.0], "valence labels have shape"),
+    ])
+    def test_bad_arrays_rejected(self, field, value, match):
+        arrays = dict(expr=[0, -1], au=np.full((2, 12), -1), arousal=[np.nan, 0.1],
+                      valence=[0.2, np.nan])
+        arrays[field] = value
+        with pytest.raises(ValueError, match=match):
+            tr.LabelBatch(**arrays)
+
+    def test_from_labels_takes_task_labels_only(self):
+        with pytest.raises(TypeError):
+            tr.LabelBatch.from_labels([{"expr": 1}])
 
 
 class TestClassWeights:
@@ -74,140 +147,168 @@ class TestClassWeights:
 
 class TestTaskLoss:
     def test_expr_perfect_prediction(self):
-        raw = np.array([100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        loss, grad = tr.task_loss("expr", raw, au_none(expr=0), unit_weights())
-        assert loss == pytest.approx(0.0, abs=1e-12)
+        raw = np.array([[100.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        loss, grad = tr.task_loss("expr", raw, one(expr=0), unit_weights())
+        assert loss.shape == (1,) and grad.shape == (1, 8)
+        assert loss[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_expr_two_way_ln2(self):
         weights = tr.ClassWeights(expr=np.ones(2), au=np.ones((12, 2)))
-        loss, _ = tr.task_loss("expr", np.zeros(2), au_none(expr=0), weights)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        loss, _ = tr.task_loss("expr", np.zeros((1, 2)), one(expr=0), weights)
+        assert loss[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_expr_weight_scales_loss(self):
         w = tr.ClassWeights(expr=np.array([3.0] + [1.0] * 7), au=np.ones((12, 2)))
-        raw = np.random.default_rng(0).normal(size=8)
-        base, _ = tr.task_loss("expr", raw, au_none(expr=0), unit_weights())
-        scaled, _ = tr.task_loss("expr", raw, au_none(expr=0), w)
-        assert scaled == pytest.approx(3.0 * base, rel=1e-12)
+        raw = np.random.default_rng(0).normal(size=(1, 8))
+        base, _ = tr.task_loss("expr", raw, one(expr=0), unit_weights())
+        scaled, _ = tr.task_loss("expr", raw, one(expr=0), w)
+        assert scaled[0] == pytest.approx(3.0 * base[0], rel=1e-12)
 
     def test_arousal_l1_value(self):
-        raw = math.atanh(0.5)
-        loss, _ = tr.task_loss("arousal", raw, au_none(arousal=0.2), unit_weights())
-        assert loss == pytest.approx(0.3, abs=1e-12)
+        raw = np.array([math.atanh(0.5)])
+        loss, _ = tr.task_loss("arousal", raw, one(arousal=0.2), unit_weights())
+        assert loss[0] == pytest.approx(0.3, abs=1e-12)
 
     def test_valence_l2_value(self):
-        raw = math.atanh(0.5)
-        loss, _ = tr.task_loss("valence", raw, au_none(valence=0.2), unit_weights())
-        assert loss == pytest.approx(0.09, abs=1e-12)
+        raw = np.array([[math.atanh(0.5)]])
+        loss, grad = tr.task_loss("valence", raw, one(valence=0.2), unit_weights())
+        assert loss[0] == pytest.approx(0.09, abs=1e-12)
+        assert grad.shape == (1, 1)
 
     def test_au_balanced_midpoint(self):
         # raw 0 -> p=0.5 -> bce ln 2 per observed unit
-        labels = au_none(au=(0, 1) * 6)
-        loss, _ = tr.task_loss("au", np.zeros(12), labels, unit_weights())
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        labels = one(au=(0, 1) * 6)
+        loss, _ = tr.task_loss("au", np.zeros((1, 12)), labels, unit_weights())
+        assert loss[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_au_unk_units_excluded(self):
-        labels = au_none(au=(1,) + (None,) * 11)
-        raw = np.zeros(12)
-        raw[1:] = 50.0
+        labels = one(au=(1,) + (None,) * 11)
+        raw = np.zeros((1, 12))
+        raw[0, 1:] = 50.0
         loss, grad = tr.task_loss("au", raw, labels, unit_weights())
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-        np.testing.assert_array_equal(grad[1:], 0.0)
+        assert loss[0] == pytest.approx(math.log(2.0), abs=1e-12)
+        np.testing.assert_array_equal(grad[0, 1:], 0.0)
 
     def test_unk_task_zero_loss_and_adjoint(self):
-        labels = au_none(expr=3)
-        for task, raw in (("au", np.ones(12)), ("arousal", 0.7), ("valence", -0.2)):
+        labels = one(expr=3)
+        for task, raw in (("au", np.ones((1, 12))), ("arousal", np.array([0.7])),
+                          ("valence", np.array([-0.2]))):
             loss, grad = tr.task_loss(task, raw, labels, unit_weights())
-            assert loss == 0.0
-            assert np.all(np.asarray(grad) == 0.0)
+            assert np.all(loss == 0.0)
+            assert np.all(grad == 0.0) and grad.shape == raw.shape
+
+    def test_unk_rows_zero_loss_and_adjoint(self):
+        labels = tr.LabelBatch.from_labels([au_none(arousal=0.1), au_none(expr=2, valence=0.3)])
+        raw = {t: np.random.default_rng(1).normal(size=(2, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
+        for task, unk_row in (("expr", 0), ("au", 0), ("au", 1), ("arousal", 1), ("valence", 0)):
+            loss, grad = tr.task_loss(task, raw[task], labels, unit_weights())
+            assert loss[unk_row] == 0.0 and np.all(grad[unk_row] == 0.0)
 
     def test_bad_affect_target(self):
         with pytest.raises(ValueError):
             au_none(arousal=-1.5)
 
+    def test_shape_checks(self):
+        labels = tr.LabelBatch.from_labels([au_none(expr=1)] * 3)
+        with pytest.raises(ValueError, match="unknown task"):
+            tr.task_loss("gaze", np.zeros(3), labels, unit_weights())
+        with pytest.raises(ValueError, match="does not match 3 samples"):
+            tr.task_loss("expr", np.zeros((2, 8)), labels, unit_weights())
+        with pytest.raises(ValueError, match="do not match"):
+            tr.task_loss("expr", np.zeros((3, 7)), labels, unit_weights())
+        with pytest.raises(ValueError, match="do not match"):
+            tr.task_loss("au", np.zeros((3, 11)), labels, unit_weights())
+        with pytest.raises(ValueError, match=r"\(n,\) or \(n, 1\)"):
+            tr.task_loss("arousal", np.zeros((3, 2)), labels, unit_weights())
+
     @pytest.mark.parametrize("observed", ["all", "partial", "none"])
     def test_au_adjoint_equals_per_element_formula(self, observed):
         rng = np.random.default_rng(8)
         weights = tr.ClassWeights(expr=np.ones(8), au=rng.uniform(0.2, 3.0, size=(12, 2)))
+        rows = []
         for _ in range(20):
             raw = rng.normal(scale=20.0, size=12)
             raw[rng.integers(12, size=3)] = rng.choice([-1.0, 1.0], 3) * rng.uniform(30.0, 800.0, 3)
             au = [int(v) for v in rng.integers(0, 2, 12)]
             if observed != "all":
                 au = [v if observed == "partial" and rng.random() < 0.5 else None for v in au]
-            _, grad = tr.task_loss("au", raw, au_none(expr=0, au=tuple(au)), weights)
+            rows.append((raw, au))
+        labels = tr.LabelBatch.from_labels([au_none(expr=0, au=tuple(au)) for _, au in rows])
+        _, grad = tr.task_loss("au", np.stack([raw for raw, _ in rows]), labels, weights)
+        for (raw, au), got in zip(rows, grad):
             seen = [(i, y) for i, y in enumerate(au) if y is not None]
             want = np.zeros(12)
             for i, y in seen:
                 want[i] = float(weights.au[i, y]) * (float(nm.sigmoid(np.array(raw[i]))) - y)
-            assert np.all(grad == (want / len(seen) if seen else want))
+            assert np.all(got == (want / len(seen) if seen else want))
 
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(4)
         w = unit_weights()
-        for _ in range(50):
-            labels = tr.TaskLabels(
+        labels = tr.LabelBatch.from_labels([
+            tr.TaskLabels(
                 expr=int(rng.integers(8)),
                 au=tuple(int(v) for v in rng.integers(0, 2, 12)),
                 arousal=float(rng.uniform(-1, 1)),
                 valence=float(rng.uniform(-1, 1)),
-            )
-            assert tr.task_loss("expr", rng.normal(size=8), labels, w)[0] >= 0
-            assert tr.task_loss("au", rng.normal(size=12), labels, w)[0] >= 0
-            assert tr.task_loss("arousal", rng.normal(), labels, w)[0] >= 0
-            assert tr.task_loss("valence", rng.normal(), labels, w)[0] >= 0
+            ) for _ in range(50)])
+        for task in gr.TASKS:
+            raw = rng.normal(size=(50, gr.HEAD_WIDTHS[task]))
+            assert np.all(tr.task_loss(task, raw, labels, w)[0] >= 0)
+
+
+def batch_fd(task, raw, labels, weights):
+    """Analytic and central-difference adjoints of the batch's summed loss."""
+    _, grad = tr.task_loss(task, raw, labels, weights)
+    num = central_difference(lambda v: float(tr.task_loss(task, v, labels, weights)[0].sum()),
+                             raw.copy())
+    return grad, num
 
 
 class TestTaskLossGradients:
-    """Central finite differences for all four loss adjoints."""
+    """Central finite differences for all four loss adjoints, on batches of
+    three samples."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_expr_adjoint(self, seed):
         rng = np.random.default_rng(seed)
-        raw = rng.normal(size=8)
+        raw = rng.normal(size=(3, 8))
         weights = tr.ClassWeights(expr=rng.uniform(0.5, 2.0, 8), au=np.ones((12, 2)))
-        labels = au_none(expr=int(rng.integers(8)))
-        _, grad = tr.task_loss("expr", raw, labels, weights)
-        num = central_difference(lambda v: tr.task_loss("expr", v, labels, weights)[0], raw.copy())
-        assert max_rel_error(grad, num) < 1e-4
+        labels = tr.LabelBatch.from_labels([au_none(expr=int(rng.integers(8))) for _ in range(3)])
+        assert max_rel_error(*batch_fd("expr", raw, labels, weights)) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_au_adjoint(self, seed):
         rng = np.random.default_rng(seed)
-        raw = rng.normal(size=12)
-        au = tuple(int(v) if v < 2 else None for v in rng.integers(0, 3, 12))
-        if all(v is None for v in au):
-            au = (1,) + au[1:]
-        labels = au_none(au=au)
+        raw = rng.normal(size=(3, 12))
+        samples = []
+        for _ in range(3):
+            au = tuple(int(v) if v < 2 else None for v in rng.integers(0, 3, 12))
+            if all(v is None for v in au):
+                au = (1,) + au[1:]
+            samples.append(au_none(au=au))
+        labels = tr.LabelBatch.from_labels(samples)
         weights = tr.ClassWeights(expr=np.ones(8), au=rng.uniform(0.5, 2.0, (12, 2)))
-        _, grad = tr.task_loss("au", raw, labels, weights)
-        num = central_difference(lambda v: tr.task_loss("au", v, labels, weights)[0], raw.copy())
-        assert max_rel_error(grad, num) < 1e-4
+        assert max_rel_error(*batch_fd("au", raw, labels, weights)) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_arousal_adjoint(self, seed):
         rng = np.random.default_rng(seed)
-        raw = float(rng.normal())
-        target = float(rng.uniform(-0.95, 0.95))
+        raw = rng.normal(size=3)
+        targets = rng.uniform(-0.95, 0.95, size=3)
         # keep clear of the L1 kink at pred == target
-        if abs(math.tanh(raw) - target) < 1e-2:
-            raw += 0.1
-        labels = au_none(arousal=target)
-        _, grad = tr.task_loss("arousal", raw, labels, unit_weights())
-        x = np.array([raw])
-        num = central_difference(lambda v: tr.task_loss("arousal", float(v[0]), labels, unit_weights())[0], x)
-        assert max_rel_error(np.array([grad]), num) < 1e-4
+        raw[np.abs(np.tanh(raw) - targets) < 1e-2] += 0.1
+        labels = tr.LabelBatch.from_labels([au_none(arousal=float(t)) for t in targets])
+        assert max_rel_error(*batch_fd("arousal", raw, labels, unit_weights())) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_valence_adjoint(self, seed):
         rng = np.random.default_rng(seed)
-        raw = float(rng.normal())
-        labels = au_none(valence=float(rng.uniform(-0.95, 0.95)))
-        _, grad = tr.task_loss("valence", raw, labels, unit_weights())
-        x = np.array([raw])
-        num = central_difference(lambda v: tr.task_loss("valence", float(v[0]), labels, unit_weights())[0], x)
-        assert max_rel_error(np.array([grad]), num) < 1e-4
+        raw = rng.normal(size=(3, 1))
+        labels = tr.LabelBatch.from_labels(
+            [au_none(valence=float(t)) for t in rng.uniform(-0.95, 0.95, size=3)])
+        assert max_rel_error(*batch_fd("valence", raw, labels, unit_weights())) < 1e-4
 
 
 class TestMultitaskLoss:
@@ -221,37 +322,43 @@ class TestMultitaskLoss:
     def test_only_regularizer_when_rest_unk_and_exact(self):
         params, images, _ = self.batch(seed=3, n=1)
         outputs, _ = tr.toy_forward(params, images)
-        labels = [au_none(arousal=math.tanh(float(outputs["arousal"][0])))]
+        labels = one(arousal=math.tanh(float(outputs["arousal"][0])))
         loss, _ = tr.batch_loss_and_grads(params, images, labels, unit_weights(), lam=0.1)
         assert loss == 0.1 * tr.l2_penalty(params)
 
     def test_zero_params_no_penalty(self):
         params, images, _ = self.batch(seed=4, n=2)
         params = {key: np.zeros_like(value) for key, value in params.items()}
-        labels = [au_none(expr=0), au_none(expr=5)]
+        labels = tr.LabelBatch.from_labels([au_none(expr=0), au_none(expr=5)])
         loss, _ = tr.batch_loss_and_grads(params, images, labels, unit_weights(), lam=123.0)
-        expr_only = tr.task_loss("expr", np.zeros(8), labels[0], unit_weights())[0]
+        expr_only = tr.task_loss("expr", np.zeros((1, 8)), one(expr=0), unit_weights())[0][0]
         assert loss == pytest.approx(expr_only, abs=1e-12)
 
     def test_compositional_oracle(self):
         params, images, labels = self.batch(seed=5)
         w = tr.class_weights(labels)
+        batch = tr.LabelBatch.from_labels(labels)
         lam = 1e-4
         outputs, _ = tr.toy_forward(params, images)
-        total = sum(tr.task_loss(t, outputs[t][i], lab, w)[0]
-                    for i, lab in enumerate(labels) for t in gr.TASKS)
+        total = sum(tr.task_loss(t, outputs[t], batch, w)[0].sum() for t in gr.TASKS)
         total = total / len(labels) + lam * sum(np.sum(p ** 2) for p in params.values())
-        got, _ = tr.batch_loss_and_grads(params, images, labels, w, lam)
+        got, _ = tr.batch_loss_and_grads(params, images, batch, w, lam)
         assert got == pytest.approx(total, rel=1e-12)
 
     def test_unk_monotonicity(self):
         params, images, _ = self.batch(seed=6, n=1)
         w = unit_weights()
-        partial = [au_none(expr=1)]
-        full = [au_none(expr=1, arousal=None, valence=None)]
+        partial = one(expr=1)
+        full = one(expr=1, arousal=None, valence=None)
         assert tr.batch_loss_and_grads(params, images, partial, w, 1e-4)[0] == pytest.approx(
             tr.batch_loss_and_grads(params, images, full, w, 1e-4)[0], rel=1e-15
         )
+
+    def test_label_count_must_match_batch(self):
+        params, images, labels = self.batch(seed=7, n=3)
+        with pytest.raises(ValueError, match="does not match 2 samples"):
+            tr.batch_loss_and_grads(params, images, tr.LabelBatch.from_labels(labels[:2]),
+                                    unit_weights(), 1e-4)
 
 
 class TestTrainConfig:
@@ -380,19 +487,90 @@ class TestToyTraining:
     def test_toy_gradients_match_finite_differences(self):
         images, labels = tr.toy_dataset(n=4, size=8, seed=1)
         weights = tr.class_weights(labels)
+        batch = tr.LabelBatch.from_labels(labels)
         params = gr.init_params(tr.toy_graph(8), 1)
-        _, grads = tr.batch_loss_and_grads(params, images, labels, weights, lam=1e-4)
+        _, grads = tr.batch_loss_and_grads(params, images, batch, weights, lam=1e-4)
 
         def loss_of(key, flat):
             trial = dict(params)
             trial[key] = flat.reshape(params[key].shape)
             out, _ = tr.toy_forward(trial, images)
-            total = 0.0
-            for i, lab in enumerate(labels):
-                for task in gr.TASKS:
-                    total += tr.task_loss(task, out[task][i], lab, weights)[0]
+            total = sum(tr.task_loss(task, out[task], batch, weights)[0].sum() for task in gr.TASKS)
             return total / len(labels) + 1e-4 * tr.l2_penalty(trial)
 
         for key in ("stem.w", "stem.scale", "stem.shift", "head.expr.w", "head.arousal.b"):
             num = central_difference(lambda v: loss_of(key, v), params[key].copy().ravel())
             assert max_rel_error(grads[key].ravel(), num) < 1e-4, key
+
+    @pytest.mark.parametrize("config,n,size", [
+        (tr.TrainConfig(), 200, 16),
+        (tr.TrainConfig(epochs=3, batch_size=7, seed=9), 30, 8),
+        (tr.TrainConfig(epochs=3, batch_size=None, seed=2), 30, 8),
+    ])
+    def test_equals_per_sample_trainer(self, config, n, size):
+        """The batched objective walks the per-sample trajectory bit for bit."""
+        got = tr.train_toy(config, n=n, size=size)
+        want = sample_train_toy(config, n=n, size=size)
+        assert got["losses"] == want["losses"]
+        assert exact(got["params"]) == exact(want["params"])
+
+
+UNK = st.none()
+
+
+@st.composite
+def labeled_batches(draw):
+    """Random head outputs and mixed UNK labels: single samples, rows with
+    every AU UNK, and tasks UNK in every row."""
+    n = draw(st.just(1) | st.integers(2, 9))
+    unk_tasks = draw(st.sets(st.sampled_from(gr.TASKS), max_size=3))
+    samples = []
+    for _ in range(n):
+        expr = None if "expr" in unk_tasks else draw(UNK | st.integers(0, 7))
+        au_unit = draw(st.sampled_from([UNK, UNK | st.integers(0, 1), st.integers(0, 1)]))
+        au = (None,) * 12 if "au" in unk_tasks else tuple(
+            draw(st.lists(au_unit, min_size=12, max_size=12)))
+        arousal, valence = (
+            None if task in unk_tasks else draw(UNK | st.floats(-1.0, 1.0)) for task in
+            ("arousal", "valence"))
+        if expr is None and arousal is None and valence is None and all(v is None for v in au):
+            valence = 0.5
+        samples.append(tr.TaskLabels(expr=expr, au=au, arousal=arousal, valence=valence))
+    seed = draw(st.integers(0, 2**16))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    rng = np.random.default_rng(seed)
+    raw = {t: scale * rng.normal(size=(n, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
+    weights = tr.ClassWeights(expr=rng.uniform(0.2, 3.0, 8), au=rng.uniform(0.2, 3.0, (12, 2)))
+    return samples, raw, weights, seed
+
+
+class TestBatchedEqualsPerSample:
+    """The batched losses against the per-sample reference in conftest, bit
+    for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(labeled_batches())
+    def test_task_loss(self, case):
+        samples, raw, weights, _ = case
+        batch = tr.LabelBatch.from_labels(samples)
+        for task in gr.TASKS:
+            x = raw[task][:, 0] if gr.HEAD_WIDTHS[task] == 1 else raw[task]
+            loss, grad = tr.task_loss(task, x, batch, weights)
+            assert grad.shape == x.shape
+            for i, lab in enumerate(samples):
+                value, adj = sample_task_loss(task, x[i], lab, weights)
+                assert loss[i] == value, (task, i)
+                assert np.asarray(adj).tobytes() == grad[i].tobytes(), (task, i)
+
+    @settings(max_examples=40, deadline=None)
+    @given(labeled_batches(), st.sampled_from([0.0, 1e-4, 0.3]))
+    def test_batch_loss_and_grads(self, case, lam):
+        samples, _, weights, seed = case
+        size = 6
+        images = np.random.default_rng(seed).normal(size=(len(samples), 3, size, size))
+        params = gr.init_params(tr.toy_graph(size), seed % 5)
+        batch = tr.LabelBatch.from_labels(samples)
+        loss, grads = tr.batch_loss_and_grads(params, images, batch, weights, lam)
+        want_loss, want_grads = sample_batch_loss_and_grads(params, images, samples, weights, lam)
+        assert loss == want_loss
+        assert exact(grads) == exact(want_grads)
