@@ -40,13 +40,14 @@ def _add_common(sub):
 
 def _from_config(action, value):
     """A config-file value read as argparse would read it from a flag."""
+    kind = action.type or str
     if value is None:
-        return None
+        raise ValueError(f"config value null for {action.dest!r} is not a valid {kind.__name__}")
     try:
-        converted = (action.type or str)(str(value))
+        converted = kind(str(value))
     except ValueError:
         raise ValueError(f"config value {value!r} for {action.dest!r} "
-                         f"is not a valid {action.type.__name__}") from None
+                         f"is not a valid {kind.__name__}") from None
     if action.choices is not None and converted not in action.choices:
         raise ValueError(f"config value {value!r} for {action.dest!r} "
                          f"is not one of {sorted(action.choices)}")
@@ -183,20 +184,17 @@ def cmd_ttest(opts) -> dict:
 def cmd_synth(opts) -> dict:
     if opts.out_dir is None:
         raise ValueError("synth requires --out-dir")
-    spec = sy.SynthSpec(
-        participants_per_group=opts.participants,
-        frames_per_participant=opts.frames,
-        au_effect=opts.au_effect,
-        expr_effect=opts.expr_effect,
-        arousal_effect=opts.arousal_effect,
-        valence_effect=opts.valence_effect,
-        noise=opts.noise,
-        subject_scale=opts.subject_scale,
-        seed=opts.seed,
-    )
+    spec = sy.SynthSpec(seed=opts.seed, **{field: getattr(opts, key)
+                                           for key, field in _SYNTH_FIELDS.items()})
     manifest = sy.synth_cohort(spec, opts.out_dir)
     return {"command": "synth", "manifest": str(manifest), "spec": spec}
 
+
+# synth's option names and the SynthSpec fields they set
+_SYNTH_FIELDS = {"participants": "participants_per_group", "frames": "frames_per_participant",
+                 "au_effect": "au_effect", "expr_effect": "expr_effect",
+                 "arousal_effect": "arousal_effect", "valence_effect": "valence_effect",
+                 "noise": "noise", "subject_scale": "subject_scale"}
 
 _COHORT_DEFAULTS = {"manifest": None, "tau": tp.DEFAULT_TAU}
 
@@ -220,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-hw", type=int, default=None, dest="input_hw")
     _add_common(p)
     p.set_defaults(handler=cmd_analyze_graph,
-                   defaults={"cu": "all", "mode": "multi", "input_hw": 224})
+                   defaults={"cu": "all", "mode": "multi",
+                             "input_hw": gr.DEFAULT_INPUT_HW[0]})
 
     p = subs.add_parser("train-toy", help="train the toy multitask model")
     p.add_argument("--epochs", type=int, default=None)
@@ -229,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
     _add_common(p)
     p.set_defaults(handler=cmd_train_toy,
-                   defaults={"epochs": 30, "samples": 200, "image_size": 16,
-                             "batch_size": 25})
+                   defaults={"epochs": tr.TrainConfig.epochs, "samples": 200,
+                             "image_size": 16, "batch_size": tr.TrainConfig.batch_size})
 
     p = subs.add_parser("extract-features", help="temporal features from a cohort manifest")
     _add_cohort(p)
@@ -271,10 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subject-scale", type=float, default=None, dest="subject_scale")
     _add_common(p)
     p.set_defaults(handler=cmd_synth,
-                   defaults={"out_dir": None, "participants": 10, "frames": 200,
-                             "au_effect": 0.0, "expr_effect": 0.0,
-                             "arousal_effect": 0.0, "valence_effect": 0.0,
-                             "noise": 0.5, "subject_scale": 0.3})
+                   defaults=dict(out_dir=None, **{key: getattr(sy.SynthSpec, field)
+                                                  for key, field in _SYNTH_FIELDS.items()}))
     for sub in subs.choices.values():
         sub.set_defaults(actions={action.dest: action for action in sub._actions})
     return parser

@@ -1,11 +1,11 @@
 """Losses, optimizer, augmentation, and the toy multi-task trainer.
 
-Labels are checked per sample (``TaskLabels``) and stacked into one
-``LabelBatch`` of arrays, with -1 (classes) or NaN (targets) marking UNK.
-Each task's loss is evaluated over a whole batch at once: it consumes the
-raw head outputs, squashes internally (softmax, sigmoid, tanh) and returns
-per-sample losses and the exact adjoint with respect to the raw output, so
-the whole training path stays finite-difference checkable.  UNK labels
+Labels take one form, a ``LabelBatch`` of arrays with -1 (classes) or NaN
+(targets) marking UNK; it is checked when it is built.  Each task's loss
+is evaluated over a whole batch at once: it consumes the raw head outputs,
+squashes internally (softmax, sigmoid, tanh) and returns per-sample losses
+and the exact adjoint with respect to the raw output, so the whole
+training path stays finite-difference checkable.  UNK labels
 contribute zero loss and zero adjoint.  The toy model is a
 ``graph.ModelGraph`` (a conv stem, pooling and the four heads), trained
 through ``graph.forward`` and ``graph.backward``.
@@ -23,45 +23,12 @@ from . import numerics as nm
 from .temporal import N_AU, N_EXPR
 
 
-@dataclass(frozen=True)
-class TaskLabels:
-    """Per-sample supervision; None marks an UNK (missing) value."""
-
-    expr: int | None = None
-    au: tuple = (None,) * N_AU
-    arousal: float | None = None
-    valence: float | None = None
-
-    def __post_init__(self):
-        au = tuple(self.au)
-        object.__setattr__(self, "au", au)
-        if len(au) != N_AU:
-            raise ValueError(f"expected {N_AU} AU labels, got {len(au)}")
-        for v in au:
-            if v is not None and not (nm._is_count(v) and v in (0, 1)):
-                raise ValueError(f"AU labels must be 0, 1, or None, got {v!r}")
-        if self.expr is not None and not (nm._is_count(self.expr) and 0 <= self.expr < N_EXPR):
-            raise ValueError(f"expr must be an integer class index below {N_EXPR} or None, "
-                             f"got {self.expr!r}")
-        for name in ("arousal", "valence"):
-            v = getattr(self, name)
-            if v is not None and not -1.0 <= float(v) <= 1.0:
-                raise ValueError(f"{name} target must lie in [-1, 1], got {v}")
-        observed = (
-            self.expr is not None
-            or any(v is not None for v in au)
-            or self.arousal is not None
-            or self.valence is not None
-        )
-        if not observed:
-            raise ValueError("every sample must supervise at least one task")
-
-
 @dataclass(frozen=True, eq=False)
 class LabelBatch:
     """The labels of n samples as one read-only array per task: ``expr`` (n,)
     and ``au`` (n, N_AU) as int with -1 for UNK, ``arousal`` and ``valence``
-    (n,) as float with NaN for UNK.  Indexing takes a sub-batch."""
+    (n,) as float with NaN for UNK.  Every sample must supervise at least
+    one task.  Indexing takes a sub-batch."""
 
     expr: np.ndarray
     au: np.ndarray
@@ -91,21 +58,11 @@ class LabelBatch:
         for name in ("arousal", "valence"):
             if np.any(np.abs(getattr(self, name)) > 1.0):
                 raise ValueError(f"{name} targets must be NaN (UNK) or lie in [-1, 1]")
-
-    @classmethod
-    def from_labels(cls, labels) -> LabelBatch:
-        """Stack checked per-sample ``TaskLabels`` into one batch."""
-        labels = list(labels)
-        for lab in labels:
-            if not isinstance(lab, TaskLabels):
-                raise TypeError(f"expected TaskLabels, got {type(lab).__name__}")
-        unk = lambda v, missing: missing if v is None else v
-        return cls(
-            expr=np.array([unk(lab.expr, -1) for lab in labels], dtype=int),
-            au=np.array([[unk(v, -1) for v in lab.au] for lab in labels], dtype=int).reshape(-1, N_AU),
-            arousal=np.array([unk(lab.arousal, np.nan) for lab in labels], dtype=float),
-            valence=np.array([unk(lab.valence, np.nan) for lab in labels], dtype=float),
-        )
+        unk = ((self.expr == -1) & np.all(self.au == -1, axis=1)
+               & np.isnan(self.arousal) & np.isnan(self.valence))
+        if np.any(unk):
+            raise ValueError(f"sample {int(np.argmax(unk))} supervises no task; "
+                             "every sample must supervise at least one task")
 
     def __len__(self) -> int:
         return len(self.expr)
@@ -175,20 +132,14 @@ def inverse_frequency(counts) -> np.ndarray:
     return total / (counts.size * np.maximum(counts, 1.0))
 
 
-def class_weights(labels) -> ClassWeights:
+def class_weights(labels: LabelBatch) -> ClassWeights:
     """Build inverse-frequency weights from observed (non-UNK) labels.
 
     A task or unit with no observations anywhere gets unit weights; its
     weights can never be consulted because UNK samples skip the loss.
     """
-    expr_counts = np.zeros(N_EXPR)
-    au_counts = np.zeros((N_AU, 2))
-    for lab in labels:
-        if lab.expr is not None:
-            expr_counts[lab.expr] += 1
-        for i, v in enumerate(lab.au):
-            if v is not None:
-                au_counts[i, v] += 1
+    expr_counts = np.bincount(labels.expr[labels.expr >= 0], minlength=N_EXPR)
+    au_counts = np.column_stack([(labels.au == 0).sum(axis=0), (labels.au == 1).sum(axis=0)])
     expr_w = inverse_frequency(expr_counts) if expr_counts.sum() else np.ones(N_EXPR)
     au_w = np.vstack([
         inverse_frequency(au_counts[i]) if au_counts[i].sum() else np.ones(2)
@@ -426,20 +377,17 @@ def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):
     rng = np.random.default_rng(seed)
     protos = rng.normal(size=(N_EXPR, 3, size, size))
     images = np.empty((n, 3, size, size))
-    labels = []
+    expr, au = np.empty(n, dtype=int), np.empty((n, N_AU), dtype=int)
+    arousal, valence = np.empty(n), np.empty(n)
     for i in range(n):
-        cls = int(rng.integers(N_EXPR))
-        images[i] = protos[cls] + 0.3 * rng.normal(size=(3, size, size))
+        expr[i] = int(rng.integers(N_EXPR))
+        images[i] = protos[expr[i]] + 0.3 * rng.normal(size=(3, size, size))
         means = images[i].mean(axis=(1, 2))
         left = [int(images[i, c, :, : size // 2].mean() > 0) for c in range(3)]
-        au = tuple(left[j % 3] for j in range(N_AU))
-        labels.append(TaskLabels(
-            expr=cls,
-            au=au,
-            arousal=math.tanh(2.0 * means[0]),
-            valence=math.tanh(2.0 * means[1]),
-        ))
-    return images, labels
+        au[i] = [left[j % 3] for j in range(N_AU)]
+        arousal[i] = math.tanh(2.0 * means[0])
+        valence[i] = math.tanh(2.0 * means[1])
+    return images, LabelBatch(expr, au, arousal, valence)
 
 
 def batch_loss_and_grads(params: dict, images: np.ndarray, labels: LabelBatch,
@@ -473,21 +421,20 @@ def train_toy(config: TrainConfig = TrainConfig(), n: int = 200, size: int = 16)
     """
     images, labels = toy_dataset(n=n, size=size, seed=config.seed)
     weights = class_weights(labels)
-    targets = LabelBatch.from_labels(labels)
     params = gr.init_params(toy_graph(size), config.seed)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     step = n if config.batch_size is None else min(config.batch_size, n)
-    batches = [(images[start:start + step], targets[start:start + step])
+    batches = [(images[start:start + step], labels[start:start + step])
                for start in range(0, n, step)]
     epoch_losses = []
     for epoch in range(config.epochs):
         seen, accum = 0, 0.0
-        for batch_images, batch_targets in batches:
+        for batch_images, batch_labels in batches:
             loss, grads = batch_loss_and_grads(
-                params, batch_images, batch_targets, weights, config.weight_decay
+                params, batch_images, batch_labels, weights, config.weight_decay
             )
             params, velocity = sgd_step(params, velocity, grads, epoch, config)
-            accum += loss * len(batch_targets)
-            seen += len(batch_targets)
+            accum += loss * len(batch_labels)
+            seen += len(batch_labels)
         epoch_losses.append(accum / seen)
     return {"losses": epoch_losses, "params": params, "weights": weights}

@@ -336,38 +336,57 @@ def unit_weights():
     return tr.ClassWeights(expr=np.ones(tr.N_EXPR), au=np.ones((tr.N_AU, 2)))
 
 
-def sample_task_loss(task, raw, labels, weights):
-    """One task's loss and adjoint for one sample with per-sample ``TaskLabels``,
-    the reference for the batched ``training.task_loss``."""
+def sample_class_weights(labels):
+    """``training.class_weights`` counted one sample and one label at a time."""
+    expr_counts = np.zeros(tr.N_EXPR)
+    au_counts = np.zeros((tr.N_AU, 2))
+    for i in range(len(labels)):
+        if labels.expr[i] >= 0:
+            expr_counts[labels.expr[i]] += 1
+        for unit, v in enumerate(labels.au[i]):
+            if v >= 0:
+                au_counts[unit, v] += 1
+    expr_w = tr.inverse_frequency(expr_counts) if expr_counts.sum() else np.ones(tr.N_EXPR)
+    au_w = np.vstack([
+        tr.inverse_frequency(au_counts[unit]) if au_counts[unit].sum() else np.ones(2)
+        for unit in range(tr.N_AU)
+    ])
+    return tr.ClassWeights(expr=expr_w, au=au_w)
+
+
+def sample_task_loss(task, raw, labels, i, weights):
+    """One task's loss and adjoint for sample ``i`` of a ``LabelBatch`` (-1 or
+    NaN marks UNK), the reference for the batched ``training.task_loss``."""
     if task == "expr":
         x = np.asarray(raw, dtype=float)
-        if labels.expr is None:
+        y = int(labels.expr[i])
+        if y < 0:
             return 0.0, np.zeros_like(x)
-        wy = float(weights.expr[labels.expr])
+        wy = float(weights.expr[y])
         m = x.max()
         logsum = m + math.log(np.exp(x - m).sum())
         grad = wy * nm.softmax(x)
-        grad[labels.expr] -= wy
-        return wy * (logsum - float(x[labels.expr])), grad
+        grad[y] -= wy
+        return wy * (logsum - float(x[y])), grad
     if task == "au":
         x = np.asarray(raw, dtype=float)
         grad = np.zeros_like(x)
-        observed = [(i, int(v)) for i, v in enumerate(labels.au) if v is not None]
+        observed = [(unit, int(v)) for unit, v in enumerate(labels.au[i]) if v >= 0]
         if not observed:
             return 0.0, grad
         total = 0.0
-        for i, y in observed:
-            w = float(weights.au[i, y])
-            xi = float(x[i])
-            total += w * (max(xi, 0.0) - xi * y + math.log1p(math.exp(-abs(xi))))
+        for unit, y in observed:
+            w = float(weights.au[unit, y])
+            xu = float(x[unit])
+            total += w * (max(xu, 0.0) - xu * y + math.log1p(math.exp(-abs(xu))))
         rows, ys = (np.array(column) for column in zip(*observed))
         grad[rows] = weights.au[rows, ys] * (nm.sigmoid(x[rows]) - ys)
         return total / len(observed), grad / len(observed)
-    target = getattr(labels, task)
-    if target is None:
+    target = float(getattr(labels, task)[i])
+    if math.isnan(target):
         return 0.0, 0.0
     pred = math.tanh(float(raw))
-    diff = pred - float(target)
+    diff = pred - target
     if task == "arousal":
         return abs(diff), float(np.sign(diff)) * (1.0 - pred * pred)
     return diff * diff, 2.0 * diff * (1.0 - pred * pred)
@@ -375,14 +394,14 @@ def sample_task_loss(task, raw, labels, weights):
 
 def sample_batch_loss_and_grads(params, images, labels, weights, lam):
     """``training.batch_loss_and_grads`` with one ``sample_task_loss`` call per
-    sample and task; ``labels`` is a list of ``TaskLabels``."""
+    sample and task."""
     outputs, cache = tr.toy_forward(params, images)
     n = images.shape[0]
     head_grads = {t: np.zeros((n, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
     total = 0.0
-    for i, lab in enumerate(labels):
+    for i in range(len(labels)):
         for task in gr.TASKS:
-            value, adj = sample_task_loss(task, outputs[task][i], lab, weights)
+            value, adj = sample_task_loss(task, outputs[task][i], labels, i, weights)
             total += value
             head_grads[task][i] = np.asarray(adj) / n
     loss = total / n + lam * tr.l2_penalty(params)
@@ -393,9 +412,10 @@ def sample_batch_loss_and_grads(params, images, labels, weights, lam):
 
 
 def sample_train_toy(config, n=200, size=16):
-    """``training.train_toy`` over ``sample_batch_loss_and_grads``."""
+    """``training.train_toy`` over ``sample_batch_loss_and_grads`` and
+    ``sample_class_weights``."""
     images, labels = tr.toy_dataset(n=n, size=size, seed=config.seed)
-    weights = tr.class_weights(labels)
+    weights = sample_class_weights(labels)
     params = gr.init_params(tr.toy_graph(size), config.seed)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
     batch = n if config.batch_size is None else min(config.batch_size, n)

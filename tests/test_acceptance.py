@@ -114,11 +114,10 @@ def test_gradient_suite():
 
         weights = tr.ClassWeights(expr=rng.uniform(0.5, 2.0, 8),
                                   au=rng.uniform(0.5, 2.0, (12, 2)))
-        au_labels = tuple(None if i % 4 == 3 else int(rng.integers(0, 2))
-                          for i in range(12))
-        labels = tr.LabelBatch.from_labels([tr.TaskLabels(
-            expr=int(rng.integers(0, 8)), au=au_labels,
-            arousal=float(rng.uniform(-0.9, 0.9)), valence=float(rng.uniform(-0.9, 0.9)))])
+        au_labels = [-1 if i % 4 == 3 else int(rng.integers(0, 2)) for i in range(12)]
+        labels = tr.LabelBatch(
+            expr=[int(rng.integers(0, 8))], au=[au_labels],
+            arousal=[rng.uniform(-0.9, 0.9)], valence=[rng.uniform(-0.9, 0.9)])
         for task, dim in (("expr", 8), ("au", 12), ("arousal", 1), ("valence", 1)):
             raw = rng.normal(size=(1, dim))
             if task == "arousal":

@@ -19,6 +19,9 @@ from affectpipe import graph as gr
 from conftest import MUTATION, mutate
 
 
+COMMANDS = ("analyze-graph", "train-toy", "extract-features", "loocv", "ablate", "ttest", "synth")
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -206,15 +209,21 @@ class TestConfigMerging:
         assert code == 0
         assert len(json.loads(out)["losses"]) == 4
 
-    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,key,value", [("synth", "participants", "ten")] + [
+        (command, key, None) for command in COMMANDS
+        for key in sorted(cli.build_parser().parse_args([command]).defaults)
+        + ["format", "output", "seed"]])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, command, key, value):
+        """A wrong-typed value, or null for any key, names the key in one JSON line."""
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"participants": "ten"}))
-        code, out, err = run(capsys, "synth", "--out-dir", str(tmp_path / "c"),
-                             "--config", str(config))
+        config.write_text(json.dumps({key: value}))
+        flags = ("--out-dir", str(tmp_path / "c")) if command == "synth" else ()
+        code, out, err = run(capsys, command, *flags, "--config", str(config))
         assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
         payload = json.loads(err)
         assert payload["error"] == "ValueError"
-        assert "participants" in payload["message"]
+        assert repr(key) in payload["message"]
 
     def test_unknown_config_key(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -12,59 +12,30 @@ from affectpipe import numerics as nm
 from affectpipe import training as tr
 
 from conftest import (central_difference, exact, max_rel_error, sample_batch_loss_and_grads,
-                      sample_task_loss, sample_train_toy, unit_weights)
+                      sample_class_weights, sample_task_loss, sample_train_toy, unit_weights)
 
 
-def au_none(**overrides):
-    base = dict(expr=None, au=(None,) * 12, arousal=None, valence=None)
-    base.update(overrides)
-    return tr.TaskLabels(**base)
+def labels_of(n=1, **columns):
+    """A label batch of n samples; a task not given is UNK (-1 or NaN)."""
+    arrays = dict(expr=np.full(n, -1), au=np.full((n, 12), -1),
+                  arousal=np.full(n, np.nan), valence=np.full(n, np.nan))
+    arrays.update(columns)
+    return tr.LabelBatch(**arrays)
 
 
-def one(**overrides):
-    """A label batch of one sample."""
-    return tr.LabelBatch.from_labels([au_none(**overrides)])
-
-
-class TestTaskLabels:
-    def test_all_unk_rejected(self):
-        with pytest.raises(ValueError):
-            tr.TaskLabels()
-
-    def test_bad_expr_index(self):
-        with pytest.raises(ValueError):
-            au_none(expr=8)
-
-    def test_bad_au_value(self):
-        with pytest.raises(ValueError):
-            au_none(au=(2,) + (None,) * 11)
-
-    def test_out_of_range_valence(self):
-        with pytest.raises(ValueError):
-            au_none(valence=1.2)
-
-    @pytest.mark.parametrize("value", [2.7, 2.0, True, False, np.float64(1.0), "3"])
-    def test_non_integer_expr_rejected(self, value):
-        with pytest.raises(ValueError, match="expr must be an integer"):
-            au_none(expr=value)
-
-    @pytest.mark.parametrize("value", [1.0, 0.0, True, False, 0.5, np.float64(1.0)])
-    def test_non_integer_au_rejected(self, value):
-        with pytest.raises(ValueError, match="AU labels"):
-            au_none(au=(value,) + (None,) * 11)
-
-    def test_numpy_integers_accepted(self):
-        lab = au_none(expr=np.int64(3), au=(np.int32(1),) + (None,) * 11)
-        assert lab.expr == 3 and lab.au[0] == 1
+def one(**sample):
+    """A label batch of one sample; a task not given is UNK."""
+    return labels_of(**{task: [value] for task, value in sample.items()})
 
 
 class TestLabelBatch:
-    def test_from_labels_marks_unk(self):
-        batch = tr.LabelBatch.from_labels([
-            au_none(expr=2, au=(1, None) * 6),
-            au_none(arousal=0.5),
-            au_none(valence=-0.25, au=(0,) + (None,) * 11),
-        ])
+    def test_arrays_mark_unk(self):
+        batch = tr.LabelBatch(
+            expr=np.array([2, -1, -1], dtype=np.int32),
+            au=np.array([[1, -1] * 6, [-1] * 12, [0] + [-1] * 11], dtype=np.int8),
+            arousal=[np.nan, 0.5, np.nan],
+            valence=[np.nan, np.nan, -0.25],
+        )
         np.testing.assert_array_equal(batch.expr, [2, -1, -1])
         np.testing.assert_array_equal(batch.au[0], [1, -1] * 6)
         np.testing.assert_array_equal(batch.au[1], [-1] * 12)
@@ -75,15 +46,14 @@ class TestLabelBatch:
         assert len(batch) == 3
 
     def test_read_only_and_sliced(self):
-        _, labels = tr.toy_dataset(n=9, size=4, seed=2)
-        batch = tr.LabelBatch.from_labels(labels)
+        _, batch = tr.toy_dataset(n=9, size=4, seed=2)
         with pytest.raises(ValueError):
             batch.au[0, 0] = 1
         part = batch[3:7]
         assert len(part) == 4
         np.testing.assert_array_equal(part.au, batch.au[3:7])
         np.testing.assert_array_equal(part.valence, batch.valence[3:7])
-        assert tr.LabelBatch.from_labels([]).au.shape == (0, 12)
+        assert labels_of(0).au.shape == (0, 12)
 
     @pytest.mark.parametrize("field,value,match", [
         ("expr", [1.0, 2.0], "expr labels must be integers"),
@@ -98,6 +68,9 @@ class TestLabelBatch:
         ("arousal", [1.5, np.nan], "arousal targets"),
         ("valence", [np.inf, 0.0], "valence targets"),
         ("valence", [0.0], "valence labels have shape"),
+        ("expr", ["3", "0"], "expr labels must be integers"),
+        ("au", np.zeros((2, 12)), "au labels must be integers"),
+        ("arousal", [np.nan, np.nan], "sample 1 supervises"),
     ])
     def test_bad_arrays_rejected(self, field, value, match):
         arrays = dict(expr=[0, -1], au=np.full((2, 12), -1), arousal=[np.nan, 0.1],
@@ -105,10 +78,6 @@ class TestLabelBatch:
         arrays[field] = value
         with pytest.raises(ValueError, match=match):
             tr.LabelBatch(**arrays)
-
-    def test_from_labels_takes_task_labels_only(self):
-        with pytest.raises(TypeError):
-            tr.LabelBatch.from_labels([{"expr": 1}])
 
 
 class TestClassWeights:
@@ -130,15 +99,29 @@ class TestClassWeights:
         freq = counts / counts.sum()
         assert abs(float(freq @ w) - 1.0) <= 1e-12
 
-    def test_from_labels(self):
-        labels = [au_none(expr=i % 2) for i in range(10)] + [au_none(expr=0) for _ in range(10)]
-        cw = tr.class_weights(labels)
+    def test_counts_observed_labels(self):
+        cw = tr.class_weights(labels_of(20, expr=[i % 2 for i in range(10)] + [0] * 10))
         # expr class 0 seen 15x, class 1 seen 5x, others unseen
         assert cw.expr[0] == 20 / (8 * 15)
         assert cw.expr[1] == 20 / (8 * 5)
         assert cw.expr[2] == 20 / 8
         # no AU observations at all: unit fallback, never consulted
         np.testing.assert_array_equal(cw.au, np.ones((12, 2)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_per_sample_counts(self, seed):
+        """Toy labels with random UNK entries, one AU unit never observed and
+        (seed 0 and 3) no expression observed, bit for bit."""
+        rng = np.random.default_rng(seed)
+        _, full = tr.toy_dataset(n=30, size=4, seed=seed)
+        expr, au, arousal = full.expr.copy(), full.au.copy(), full.arousal.copy()
+        expr[rng.random(30) < (0.3 if seed % 3 else 1.0)] = -1
+        au[rng.random(au.shape) < 0.5] = -1
+        au[:, seed % 12] = -1
+        arousal[rng.random(30) < 0.5] = np.nan
+        labels = tr.LabelBatch(expr, au, arousal, full.valence)
+        got, want = tr.class_weights(labels), sample_class_weights(labels)
+        assert exact(got.expr) == exact(want.expr) and exact(got.au) == exact(want.au)
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -183,7 +166,7 @@ class TestTaskLoss:
         assert loss[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_au_unk_units_excluded(self):
-        labels = one(au=(1,) + (None,) * 11)
+        labels = one(au=(1,) + (-1,) * 11)
         raw = np.zeros((1, 12))
         raw[0, 1:] = 50.0
         loss, grad = tr.task_loss("au", raw, labels, unit_weights())
@@ -199,7 +182,7 @@ class TestTaskLoss:
             assert np.all(grad == 0.0) and grad.shape == raw.shape
 
     def test_unk_rows_zero_loss_and_adjoint(self):
-        labels = tr.LabelBatch.from_labels([au_none(arousal=0.1), au_none(expr=2, valence=0.3)])
+        labels = labels_of(2, expr=[-1, 2], arousal=[0.1, np.nan], valence=[np.nan, 0.3])
         raw = {t: np.random.default_rng(1).normal(size=(2, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
         for task, unk_row in (("expr", 0), ("au", 0), ("au", 1), ("arousal", 1), ("valence", 0)):
             loss, grad = tr.task_loss(task, raw[task], labels, unit_weights())
@@ -207,10 +190,10 @@ class TestTaskLoss:
 
     def test_bad_affect_target(self):
         with pytest.raises(ValueError):
-            au_none(arousal=-1.5)
+            one(arousal=-1.5)
 
     def test_shape_checks(self):
-        labels = tr.LabelBatch.from_labels([au_none(expr=1)] * 3)
+        labels = labels_of(3, expr=[1] * 3)
         with pytest.raises(ValueError, match="unknown task"):
             tr.task_loss("gaze", np.zeros(3), labels, unit_weights())
         with pytest.raises(ValueError, match="does not match 3 samples"):
@@ -232,12 +215,12 @@ class TestTaskLoss:
             raw[rng.integers(12, size=3)] = rng.choice([-1.0, 1.0], 3) * rng.uniform(30.0, 800.0, 3)
             au = [int(v) for v in rng.integers(0, 2, 12)]
             if observed != "all":
-                au = [v if observed == "partial" and rng.random() < 0.5 else None for v in au]
+                au = [v if observed == "partial" and rng.random() < 0.5 else -1 for v in au]
             rows.append((raw, au))
-        labels = tr.LabelBatch.from_labels([au_none(expr=0, au=tuple(au)) for _, au in rows])
+        labels = labels_of(len(rows), expr=[0] * len(rows), au=[au for _, au in rows])
         _, grad = tr.task_loss("au", np.stack([raw for raw, _ in rows]), labels, weights)
         for (raw, au), got in zip(rows, grad):
-            seen = [(i, y) for i, y in enumerate(au) if y is not None]
+            seen = [(i, y) for i, y in enumerate(au) if y >= 0]
             want = np.zeros(12)
             for i, y in seen:
                 want[i] = float(weights.au[i, y]) * (float(nm.sigmoid(np.array(raw[i]))) - y)
@@ -246,13 +229,8 @@ class TestTaskLoss:
     def test_losses_nonnegative(self):
         rng = np.random.default_rng(4)
         w = unit_weights()
-        labels = tr.LabelBatch.from_labels([
-            tr.TaskLabels(
-                expr=int(rng.integers(8)),
-                au=tuple(int(v) for v in rng.integers(0, 2, 12)),
-                arousal=float(rng.uniform(-1, 1)),
-                valence=float(rng.uniform(-1, 1)),
-            ) for _ in range(50)])
+        labels = tr.LabelBatch(expr=rng.integers(8, size=50), au=rng.integers(0, 2, (50, 12)),
+                               arousal=rng.uniform(-1, 1, 50), valence=rng.uniform(-1, 1, 50))
         for task in gr.TASKS:
             raw = rng.normal(size=(50, gr.HEAD_WIDTHS[task]))
             assert np.all(tr.task_loss(task, raw, labels, w)[0] >= 0)
@@ -275,20 +253,17 @@ class TestTaskLossGradients:
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(3, 8))
         weights = tr.ClassWeights(expr=rng.uniform(0.5, 2.0, 8), au=np.ones((12, 2)))
-        labels = tr.LabelBatch.from_labels([au_none(expr=int(rng.integers(8))) for _ in range(3)])
+        labels = labels_of(3, expr=[int(rng.integers(8)) for _ in range(3)])
         assert max_rel_error(*batch_fd("expr", raw, labels, weights)) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_au_adjoint(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(3, 12))
-        samples = []
-        for _ in range(3):
-            au = tuple(int(v) if v < 2 else None for v in rng.integers(0, 3, 12))
-            if all(v is None for v in au):
-                au = (1,) + au[1:]
-            samples.append(au_none(au=au))
-        labels = tr.LabelBatch.from_labels(samples)
+        au = rng.integers(0, 3, (3, 12))
+        au[au == 2] = -1
+        au[np.all(au == -1, axis=1), 0] = 1
+        labels = labels_of(3, au=au)
         weights = tr.ClassWeights(expr=np.ones(8), au=rng.uniform(0.5, 2.0, (12, 2)))
         assert max_rel_error(*batch_fd("au", raw, labels, weights)) < 1e-4
 
@@ -299,15 +274,14 @@ class TestTaskLossGradients:
         targets = rng.uniform(-0.95, 0.95, size=3)
         # keep clear of the L1 kink at pred == target
         raw[np.abs(np.tanh(raw) - targets) < 1e-2] += 0.1
-        labels = tr.LabelBatch.from_labels([au_none(arousal=float(t)) for t in targets])
+        labels = labels_of(3, arousal=targets)
         assert max_rel_error(*batch_fd("arousal", raw, labels, unit_weights())) < 1e-4
 
     @pytest.mark.parametrize("seed", range(20))
     def test_valence_adjoint(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(3, 1))
-        labels = tr.LabelBatch.from_labels(
-            [au_none(valence=float(t)) for t in rng.uniform(-0.95, 0.95, size=3)])
+        labels = labels_of(3, valence=rng.uniform(-0.95, 0.95, size=3))
         assert max_rel_error(*batch_fd("valence", raw, labels, unit_weights())) < 1e-4
 
 
@@ -329,19 +303,18 @@ class TestMultitaskLoss:
     def test_zero_params_no_penalty(self):
         params, images, _ = self.batch(seed=4, n=2)
         params = {key: np.zeros_like(value) for key, value in params.items()}
-        labels = tr.LabelBatch.from_labels([au_none(expr=0), au_none(expr=5)])
+        labels = labels_of(2, expr=[0, 5])
         loss, _ = tr.batch_loss_and_grads(params, images, labels, unit_weights(), lam=123.0)
         expr_only = tr.task_loss("expr", np.zeros((1, 8)), one(expr=0), unit_weights())[0][0]
         assert loss == pytest.approx(expr_only, abs=1e-12)
 
     def test_compositional_oracle(self):
-        params, images, labels = self.batch(seed=5)
-        w = tr.class_weights(labels)
-        batch = tr.LabelBatch.from_labels(labels)
+        params, images, batch = self.batch(seed=5)
+        w = tr.class_weights(batch)
         lam = 1e-4
         outputs, _ = tr.toy_forward(params, images)
         total = sum(tr.task_loss(t, outputs[t], batch, w)[0].sum() for t in gr.TASKS)
-        total = total / len(labels) + lam * sum(np.sum(p ** 2) for p in params.values())
+        total = total / len(batch) + lam * sum(np.sum(p ** 2) for p in params.values())
         got, _ = tr.batch_loss_and_grads(params, images, batch, w, lam)
         assert got == pytest.approx(total, rel=1e-12)
 
@@ -349,7 +322,7 @@ class TestMultitaskLoss:
         params, images, _ = self.batch(seed=6, n=1)
         w = unit_weights()
         partial = one(expr=1)
-        full = one(expr=1, arousal=None, valence=None)
+        full = one(expr=1, arousal=np.nan, valence=np.nan)
         assert tr.batch_loss_and_grads(params, images, partial, w, 1e-4)[0] == pytest.approx(
             tr.batch_loss_and_grads(params, images, full, w, 1e-4)[0], rel=1e-15
         )
@@ -357,8 +330,7 @@ class TestMultitaskLoss:
     def test_label_count_must_match_batch(self):
         params, images, labels = self.batch(seed=7, n=3)
         with pytest.raises(ValueError, match="does not match 2 samples"):
-            tr.batch_loss_and_grads(params, images, tr.LabelBatch.from_labels(labels[:2]),
-                                    unit_weights(), 1e-4)
+            tr.batch_loss_and_grads(params, images, labels[:2], unit_weights(), 1e-4)
 
 
 class TestTrainConfig:
@@ -485,9 +457,8 @@ class TestToyTraining:
         assert a == b
 
     def test_toy_gradients_match_finite_differences(self):
-        images, labels = tr.toy_dataset(n=4, size=8, seed=1)
-        weights = tr.class_weights(labels)
-        batch = tr.LabelBatch.from_labels(labels)
+        images, batch = tr.toy_dataset(n=4, size=8, seed=1)
+        weights = tr.class_weights(batch)
         params = gr.init_params(tr.toy_graph(8), 1)
         _, grads = tr.batch_loss_and_grads(params, images, batch, weights, lam=1e-4)
 
@@ -496,7 +467,7 @@ class TestToyTraining:
             trial[key] = flat.reshape(params[key].shape)
             out, _ = tr.toy_forward(trial, images)
             total = sum(tr.task_loss(task, out[task], batch, weights)[0].sum() for task in gr.TASKS)
-            return total / len(labels) + 1e-4 * tr.l2_penalty(trial)
+            return total / len(batch) + 1e-4 * tr.l2_penalty(trial)
 
         for key in ("stem.w", "stem.scale", "stem.shift", "head.expr.w", "head.arousal.b"):
             num = central_difference(lambda v: loss_of(key, v), params[key].copy().ravel())
@@ -515,7 +486,8 @@ class TestToyTraining:
         assert exact(got["params"]) == exact(want["params"])
 
 
-UNK = st.none()
+UNK_CLASS = st.just(-1)
+UNK_TARGET = st.just(math.nan)
 
 
 @st.composite
@@ -524,24 +496,26 @@ def labeled_batches(draw):
     every AU UNK, and tasks UNK in every row."""
     n = draw(st.just(1) | st.integers(2, 9))
     unk_tasks = draw(st.sets(st.sampled_from(gr.TASKS), max_size=3))
-    samples = []
-    for _ in range(n):
-        expr = None if "expr" in unk_tasks else draw(UNK | st.integers(0, 7))
-        au_unit = draw(st.sampled_from([UNK, UNK | st.integers(0, 1), st.integers(0, 1)]))
-        au = (None,) * 12 if "au" in unk_tasks else tuple(
-            draw(st.lists(au_unit, min_size=12, max_size=12)))
-        arousal, valence = (
-            None if task in unk_tasks else draw(UNK | st.floats(-1.0, 1.0)) for task in
-            ("arousal", "valence"))
-        if expr is None and arousal is None and valence is None and all(v is None for v in au):
-            valence = 0.5
-        samples.append(tr.TaskLabels(expr=expr, au=au, arousal=arousal, valence=valence))
+    expr, au = np.full(n, -1), np.full((n, 12), -1)
+    arousal, valence = np.full(n, np.nan), np.full(n, np.nan)
+    for i in range(n):
+        if "expr" not in unk_tasks:
+            expr[i] = draw(UNK_CLASS | st.integers(0, 7))
+        au_unit = draw(st.sampled_from([UNK_CLASS, UNK_CLASS | st.integers(0, 1),
+                                        st.integers(0, 1)]))
+        if "au" not in unk_tasks:
+            au[i] = draw(st.lists(au_unit, min_size=12, max_size=12))
+        for task, column in (("arousal", arousal), ("valence", valence)):
+            if task not in unk_tasks:
+                column[i] = draw(UNK_TARGET | st.floats(-1.0, 1.0))
+        if expr[i] == -1 and np.all(au[i] == -1) and np.isnan(arousal[i]) and np.isnan(valence[i]):
+            valence[i] = 0.5
     seed = draw(st.integers(0, 2**16))
     scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
     rng = np.random.default_rng(seed)
     raw = {t: scale * rng.normal(size=(n, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
     weights = tr.ClassWeights(expr=rng.uniform(0.2, 3.0, 8), au=rng.uniform(0.2, 3.0, (12, 2)))
-    return samples, raw, weights, seed
+    return tr.LabelBatch(expr, au, arousal, valence), raw, weights, seed
 
 
 class TestBatchedEqualsPerSample:
@@ -551,26 +525,24 @@ class TestBatchedEqualsPerSample:
     @settings(max_examples=80, deadline=None)
     @given(labeled_batches())
     def test_task_loss(self, case):
-        samples, raw, weights, _ = case
-        batch = tr.LabelBatch.from_labels(samples)
+        batch, raw, weights, _ = case
         for task in gr.TASKS:
             x = raw[task][:, 0] if gr.HEAD_WIDTHS[task] == 1 else raw[task]
             loss, grad = tr.task_loss(task, x, batch, weights)
             assert grad.shape == x.shape
-            for i, lab in enumerate(samples):
-                value, adj = sample_task_loss(task, x[i], lab, weights)
+            for i in range(len(batch)):
+                value, adj = sample_task_loss(task, x[i], batch, i, weights)
                 assert loss[i] == value, (task, i)
                 assert np.asarray(adj).tobytes() == grad[i].tobytes(), (task, i)
 
     @settings(max_examples=40, deadline=None)
     @given(labeled_batches(), st.sampled_from([0.0, 1e-4, 0.3]))
     def test_batch_loss_and_grads(self, case, lam):
-        samples, _, weights, seed = case
+        batch, _, weights, seed = case
         size = 6
-        images = np.random.default_rng(seed).normal(size=(len(samples), 3, size, size))
+        images = np.random.default_rng(seed).normal(size=(len(batch), 3, size, size))
         params = gr.init_params(tr.toy_graph(size), seed % 5)
-        batch = tr.LabelBatch.from_labels(samples)
         loss, grads = tr.batch_loss_and_grads(params, images, batch, weights, lam)
-        want_loss, want_grads = sample_batch_loss_and_grads(params, images, samples, weights, lam)
+        want_loss, want_grads = sample_batch_loss_and_grads(params, images, batch, weights, lam)
         assert loss == want_loss
         assert exact(grads) == exact(want_grads)
