@@ -28,8 +28,44 @@ def one(**sample):
     return labels_of(**{task: [value] for task, value in sample.items()})
 
 
+def au_row(*values):
+    """One sample's twelve AU labels: the given leading units, the rest UNK (-1)."""
+    return [list(values) + [-1] * (12 - len(values))]
+
+
+class TestTaskLabels:
+    """The per-sample label checks, made on a batch of one sample."""
+
+    def test_bad_expr_index(self):
+        with pytest.raises(ValueError, match="expr labels must be -1"):
+            one(expr=8)
+
+    def test_bad_au_value(self):
+        with pytest.raises(ValueError, match="AU labels must be -1"):
+            labels_of(au=au_row(2))
+
+    def test_out_of_range_valence(self):
+        with pytest.raises(ValueError, match="valence targets"):
+            one(valence=1.2)
+
+    @pytest.mark.parametrize("value", [2.7, 2.0, True, False, np.float64(1.0)])
+    def test_non_integer_expr_rejected(self, value):
+        with pytest.raises(ValueError, match="expr labels must be integers"):
+            one(expr=value)
+
+    @pytest.mark.parametrize("value", [1.0, 0.0, True, False, 0.5, np.float64(1.0)])
+    def test_non_integer_au_rejected(self, value):
+        with pytest.raises(ValueError, match="au labels must be integers"):
+            labels_of(au=np.full((1, 12), value))
+
+    def test_numpy_integers_accepted(self):
+        batch = labels_of(expr=[np.int64(3)], au=au_row(np.int32(1)))
+        assert batch.expr[0] == 3 and batch.au[0, 0] == 1
+        assert batch.expr.dtype == batch.au.dtype == np.dtype(int)
+
+
 class TestLabelBatch:
-    def test_arrays_mark_unk(self):
+    def test_from_labels_marks_unk(self):
         batch = tr.LabelBatch(
             expr=np.array([2, -1, -1], dtype=np.int32),
             au=np.array([[1, -1] * 6, [-1] * 12, [0] + [-1] * 11], dtype=np.int8),
