@@ -159,67 +159,6 @@ def confusion_metrics(predictions, truths) -> ConfusionMetrics:
                             sensitivity=sens, specificity=spec, f1=f1)
 
 
-def _binary_f1(tp, fp, fn):
-    """F1 with the vacuous case (nothing to find, nothing found) scored 1."""
-    if tp + fp + fn == 0:
-        return 1.0
-    return 2 * tp / (2 * tp + fp + fn)
-
-
-def expr_macro_f1(predicted, target, n_classes: int = N_EXPR) -> float:
-    predicted = np.asarray(predicted, dtype=int)
-    target = np.asarray(target, dtype=int)
-    if predicted.shape != target.shape:
-        raise ValueError("prediction/target lengths differ")
-    scores = []
-    for c in range(n_classes):
-        tp = int(np.sum((predicted == c) & (target == c)))
-        fp = int(np.sum((predicted == c) & (target != c)))
-        fn = int(np.sum((predicted != c) & (target == c)))
-        scores.append(_binary_f1(tp, fp, fn))
-    return float(np.mean(scores))
-
-
-def au_mean_f1_acc(predicted_probs, targets, threshold: float = 0.5) -> float:
-    """Mean over AUs of (F1 + accuracy) / 2, predictions binarized."""
-    p = np.asarray(predicted_probs, dtype=float)
-    t = np.asarray(targets, dtype=int)
-    if p.shape != t.shape:
-        raise ValueError("prediction/target shapes differ")
-    binary = p > threshold
-    scores = []
-    for j in range(p.shape[1]):
-        tp = int(np.sum(binary[:, j] & (t[:, j] == 1)))
-        fp = int(np.sum(binary[:, j] & (t[:, j] == 0)))
-        fn = int(np.sum(~binary[:, j] & (t[:, j] == 1)))
-        acc = float(np.mean(binary[:, j] == (t[:, j] == 1)))
-        scores.append((_binary_f1(tp, fp, fn) + acc) / 2.0)
-    return float(np.mean(scores))
-
-
-def pearson_cc(x, y) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("correlation needs two equal-length vectors")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
-    if denom == 0.0:
-        raise ValueError("correlation undefined for zero-variance input")
-    return float(xc @ yc) / denom
-
-
-def recognition_metric(kind: str, predictions, targets) -> float:
-    if kind == "expr_f1":
-        return expr_macro_f1(predictions, targets)
-    if kind == "au_mean_f1_acc":
-        return au_mean_f1_acc(predictions, targets)
-    if kind == "affect_cc":
-        return pearson_cc(predictions, targets)
-    raise ValueError(f"unknown recognition metric {kind!r}")
-
-
 # --- Student's t ------------------------------------------------------------
 
 def _log_beta(a: float, b: float) -> float:

@@ -47,10 +47,10 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _as_tensor4(x: np.ndarray, what: str = "input") -> np.ndarray:
+def _as_tensor4(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
-        raise ShapeError(f"{what} must be 4-d (batch, channels, h, w), got shape {x.shape}")
+        raise ShapeError(f"input must be 4-d (batch, channels, h, w), got shape {x.shape}")
     return x
 
 
@@ -70,7 +70,6 @@ class ConvSpec:
     padding: int = 0
     groups: int = 1
     dilation: int = 1
-    bias: bool = True
 
     def __post_init__(self) -> None:
         for name in ("in_channels", "out_channels", "kernel", "stride", "groups", "dilation"):

@@ -36,10 +36,10 @@ class SynthSpec:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.participants_per_group < 1:
-            raise ValueError("participants_per_group must be >= 1")
-        if self.frames_per_participant < 1:
-            raise ValueError("frames_per_participant must be >= 1")
+        for name in ("participants_per_group", "frames_per_participant"):
+            value = getattr(self, name)
+            if not nm._is_count(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not self.noise > 0:
             raise ValueError("noise must be > 0")
         if self.subject_scale < 0:

@@ -1,4 +1,4 @@
-"""Losses, optimizer, augmentation, and the toy multi-task trainer.
+"""Losses, optimizer, and the toy multi-task trainer.
 
 Labels take one form, a ``LabelBatch`` of arrays with -1 (classes) or NaN
 (targets) marking UNK; it is checked when it is built.  Each task's loss
@@ -28,7 +28,8 @@ class LabelBatch:
     """The labels of n samples as one read-only array per task: ``expr`` (n,)
     and ``au`` (n, N_AU) as int with -1 for UNK, ``arousal`` and ``valence``
     (n,) as float with NaN for UNK.  Every sample must supervise at least
-    one task.  Indexing takes a sub-batch."""
+    one task.  Indexing takes a sub-batch; an integer index takes the
+    one-sample batch ``self[[i]]``."""
 
     expr: np.ndarray
     au: np.ndarray
@@ -68,6 +69,8 @@ class LabelBatch:
         return len(self.expr)
 
     def __getitem__(self, index) -> LabelBatch:
+        if nm._is_count(index):
+            index = [index]
         return LabelBatch(self.expr[index], self.au[index], self.arousal[index], self.valence[index])
 
 
@@ -97,13 +100,13 @@ class TrainConfig:
     lr_decay: float = 0.05
     epochs: int = 30
     weight_decay: float = 1e-4
-    batch_size: int | None = 25
+    batch_size: int = 25
     seed: int = 0
 
     def __post_init__(self):
         if not nm._is_count(self.epochs):
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
-        if self.batch_size is not None and not nm._is_count(self.batch_size):
+        if not nm._is_count(self.batch_size):
             raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
         if not nm._is_count(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -117,8 +120,8 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
             raise ValueError(f"weight_decay must be nonnegative and finite, got {self.weight_decay!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be None or a positive integer")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be a positive integer")
 
 
 def inverse_frequency(counts) -> np.ndarray:
@@ -257,86 +260,6 @@ def sgd_step(params: dict, velocity: dict, grads: dict, epoch: int,
     return new_params, new_velocity
 
 
-@dataclass(frozen=True)
-class AugmentConfig:
-    """Magnitudes of the four augmentations; zero (or scale 1) disables one."""
-
-    flip_prob: float = 0.5
-    crop_min_scale: float = 0.8
-    rotation_deg: float = 15.0
-    shear_deg: float = 10.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.flip_prob <= 1.0:
-            raise ValueError("flip_prob must lie in [0, 1]")
-        if not 0.0 < self.crop_min_scale <= 1.0:
-            raise ValueError("crop_min_scale must lie in (0, 1]")
-        if self.rotation_deg < 0 or self.shear_deg < 0:
-            raise ValueError("rotation_deg and shear_deg must be nonnegative")
-
-
-def _bilinear_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample (C, H, W) at fractional coordinates with zero fill outside."""
-    c, h, w = img.shape
-    r0 = np.floor(rows).astype(int)
-    c0 = np.floor(cols).astype(int)
-    dr = rows - r0
-    dc = cols - c0
-    out = np.zeros((c,) + rows.shape)
-    for rr, cc, wt in (
-        (r0, c0, (1 - dr) * (1 - dc)),
-        (r0, c0 + 1, (1 - dr) * dc),
-        (r0 + 1, c0, dr * (1 - dc)),
-        (r0 + 1, c0 + 1, dr * dc),
-    ):
-        valid = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-        rs = np.clip(rr, 0, h - 1)
-        cs = np.clip(cc, 0, w - 1)
-        out += img[:, rs, cs] * (wt * valid)
-    return out
-
-
-def augment(images: np.ndarray, seed: int, config: AugmentConfig = AugmentConfig()) -> np.ndarray:
-    """Composed random flip / crop-resize / rotation / shear per image.
-
-    One affine sampling grid per image (bilinear, zero fill); draws come
-    from a generator seeded once, so a seed fixes the whole batch.
-    """
-    x = nm._as_tensor4(images, "augment input")
-    n, c, h, w = x.shape
-    if h < 2 or w < 2:
-        raise ValueError("images must be at least 2x2 for crop and resize")
-    rng = np.random.default_rng(seed)
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    out_rows, out_cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    result = np.empty_like(x)
-    for i in range(n):
-        flip = rng.random() < config.flip_prob
-        scale = rng.uniform(config.crop_min_scale, 1.0)
-        if scale * h < 1 or scale * w < 1:
-            raise ValueError(f"crop scale {scale} degenerates a {h}x{w} image")
-        max_off_y = (1.0 - scale) * (h - 1) / 2.0
-        max_off_x = (1.0 - scale) * (w - 1) / 2.0
-        off_y = rng.uniform(-max_off_y, max_off_y)
-        off_x = rng.uniform(-max_off_x, max_off_x)
-        theta = math.radians(rng.uniform(-config.rotation_deg, config.rotation_deg))
-        shear = math.tan(math.radians(rng.uniform(-config.shear_deg, config.shear_deg)))
-
-        # output -> input map: centered rotation+shear, then crop scale/offset
-        a11 = math.cos(theta) + shear * math.sin(theta)
-        a12 = shear * math.cos(theta) - math.sin(theta)
-        a21 = math.sin(theta)
-        a22 = math.cos(theta)
-        ry = out_rows - cy
-        rx = out_cols - cx
-        rows = scale * (a22 * ry + a21 * rx) + cy + off_y
-        cols = scale * (a12 * ry + a11 * rx) + cx + off_x
-        if flip:
-            cols = (w - 1) - cols
-        result[i] = _bilinear_sample(x[i], rows, cols)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Toy multi-task model: a strided conv stem, pooling, the four linear heads.
 
@@ -423,7 +346,7 @@ def train_toy(config: TrainConfig = TrainConfig(), n: int = 200, size: int = 16)
     weights = class_weights(labels)
     params = gr.init_params(toy_graph(size), config.seed)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    step = n if config.batch_size is None else min(config.batch_size, n)
+    step = min(config.batch_size, n)
     batches = [(images[start:start + step], labels[start:start + step])
                for start in range(0, n, step)]
     epoch_losses = []

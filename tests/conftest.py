@@ -418,7 +418,7 @@ def sample_train_toy(config, n=200, size=16):
     weights = sample_class_weights(labels)
     params = gr.init_params(tr.toy_graph(size), config.seed)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    batch = n if config.batch_size is None else min(config.batch_size, n)
+    batch = min(config.batch_size, n)
     losses = []
     for epoch in range(config.epochs):
         seen, accum = 0, 0.0

@@ -226,7 +226,7 @@ def test_temporal_feature_oracle():
 
 
 def test_statistics_oracle():
-    """t_test vs scipy on 100 pairs; identical-sample p=1; Pearson formula."""
+    """t_test vs scipy on 100 pairs; identical-sample p=1."""
     failures = []
     rng = np.random.default_rng(1)
     worst = 0.0
@@ -245,16 +245,8 @@ def test_statistics_oracle():
     same = ev.t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     check(failures, same.t == 0.0 and same.p == 1.0,
           f"identical samples gave t={same.t}, p={same.p}")
-
-    x, y = rng.normal(size=60), rng.normal(size=60)
-    n = 60
-    num = n * np.sum(x * y) - np.sum(x) * np.sum(y)
-    den = (math.sqrt(n * np.sum(x * x) - np.sum(x) ** 2)
-           * math.sqrt(n * np.sum(y * y) - np.sum(y) ** 2))
-    check(failures, abs(ev.pearson_cc(x, y) - num / den) <= 1e-12,
-          "Pearson CC deviates from the direct formula")
     finish(f"statistics oracle: 100 t-test pairs (worst |dp| {worst:.1e}), "
-           "identical-sample p=1, Pearson exact", failures)
+           "identical-sample p=1", failures)
 
 
 def test_metric_identities():

@@ -1,6 +1,5 @@
 """LOOCV harness, metrics, and t-test against scipy oracles."""
 
-import math
 import warnings
 
 import numpy as np
@@ -283,51 +282,6 @@ class TestConfusionMetrics:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ev.confusion_metrics([True], [True, False])
-
-
-class TestRecognitionMetrics:
-    def test_expr_perfect(self):
-        y = np.arange(8).repeat(3)
-        assert ev.expr_macro_f1(y, y) == 1.0
-
-    def test_expr_matches_manual_macro(self):
-        rng = np.random.default_rng(8)
-        t = rng.integers(0, 8, 200)
-        p = np.where(rng.random(200) < 0.7, t, rng.integers(0, 8, 200))
-        scores = []
-        for c in range(8):
-            tp = np.sum((p == c) & (t == c))
-            fp = np.sum((p == c) & (t != c))
-            fn = np.sum((p != c) & (t == c))
-            scores.append(1.0 if tp + fp + fn == 0 else 2 * tp / (2 * tp + fp + fn))
-        assert ev.expr_macro_f1(p, t) == pytest.approx(np.mean(scores), abs=1e-12)
-
-    def test_au_perfect_is_one(self):
-        rng = np.random.default_rng(9)
-        t = rng.integers(0, 2, (50, 12))
-        probs = np.where(t == 1, 0.9, 0.1)
-        assert ev.au_mean_f1_acc(probs, t) == 1.0
-
-    def test_cc_identities(self):
-        x = np.random.default_rng(10).normal(size=40)
-        assert ev.pearson_cc(x, x) == pytest.approx(1.0, abs=1e-12)
-        assert ev.pearson_cc(x, -x) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_cc_matches_textbook_formula(self):
-        rng = np.random.default_rng(11)
-        x, y = rng.normal(size=50), rng.normal(size=50)
-        n = 50
-        num = n * np.sum(x * y) - np.sum(x) * np.sum(y)
-        den = math.sqrt(n * np.sum(x * x) - np.sum(x) ** 2) * math.sqrt(n * np.sum(y * y) - np.sum(y) ** 2)
-        assert ev.pearson_cc(x, y) == pytest.approx(num / den, abs=1e-12)
-
-    def test_cc_zero_variance_raises(self):
-        with pytest.raises(ValueError):
-            ev.pearson_cc(np.ones(5), np.arange(5.0))
-
-    def test_dispatcher(self):
-        with pytest.raises(ValueError):
-            ev.recognition_metric("rmse", [], [])
 
 
 class TestTTest:

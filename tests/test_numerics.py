@@ -68,13 +68,13 @@ class TestConvSpec:
 class TestConv2d:
     def test_identity_kernel(self, rng):
         x = rng.normal(size=(2, 1, 5, 5))
-        spec = nm.ConvSpec(1, 1, kernel=1, bias=False)
+        spec = nm.ConvSpec(1, 1, kernel=1)
         w = np.ones((1, 1, 1, 1))
         np.testing.assert_array_equal(nm.conv2d(x, spec, w), x)
 
     def test_all_ones_3x3(self):
         x = np.ones((1, 1, 3, 3))
-        spec = nm.ConvSpec(1, 1, kernel=3, bias=False)
+        spec = nm.ConvSpec(1, 1, kernel=3)
         y = nm.conv2d(x, spec, np.ones((1, 1, 3, 3)))
         assert y.shape == (1, 1, 1, 1)
         assert y[0, 0, 0, 0] == 9.0

@@ -20,6 +20,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             synth.SynthSpec(frames_per_participant=0)
 
+    @pytest.mark.parametrize("field", ["participants_per_group", "frames_per_participant"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "4"])
+    def test_count_must_be_int(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            synth.SynthSpec(**{field: value})
+
     def test_noise_positive(self):
         with pytest.raises(ValueError):
             synth.SynthSpec(noise=0.0)

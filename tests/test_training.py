@@ -1,4 +1,4 @@
-"""Losses, class weights, optimizer, augmentation, and the toy trainer."""
+"""Label batches, losses, class weights, optimizer, and the toy trainer."""
 
 import math
 
@@ -90,6 +90,20 @@ class TestLabelBatch:
         np.testing.assert_array_equal(part.au, batch.au[3:7])
         np.testing.assert_array_equal(part.valence, batch.valence[3:7])
         assert labels_of(0).au.shape == (0, 12)
+
+    @pytest.mark.parametrize("index,rows", [(0, slice(0, 1)), (-1, slice(-1, None)),
+                                            (np.int64(4), slice(4, 5))])
+    def test_integer_index_is_one_sample_batch(self, index, rows):
+        _, batch = tr.toy_dataset(n=9, size=4, seed=2)
+        got, want = batch[index], batch[rows]
+        assert len(got) == 1
+        for task in ("expr", "au", "arousal", "valence"):
+            np.testing.assert_array_equal(getattr(got, task), getattr(want, task))
+
+    def test_integer_index_out_of_range(self):
+        _, batch = tr.toy_dataset(n=9, size=4, seed=2)
+        with pytest.raises(IndexError):
+            batch[len(batch)]
 
     @pytest.mark.parametrize("field,value,match", [
         ("expr", [1.0, 2.0], "expr labels must be integers"),
@@ -388,14 +402,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="epochs must be an integer"):
             tr.TrainConfig(epochs=None)
 
+    def test_batch_size_none_rejected(self):
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            tr.TrainConfig(batch_size=None)
+
     @pytest.mark.parametrize("value", [-1, 2.5, True, None])
     def test_seed_must_be_non_negative_int(self, value):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             tr.TrainConfig(seed=value)
 
-    def test_counts_accept_numpy_int_and_none_batch(self):
-        cfg = tr.TrainConfig(epochs=np.int64(3), batch_size=None)
-        assert cfg.epochs == 3 and cfg.batch_size is None
+    def test_counts_accept_numpy_int(self):
+        cfg = tr.TrainConfig(epochs=np.int64(3), batch_size=np.int32(7))
+        assert cfg.epochs == 3 and cfg.batch_size == 7
 
 
 class TestSgd:
@@ -434,52 +452,6 @@ class TestSgd:
             tr.sgd_step({"w": np.zeros(1)}, {"w": np.zeros(1)}, {"w": np.array([np.nan])}, 0, cfg)
 
 
-class TestAugment:
-    def identity_config(self, **overrides):
-        base = dict(flip_prob=0.0, crop_min_scale=1.0, rotation_deg=0.0, shear_deg=0.0)
-        base.update(overrides)
-        return tr.AugmentConfig(**base)
-
-    def test_identity_transform(self):
-        x = np.random.default_rng(0).normal(size=(2, 3, 16, 16))
-        y = tr.augment(x, seed=0, config=self.identity_config())
-        np.testing.assert_allclose(y, x, atol=1e-9)
-
-    def test_flip_is_involution(self):
-        x = np.random.default_rng(1).normal(size=(1, 3, 12, 12))
-        cfg = self.identity_config(flip_prob=1.0)
-        y = tr.augment(tr.augment(x, seed=3, config=cfg), seed=4, config=cfg)
-        np.testing.assert_allclose(y, x, atol=1e-9)
-
-    def test_flip_only_symmetric_image_unchanged(self):
-        base = np.random.default_rng(2).normal(size=(1, 3, 10, 5))
-        sym = np.concatenate([base, base[..., ::-1]], axis=3)
-        cfg = self.identity_config(flip_prob=1.0)
-        np.testing.assert_allclose(tr.augment(sym, seed=0, config=cfg), sym, atol=1e-9)
-
-    def test_deterministic_per_seed(self):
-        x = np.random.default_rng(3).normal(size=(4, 3, 16, 16))
-        a = tr.augment(x, seed=7)
-        b = tr.augment(x, seed=7)
-        np.testing.assert_array_equal(a, b)
-        c = tr.augment(x, seed=8)
-        assert not np.array_equal(a, c)
-
-    def test_output_shape_preserved(self):
-        x = np.random.default_rng(4).normal(size=(3, 3, 20, 14))
-        assert tr.augment(x, seed=0).shape == x.shape
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            tr.AugmentConfig(crop_min_scale=0.0)
-        with pytest.raises(ValueError):
-            tr.AugmentConfig(flip_prob=1.5)
-
-    def test_tiny_image_rejected(self):
-        with pytest.raises(ValueError):
-            tr.augment(np.zeros((1, 3, 1, 1)), seed=0)
-
-
 class TestToyTraining:
     def test_loss_decreases_monotonically(self):
         losses = tr.train_toy(tr.TrainConfig())["losses"]
@@ -512,7 +484,7 @@ class TestToyTraining:
     @pytest.mark.parametrize("config,n,size", [
         (tr.TrainConfig(), 200, 16),
         (tr.TrainConfig(epochs=3, batch_size=7, seed=9), 30, 8),
-        (tr.TrainConfig(epochs=3, batch_size=None, seed=2), 30, 8),
+        (tr.TrainConfig(epochs=3, batch_size=30, seed=2), 30, 8),
     ])
     def test_equals_per_sample_trainer(self, config, n, size):
         """The batched objective walks the per-sample trajectory bit for bit."""
