@@ -108,16 +108,19 @@ class ConvBlock:
         y = nm.conv2d(x, self.spec, *self._folded(params), padded=padded)
         return np.maximum(y, 0.0, out=y) if self.relu else y
 
-    def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
+    def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray, *,
+                 input_grad: bool = True):
         """(grad_x, parameter grads) from input x, output y and d loss/d y.
 
         With gWf, gbf the adjoints of the folded weights and bias:
         gW = scale*gWf, gb = scale*gbf, gshift = gbf and
-        gscale = sum(gWf*W) + gbf*b per output channel.
+        gscale = sum(gWf*W) + gbf*b per output channel.  With
+        ``input_grad=False`` grad_x is None and is not computed.
         """
         if self.relu:
             grad_y = nm.relu_backward(grad_y, y)
-        gx, gwf, gbf = nm.conv2d_backward(grad_y, x, self.spec, self._folded(params)[0])
+        gx, gwf, gbf = nm.conv2d_backward(grad_y, x, self.spec, self._folded(params)[0],
+                                          input_grad=input_grad)
         n = self.name
         scale = params[f"{n}.scale"]
         return gx, {
@@ -504,7 +507,9 @@ def backward(graph: ModelGraph, params: dict, cache: list, head_grads: dict) -> 
 
     ``cache`` is the list a :func:`forward` call filled and ``head_grads``
     the loss adjoints of the raw head outputs, keyed by task (width-1 heads
-    may take (N,) vectors).  The layers are walked in reverse.
+    may take (N,) vectors).  The layers are walked in reverse.  The adjoint
+    of the input batch is never returned, so a first layer that is a
+    ConvBlock (the stem) does not compute it.
     """
     pooled = cache[-1]
     grads = {}
@@ -515,7 +520,9 @@ def backward(graph: ModelGraph, params: dict, cache: list, head_grads: dict) -> 
         grads.update(head_param_grads)
         g += gx
     for i in reversed(range(len(graph.layers))):
-        g, layer_grads = graph.layers[i].backward(params, cache[i], cache[i + 1], g)
+        layer = graph.layers[i]
+        skip = {"input_grad": False} if i == 0 and isinstance(layer, ConvBlock) else {}
+        g, layer_grads = layer.backward(params, cache[i], cache[i + 1], g, **skip)
         grads.update(layer_grads)
     return grads
 

@@ -47,6 +47,11 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _as_tensor4(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 4:
@@ -127,7 +132,17 @@ def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     without padding at stride 1 gives a view, not a copy.
     """
     p = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    xp = x
+    if p:
+        # np.pad's bytes without its per-call overhead: zero the four border
+        # strips of an empty buffer and copy x into the interior.
+        n, c, h, w = x.shape
+        xp = np.empty((n, c, h + 2 * p, w + 2 * p))
+        xp[:, :, :p] = 0.0
+        xp[:, :, h + p :] = 0.0
+        xp[:, :, p : h + p, :p] = 0.0
+        xp[:, :, p : h + p, w + p :] = 0.0
+        xp[:, :, p : h + p, p : w + p] = x
     n = xp.shape[0]
     g, k, s, d = spec.groups, spec.kernel, spec.stride, spec.dilation
     cin_g = spec.in_channels // g
@@ -219,13 +234,15 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
 
 
 def conv2d_backward(
-    grad_out: np.ndarray, x: np.ndarray, spec: ConvSpec, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    grad_out: np.ndarray, x: np.ndarray, spec: ConvSpec, weights: np.ndarray, *, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Adjoints (grad_x, grad_weights, grad_bias) of :func:`conv2d`.
 
     grad_weights is one matmul against the forward's column tensor;
     grad_x scatter-adds the weight-transposed columns back over the k^2
-    kernel offsets (col2im).
+    kernel offsets (col2im).  With ``input_grad=False`` grad_x is None and
+    neither the transposed product nor the scatter and its zero buffer is
+    made; the other two adjoints are the same bytes.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -234,8 +251,11 @@ def conv2d_backward(
     g = spec.groups
     s, d, p, k = spec.stride, spec.dilation, spec.padding, spec.kernel
     gy = grad_out.reshape(n, g, spec.out_channels // g, oh * ow)
-    wg = weights.reshape(g, spec.out_channels // g, -1)
     gw = np.matmul(gy, _im2col(x, spec, oh, ow).transpose(0, 1, 3, 2)).sum(axis=0)
+    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, gw.reshape(weights.shape), grad_bias
+    wg = weights.reshape(g, spec.out_channels // g, -1)
     gcols = np.matmul(wg.transpose(0, 2, 1), gy).reshape(n, spec.in_channels, k, k, oh, ow)
     h, w = x.shape[2:]
     gxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p))
@@ -245,7 +265,6 @@ def conv2d_backward(
             cols = slice(kj * d, kj * d + s * (ow - 1) + 1, s)
             gxp[:, :, rows, cols] += gcols[:, :, ki, kj]
     gx = gxp[:, :, p:-p, p:-p] if p else gxp
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
     return gx, gw.reshape(weights.shape), grad_bias
 
 

@@ -8,7 +8,7 @@ latents before squashing, so effect size 0 makes the groups exchangeable.
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,10 @@ from . import dataio
 from . import evaluation as ev
 from . import numerics as nm
 from . import temporal as tp
+
+
+_FLOAT_FIELDS = ("au_effect", "expr_effect", "arousal_effect", "valence_effect", "noise",
+                 "subject_scale")
 
 
 @dataclass(frozen=True)
@@ -32,10 +36,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (nm._is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         for name in ("participants_per_group", "frames_per_participant"):
             value = getattr(self, name)
             if not nm._is_count(value) or value < 1:

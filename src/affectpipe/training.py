@@ -110,6 +110,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
         if not nm._is_count(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("lr0", "momentum", "lr_decay", "weight_decay"):
+            value = getattr(self, name)
+            if not nm._is_real(value):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not (self.lr0 > 0 and math.isfinite(self.lr0)):
             raise ValueError(f"lr0 must be positive and finite, got {self.lr0!r}")
         if not 0.0 <= self.momentum < 1.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,31 @@ def offset_conv2d(x, spec, weights, bias=None, *, padded=None):
     if bias is not None:
         y += bias[None, :, None, None]
     return y
+
+
+def pad_im2col(x, spec, oh, ow):
+    """``numerics._im2col`` of a copy of x padded by ``np.pad``: the reference
+    for the column tensor built on the border-zeroed buffer."""
+    p = spec.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    return nm._im2col(xp, dataclasses.replace(spec, padding=0), oh, ow)
+
+
+def full_backward(graph, params, cache, head_grads):
+    """``graph.backward`` with every layer computing its input adjoint, the
+    first one's included: the reference for the stem that skips it."""
+    pooled = cache[-1]
+    grads = {}
+    g = np.zeros_like(pooled)
+    for head in graph.heads:
+        grad_y = np.asarray(head_grads[head.task], dtype=float).reshape(len(pooled), head.width)
+        gx, head_param_grads = head.backward(params, pooled, grad_y)
+        grads.update(head_param_grads)
+        g += gx
+    for i in reversed(range(len(graph.layers))):
+        g, layer_grads = graph.layers[i].backward(params, cache[i], cache[i + 1], g)
+        grads.update(layer_grads)
+    return grads
 
 
 def channel_affine(x, scale, shift):

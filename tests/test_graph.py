@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from affectpipe import cli
 from affectpipe import graph as gp
 from affectpipe import numerics as nm
+from affectpipe import training as tr
 
-from conftest import (central_difference, channel_affine, channel_affine_backward, max_rel_error,
-                      offset_conv2d)
+from conftest import (central_difference, channel_affine, channel_affine_backward, exact, full_backward,
+                      max_rel_error, offset_conv2d)
 
 PARAM_TARGETS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
 # Strided dense, grouped, grouped 1x1 and strided dilated depthwise blocks.
@@ -703,6 +704,29 @@ class TestBackward:
             trial[key][index] -= 2e-4
             num = (hi - loss(trial)) / 2e-4
             assert abs(grads[key][index] - num) <= 1e-6 * max(1.0, abs(num)), key
+
+    @pytest.mark.parametrize("cu", ("toy",) + gp.CU_KINDS)
+    def test_graph_backward_equals_full_adjoint_oracle(self, cu):
+        graph = tr.toy_graph(16) if cu == "toy" else gp.build_graph(cu, input_hw=(16, 16))
+        rng = np.random.default_rng(38)
+        params = {k: v + rng.normal(scale=0.1, size=v.shape) if k.endswith(".b") else v
+                  for k, v in gp.init_params(graph, seed=4).items()}
+        cache = []
+        out = gp.forward(graph, params, rng.normal(size=(3, 3, 16, 16)), cache)
+        ups = {task: rng.normal(size=np.shape(y)) for task, y in out.items()}
+        assert exact(gp.backward(graph, params, cache, ups)) == exact(full_backward(graph, params, cache, ups))
+
+    def test_only_the_stem_skips_its_input_adjoint(self, monkeypatch):
+        calls = []
+        real = nm.conv2d_backward
+        monkeypatch.setattr(nm, "conv2d_backward", lambda *a, input_grad=True: (
+            calls.append(input_grad) or real(*a, input_grad=input_grad)))
+        graph = tiny_graph("bottleneck")
+        params = gp.init_params(graph, seed=0)
+        cache = []
+        out = gp.forward(graph, params, np.random.default_rng(39).normal(size=(1, 3, 32, 32)), cache)
+        gp.backward(graph, params, cache, {task: np.ones(np.shape(y)) for task, y in out.items()})
+        assert calls[-1] is False and all(calls[:-1]) and len(calls) > 1
 
     def test_forward_cache_holds_each_layer_input_then_pooled(self):
         graph = tiny_graph("bottleneck")

@@ -2,12 +2,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affectpipe import numerics as nm
 
-from conftest import loop_conv2d, offset_conv2d, two_branch_sigmoid
+from conftest import exact, loop_conv2d, offset_conv2d, pad_im2col, two_branch_sigmoid
 
 # One spec per convolution class the trunk uses, with the input size it runs at.
 CONV_CLASSES = {
@@ -209,6 +209,43 @@ class TestConv2d:
         spec = nm.ConvSpec(6, 4, kernel=1, groups=2)
         x = rng.normal(size=(2, 6, 5, 7))
         assert np.shares_memory(nm._im2col(x, spec, 5, 7), x)
+
+    @given(
+        groups=st.integers(1, 3), cin_g=st.integers(1, 2), kernel=st.sampled_from([1, 3, 5]),
+        stride=st.integers(1, 2), dilation=st.integers(1, 3), padding=st.integers(0, 3),
+        extra_h=st.integers(0, 4), extra_w=st.integers(0, 4),
+        layout=st.sampled_from(["nchw", "nhwc", "flipped"]), seed=st.integers(0, 2**16),
+    )
+    @example(groups=1, cin_g=3, kernel=3, stride=1, dilation=1, padding=1, extra_h=0, extra_w=0,
+             layout="nchw", seed=0)
+    @example(groups=2, cin_g=1, kernel=3, stride=2, dilation=3, padding=3, extra_h=0, extra_w=0,
+             layout="nhwc", seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_im2col_equals_np_pad_oracle(self, groups, cin_g, kernel, stride, dilation, padding,
+                                         extra_h, extra_w, layout, seed):
+        spec = nm.ConvSpec(groups * cin_g, groups, kernel=kernel, stride=stride, padding=padding,
+                           groups=groups, dilation=dilation)
+        smallest = max(1, dilation * (kernel - 1) + 1 - 2 * padding)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, spec.in_channels, smallest + extra_h, smallest + extra_w))
+        if layout == "nhwc":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        elif layout == "flipped":
+            x = x[:, :, ::-1]
+        oh, ow = spec.out_hw(x.shape[2:])
+        got, want = nm._im2col(x, spec, oh, ow), pad_im2col(x, spec, oh, ow)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CONV_CLASSES))
+    def test_backward_without_input_grad_per_class(self, rng, name):
+        spec, shape = CONV_CLASSES[name]
+        x = rng.normal(size=shape)
+        w = rng.normal(size=spec.weight_shape)
+        gy = rng.normal(size=nm.conv2d(x, spec, w).shape)
+        _, gw, gb = nm.conv2d_backward(gy, x, spec, w)
+        gx, gw_only, gb_only = nm.conv2d_backward(gy, x, spec, w, input_grad=False)
+        assert gx is None
+        assert exact((gw_only, gb_only)) == exact((gw, gb))
 
     @pytest.mark.parametrize("name", sorted(CONV_CLASSES))
     def test_backward_is_the_adjoint_per_class(self, rng, name):

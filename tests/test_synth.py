@@ -26,6 +26,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
             synth.SynthSpec(**{field: value})
 
+    @pytest.mark.parametrize("field", ["au_effect", "expr_effect", "arousal_effect", "valence_effect",
+                                       "noise", "subject_scale"])
+    @pytest.mark.parametrize("value", [None, "1", True, np.bool_(False), float("nan"), float("inf")])
+    def test_float_must_be_a_finite_real_number(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite real number, got "):
+            synth.SynthSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("au_effect", 1), ("noise", np.float32(0.5)),
+                                              ("subject_scale", np.int64(0))])
+    def test_float_accepts_python_and_numpy_numbers(self, field, value):
+        assert getattr(synth.SynthSpec(**{field: value}), field) == value
+
     def test_noise_positive(self):
         with pytest.raises(ValueError):
             synth.SynthSpec(noise=0.0)

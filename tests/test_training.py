@@ -392,6 +392,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must "):
             tr.TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lr0", "momentum", "lr_decay", "weight_decay"])
+    @pytest.mark.parametrize("value", [None, "0.1", True, False, np.bool_(True), [0.1]])
+    def test_float_must_be_a_real_number(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
+            tr.TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("lr0", 1), ("momentum", np.float32(0.5)),
+                                              ("lr_decay", np.int64(0)), ("weight_decay", 0)])
+    def test_float_accepts_python_and_numpy_numbers(self, field, value):
+        assert getattr(tr.TrainConfig(**{field: value}), field) == value
+
     @pytest.mark.parametrize("field", ["epochs", "batch_size"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "4"])
     def test_count_must_be_int(self, field, value):
