@@ -51,7 +51,7 @@ class ClassifierSpec:
         if self.svm_gamma is not None:
             floats["svm_gamma"] = self.svm_gamma
         for name, value in floats.items():
-            if not (value > 0 and math.isfinite(value)):
+            if not (nm._is_real(value) and value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         for name in ("iterations", "rounds", "depth", "epochs"):
             value = getattr(self, name)

@@ -143,7 +143,7 @@ def write_frames(path, matrix) -> None:
     F = tp.attribute_matrix(matrix)
     lines = [FRAME_HEADER]
     for i, row in enumerate(F):
-        lines.append(",".join([str(i)] + [repr(float(v)) for v in row]))
+        lines.append(f"{i}," + ",".join(map(repr, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -56,7 +56,7 @@ class CuWidths:
 
     def __post_init__(self):
         ratio = self.bottleneck_mid_ratio
-        if not (ratio > 0 and math.isfinite(ratio)):
+        if not (nm._is_real(ratio) and ratio > 0 and math.isfinite(ratio)):
             raise ValueError(f"bottleneck_mid_ratio must be positive and finite, got {ratio!r}")
         for name in ("mobilenet_depth_mult", "eesp_branches", "eesp_groups", "eesp_width_mult"):
             value = getattr(self, name)

@@ -2,7 +2,8 @@
 
 A Tensor4 is a float64 numpy array indexed (batch, channels, height,
 width) in any strided memory layout; the depthwise path below returns a
-view of channels-last memory. Every operation here is a pure function;
+view of channels-last memory and the im2col path a view of channel-major
+(c, n, h, w) memory. Every operation here is a pure function;
 each layer op has a companion ``*_backward`` that returns the exact
 analytic adjoints of its inputs and parameters, verified against central
 finite differences in the test suite.  Sigmoid and softmax only squash
@@ -16,10 +17,15 @@ a strided window view of a zero-padded channels-last copy of the input.
 ``padded``: a unit whose several dilated branches read the same input
 makes one copy, padded for the widest branch, and every branch reads it
 at its own offset.  Every other spec gathers the padded, strided and
-dilated input once into a column tensor (im2col) and multiplies it by the
-grouped weights in one batched matrix product.  The adjoint of both is
-the im2col one, which scatter-adds the columns back over the kernel
-offsets.
+dilated input once into a channel-major column tensor (im2col) whose
+columns run over the whole batch, (groups, cin/g*k*k, n*oh*ow), and
+multiplies it by the grouped weights in one GEMM per group.  Its output
+is laid out channel-major, so a stride-1 1x1 convolution that reads it
+takes its columns as a view, without a copy.  The adjoint of both paths
+is the im2col one: the weight gradient is one GEMM per group over the
+batch's n*oh*ow columns, and the input gradient scatter-adds the
+weight-transposed columns back over the kernel offsets into a
+channel-major buffer.
 """
 
 from __future__ import annotations
@@ -125,35 +131,41 @@ def _conv_geometry(x: np.ndarray, spec: ConvSpec, weights: np.ndarray):
 
 
 def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
-    """Column tensor (n, groups, cin/g*k*k, oh*ow) of an unpadded input.
+    """Column tensor (groups, cin/g*k*k, n*oh*ow) of an unpadded input.
 
     Row (c, ki, kj) of group gi holds input channel gi*cin/g + c at offset
-    (ki*d, kj*d) of every output position's receptive field.  A 1x1 kernel
-    without padding at stride 1 gives a view, not a copy.
+    (ki*d, kj*d) of every output position's receptive field, and column
+    (b, i, j) is sample b's output position (i, j): the batch is folded into
+    the columns, so one GEMM per group covers it.  A padded input is copied
+    into a zero-bordered channel-major (c, n, h+2p, w+2p) buffer first.  A
+    1x1 kernel without padding at stride 1 gives a view, not a copy, of an
+    input whose (n, h, w) axes share one stride, as channel-major and
+    channels-last memory both do.
     """
     p = spec.padding
-    xp = x
+    xc = x.transpose(1, 0, 2, 3)
     if p:
         # np.pad's bytes without its per-call overhead: zero the four border
         # strips of an empty buffer and copy x into the interior.
-        n, c, h, w = x.shape
-        xp = np.empty((n, c, h + 2 * p, w + 2 * p))
+        c, n, h, w = xc.shape
+        xp = np.empty((c, n, h + 2 * p, w + 2 * p))
         xp[:, :, :p] = 0.0
         xp[:, :, h + p :] = 0.0
         xp[:, :, p : h + p, :p] = 0.0
         xp[:, :, p : h + p, w + p :] = 0.0
-        xp[:, :, p : h + p, p : w + p] = x
-    n = xp.shape[0]
+        xp[:, :, p : h + p, p : w + p] = xc
+        xc = xp
+    n = xc.shape[1]
     g, k, s, d = spec.groups, spec.kernel, spec.stride, spec.dilation
     cin_g = spec.in_channels // g
-    sn, sc, sh, sw = xp.strides
+    sc, sn, sh, sw = xc.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, g, cin_g, k, k, oh, ow),
-        strides=(sn, sc * cin_g, sc, sh * d, sw * d, sh * s, sw * s),
+        xc,
+        shape=(g, cin_g, k, k, n, oh, ow),
+        strides=(sc * cin_g, sc, sh * d, sw * d, sn, sh * s, sw * s),
         writeable=False,
     )
-    return windows.reshape(n, g, cin_g * k * k, oh * ow)
+    return windows.reshape(g, cin_g * k * k, n * oh * ow)
 
 
 def _pad_channels_last(x: np.ndarray, margin: int) -> np.ndarray:
@@ -205,9 +217,10 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
 
     A spec with one input and one output channel per group sums its taps
     directly (:func:`_depthwise_taps`); every other spec is im2col plus one
-    batched GEMM.  ``padded`` is only for the former: an already checked
-    ``_pad_channels_last(x, margin)`` copy with ``margin >= spec.padding``,
-    which is read in place of a new copy of ``x``.
+    GEMM per group over the whole batch, and returns an NCHW view of
+    channel-major memory.  ``padded`` is only for the former: an already
+    checked ``_pad_channels_last(x, margin)`` copy with ``margin >=
+    spec.padding``, which is read in place of a new copy of ``x``.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     g = spec.groups
@@ -222,9 +235,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
         y = _depthwise_taps(_pad_channels_last(x, spec.padding), spec.padding, spec, weights, oh, ow)
     else:
         require_finite(x, "conv2d input")
-        cols = _im2col(x, spec, oh, ow)
-        y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), cols)
-        y = y.reshape(n, spec.out_channels, oh, ow)
+        y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), _im2col(x, spec, oh, ow))
+        y = y.reshape(spec.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (spec.out_channels,):
@@ -238,11 +250,12 @@ def conv2d_backward(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Adjoints (grad_x, grad_weights, grad_bias) of :func:`conv2d`.
 
-    grad_weights is one matmul against the forward's column tensor;
-    grad_x scatter-adds the weight-transposed columns back over the k^2
-    kernel offsets (col2im).  With ``input_grad=False`` grad_x is None and
-    neither the transposed product nor the scatter and its zero buffer is
-    made; the other two adjoints are the same bytes.
+    grad_weights is one GEMM per group over the n*oh*ow columns of the
+    forward's column tensor; grad_x scatter-adds the weight-transposed
+    columns back over the k^2 kernel offsets into a channel-major buffer
+    (col2im) and is an NCHW view of it.  With ``input_grad=False`` grad_x
+    is None and neither the transposed product nor the scatter and its zero
+    buffer is made; the other two adjoints are the same bytes.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -250,22 +263,22 @@ def conv2d_backward(
         raise ShapeError(f"adjoint shape {grad_out.shape} != forward output {(n, spec.out_channels, oh, ow)}")
     g = spec.groups
     s, d, p, k = spec.stride, spec.dilation, spec.padding, spec.kernel
-    gy = grad_out.reshape(n, g, spec.out_channels // g, oh * ow)
-    gw = np.matmul(gy, _im2col(x, spec, oh, ow).transpose(0, 1, 3, 2)).sum(axis=0)
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    gy = grad_out.transpose(1, 0, 2, 3).reshape(g, spec.out_channels // g, n * oh * ow)
+    gw = np.matmul(gy, _im2col(x, spec, oh, ow).transpose(0, 2, 1)).reshape(weights.shape)
+    grad_bias = gy.sum(axis=2).reshape(spec.out_channels)
     if not input_grad:
-        return None, gw.reshape(weights.shape), grad_bias
+        return None, gw, grad_bias
     wg = weights.reshape(g, spec.out_channels // g, -1)
-    gcols = np.matmul(wg.transpose(0, 2, 1), gy).reshape(n, spec.in_channels, k, k, oh, ow)
+    gcols = np.matmul(wg.transpose(0, 2, 1), gy).reshape(spec.in_channels, k, k, n, oh, ow)
     h, w = x.shape[2:]
-    gxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p))
+    gxp = np.zeros((spec.in_channels, n, h + 2 * p, w + 2 * p))
     for ki in range(k):
         for kj in range(k):
             rows = slice(ki * d, ki * d + s * (oh - 1) + 1, s)
             cols = slice(kj * d, kj * d + s * (ow - 1) + 1, s)
-            gxp[:, :, rows, cols] += gcols[:, :, ki, kj]
+            gxp[:, :, rows, cols] += gcols[:, ki, kj]
     gx = gxp[:, :, p:-p, p:-p] if p else gxp
-    return gx, gw.reshape(weights.shape), grad_bias
+    return gx.transpose(1, 0, 2, 3), gw, grad_bias
 
 
 def linear(x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -316,11 +329,15 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool_backward(grad_out: np.ndarray, x_shape: tuple[int, ...]) -> np.ndarray:
+    """Adjoint of :func:`global_avg_pool`, an NCHW view of channel-major
+    memory: laid out as an im2col convolution's output is, the adjoint
+    that convolution's backward pass reads needs no transposing copy."""
     n, c, h, w = x_shape
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if grad_out.shape != (n, c):
         raise ShapeError(f"adjoint shape {grad_out.shape} != ({n}, {c})")
-    return np.broadcast_to(grad_out[:, :, None, None] / (h * w), x_shape).copy()
+    spread = np.broadcast_to((grad_out.T / (h * w))[:, :, None, None], (c, n, h, w))
+    return spread.copy().transpose(1, 0, 2, 3)
 
 
 # -- elementwise activations ------------------------------------------------

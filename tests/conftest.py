@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
+from affectpipe import dataio as dio
 from affectpipe import graph as gr
 from affectpipe import numerics as nm
 from affectpipe import training as tr
@@ -42,6 +43,36 @@ def loop_conv2d(x, spec, weights, bias=None):
     return out
 
 
+def loop_conv2d_backward(grad_out, x, spec, weights):
+    """Adjoints (grad_x, grad_weights, grad_bias) of ``loop_conv2d`` by the
+    same nested loops: each output's adjoint is scattered onto the input
+    and weight entries that made it."""
+    n, cin, h, w = x.shape
+    k, s, p, d, g = spec.kernel, spec.stride, spec.padding, spec.dilation, spec.groups
+    _, _, oh, ow = grad_out.shape
+    cin_g = cin // g
+    cout_g = spec.out_channels // g
+    gx = np.zeros(x.shape)
+    gw = np.zeros(weights.shape)
+    gb = np.zeros(spec.out_channels)
+    for b in range(n):
+        for o in range(spec.out_channels):
+            grp = o // cout_g
+            for i in range(oh):
+                for j in range(ow):
+                    up = grad_out[b, o, i, j]
+                    gb[o] += up
+                    for c in range(cin_g):
+                        for ki in range(k):
+                            for kj in range(k):
+                                ii = i * s + ki * d - p
+                                jj = j * s + kj * d - p
+                                if 0 <= ii < h and 0 <= jj < w:
+                                    gw[o, c, ki, kj] += up * x[b, grp * cin_g + c, ii, jj]
+                                    gx[b, grp * cin_g + c, ii, jj] += up * weights[o, c, ki, kj]
+    return gx, gw, gb
+
+
 def offset_conv2d(x, spec, weights, bias=None, *, padded=None):
     """Direct-summation convolution, one grouped einsum per kernel offset.
 
@@ -67,10 +98,19 @@ def offset_conv2d(x, spec, weights, bias=None, *, padded=None):
 
 def pad_im2col(x, spec, oh, ow):
     """``numerics._im2col`` of a copy of x padded by ``np.pad``: the reference
-    for the column tensor built on the border-zeroed buffer."""
+    for the column tensor (groups, cin/g*k*k, n*oh*ow) built on the
+    border-zeroed channel-major buffer."""
     p = spec.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     return nm._im2col(xp, dataclasses.replace(spec, padding=0), oh, ow)
+
+
+def scalar_repr_frames(F):
+    """FrameCsv text of ``F`` with each cell formatted as ``repr(float(v))``
+    of its numpy scalar: the byte reference for ``dataio.write_frames``."""
+    lines = [dio.FRAME_HEADER] + [",".join([str(i)] + [repr(float(v)) for v in row])
+                                  for i, row in enumerate(F)]
+    return "\n".join(lines) + "\n"
 
 
 def full_backward(graph, params, cache, head_grads):

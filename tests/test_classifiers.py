@@ -97,6 +97,20 @@ class TestFitContract:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             cl.ClassifierSpec("logistic", **{field: value})
 
+    # svm_gamma=None is its documented default, the 1/d rule.
+    @pytest.mark.parametrize("field, value", [
+        (field, value) for field in ("l2", "l1", "step", "svm_c", "svm_gamma", "shrinkage")
+        for value in (None, "1", True, np.bool_(True), [0.1]) if (field, value) != ("svm_gamma", None)
+    ])
+    def test_float_must_be_a_real_number(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be positive and finite, got "):
+            cl.ClassifierSpec("logistic", **{field: value})
+
+    @pytest.mark.parametrize("field", ["l2", "l1", "step", "svm_c", "svm_gamma", "shrinkage"])
+    @pytest.mark.parametrize("value", [1, np.int64(2), np.float32(0.5), 0.25])
+    def test_float_accepts_python_and_numpy_numbers(self, field, value):
+        assert getattr(cl.ClassifierSpec("logistic", **{field: value}), field) == value
+
     @pytest.mark.parametrize("field", ["iterations", "rounds", "depth", "epochs"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0)])
     def test_count_must_be_int(self, field, value):

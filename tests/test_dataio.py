@@ -6,14 +6,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affectpipe import dataio as dio
 from affectpipe import evaluation as ev
 from affectpipe import temporal as tp
 
-from conftest import MUTATION, mutate
+from conftest import MUTATION, mutate, scalar_repr_frames
 
 
 def random_matrix(rng, m=5):
@@ -27,9 +27,25 @@ def random_matrix(rng, m=5):
 def write_unchecked(path, F):
     """FrameCsv text of ``F`` laid out as ``write_frames`` lays it out, with
     the same ``repr`` cells, but without its contract check."""
-    lines = [dio.FRAME_HEADER] + [",".join([str(i)] + [repr(float(v)) for v in row])
-                                  for i, row in enumerate(F)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(scalar_repr_frames(F), encoding="utf-8")
+
+
+# Cells on either side of repr's switch to exponent notation (below 1e-4 it
+# writes 1e-05, not 0.00001), signed zeros, subnormals and the bounds.
+EDGE_CELLS = (0.0, -0.0, 1e-4, math.nextafter(1e-4, 0.0), 1e-5, math.nextafter(1e-5, 1.0),
+              9.99999e-6, 5e-324, 2.2250738585072014e-308, 1.5e-310, 1e-300, 1.0,
+              math.nextafter(1.0, 0.0), 0.1, 0.5)
+UNIT_CELL = st.one_of(st.sampled_from(EDGE_CELLS), st.floats(0.0, 2e-4), st.floats(0.0, 1.0))
+SIGNED_CELL = st.one_of(UNIT_CELL, UNIT_CELL.map(lambda v: -v))
+
+
+@st.composite
+def frame_rows(draw):
+    """One row inside the frame contract, its expression cells summing to 1."""
+    au = draw(st.lists(UNIT_CELL, min_size=12, max_size=12))
+    expr_rest = draw(st.lists(UNIT_CELL.map(lambda v: v / 16.0), min_size=7, max_size=7))
+    affect = draw(st.lists(SIGNED_CELL, min_size=2, max_size=2))
+    return au + [1.0 - math.fsum(expr_rest)] + expr_rest + affect
 
 
 def write_cohort(tmp_path, rng, n_pos=2, n_neg=2, m=6):
@@ -79,6 +95,16 @@ class TestFrameCsv:
         assert err.value.row == 3
         assert err.value.column == "arousal"
         assert "1.5" in str(err.value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(frame_rows(), min_size=1, max_size=4))
+    @example(rows=[list(EDGE_CELLS[:12]) + [1.0] + [0.0] * 6 + [-0.0] + [-1e-5, -5e-324]])
+    def test_write_bytes_equal_scalar_repr(self, tmp_path_factory, rows):
+        F = np.array(rows)
+        path = tmp_path_factory.mktemp("repr") / "frames.csv"
+        dio.write_frames(path, F)
+        assert path.read_bytes() == scalar_repr_frames(F).encode("utf-8")
+        assert dio.parse_frames(path).tobytes() == F.tobytes()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "h.csv"

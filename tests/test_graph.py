@@ -139,6 +139,11 @@ class TestCuWidths:
         with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value!r}"):
             gp.CuWidths(**{field: value})
 
+    @pytest.mark.parametrize("value", [None, "1.2", True, np.bool_(True), [1.2]])
+    def test_ratio_must_be_a_real_number(self, value):
+        with pytest.raises(ValueError, match=r"^bottleneck_mid_ratio must be positive and finite, got "):
+            gp.CuWidths(bottleneck_mid_ratio=value)
+
     def test_numpy_integers_and_integer_ratio_accepted(self):
         widths = gp.CuWidths(bottleneck_mid_ratio=1, mobilenet_depth_mult=np.int64(2))
         assert gp.build_graph("mobilenet", input_hw=(32, 32), widths=widths).layers[1].out_channels == 32
@@ -329,6 +334,20 @@ class TestForward:
             )
             v = out[task]
             np.testing.assert_allclose(v[0], v[1], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("cu", gp.CU_KINDS)
+    def test_batch_of_8_equals_each_frame_alone(self, cu):
+        # The benchmark's trunk reference tolerance: one batch folds every
+        # frame into each GEMM, which may round a frame's sums differently.
+        graph = tiny_graph(cu)
+        params = gp.init_params(graph, seed=0)
+        frames = np.random.default_rng(8).uniform(0.0, 1.0, (8, 3, 32, 32))
+        batch = gp.forward(graph, params, frames)
+        for i in range(len(frames)):
+            alone = gp.forward(graph, params, frames[i : i + 1])
+            for task in gp.TASKS:
+                np.testing.assert_allclose(np.reshape(batch[task], (8, -1))[i : i + 1],
+                                           np.reshape(alone[task], (1, -1)), rtol=1e-7, atol=1e-9)
 
     def test_wrong_spatial_size_rejected(self):
         graph = tiny_graph("bottleneck")

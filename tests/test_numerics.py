@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from affectpipe import numerics as nm
 
-from conftest import exact, loop_conv2d, offset_conv2d, pad_im2col, two_branch_sigmoid
+from conftest import (exact, loop_conv2d, loop_conv2d_backward, offset_conv2d, pad_im2col,
+                      two_branch_sigmoid)
 
 # One spec per convolution class the trunk uses, with the input size it runs at.
 CONV_CLASSES = {
@@ -207,7 +208,7 @@ class TestConv2d:
 
     def test_pointwise_columns_are_a_view(self, rng):
         spec = nm.ConvSpec(6, 4, kernel=1, groups=2)
-        x = rng.normal(size=(2, 6, 5, 7))
+        x = rng.normal(size=(6, 2, 5, 7)).transpose(1, 0, 2, 3)
         assert np.shares_memory(nm._im2col(x, spec, 5, 7), x)
 
     @given(
@@ -234,7 +235,8 @@ class TestConv2d:
             x = x[:, :, ::-1]
         oh, ow = spec.out_hw(x.shape[2:])
         got, want = nm._im2col(x, spec, oh, ow), pad_im2col(x, spec, oh, ow)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.shape == want.shape == (groups, cin_g * kernel * kernel, 2 * oh * ow)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", sorted(CONV_CLASSES))
     def test_backward_without_input_grad_per_class(self, rng, name):
@@ -260,6 +262,35 @@ class TestConv2d:
         np.testing.assert_allclose(np.sum(gx * x), inner, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(np.sum(gw * w), inner, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(gb, gy.sum(axis=(0, 2, 3)), rtol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["channel_major", "batch0", "batch1"])
+    @pytest.mark.parametrize("name", sorted(CONV_CLASSES))
+    def test_layout_and_batch_size_match_loop_oracles(self, rng, name, layout):
+        spec, shape = CONV_CLASSES[name]
+        if layout == "channel_major":
+            x = rng.normal(size=(shape[1], shape[0]) + shape[2:]).transpose(1, 0, 2, 3)
+        else:
+            x = rng.normal(size=(int(layout[-1]),) + shape[1:])
+        w = rng.normal(size=spec.weight_shape)
+        b = rng.normal(size=spec.out_channels)
+        y = nm.conv2d(x, spec, w, b)
+        want = loop_conv2d(x, spec, w, b)
+        assert y.shape == want.shape
+        np.testing.assert_allclose(y, want, rtol=1e-12, atol=1e-12)
+        gy = rng.normal(size=y.shape)
+        for got, want in zip(nm.conv2d_backward(gy, x, spec, w), loop_conv2d_backward(gy, x, spec, w)):
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_pointwise_after_dense_reads_its_output_in_place(self, rng):
+        dense = nm.ConvSpec(3, 6, kernel=3, padding=1)
+        pointwise = nm.ConvSpec(6, 4, kernel=1)
+        x = rng.normal(size=(2, 3, 5, 7))
+        y = nm.conv2d(x, dense, rng.normal(size=dense.weight_shape))
+        assert np.shares_memory(nm._im2col(y, pointwise, 5, 7), y)
+        w = rng.normal(size=pointwise.weight_shape)
+        np.testing.assert_allclose(nm.conv2d(y, pointwise, w), loop_conv2d(y, pointwise, w),
+                                   rtol=1e-12, atol=1e-12)
 
     def test_shape_error_on_bad_weights(self, rng):
         spec = nm.ConvSpec(2, 3, kernel=3)
@@ -362,6 +393,14 @@ class TestGlobalAvgPool:
         x = rng.normal(size=(1, 512, 7, 7))
         expect = np.array([[x[b, c].sum() / 49.0 for c in range(512)] for b in range(1)])
         np.testing.assert_allclose(nm.global_avg_pool(x), expect, rtol=1e-12)
+
+    def test_adjoint_is_laid_out_as_a_conv_output(self, rng):
+        spec = nm.ConvSpec(3, 4, kernel=3, padding=1)
+        y = nm.conv2d(rng.normal(size=(2, 3, 5, 5)), spec, rng.normal(size=spec.weight_shape))
+        up = rng.normal(size=(2, 4))
+        g = nm.global_avg_pool_backward(up, y.shape)
+        assert g.strides == y.strides
+        np.testing.assert_array_equal(g, np.broadcast_to(up[:, :, None, None] / 25.0, y.shape))
 
 
 class TestActivations:
