@@ -257,19 +257,22 @@ MAX_LEAF_VALUE = 4.0
 
 
 @dataclass(frozen=True)
-class Tree:
-    """One regression tree as flat per-node arrays; node 0 is the root.
+class Forest:
+    """The regression trees of one boosted fit as flat per-node arrays.
 
-    An inner node sends a row to ``left`` when its ``feature`` value is at
-    most ``threshold`` and to ``right`` otherwise.  A leaf has feature -1,
-    child indices -1 and threshold 0; only leaves carry a nonzero ``value``.
-    Nodes are numbered depth-first, left subtree before right.
+    Tree r starts at node ``roots[r]`` and ends where tree r + 1 starts.  An
+    inner node sends a row to ``left`` when its ``feature`` value is at most
+    ``threshold`` and to ``right`` otherwise.  A leaf has feature -1, child
+    indices -1 and threshold 0; only leaves carry a nonzero ``value``.  Each
+    tree is numbered level by level, and a level holds the left children of
+    the level above, then the right ones, each in parent order.
     """
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    roots: np.ndarray
 
 
 def _node_sums(gh, counts):
@@ -350,7 +353,7 @@ def _grow_trees(X, root, gh, depth):
     node keeps its rows in increasing order, padded with row n past its
     count, so its sort breaks ties as a sort of its own rows would.
 
-    Returns the level records of ``_depth_first`` and each row's leaf value
+    Returns the level records of ``_forests`` and each row's leaf value
     (s, n + 1).
     """
     s, d = X.shape[1:]
@@ -403,79 +406,52 @@ def _grow_trees(X, root, gh, depth):
     return levels, fitted
 
 
-def _depth_first(rounds, sets):
-    """The trees of every round from their level records, numbered depth-first.
+def _forests(rounds, sets):
+    """Every set's Forest from the level records of its rounds.
 
     rounds[r][l] is (owner, feature, threshold, value, parents) for the
     nodes of level l of round r, where owner is each node's set; the
     children of the level's i-th parent are nodes i (left) and m + i (right)
-    of the next level, m being the level's parent count.  Levels of one
-    depth are numbered together across rounds.  Returns the trees
-    round-major: tree r * sets + k is round r's tree of set k.
+    of the next level, m being the level's parent count.  The records are
+    numbered round by round and level by level, then sorted stably by set.
     """
-    columns = ([], [], [], [])
-    links = []
-    start = 0
-    for level in range(max(map(len, rounds))):
-        records = [(r, levels[level]) for r, levels in enumerate(rounds) if len(levels) > level]
-        sizes = np.array([record[0].size for _, record in records])
-        m = np.array([record[4].size for _, record in records])
-        columns[0].append(np.concatenate([r * sets + record[0] for r, record in records]))
-        for out, field in zip(columns[1:], (1, 2, 3)):
-            out.append(np.concatenate([record[field] for _, record in records]))
-        at = np.concatenate([record[4] for _, record in records])
-        at += np.repeat(start + np.cumsum(sizes) - sizes, m)
-        start += sizes.sum()
-        left = start + np.arange(m.sum()) + np.repeat(np.cumsum(m) - m, m)
-        links.append((at, left, left + np.repeat(m, m)))
-    tree, feature, threshold, value = (np.concatenate(out) for out in columns)
-    left_of = np.full(tree.size, -1, dtype=np.intp)
-    right_of = np.full(tree.size, -1, dtype=np.intp)
-    size = np.ones(tree.size, dtype=np.intp)
-    for at, left, right in reversed(links):
-        left_of[at] = left
-        right_of[at] = right
-        size[at] += size[left] + size[right]
-    order = np.zeros(tree.size, dtype=np.intp)
-    for at, left, right in links:
-        order[left] = order[at] + 1
-        order[right] = order[at] + 1 + size[left]
-    trees = len(rounds) * sets
-    ends = np.cumsum(size[:trees])
-    slot = (ends - size[:trees])[tree] + order
-    placed = []
-    for column in (feature, threshold, np.where(left_of >= 0, order[left_of], -1),
-                   np.where(right_of >= 0, order[right_of], -1), value):
-        placed.append(np.empty_like(column))
-        placed[-1][slot] = column
-    bounds = np.concatenate([[0], ends]).tolist()
-    return [Tree(*(column[a:b] for column in placed)) for a, b in zip(bounds, bounds[1:])]
+    levels = [level for levels in rounds for level in levels]
+    owner, feature, threshold, value = (
+        np.concatenate([level[i] for level in levels]) for i in range(4))
+    starts = np.cumsum([0] + [level[0].size for level in levels])
+    left = np.full(owner.size, -1, dtype=np.intp)
+    right = np.full(owner.size, -1, dtype=np.intp)
+    for start, stop, (*_, parents) in zip(starts, starts[1:], levels):
+        left[start + parents] = stop + np.arange(parents.size)
+        right[start + parents] = stop + parents.size + np.arange(parents.size)
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(sets + 1))
+    # each node's place in its set's block: its rank in the stable sort
+    local = np.argsort(order) - bounds[owner]
+    first_levels = np.cumsum([0] + [len(levels) for levels in rounds[:-1]])
+    roots = local[starts[first_levels] + np.arange(sets)[:, None]]
+    columns = [column[order] for column in (
+        feature, threshold, np.where(left >= 0, local[left], -1),
+        np.where(right >= 0, local[right], -1), value)]
+    return [Forest(*(column[a:b] for column in columns), roots=roots[k])
+            for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
-def _forest_predict(trees, X):
+def _forest_predict(forest, X):
     """Leaf value of every tree (result rows) for every row of X (result columns).
 
-    The trees' node arrays are concatenated and walked together from their
-    roots, one tree level per step.
+    All trees are walked together from their roots, one tree level per step.
     """
-    sizes = [tree.feature.size for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    shift = np.repeat(roots, sizes)
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    left = np.concatenate([tree.left for tree in trees]) + shift
-    right = np.concatenate([tree.right for tree in trees]) + shift
-    value = np.concatenate([tree.value for tree in trees])
     n = X.shape[0]
-    node = np.repeat(roots, n)
-    row = np.tile(np.arange(n), len(trees))
-    live = np.flatnonzero(feature[node] >= 0)
+    node = np.repeat(forest.roots, n)
+    row = np.tile(np.arange(n), forest.roots.size)
+    live = np.flatnonzero(forest.feature[node] >= 0)
     while live.size:
         at = node[live]
-        go_left = X[row[live], feature[at]] <= threshold[at]
-        node[live] = np.where(go_left, left[at], right[at])
-        live = live[feature[node[live]] >= 0]
-    return value[node].reshape(len(trees), n)
+        go_left = X[row[live], forest.feature[at]] <= forest.threshold[at]
+        node[live] = np.where(go_left, forest.left[at], forest.right[at])
+        live = live[forest.feature[node[live]] >= 0]
+    return forest.value[node].reshape(forest.roots.size, n)
 
 
 def _fit_gbt(X, y, spec):
@@ -502,9 +478,9 @@ def _fit_gbt(X, y, spec):
         levels, fitted = _grow_trees(rows_first, root, gh, spec.depth)
         rounds.append(levels)
         score = score + spec.shrinkage * fitted[:, :n]
-    trees = _depth_first(rounds, s)
+    forests = _forests(rounds, s)
     losses = np.array(losses).T.tolist()
-    return [{"f0": f0[k], "trees": trees[k::s], "shrinkage": spec.shrinkage,
+    return [{"f0": f0[k], "forest": forests[k], "shrinkage": spec.shrinkage,
              "train_losses": losses[k]} for k in range(s)]
 
 
@@ -561,8 +537,7 @@ def _fit_mlp(X, y, spec):
         for key in params:
             grads[key] = grads[key] + 2.0 * config.weight_decay * params[key]
         params, velocity = tr.sgd_step(params, velocity, grads, epoch, config)
-    return [{"params": {key: v[k] for key, v in params.items()}, "hidden": tuple(spec.hidden)}
-            for k in range(s)]
+    return [{"params": {key: v[k] for key, v in params.items()}} for k in range(s)]
 
 
 def _mlp_decision(payload, X):
@@ -630,7 +605,7 @@ def decision_values(model: FittedModel, X) -> np.ndarray:
         return K @ payload["coef"] + payload["b"]
     if kind == "gbt":
         score = np.full(Xs.shape[0], payload["f0"])
-        for leaf_values in _forest_predict(payload["trees"], Xs):
+        for leaf_values in _forest_predict(payload["forest"], Xs):
             score = score + payload["shrinkage"] * leaf_values
         return score
     return _mlp_decision(payload, Xs)
@@ -643,10 +618,10 @@ def predict_proba(model: FittedModel, x):
     return float(p[0]) if single else p
 
 
-def decide(p, threshold: float = 0.5):
-    """Positive iff p strictly exceeds the threshold."""
+def decide(p):
+    """Positive iff p strictly exceeds 0.5."""
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0) & (p <= 1)):
         raise ValueError("probabilities must lie in [0, 1]")
-    out = p > threshold
+    out = p > 0.5
     return bool(out) if out.ndim == 0 else out

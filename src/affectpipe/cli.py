@@ -286,8 +286,10 @@ def main(argv=None) -> int:
             Path(opts.output).write_text(rendered, encoding="utf-8")
         else:
             sys.stdout.write(rendered)
-    except (ValueError, ArithmeticError, OSError) as err:
-        payload = {"error": type(err).__name__, "message": str(err)}
+    except (ValueError, ArithmeticError, OSError, MemoryError) as err:
+        # numpy's allocation failure is a private MemoryError subclass
+        name = "MemoryError" if isinstance(err, MemoryError) else type(err).__name__
+        payload = {"error": name, "message": str(err)}
         if isinstance(err, dataio.ParseError):
             payload.update({"path": err.path, "row": err.row, "column": err.column})
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")

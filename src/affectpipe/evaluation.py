@@ -233,11 +233,11 @@ class AblationRow:
     specificity: float | None
 
 
-def ablation_study(cohort: Cohort, spec: cl.ClassifierSpec,
-                   subsets=DEFAULT_ABLATION) -> list[AblationRow]:
-    """LOOCV and confusion metrics once per attribute subset, shared seed."""
+def ablation_study(cohort: Cohort, spec: cl.ClassifierSpec) -> list[AblationRow]:
+    """LOOCV and confusion metrics once per attribute subset of
+    DEFAULT_ABLATION, shared seed."""
     rows = []
-    for flags in subsets:
+    for flags in DEFAULT_ABLATION:
         mask = attribute_mask(flags)
         result = loocv(cohort, spec, mask=mask)
         metrics = confusion_metrics(result.predictions, result.truths)

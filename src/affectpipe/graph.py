@@ -362,15 +362,9 @@ class Head:
 @dataclass(frozen=True)
 class ModelGraph:
     cu: str
-    mode: str
     input_hw: tuple
     layers: tuple = field(repr=False)
     heads: tuple = field(repr=False)
-    widths: CuWidths = field(default=CuWidths(), repr=False)
-
-    @property
-    def tasks(self):
-        return tuple(h.task for h in self.heads)
 
 
 _UNIT_TYPES = {"bottleneck": BottleneckUnit, "mobilenet": MobileNetUnit, "eesp": EespUnit}
@@ -398,8 +392,7 @@ def build_graph(cu: str, mode: str = "multi", input_hw=DEFAULT_INPUT_HW,
     layers.append(ConvBlock("tail", nm.ConvSpec(cin, TAIL_CHANNELS, kernel=3, padding=1, groups=cin)))
     layers.append(GlobalPool(TAIL_CHANNELS))
     heads = tuple(Head(t, TAIL_CHANNELS) for t in (TASKS if mode == "multi" else (mode,)))
-    return ModelGraph(cu=cu, mode=mode, input_hw=tuple(input_hw),
-                      layers=tuple(layers), heads=heads, widths=widths)
+    return ModelGraph(cu=cu, input_hw=tuple(input_hw), layers=tuple(layers), heads=heads)
 
 
 def param_shapes(graph: ModelGraph) -> dict:
@@ -415,14 +408,14 @@ def count_params(graph: ModelGraph) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(graph).values())
 
 
-def count_flops(graph: ModelGraph, input_hw=None) -> int:
-    """Total MACs for one forward pass at the given input size."""
-    return sum(row["flops"] for row in layer_table(graph, input_hw))
+def count_flops(graph: ModelGraph) -> int:
+    """Total MACs for one forward pass at the graph's input size."""
+    return sum(row["flops"] for row in layer_table(graph))
 
 
-def layer_table(graph: ModelGraph, input_hw=None) -> list[dict]:
+def layer_table(graph: ModelGraph) -> list[dict]:
     """Per-layer rows (name, output size/channels, params, flops) plus heads."""
-    hw = tuple(input_hw) if input_hw is not None else graph.input_hw
+    hw = graph.input_hw
     rows = []
     for layer in graph.layers:
         out = layer.out_hw(hw)

@@ -273,7 +273,7 @@ TOY_CHANNELS = 8
 def toy_graph(size: int) -> gr.ModelGraph:
     """The toy model as a graph over ``size`` x ``size`` images."""
     stem = gr.ConvBlock("stem", nm.ConvSpec(3, TOY_CHANNELS, kernel=3, stride=2, padding=1))
-    return gr.ModelGraph(cu="toy", mode="multi", input_hw=(size, size),
+    return gr.ModelGraph(cu="toy", input_hw=(size, size),
                          layers=(stem, gr.GlobalPool(TOY_CHANNELS)),
                          heads=tuple(gr.Head(t, TOY_CHANNELS) for t in gr.TASKS))
 

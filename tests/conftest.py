@@ -208,38 +208,40 @@ def node_best_split(X, grad, rows):
     return j, (vals[k, j] + vals[k + 1, j]) / 2.0
 
 
-def loop_build_tree(X, grad, hess, depth, best_split=node_best_split):
-    """Grow one tree by recursion, node by node, depth-first; returns it with
-    each row's leaf value."""
+def loop_build_tree(X, grad, hess, depth, best_split=node_best_split, first=0):
+    """Grow one tree level by level, node by node; a level holds the left
+    children of the level above, then the right ones, each in parent order.
+
+    Returns its nodes as [feature, threshold, left, right, value] lists
+    numbered from ``first``, and each row's leaf value.
+    """
     nodes = []
     fitted = np.empty(X.shape[0])
-
-    def grow(rows, depth):
-        node = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, 0.0])
-        split = best_split(X, grad, rows) if depth > 0 and rows.size >= 2 else None
-        if split is not None:
-            j, thr = split
-            go_left = X[rows, j] <= thr
-            if go_left.any() and not go_left.all():
-                nodes[node][:2] = j, thr
-                nodes[node][2] = grow(rows[go_left], depth - 1)
-                nodes[node][3] = grow(rows[~go_left], depth - 1)
-                return node
-        value = grad[rows].sum() / (hess[rows].sum() + 1e-12)
-        value = float(np.clip(value, -cl.MAX_LEAF_VALUE, cl.MAX_LEAF_VALUE))
-        nodes[node][4] = value
-        fitted[rows] = value
-        return node
-
-    grow(np.arange(X.shape[0]), depth)
-    feature, threshold, left, right, value = zip(*nodes)
-    tree = cl.Tree(
-        feature=np.array(feature, dtype=np.intp), threshold=np.array(threshold),
-        left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
-        value=np.array(value),
-    )
-    return tree, fitted
+    level = [np.arange(X.shape[0])]
+    while level:
+        parents, lefts, rights = [], [], []
+        for rows in level:
+            node = [-1, 0.0, -1, -1, 0.0]
+            nodes.append(node)
+            split = best_split(X, grad, rows) if depth > 0 and rows.size >= 2 else None
+            if split is not None:
+                j, thr = split
+                go_left = X[rows, j] <= thr
+                if go_left.any() and not go_left.all():
+                    node[:2] = j, thr
+                    parents.append(node)
+                    lefts.append(rows[go_left])
+                    rights.append(rows[~go_left])
+                    continue
+            value = grad[rows].sum() / (hess[rows].sum() + 1e-12)
+            node[4] = float(np.clip(value, -cl.MAX_LEAF_VALUE, cl.MAX_LEAF_VALUE))
+            fitted[rows] = node[4]
+        for i, node in enumerate(parents):
+            node[2] = first + len(nodes) + i
+            node[3] = first + len(nodes) + len(parents) + i
+        level = lefts + rights
+        depth -= 1
+    return nodes, fitted
 
 
 def loop_fit_gbt(X, y, spec, best_split=node_best_split):
@@ -249,7 +251,8 @@ def loop_fit_gbt(X, y, spec, best_split=node_best_split):
     pos = float(y.mean())
     f0 = math.log(pos / (1.0 - pos))
     score = np.full(n, f0)
-    trees = []
+    nodes = []
+    roots = []
     losses = []
     for _ in range(spec.rounds):
         p = nm.sigmoid(score)
@@ -258,22 +261,29 @@ def loop_fit_gbt(X, y, spec, best_split=node_best_split):
         )))
         grad = y - p
         hess = p * (1.0 - p)
-        tree, fitted = loop_build_tree(X, grad, hess, spec.depth, best_split)
-        trees.append(tree)
+        roots.append(len(nodes))
+        tree, fitted = loop_build_tree(X, grad, hess, spec.depth, best_split, first=len(nodes))
+        nodes += tree
         score = score + spec.shrinkage * fitted
-    return {"f0": f0, "trees": trees, "shrinkage": spec.shrinkage, "train_losses": losses}
+    feature, threshold, left, right, value = zip(*nodes)
+    forest = cl.Forest(
+        feature=np.array(feature, dtype=np.intp), threshold=np.array(threshold),
+        left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
+        value=np.array(value), roots=np.array(roots, dtype=np.intp),
+    )
+    return {"f0": f0, "forest": forest, "shrinkage": spec.shrinkage, "train_losses": losses}
 
 
-def walk_leaf_values(trees, X):
+def walk_leaf_values(forest, X):
     """Leaf value of each tree for each row, one root-to-leaf walk at a time."""
-    out = np.empty((len(trees), X.shape[0]))
-    for t, tree in enumerate(trees):
+    out = np.empty((forest.roots.size, X.shape[0]))
+    for t, root in enumerate(forest.roots):
         for i, x in enumerate(X):
-            node = 0
-            while tree.feature[node] >= 0:
-                go_left = x[tree.feature[node]] <= tree.threshold[node]
-                node = tree.left[node] if go_left else tree.right[node]
-            out[t, i] = tree.value[node]
+            node = root
+            while forest.feature[node] >= 0:
+                go_left = x[forest.feature[node]] <= forest.threshold[node]
+                node = forest.left[node] if go_left else forest.right[node]
+            out[t, i] = forest.value[node]
     return out
 
 
@@ -353,7 +363,7 @@ def loop_fit_mlp(X, y, spec):
         for key in params:
             grads[key] = grads[key] + 2.0 * config.weight_decay * params[key]
         params, velocity = tr.sgd_step(params, velocity, grads, epoch, config)
-    return {"params": params, "hidden": tuple(spec.hidden)}
+    return {"params": params}
 
 
 def loop_fit(spec, X, y, best_split=node_best_split):
@@ -384,7 +394,7 @@ def exact(value):
         return tuple((key, exact(inner)) for key, inner in sorted(value.items()))
     if isinstance(value, (list, tuple)):
         return tuple(exact(inner) for inner in value)
-    if isinstance(value, cl.Tree):
+    if isinstance(value, cl.Forest):
         return exact(vars(value))
     array = np.asarray(value)
     return type(value).__name__, array.dtype.str, array.shape, array.tobytes()

@@ -266,13 +266,14 @@ class TestGbt:
     def test_depth_limits_tree_shape(self):
         X, y, _ = blobs(np.random.default_rng(25), n=30, d=4)
         model = cl.fit(cl.ClassifierSpec("gbt", rounds=5, depth=1), X, y)
+        forest = model.payload["forest"]
 
-        def depth(tree, node=0):
-            if tree.feature[node] < 0:
+        def depth(node):
+            if forest.feature[node] < 0:
                 return 0
-            return 1 + max(depth(tree, tree.left[node]), depth(tree, tree.right[node]))
+            return 1 + max(depth(forest.left[node]), depth(forest.right[node]))
 
-        assert all(depth(t) <= 1 for t in model.payload["trees"])
+        assert all(depth(root) <= 1 for root in forest.roots)
 
 
 def tie_prone_matrix(rng, n, d, levels, n_constant):
@@ -341,20 +342,19 @@ class TestGbtSplitSearch:
         fast = cl.fit(spec, X, y)
         slow = loop_fit(spec, X, y, best_split=loop_best_split)
         assert model_bytes(fast) == model_bytes(slow)
-        assert len(fast.payload["trees"]) == 15
+        forest = fast.payload["forest"]
+        assert forest.roots.size == 15
         probe = np.vstack([X, tie_prone_matrix(rng, 5, d, levels, n_constant)])
         assert np.array_equal(cl.decision_values(fast, probe), cl.decision_values(slow, probe))
         # standardized rows plus rows that sit exactly on each split threshold
         Xs = fast.stats.apply(probe)
         on_threshold = []
-        for tree in fast.payload["trees"]:
-            for j, thr in zip(tree.feature, tree.threshold):
-                if j >= 0:
-                    on_threshold.append(Xs[0].copy())
-                    on_threshold[-1][j] = thr
+        for j, thr in zip(forest.feature, forest.threshold):
+            if j >= 0:
+                on_threshold.append(Xs[0].copy())
+                on_threshold[-1][j] = thr
         Xs = np.vstack([Xs] + on_threshold)
-        assert np.array_equal(cl._forest_predict(fast.payload["trees"], Xs),
-                              walk_leaf_values(fast.payload["trees"], Xs))
+        assert np.array_equal(cl._forest_predict(forest, Xs), walk_leaf_values(forest, Xs))
 
 
 def training_sets(rng, sets, n, d, n_constant):
@@ -406,8 +406,37 @@ class TestFitFolds:
         spec = cl.ClassifierSpec("gbt", rounds=3, depth=64)
         model = cl.fit(spec, X, y)
         assert model_bytes(model) == model_bytes(loop_fit(spec, X, y))
-        sizes = [tree.feature.size for tree in model.payload["trees"]]
+        forest = model.payload["forest"]
+        sizes = np.diff(forest.roots, append=forest.feature.size)
         assert sizes[0] == 2 * 12 - 1 and max(sizes) <= 2 * 12 - 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(sets=st.integers(2, 6), n=st.integers(2, 12), d=st.integers(1, 9),
+           n_constant=st.integers(0, 3), rounds=st.integers(1, 8), depth=st.integers(1, 4),
+           seed=st.integers(0, 2**16))
+    def test_gbt_forest_structure(self, sets, n, d, n_constant, rounds, depth, seed):
+        """Each set's forest is its trees one after another, each a binary
+        tree of at most ``depth`` levels of splits."""
+        X, y = training_sets(np.random.default_rng(seed), sets, n, d, n_constant)
+        spec = cl.ClassifierSpec("gbt", rounds=rounds, depth=depth)
+        for model in cl.fit(spec, X, y):
+            forest = model.payload["forest"]
+            size = forest.feature.size
+            assert forest.roots.size == rounds and forest.roots[0] == 0
+            assert np.all(np.diff(forest.roots) > 0) and forest.roots[-1] < size
+            leaf = forest.feature < 0
+            assert np.all(forest.threshold[leaf] == 0.0)
+            assert np.all(forest.left[leaf] == -1) and np.all(forest.right[leaf] == -1)
+            assert np.all(forest.value[~leaf] == 0.0)
+            node_depth = np.zeros(size, dtype=int)
+            for a, b in zip(forest.roots, np.append(forest.roots[1:], size)):
+                inner = np.flatnonzero(~leaf[a:b]) + a
+                children = np.concatenate([forest.left[inner], forest.right[inner]])
+                assert np.array_equal(np.sort(children), np.arange(a + 1, b))
+                for node in inner:
+                    node_depth[forest.left[node]] = node_depth[forest.right[node]] = (
+                        node_depth[node] + 1)
+            assert node_depth.max() <= depth
 
     @pytest.mark.parametrize("kind", cl.KINDS)
     def test_sets_of_different_shapes_rejected(self, kind):

@@ -297,6 +297,23 @@ class TestErrorContract:
         assert payload["error"] == "ValueError"
         assert "image_size" in payload["message"]
 
+    @pytest.mark.parametrize("command, handler", [("train-toy", "cmd_train_toy"),
+                                                  ("synth", "cmd_synth")])
+    def test_out_of_memory(self, capsys, monkeypatch, command, handler):
+        """A failed allocation exits 1 with one JSON line, whatever subclass
+        of MemoryError the allocator raises.  The handler raises it: a real
+        oversized request could be granted by a host that overcommits."""
+        class _ArrayMemoryError(MemoryError):
+            pass
+
+        def exhausted(opts):
+            raise _ArrayMemoryError("Unable to allocate 1.75 TiB")
+
+        monkeypatch.setattr(cli, handler, exhausted)
+        code, out, err = run(capsys, command)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 1.75 TiB"}
+
     def test_smallest_image_size_trains(self, capsys):
         code, out, err = run(capsys, "train-toy", "--image-size", "2", "--samples", "10",
                              "--epochs", "2")

@@ -187,7 +187,7 @@ class TestStructure:
     def test_multi_task_heads(self):
         graph = gp.build_graph("eesp", "multi")
         assert [h.width for h in graph.heads] == [8, 12, 1, 1]
-        assert graph.tasks == ("expr", "au", "arousal", "valence")
+        assert tuple(h.task for h in graph.heads) == ("expr", "au", "arousal", "valence")
 
     def test_single_task_head(self):
         graph = gp.build_graph("bottleneck", "expr")
@@ -255,8 +255,8 @@ class TestCountFlops:
 
     def test_monotone_in_resolution(self):
         for cu in gp.CU_KINDS:
-            graph = gp.build_graph(cu, "multi")
-            f = [gp.count_flops(graph, (s, s)) for s in (64, 128, 224)]
+            f = [gp.count_flops(gp.build_graph(cu, "multi", input_hw=(s, s)))
+                 for s in (64, 128, 224)]
             assert f[0] < f[1] < f[2]
 
     def test_pool_counts_hw_adds_per_channel(self):
