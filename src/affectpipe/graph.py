@@ -1,22 +1,21 @@
 """Trunk builder: stem, CU stages, depthwise tail, pooled heads.
 
-Each convolutional unit (CU) is data: a short list of steps (a ConvBlock, an
-add, the EESP branch merge or a ReLU) over named activation slots, and one
-walker gives all three kinds their forward pass, output size, MACs,
-parameter shapes and backward pass.  The CU internals (bottleneck width,
-depthwise multiplier, EESP branch width and group count) are not pinned by
-the layer table, so they live in CuWidths with defaults calibrated to land
-inside the target parameter and FLOP budgets for each variant.  Counting
-conventions: 1 MAC = 1 FLOP, convolution MACs exclude the bias add, adds,
-merges and ReLUs cost nothing, the global average pool contributes H*W adds
-per channel, and the per-channel affine that stands in for normalization
-costs one MAC per activation.
+Each convolutional unit (CU) is data: a short list of steps (a ConvBlock,
+an add or a ReLU) over named activation slots, and one walker gives all
+three kinds their forward pass, output size, MACs, parameter shapes and
+backward pass.  The CU internals (bottleneck width, depthwise multiplier,
+EESP branch count and width) are not pinned by the layer table, so they
+live in CuWidths with defaults calibrated to land inside the target
+parameter and FLOP budgets for each variant.  Counting conventions: 1 MAC =
+1 FLOP, convolution MACs exclude the bias add, adds and ReLUs cost nothing,
+the global average pool contributes H*W adds per channel, and the
+per-channel affine that stands in for normalization costs one MAC per
+activation.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,14 +50,13 @@ class CuWidths:
     bottleneck_mid_ratio: float = 1.2
     mobilenet_depth_mult: int = 14
     eesp_branches: int = 4
-    eesp_groups: int = 4
     eesp_width_mult: int = 13
 
     def __post_init__(self):
         ratio = self.bottleneck_mid_ratio
         if not (nm._is_real(ratio) and ratio > 0 and math.isfinite(ratio)):
             raise ValueError(f"bottleneck_mid_ratio must be positive and finite, got {ratio!r}")
-        for name in ("mobilenet_depth_mult", "eesp_branches", "eesp_groups", "eesp_width_mult"):
+        for name in ("mobilenet_depth_mult", "eesp_branches", "eesp_width_mult"):
             value = getattr(self, name)
             if not nm._is_count(value) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -70,12 +68,20 @@ class ConvBlock:
     Both passes fold the affine into the convolution (weights ``scale*W``,
     bias ``scale*b + shift``), saving one pass over the activations; the
     backward pass applies the chain rule through the fold.
+
+    A grouped block takes one input, or one input per group (EESP's expand
+    reads each running sum of its branches as one group): it then runs one
+    convolution per group under ``group_spec`` and stacks their outputs
+    channel-major, as one grouped convolution lays them out.
     """
 
     def __init__(self, name: str, spec: nm.ConvSpec, relu: bool = True):
         self.name = name
         self.spec = spec
         self.relu = relu
+        g = spec.groups
+        self.group_spec = replace(spec, in_channels=spec.in_channels // g, out_channels=spec.out_channels // g,
+                                  groups=1)
 
     @property
     def out_channels(self) -> int:
@@ -103,24 +109,37 @@ class ConvBlock:
         nm.require_finite(b, "folded bias")
         return w, b
 
-    def forward(self, params: dict, x: np.ndarray, *, padded: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, params: dict, *xs: np.ndarray, padded: np.ndarray | None = None) -> np.ndarray:
         """``padded`` is a shared channels-last copy of x, see :func:`numerics.conv2d`."""
-        y = nm.conv2d(x, self.spec, *self._folded(params), padded=padded)
+        w, b = self._folded(params)
+        if len(xs) == 1:
+            y = nm.conv2d(xs[0], self.spec, w, b, padded=padded)
+        else:
+            ws, bs = w.reshape(len(xs), -1, *w.shape[1:]), b.reshape(len(xs), -1)
+            ys = [nm.conv2d(x, self.group_spec, wg, bg) for x, wg, bg in zip(xs, ws, bs)]
+            y = np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3)
         return np.maximum(y, 0.0, out=y) if self.relu else y
 
-    def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray, *,
-                 input_grad: bool = True):
+    def backward(self, params: dict, x, y: np.ndarray, grad_y: np.ndarray, *, input_grad: bool = True):
         """(grad_x, parameter grads) from input x, output y and d loss/d y.
 
         With gWf, gbf the adjoints of the folded weights and bias:
         gW = scale*gWf, gb = scale*gbf, gshift = gbf and
-        gscale = sum(gWf*W) + gbf*b per output channel.  With
+        gscale = sum(gWf*W) + gbf*b per output channel.  An ``x`` that is a
+        tuple of one input per group gives a tuple grad_x.  With
         ``input_grad=False`` grad_x is None and is not computed.
         """
         if self.relu:
             grad_y = nm.relu_backward(grad_y, y)
-        gx, gwf, gbf = nm.conv2d_backward(grad_y, x, self.spec, self._folded(params)[0],
-                                          input_grad=input_grad)
+        w = self._folded(params)[0]
+        if isinstance(x, tuple):
+            groups = zip(np.split(grad_y, len(x), axis=1), x, w.reshape(len(x), -1, *w.shape[1:]))
+            gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, self.group_spec, wg, input_grad=input_grad)
+                                  for gy, xg, wg in groups))
+            gx = gxs if input_grad else None
+            gwf, gbf = np.concatenate(gws), np.concatenate(gbs)
+        else:
+            gx, gwf, gbf = nm.conv2d_backward(grad_y, x, self.spec, w, input_grad=input_grad)
         n = self.name
         scale = params[f"{n}.scale"]
         return gx, {
@@ -135,26 +154,11 @@ class ConvBlock:
         return self.spec.macs(hw) + oh * ow * self.spec.out_channels
 
 
-def _merge(*branches):
-    """Running sums of equal-width branches side by side along channels."""
-    n, c, h, w = branches[0].shape
-    out = np.empty_like(branches[0], shape=(n, c * len(branches), h, w))
-    out[:, :c] = branches[0]
-    for i in range(1, len(branches)):
-        np.add(out[:, (i - 1) * c : i * c], branches[i], out=out[:, i * c : (i + 1) * c])
-    return out
-
-
-# The other ops of a unit's steps.  The merge writes the running sums of the
-# branches in place into one buffer: slice 1 is b1 and slice i is slice i-1 +
-# b_i, the order itertools.accumulate adds in.  empty_like lays the buffer out
-# as np.concatenate would for these branches (NCHW views of channels-last
-# memory, so channels-last unless a branch has one channel), and the expand
-# GEMM rounds as it would after concatenate (a C-order stack + cumsum moves
-# its rounding).
+# The other ops of a unit's steps.  An add keeps the layout of its inputs, so
+# EESP's running sums of channels-last branches are channels-last, and each
+# is one contiguous slab for its group of the expand.
 _OPS = {
     "add": np.add,
-    "merge": _merge,
     "relu": nm.relu,
 }
 
@@ -163,7 +167,8 @@ class Unit:
     """A CU as data: ``steps`` is a tuple of ``(op, out_slot, in_slots)``.
 
     An op is a ConvBlock or a key of ``_OPS``; slot ``"x"`` is the unit's
-    input and the last step's slot its output.  One walker over the steps
+    input and the last step's slot its output.  A ConvBlock reads one slot,
+    or one slot per group (see :class:`ConvBlock`).  One walker over the steps
     serves forward, out_hw, macs and param_shapes; backward walks them in
     reverse.  Each kind binds ``forward`` in its own class body because the
     benchmark's tracer times the kinds apart by wrapping ``vars(cls)["forward"]``.
@@ -211,7 +216,7 @@ class Unit:
         return self._walk(x, step)
 
     def _sizes(self, hw) -> dict:
-        return self._walk(tuple(hw), lambda op, a: op.out_hw(*a) if isinstance(op, ConvBlock) else a[0])
+        return self._walk(tuple(hw), lambda op, a: op.out_hw(a[0]) if isinstance(op, ConvBlock) else a[0])
 
     def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
         return self._values(params, x)[self.steps[-1][1]]
@@ -229,23 +234,21 @@ class Unit:
     def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
         """(grad_x, parameter grads), recomputing the inner activations from x.
 
-        ``add`` fans the gradient out, ``merge`` splits it by channel block
-        and suffix-sums it over the branches, ``relu`` masks it by the step's
-        output, and a ConvBlock runs its own backward.
+        ``add`` fans the gradient out, ``relu`` masks it by the step's
+        output, and a ConvBlock runs its own backward, with one gradient per
+        slot it reads.
         """
         slots = self._values(params, x)
         grads, param_grads = {self.steps[-1][1]: grad_y}, {}
         for op, out, ins in reversed(self.steps):
             g = grads.pop(out)
             if isinstance(op, ConvBlock):
-                g, block_grads = op.backward(params, slots[ins[0]], slots[out], g)
+                xs = tuple(slots[s] for s in ins)
+                g, block_grads = op.backward(params, xs if len(xs) > 1 else xs[0], slots[out], g)
                 param_grads.update(block_grads)
             elif op == "relu":
                 g = nm.relu_backward(g, slots[out])
-            g_ins = [g] * len(ins)
-            if op == "merge":
-                g_ins = list(itertools.accumulate(np.split(g, len(ins), axis=1)[::-1]))[::-1]
-            for slot, g_in in zip(ins, g_ins):
+            for slot, g_in in zip(ins, g if isinstance(g, tuple) else [g] * len(ins)):
                 grads[slot] = grads[slot] + g_in if slot in grads else g_in
         return grads["x"], param_grads
 
@@ -288,25 +291,32 @@ class MobileNetUnit(Unit):
 
 
 class EespUnit(Unit):
-    """Grouped 1x1 reduce, parallel dilated depthwise branches, hierarchical
-    sum before concatenation, grouped 1x1 expand, residual when shapes match.
+    """Grouped 1x1 reduce, K parallel dilated depthwise branches, hierarchical
+    sum, grouped 1x1 expand, residual when shapes match.
 
     Branch k uses dilation k with matching padding so every branch keeps the
-    same spatial size; stride lives on the branches.
+    same spatial size; stride lives on the branches.  Both 1x1 convolutions
+    have K groups, as in ESPNetv2.  The running sums s1 = b1, s_k = s_(k-1) +
+    b_k are add steps, and the expand reads s_k as its group k.
     """
 
     def __init__(self, name: str, cin: int, cout: int, stride: int, widths: CuWidths):
-        k, g = widths.eesp_branches, widths.eesp_groups
-        if (widths.eesp_width_mult * cout) % k:
-            raise ValueError("eesp_width_mult * out_channels must be divisible by eesp_branches")
-        width = widths.eesp_width_mult * cout // k
-        branches = tuple(f"b{d}" for d in range(1, k + 1))
-        steps = [(ConvBlock(f"{name}.reduce", nm.ConvSpec(cin, width, kernel=1, groups=g)), "r", ("x",))]
+        k = widths.eesp_branches
+        width, rem = divmod(widths.eesp_width_mult * cout, k)
+        if rem or cin % k or cout % k or width % k:
+            raise ValueError(f"unit {name}: eesp_branches {k} must divide in_channels {cin}, "
+                             f"out_channels {cout} and the branch width eesp_width_mult * "
+                             f"out_channels / eesp_branches ({widths.eesp_width_mult * cout}/{k})")
+        steps = [(ConvBlock(f"{name}.reduce", nm.ConvSpec(cin, width, kernel=1, groups=k)), "r", ("x",))]
         for d in range(1, k + 1):
             spec = nm.ConvSpec(width, width, kernel=3, stride=stride, padding=d, dilation=d, groups=width)
             steps.append((ConvBlock(f"{name}.branch{d}", spec), f"b{d}", ("r",)))
-        expand = nm.ConvSpec(k * width, cout, kernel=1, groups=g)
-        steps += [("merge", "m", branches), (ConvBlock(f"{name}.expand", expand, relu=False), "e", ("m",))]
+        sums = ["b1"]
+        for d in range(2, k + 1):
+            steps.append(("add", f"s{d}", (sums[-1], f"b{d}")))
+            sums.append(f"s{d}")
+        expand = nm.ConvSpec(k * width, cout, kernel=1, groups=k)
+        steps.append((ConvBlock(f"{name}.expand", expand, relu=False), "e", tuple(sums)))
         if stride == 1 and cin == cout:
             steps.append(("add", "sum", ("e", "x")))
         super().__init__(name, cout, steps + [("relu", "y", (steps[-1][1],))])

@@ -190,10 +190,14 @@ def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.nda
     caller that shares it between several convolutions; its ``margin`` may
     exceed ``spec.padding``.  A window view (n, oh, ow, k, k, c) of it that
     starts at ``margin - spec.padding`` covers stride and dilation, and one
-    einsum against the (k, k, c) weights sums the taps.  Both operands keep
-    the channel axis innermost and contiguous: with the weights as a
-    transposed view instead, this path ran slower than im2col.  The result
-    is an NCHW view of an NHWC array.
+    einsum against the weights sums the taps.  The (k, k, c) taps are tiled
+    across the output width to a contiguous (k, k, ow, c) array, so at
+    stride 1 each tap is summed over a whole output row of ow*c contiguous
+    elements.  From two channels on, the taps are added in the same order,
+    to the same bits, as by an einsum against the (k, k, c) taps.  The tiled
+    taps are a contiguous copy: as a transposed view this path ran slower
+    than im2col, and a broadcast view rounds differently.  The result is an
+    NCHW view of an NHWC array.
     """
     c = xp.shape[3]
     k, s, d = spec.kernel, spec.stride, spec.dilation
@@ -205,8 +209,8 @@ def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.nda
         strides=(sn, sh * s, sw * s, sh * d, sw * d, sc),
         writeable=False,
     )
-    taps = np.ascontiguousarray(weights.reshape(c, k, k).transpose(1, 2, 0))
-    return np.einsum("nhwijc,ijc->nhwc", windows, taps).transpose(0, 3, 1, 2)
+    taps = weights.reshape(c, k, k).transpose(1, 2, 0)[:, :, None].repeat(ow, axis=2)
+    return np.einsum("nhwijc,ijwc->nhwc", windows, taps).transpose(0, 3, 1, 2)
 
 
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None,
@@ -347,7 +351,17 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.where(np.asarray(x) > 0, grad_out, 0.0)
+    """grad_out where x > 0, else 0, as a product with the mask.
+
+    Adding 0.0 turns the -0.0 that masks a negative adjoint into +0.0, so a
+    finite adjoint gives np.where's bytes except that an unmasked -0.0 comes
+    back as +0.0.  A masked inf or NaN gives NaN, not 0, without a numpy
+    warning: a gradient step reports it.
+    """
+    with np.errstate(invalid="ignore"):
+        out = grad_out * (np.asarray(x) > 0)
+    out += 0.0
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

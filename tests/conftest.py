@@ -96,6 +96,29 @@ def offset_conv2d(x, spec, weights, bias=None, *, padded=None):
     return y
 
 
+def channel_taps(xp, margin, spec, weights, oh, ow):
+    """``numerics._depthwise_taps`` as one einsum against the (k, k, c) taps,
+    which sums each tap over c channels at a time: the bit-for-bit reference
+    for the taps tiled across the output width."""
+    c = xp.shape[3]
+    k, s, d = spec.kernel, spec.stride, spec.dilation
+    start = margin - spec.padding
+    sn, sh, sw, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp[:, start:, start:],
+        shape=(xp.shape[0], oh, ow, k, k, c),
+        strides=(sn, sh * s, sw * s, sh * d, sw * d, sc),
+        writeable=False,
+    )
+    taps = np.ascontiguousarray(weights.reshape(c, k, k).transpose(1, 2, 0))
+    return np.einsum("nhwijc,ijc->nhwc", windows, taps).transpose(0, 3, 1, 2)
+
+
+def where_relu_backward(grad_out, x):
+    """The ReLU adjoint by np.where, the reference for ``nm.relu_backward``."""
+    return np.where(np.asarray(x) > 0, grad_out, 0.0)
+
+
 def pad_im2col(x, spec, oh, ow):
     """``numerics._im2col`` of a copy of x padded by ``np.pad``: the reference
     for the column tensor (groups, cin/g*k*k, n*oh*ow) built on the

@@ -4,6 +4,7 @@ Forward passes run at reduced input sizes (e.g. 32x32) to keep the suite
 fast; counting tests use the full 224x224 contract.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import warnings
@@ -34,6 +35,7 @@ BLOCK_SPECS = [
 
 # (unit class, cin, cout, stride, widths): identity and projection shortcuts,
 # stride 1 and 2, and EESP with 1 to 4 branches, with and without residual.
+# EESP's K branches are also its 1x1 group count, so K divides every width.
 UNIT_CASES = [
     (gp.BottleneckUnit, 4, 4, 1, gp.CuWidths()),
     (gp.BottleneckUnit, 3, 4, 1, gp.CuWidths()),
@@ -41,11 +43,11 @@ UNIT_CASES = [
     (gp.MobileNetUnit, 3, 4, 1, gp.CuWidths(mobilenet_depth_mult=2)),
     (gp.MobileNetUnit, 2, 3, 2, gp.CuWidths(mobilenet_depth_mult=3)),
 ] + [
-    (gp.EespUnit, 4, 4, 1, gp.CuWidths(eesp_branches=k, eesp_groups=2, eesp_width_mult=k))
-    for k in range(1, 5)
+    (gp.EespUnit, 4, 4, 1, gp.CuWidths(eesp_branches=k, eesp_width_mult=k)) for k in (1, 2, 4)
 ] + [
-    (gp.EespUnit, 4, 4, 2, gp.CuWidths(eesp_branches=3, eesp_groups=2, eesp_width_mult=3)),
-    (gp.EespUnit, 2, 4, 1, gp.CuWidths(eesp_branches=2, eesp_groups=2, eesp_width_mult=2)),
+    (gp.EespUnit, 6, 6, 1, gp.CuWidths(eesp_branches=3, eesp_width_mult=3)),
+    (gp.EespUnit, 6, 6, 2, gp.CuWidths(eesp_branches=3, eesp_width_mult=3)),
+    (gp.EespUnit, 2, 4, 1, gp.CuWidths(eesp_branches=2, eesp_width_mult=2)),
 ]
 
 # SHA-256 of `analyze-graph --cu all --input-hw HW --mode MODE` reports: the
@@ -97,16 +99,15 @@ def oracle_block(params, key, spec, x, relu=True):
     return nm.relu(h) if relu else h
 
 
-def reference_walk(unit, params, x):
-    """A unit's steps with one padded copy per branch and the merge built by
-    accumulate and concatenate, the reference for the shared copy."""
-    ops = {"add": np.add, "relu": nm.relu,
-           "merge": lambda *branches: np.concatenate(list(itertools.accumulate(branches)), axis=1)}
-    slots = {"x": x}
-    for op, out, ins in unit.steps:
-        args = [slots[s] for s in ins]
-        slots[out] = op.forward(params, *args) if isinstance(op, gp.ConvBlock) else ops[op](*args)
-    return slots[unit.steps[-1][1]]
+def slow_eesp_forward(unit, params, x, residual):
+    """An EESP unit walked the slow way, the reference for its steps: one
+    padded copy per branch, the running sums built by accumulate and
+    concatenate, and one grouped expand over all of them."""
+    blocks = {block.name.split(".")[-1]: block for block, _ in unit.blocks}
+    reduced = blocks["reduce"].forward(params, x)
+    branches = [blocks[f"branch{d}"].forward(params, reduced) for d in range(1, len(blocks) - 1)]
+    y = blocks["expand"].forward(params, np.concatenate(list(itertools.accumulate(branches)), axis=1))
+    return nm.relu(y + x if residual else y)
 
 
 def count_copies(monkeypatch):
@@ -130,8 +131,8 @@ def unit_case_id(case):
 
 class TestCuWidths:
     @pytest.mark.parametrize("field, value", [
-        ("mobilenet_depth_mult", 2.5), ("mobilenet_depth_mult", 0), ("eesp_groups", True),
-        ("eesp_branches", 4.0), ("eesp_width_mult", -1), ("eesp_groups", "4"),
+        ("mobilenet_depth_mult", 2.5), ("mobilenet_depth_mult", 0), ("eesp_branches", True),
+        ("eesp_branches", 4.0), ("eesp_width_mult", -1), ("eesp_width_mult", "4"),
         ("bottleneck_mid_ratio", float("nan")), ("bottleneck_mid_ratio", float("inf")),
         ("bottleneck_mid_ratio", 0.0), ("bottleneck_mid_ratio", -1.2),
     ])
@@ -147,6 +148,27 @@ class TestCuWidths:
     def test_numpy_integers_and_integer_ratio_accepted(self):
         widths = gp.CuWidths(bottleneck_mid_ratio=1, mobilenet_depth_mult=np.int64(2))
         assert gp.build_graph("mobilenet", input_hw=(32, 32), widths=widths).layers[1].out_channels == 32
+
+    def test_eesp_groups_is_the_branch_count(self):
+        assert "eesp_groups" not in {f.name for f in dataclasses.fields(gp.CuWidths)}
+        unit = gp.EespUnit("u", 8, 8, 1, gp.CuWidths(eesp_branches=2, eesp_width_mult=2))
+        assert [block.spec.groups for block, _ in unit.blocks if block.spec.kernel == 1] == [2, 2]
+
+    @pytest.mark.parametrize("cin, cout, widths", [
+        (3, 4, gp.CuWidths(eesp_branches=2, eesp_width_mult=2)),  # in_channels
+        (4, 6, gp.CuWidths(eesp_branches=2, eesp_width_mult=1)),  # branch width 3
+        (4, 2, gp.CuWidths(eesp_branches=4, eesp_width_mult=8)),  # out_channels
+        (4, 4, gp.CuWidths(eesp_branches=4, eesp_width_mult=3)),  # 3 * 4 / 4 = 3
+        (3, 3, gp.CuWidths(eesp_branches=3, eesp_width_mult=4)),  # 4 * 3 / 3 = 4
+    ])
+    def test_eesp_branches_must_divide_the_widths(self, cin, cout, widths):
+        with pytest.raises(ValueError, match=r"^unit u: eesp_branches \d must divide "):
+            gp.EespUnit("u", cin, cout, 1, widths)
+
+    def test_graph_with_indivisible_eesp_branches_names_the_unit(self):
+        widths = gp.CuWidths(eesp_branches=3, eesp_width_mult=12)
+        with pytest.raises(ValueError, match=r"^unit cu1: eesp_branches 3 must divide in_channels 32"):
+            gp.build_graph("eesp", input_hw=(32, 32), widths=widths)
 
 
 class TestStructure:
@@ -443,18 +465,18 @@ class TestForward:
     def test_residual_eesp_matches_raw_oracle(self):
         """Branch sums b1, b1+b2, b1+b2+b3 are concatenated, expanded, added to x."""
         rng = np.random.default_rng(13)
-        unit = gp.EespUnit("u", 4, 4, 1, gp.CuWidths(eesp_branches=3, eesp_groups=2, eesp_width_mult=3))
+        unit = gp.EespUnit("u", 6, 6, 1, gp.CuWidths(eesp_branches=3, eesp_width_mult=3))
         params = unit_params(rng, unit)
-        x = rng.normal(size=(2, 4, 9, 8))
-        reduced = oracle_block(params, "u.reduce", nm.ConvSpec(4, 4, kernel=1, groups=2), x)
+        x = rng.normal(size=(2, 6, 9, 8))
+        reduced = oracle_block(params, "u.reduce", nm.ConvSpec(6, 6, kernel=1, groups=3), x)
         branches = [
             oracle_block(params, f"u.branch{d}",
-                         nm.ConvSpec(4, 4, kernel=3, padding=d, dilation=d, groups=4), reduced)
+                         nm.ConvSpec(6, 6, kernel=3, padding=d, dilation=d, groups=6), reduced)
             for d in (1, 2, 3)
         ]
         merged = np.concatenate([branches[0], branches[0] + branches[1],
                                  branches[0] + branches[1] + branches[2]], axis=1)
-        h = oracle_block(params, "u.expand", nm.ConvSpec(12, 4, kernel=1, groups=2), merged, relu=False)
+        h = oracle_block(params, "u.expand", nm.ConvSpec(18, 6, kernel=1, groups=3), merged, relu=False)
         np.testing.assert_allclose(unit.forward(params, x), nm.relu(h + x), rtol=1e-12, atol=1e-12)
 
 
@@ -472,6 +494,28 @@ class TestForward:
             want = nm.relu(want)
         np.testing.assert_allclose(block.forward(params, x), want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("spec", [nm.ConvSpec(6, 9, kernel=1, groups=3), nm.ConvSpec(4, 6, kernel=1, groups=2),
+                                      nm.ConvSpec(4, 2, kernel=3, stride=2, padding=1, groups=2)])
+    def test_one_input_per_group_equals_the_grouped_block(self, spec):
+        """Per-group convolutions over separate inputs give the bytes of one
+        grouped convolution over their concatenation, forward and backward."""
+        rng = np.random.default_rng(22)
+        block = gp.ConvBlock("blk", spec)
+        params = block_params(rng, spec)
+        xs = tuple(rng.normal(size=(2, 7, 6, spec.in_channels // spec.groups)).transpose(0, 3, 1, 2)
+                   for _ in range(spec.groups))
+        joined = np.concatenate(xs, axis=1)
+        y = block.forward(params, *xs)
+        assert exact(y) == exact(block.forward(params, joined))
+        up = rng.normal(size=y.shape)
+        gxs, grads = block.backward(params, xs, y, up)
+        gx, want = block.backward(params, joined, y, up)
+        assert exact(grads) == exact(want)
+        assert exact(gxs) == exact(tuple(np.split(gx, spec.groups, axis=1)))
+        assert block.backward(params, xs, y, up, input_grad=False)[0] is None
+        with pytest.raises(ValueError):
+            block.forward(params, *xs, xs[0])
+
     def test_nonfinite_folded_parameters_raise_before_arithmetic(self):
         spec = nm.ConvSpec(2, 2, kernel=1)
         block = gp.ConvBlock("blk", spec)
@@ -487,46 +531,55 @@ class TestForward:
 
 
 class TestSharedBranchCopy:
-    """EESP branches read one padded copy of the reduce output and merge in place."""
+    """EESP branches read one padded copy of the reduce output; the running
+    sums are add steps, and each group of the expand reads one of them."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(k=st.integers(1, 4), groups=st.sampled_from([1, 2]), cin=st.integers(1, 3),
-           cout=st.integers(1, 3), residual=st.booleans(), stride=st.sampled_from([1, 2]),
-           width=st.integers(1, 2), n=st.integers(1, 3), h=st.integers(4, 11), w=st.integers(4, 11),
-           seed=st.integers(0, 2**32 - 1))
-    @example(k=4, groups=1, cin=2, cout=2, residual=True, stride=1, width=1, n=1, h=4, w=4, seed=0)
-    @example(k=4, groups=2, cin=1, cout=2, residual=False, stride=2, width=2, n=2, h=5, w=7, seed=1)
-    def test_unit_equals_per_branch_copies(self, k, groups, cin, cout, residual, stride, width,
-                                           n, h, w, seed):
-        # cout and width of 1 give one-channel branches, whose running sums
-        # np.concatenate lays out channels-first, not channels-last.
-        cin, cout = groups * cin, groups * cout
-        if residual:
-            cin, stride = cout, 1
-        widths = gp.CuWidths(eesp_branches=k, eesp_groups=groups, eesp_width_mult=k * width)
-        unit = gp.EespUnit("u", cin, cout, stride, widths)
+    @staticmethod
+    def check_against_slow_walk(k, cin, cout, stride, width, n, h, w, seed):
+        unit = gp.EespUnit("u", cin, cout, stride, gp.CuWidths(eesp_branches=k, eesp_width_mult=k * width))
         rng = np.random.default_rng(seed)
         params = unit_params(rng, unit)
         x = rng.normal(size=(n, cin, h, w))
         y = unit.forward(params, x)
-        np.testing.assert_array_equal(y, reference_walk(unit, params, x))
+        assert exact(y) == exact(slow_eesp_forward(unit, params, x, residual=stride == 1 and cin == cout))
         assert y.shape == (n, cout) + unit.out_hw((h, w))
 
-    @pytest.mark.parametrize("channels_last", [True, False])
-    @pytest.mark.parametrize("c, h, w", [(3, 5, 6), (1, 5, 6), (3, 1, 1), (2, 1, 4)])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("stride, residual", [(1, True), (1, False), (2, False)])
     @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_merge_keeps_the_layout_of_concatenate(self, k, c, h, w, channels_last):
+    def test_unit_equals_slow_walk(self, k, stride, residual, n):
+        cin = 2 * k if residual else k
+        self.check_against_slow_walk(k, cin, 2 * k, stride, 2, n, 7, 6, seed=k * n + stride)
+
+    @settings(max_examples=80, deadline=None)
+    @given(k=st.integers(1, 4), cin=st.integers(1, 3), cout=st.integers(1, 3), residual=st.booleans(),
+           stride=st.sampled_from([1, 2]), width=st.integers(1, 2), n=st.integers(1, 3),
+           h=st.integers(4, 11), w=st.integers(4, 11), seed=st.integers(0, 2**32 - 1))
+    @example(k=4, cin=2, cout=2, residual=True, stride=1, width=1, n=1, h=4, w=4, seed=0)
+    @example(k=1, cin=1, cout=1, residual=False, stride=2, width=1, n=2, h=5, w=7, seed=1)
+    def test_unit_equals_slow_walk_at_random_widths(self, k, cin, cout, residual, stride, width,
+                                                    n, h, w, seed):
+        # k=1 with cout and width of 1 gives one-channel branches.
+        cin, cout = k * cin, k * cout
+        if residual:
+            cin, stride = cout, 1
+        self.check_against_slow_walk(k, cin, cout, stride, width, n, h, w, seed)
+
+    def test_each_expand_group_reads_one_running_sum_in_place(self, monkeypatch):
+        unit = gp.EespUnit("u", 8, 8, 1, gp.CuWidths(eesp_branches=4, eesp_width_mult=4))
+        expand = unit.blocks[-1][0]
+        reads, real = [], nm._im2col
+
+        def im2col(x, spec, oh, ow):
+            cols = real(x, spec, oh, ow)
+            if spec == expand.group_spec:
+                reads.append(np.shares_memory(cols, x) and x.transpose(0, 2, 3, 1).flags.c_contiguous)
+            return cols
+
+        monkeypatch.setattr(nm, "_im2col", im2col)
         rng = np.random.default_rng(41)
-        if channels_last:
-            branches = [rng.normal(size=(2, h, w, c)).transpose(0, 3, 1, 2) for _ in range(k)]
-        else:
-            branches = [rng.normal(size=(2, c, h, w)) for _ in range(k)]
-        merged = gp._OPS["merge"](*branches)
-        want = np.concatenate(list(itertools.accumulate(branches)), axis=1)
-        np.testing.assert_array_equal(merged, want)
-        # Strides of axes of length one do not move any element.
-        assert ([s for s, n in zip(merged.strides, merged.shape) if n > 1]
-                == [s for s, n in zip(want.strides, want.shape) if n > 1])
+        unit.forward(unit_params(rng, unit), rng.normal(size=(2, 8, 5, 6)))
+        assert expand.name == "u.expand" and reads == [True] * 4
 
     def test_one_copy_per_eesp_unit(self, monkeypatch):
         graph = tiny_graph("eesp")
@@ -540,22 +593,23 @@ class TestSharedBranchCopy:
     def test_copy_is_freed_after_the_last_branch(self, monkeypatch):
         graph = tiny_graph("eesp")
         params = gp.init_params(graph, seed=0)
-        copies, alive_at_merge = [], []
-        real_copy, real_merge = nm._pad_channels_last, gp._OPS["merge"]
+        copies, alive_at_add = [], []
+        real_copy, real_add = nm._pad_channels_last, gp._OPS["add"]
 
         def copy(x, margin):
             xp = real_copy(x, margin)
             copies.append(weakref.ref(xp))
             return xp
 
-        def merge(*branches):
-            alive_at_merge.append(copies[-1]() is not None)
-            return real_merge(*branches)
+        def add(a, b):
+            alive_at_add.append(copies[-1]() is not None)
+            return real_add(a, b)
 
         monkeypatch.setattr(nm, "_pad_channels_last", copy)
-        monkeypatch.setitem(gp._OPS, "merge", merge)
+        monkeypatch.setitem(gp._OPS, "add", add)
         gp.forward(graph, params, np.random.default_rng(45).normal(size=(2, 3, 32, 32)))
-        assert alive_at_merge == [False] * 18
+        # Three running sums in each of the 18 units, and 14 residual adds.
+        assert alive_at_add == [False] * (18 * 3 + 14)
 
     @pytest.mark.parametrize("mult, copies", [(1, 18), (gp.CuWidths().mobilenet_depth_mult, 0)])
     def test_one_copy_per_block_without_sharing(self, monkeypatch, mult, copies):
@@ -577,9 +631,9 @@ class TestSharedBranchCopy:
         assert margins == [1]
 
     def test_shared_copy_only_for_two_or_more_depthwise_readers(self):
-        one = gp.EespUnit("u", 4, 4, 1, gp.CuWidths(eesp_branches=1, eesp_groups=2, eesp_width_mult=1))
+        one = gp.EespUnit("u", 4, 4, 1, gp.CuWidths(eesp_branches=1, eesp_width_mult=1))
         assert one.shared == {}
-        unit = gp.EespUnit("u", 4, 4, 2, gp.CuWidths(eesp_branches=3, eesp_groups=2, eesp_width_mult=3))
+        unit = gp.EespUnit("u", 6, 6, 2, gp.CuWidths(eesp_branches=3, eesp_width_mult=3))
         branches = [block for block, _ in unit.blocks if block.name.startswith("u.branch")]
         assert unit.shared == {block: ("r", 3, block is branches[-1]) for block in branches}
         mobile = gp.MobileNetUnit("m", 4, 4, 1, gp.CuWidths(mobilenet_depth_mult=1))
@@ -592,13 +646,13 @@ class TestSharedBranchCopy:
         batch = 1e10 * np.random.default_rng(0).normal(size=(2, 3, 32, 32))
         with pytest.raises(nm.NumericError, match=r"^layer 3 \(cu3\): non-finite values in conv2d input$"):
             gp.forward(graph, params, batch)
-        unit = gp.EespUnit("u", 4, 4, 1, gp.CuWidths(eesp_branches=3, eesp_groups=2, eesp_width_mult=3))
+        unit = gp.EespUnit("u", 6, 6, 1, gp.CuWidths(eesp_branches=3, eesp_width_mult=3))
         rng = np.random.default_rng(0)
         params = unit_params(rng, unit)
         params["u.reduce.scale"] = np.full_like(params["u.reduce.scale"], 1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(nm.NumericError, match="^non-finite values in conv2d input$"):
-                unit.forward(params, 1e10 * rng.normal(size=(2, 4, 6, 5)))
+                unit.forward(params, 1e10 * rng.normal(size=(2, 6, 6, 5)))
 
 
 class TestBackward:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from affectpipe import numerics as nm
 
-from conftest import (exact, loop_conv2d, loop_conv2d_backward, offset_conv2d, pad_im2col,
-                      two_branch_sigmoid)
+from conftest import (channel_taps, exact, loop_conv2d, loop_conv2d_backward, offset_conv2d, pad_im2col,
+                      two_branch_sigmoid, where_relu_backward)
 
 # One spec per convolution class the trunk uses, with the input size it runs at.
 CONV_CLASSES = {
@@ -168,6 +168,39 @@ class TestConv2d:
         y = nm.conv2d(x, spec, wt, b)
         np.testing.assert_allclose(y, offset_conv2d(x, spec, wt, b), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(y, loop_conv2d(x, spec, wt, b), rtol=1e-12, atol=1e-12)
+
+    @given(
+        channels=st.integers(1, 5), kernel=st.sampled_from([1, 3, 5]), stride=st.integers(1, 2),
+        dilation=st.integers(1, 4), padding=st.integers(0, 4), extra_margin=st.integers(0, 3),
+        extra_h=st.integers(0, 4), extra_w=st.integers(0, 4), batch=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    @example(channels=3, kernel=3, stride=1, dilation=4, padding=4, extra_margin=0, extra_h=0,
+             extra_w=0, batch=1, seed=0)
+    @example(channels=2, kernel=3, stride=2, dilation=2, padding=1, extra_margin=2, extra_h=3,
+             extra_w=0, batch=1, seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_tiled_taps_match_loop_oracle_and_channel_taps(self, channels, kernel, stride, dilation,
+                                                           padding, extra_margin, extra_h, extra_w,
+                                                           batch, seed):
+        spec = nm.ConvSpec(channels, channels, kernel=kernel, stride=stride, padding=padding,
+                           groups=channels, dilation=dilation)
+        smallest = max(1, dilation * (kernel - 1) + 1 - 2 * padding)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, channels, smallest + extra_h, smallest + extra_w))
+        wt = rng.normal(size=spec.weight_shape)
+        oh, ow = spec.out_hw(x.shape[2:])
+        margin = padding + extra_margin
+        xp = nm._pad_channels_last(x, margin)
+        y = nm._depthwise_taps(xp, margin, spec, wt, oh, ow)
+        want = channel_taps(xp, margin, spec, wt, oh, ow)
+        assert y.strides == want.strides
+        # With one channel the (k, k, 1) einsum sums along a kernel row in its
+        # inner loop, so it rounds differently; from two channels on, both
+        # add the taps in the same order.
+        if channels > 1:
+            assert y.tobytes() == want.tobytes()
+        np.testing.assert_allclose(y, loop_conv2d(x, spec, wt), rtol=1e-12, atol=1e-12)
 
     def test_noncontiguous_input(self, rng):
         spec = nm.ConvSpec(2, 3, kernel=3, stride=2, padding=1)
@@ -403,7 +436,36 @@ class TestGlobalAvgPool:
         np.testing.assert_array_equal(g, np.broadcast_to(up[:, :, None, None] / 25.0, y.shape))
 
 
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestActivations:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(SIGNED, SIGNED), min_size=1, max_size=16))
+    def test_relu_backward_equals_where_oracle(self, pairs):
+        """Equal values, and np.where's bytes with -0.0 read as +0.0: a masked
+        negative adjoint gives +0.0, and so does an unmasked -0.0."""
+        grad, x = np.array(pairs).T
+        got, want = nm.relu_backward(grad, x), where_relu_backward(grad, x)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == (want + 0.0).tobytes()
+        assert not np.signbit(got[got == 0.0]).any()
+
+    def test_relu_backward_masked_nonfinite_adjoint_is_nan(self):
+        """Where np.where gives 0, the product with the mask gives NaN; a
+        gradient step rejects it."""
+        x = np.array([-1.0, -0.0, 0.0, -2.0, 3.0, 3.0, 3.0])
+        grad = np.array([np.inf, -np.inf, np.nan, 5.0, np.inf, -np.inf, np.nan])
+        np.testing.assert_array_equal(nm.relu_backward(grad, x),
+                                      [np.nan, np.nan, np.nan, 0.0, np.inf, -np.inf, np.nan])
+        np.testing.assert_array_equal(where_relu_backward(grad, x),
+                                      [0.0, 0.0, 0.0, 0.0, np.inf, -np.inf, np.nan])
+
+    def test_relu_backward_keeps_the_adjoint_layout(self, rng):
+        x = rng.normal(size=(2, 5, 4, 3)).transpose(0, 3, 1, 2)
+        grad = rng.normal(size=(3, 2, 5, 4)).transpose(1, 0, 2, 3)
+        assert nm.relu_backward(grad, x).strides == where_relu_backward(grad, x).strides
+
     def test_softmax_uniform(self):
         np.testing.assert_allclose(nm.softmax(np.zeros(8)), np.full(8, 0.125))
 
