@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,12 +63,33 @@ class CuWidths:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
+class BlockRecord(NamedTuple):
+    """What a taped :meth:`ConvBlock.forward` keeps for its backward: the
+    inputs (one, or one per group), the output, the folded weights, and per
+    input the column tensor its im2col convolution built (None on the taps
+    path)."""
+
+    xs: tuple
+    y: np.ndarray
+    w: np.ndarray
+    columns: tuple
+
+
+class UnitRecord(NamedTuple):
+    """What a taped :meth:`Unit.forward` keeps: every slot's value and, in
+    step order, each of its blocks' :class:`BlockRecord`."""
+
+    slots: dict
+    blocks: list
+
+
 class ConvBlock:
     """Convolution, learnable per-channel affine, optional ReLU.
 
-    Both passes fold the affine into the convolution (weights ``scale*W``,
-    bias ``scale*b + shift``), saving one pass over the activations; the
-    backward pass applies the chain rule through the fold.
+    The forward pass folds the affine into the convolution (weights
+    ``scale*W``, bias ``scale*b + shift``), saving one pass over the
+    activations; the backward pass applies the chain rule through the fold
+    and reads the folded weights from the forward's record.
 
     A grouped block takes one input, or one input per group (EESP's expand
     reads each running sum of its branches as one group): it then runs one
@@ -109,37 +131,53 @@ class ConvBlock:
         nm.require_finite(b, "folded bias")
         return w, b
 
-    def forward(self, params: dict, *xs: np.ndarray, padded: np.ndarray | None = None) -> np.ndarray:
-        """``padded`` is a shared channels-last copy of x, see :func:`numerics.conv2d`."""
+    def forward(self, params: dict, *xs: np.ndarray, padded: np.ndarray | None = None,
+                tape: list | None = None) -> np.ndarray:
+        """``padded`` is a shared channels-last copy of x, see :func:`numerics.conv2d`.
+
+        With a ``tape`` list, a :class:`BlockRecord` is appended to it.
+        """
         w, b = self._folded(params)
+        keep = tape is not None
         if len(xs) == 1:
-            y = nm.conv2d(xs[0], self.spec, w, b, padded=padded)
+            runs = [nm.conv2d(xs[0], self.spec, w, b, padded=padded, return_columns=keep)]
         else:
             ws, bs = w.reshape(len(xs), -1, *w.shape[1:]), b.reshape(len(xs), -1)
-            ys = [nm.conv2d(x, self.group_spec, wg, bg) for x, wg, bg in zip(xs, ws, bs)]
+            runs = [nm.conv2d(x, self.group_spec, wg, bg, return_columns=keep)
+                    for x, wg, bg in zip(xs, ws, bs)]
+        ys, columns = zip(*runs) if keep else (runs, None)
+        if len(ys) == 1:
+            y = ys[0]
+        else:
             y = np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3)
-        return np.maximum(y, 0.0, out=y) if self.relu else y
+        if self.relu:
+            np.maximum(y, 0.0, out=y)
+        if keep:
+            tape.append(BlockRecord(xs, y, w, columns))
+        return y
 
-    def backward(self, params: dict, x, y: np.ndarray, grad_y: np.ndarray, *, input_grad: bool = True):
-        """(grad_x, parameter grads) from input x, output y and d loss/d y.
+    def backward(self, params: dict, record: BlockRecord, grad_y: np.ndarray, *, input_grad: bool = True):
+        """(grad_x, parameter grads) from the forward's record and d loss/d y.
 
         With gWf, gbf the adjoints of the folded weights and bias:
         gW = scale*gWf, gb = scale*gbf, gshift = gbf and
-        gscale = sum(gWf*W) + gbf*b per output channel.  An ``x`` that is a
-        tuple of one input per group gives a tuple grad_x.  With
-        ``input_grad=False`` grad_x is None and is not computed.
+        gscale = sum(gWf*W) + gbf*b per output channel.  A block that read
+        one input per group gives a tuple grad_x.  With ``input_grad=False``
+        grad_x is None and is not computed.
         """
+        xs, y, w, columns = record
         if self.relu:
             grad_y = nm.relu_backward(grad_y, y)
-        w = self._folded(params)[0]
-        if isinstance(x, tuple):
-            groups = zip(np.split(grad_y, len(x), axis=1), x, w.reshape(len(x), -1, *w.shape[1:]))
-            gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, self.group_spec, wg, input_grad=input_grad)
-                                  for gy, xg, wg in groups))
+        if len(xs) > 1:
+            groups = zip(np.split(grad_y, len(xs), axis=1), xs, w.reshape(len(xs), -1, *w.shape[1:]), columns)
+            gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, self.group_spec, wg, columns=cols,
+                                                     input_grad=input_grad)
+                                  for gy, xg, wg, cols in groups))
             gx = gxs if input_grad else None
             gwf, gbf = np.concatenate(gws), np.concatenate(gbs)
         else:
-            gx, gwf, gbf = nm.conv2d_backward(grad_y, x, self.spec, w, input_grad=input_grad)
+            gx, gwf, gbf = nm.conv2d_backward(grad_y, xs[0], self.spec, w, columns=columns[0],
+                                              input_grad=input_grad)
         n = self.name
         scale = params[f"{n}.scale"]
         return gx, {
@@ -170,8 +208,10 @@ class Unit:
     input and the last step's slot its output.  A ConvBlock reads one slot,
     or one slot per group (see :class:`ConvBlock`).  One walker over the steps
     serves forward, out_hw, macs and param_shapes; backward walks them in
-    reverse.  Each kind binds ``forward`` in its own class body because the
-    benchmark's tracer times the kinds apart by wrapping ``vars(cls)["forward"]``.
+    reverse over the :class:`UnitRecord` a taped forward kept, and runs no
+    step's forward again.  Each kind binds ``forward`` in its own class body
+    because the benchmark's tracer times the kinds apart by wrapping
+    ``vars(cls)["forward"]``.
 
     A slot read by two or more per-channel depthwise blocks (EESP's branches)
     is copied once into a zero-padded channels-last buffer, padded for the
@@ -200,26 +240,31 @@ class Unit:
             slots[out] = step(op, [slots[s] for s in ins])
         return slots
 
-    def _values(self, params: dict, x: np.ndarray) -> dict:
+    def _values(self, params: dict, x: np.ndarray, tape: list | None = None) -> dict:
         copies = {}
 
         def step(op, args):
             if not isinstance(op, ConvBlock):
                 return _OPS[op](*args)
             if op not in self.shared:
-                return op.forward(params, *args)
+                return op.forward(params, *args, tape=tape)
             src, margin, last = self.shared[op]
             if src not in copies:
                 copies[src] = nm._pad_channels_last(args[0], margin)
-            return op.forward(params, *args, padded=copies.pop(src) if last else copies[src])
+            return op.forward(params, *args, padded=copies.pop(src) if last else copies[src], tape=tape)
 
         return self._walk(x, step)
 
     def _sizes(self, hw) -> dict:
         return self._walk(tuple(hw), lambda op, a: op.out_hw(a[0]) if isinstance(op, ConvBlock) else a[0])
 
-    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
-        return self._values(params, x)[self.steps[-1][1]]
+    def forward(self, params: dict, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """With a ``tape`` list, a :class:`UnitRecord` is appended to it."""
+        blocks = None if tape is None else []
+        slots = self._values(params, x, blocks)
+        if tape is not None:
+            tape.append(UnitRecord(slots, blocks))
+        return slots[self.steps[-1][1]]
 
     def out_hw(self, hw):
         return self._sizes(hw)[self.steps[-1][1]]
@@ -231,20 +276,20 @@ class Unit:
     def param_shapes(self) -> dict:
         return {key: shape for block, _ in self.blocks for key, shape in block.param_shapes().items()}
 
-    def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
-        """(grad_x, parameter grads), recomputing the inner activations from x.
+    def backward(self, params: dict, record: UnitRecord, grad_y: np.ndarray):
+        """(grad_x, parameter grads) from the forward's record and d loss/d y.
 
         ``add`` fans the gradient out, ``relu`` masks it by the step's
-        output, and a ConvBlock runs its own backward, with one gradient per
-        slot it reads.
+        output, and a ConvBlock runs its own backward on its record, with
+        one gradient per slot it reads.
         """
-        slots = self._values(params, x)
+        slots, blocks = record
+        blocks = reversed(blocks)
         grads, param_grads = {self.steps[-1][1]: grad_y}, {}
         for op, out, ins in reversed(self.steps):
             g = grads.pop(out)
             if isinstance(op, ConvBlock):
-                xs = tuple(slots[s] for s in ins)
-                g, block_grads = op.backward(params, xs if len(xs) > 1 else xs[0], slots[out], g)
+                g, block_grads = op.backward(params, next(blocks), g)
                 param_grads.update(block_grads)
             elif op == "relu":
                 g = nm.relu_backward(g, slots[out])
@@ -336,11 +381,14 @@ class GlobalPool:
     def param_shapes(self) -> dict:
         return {}
 
-    def forward(self, params: dict, x: np.ndarray) -> np.ndarray:
+    def forward(self, params: dict, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """With a ``tape`` list, the input's shape is appended to it."""
+        if tape is not None:
+            tape.append(x.shape)
         return nm.global_avg_pool(x)
 
-    def backward(self, params: dict, x: np.ndarray, y: np.ndarray, grad_y: np.ndarray):
-        return nm.global_avg_pool_backward(grad_y, x.shape), {}
+    def backward(self, params: dict, x_shape: tuple, grad_y: np.ndarray):
+        return nm.global_avg_pool_backward(grad_y, x_shape), {}
 
     def macs(self, hw) -> int:
         return hw[0] * hw[1] * self.out_channels
@@ -467,8 +515,11 @@ def init_params(graph: ModelGraph, seed: int) -> dict:
 def forward(graph: ModelGraph, params: dict, batch: np.ndarray, cache: list | None = None) -> dict:
     """Run the trunk and heads; returns raw per-head outputs keyed by task.
 
-    If ``cache`` is a list, the input of every layer and then the pooled
-    features are appended to it, for :func:`backward`.
+    If ``cache`` is a list, it is the tape :func:`backward` reads: every
+    layer appends the record of what its backward reads (a conv block's
+    inputs, output, folded weights and im2col columns; a unit's slots and
+    its blocks' records; the pool's input shape), and then the pooled
+    features are appended.  Without it nothing is kept.
     """
     x = np.asarray(batch, dtype=float)
     if x.ndim != 4 or x.shape[1] != 3:
@@ -484,10 +535,8 @@ def forward(graph: ModelGraph, params: dict, batch: np.ndarray, cache: list | No
     last = len(graph.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for index, layer in enumerate(graph.layers):
-            if cache is not None:
-                cache.append(x)
             try:
-                y = layer.forward(params, x)
+                y = layer.forward(params, x, tape=cache)
                 if index == last:
                     nm.require_finite(y, "layer output")
             except nm.NumericError as err:
@@ -508,11 +557,12 @@ def forward(graph: ModelGraph, params: dict, batch: np.ndarray, cache: list | No
 def backward(graph: ModelGraph, params: dict, cache: list, head_grads: dict) -> dict:
     """Gradients of every parameter, keyed like ``params``.
 
-    ``cache`` is the list a :func:`forward` call filled and ``head_grads``
+    ``cache`` is the tape a :func:`forward` call filled and ``head_grads``
     the loss adjoints of the raw head outputs, keyed by task (width-1 heads
-    may take (N,) vectors).  The layers are walked in reverse.  The adjoint
-    of the input batch is never returned, so a first layer that is a
-    ConvBlock (the stem) does not compute it.
+    may take (N,) vectors).  The layers are walked in reverse, each reading
+    its record; no forward work is done again.  The adjoint of the input
+    batch is never returned, so a first layer that is a ConvBlock (the
+    stem) does not compute it.
     """
     pooled = cache[-1]
     grads = {}
@@ -525,7 +575,7 @@ def backward(graph: ModelGraph, params: dict, cache: list, head_grads: dict) -> 
     for i in reversed(range(len(graph.layers))):
         layer = graph.layers[i]
         skip = {"input_grad": False} if i == 0 and isinstance(layer, ConvBlock) else {}
-        g, layer_grads = layer.backward(params, cache[i], cache[i + 1], g, **skip)
+        g, layer_grads = layer.backward(params, cache[i], g, **skip)
         grads.update(layer_grads)
     return grads
 

@@ -25,7 +25,9 @@ takes its columns as a view, without a copy.  The adjoint of both paths
 is the im2col one: the weight gradient is one GEMM per group over the
 batch's n*oh*ow columns, and the input gradient scatter-adds the
 weight-transposed columns back over the kernel offsets into a
-channel-major buffer.
+channel-major buffer.  An im2col ``conv2d`` can hand its column tensor to
+the caller, and ``conv2d_backward`` reads that instead of building it
+again from the input.
 """
 
 from __future__ import annotations
@@ -214,7 +216,7 @@ def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.nda
 
 
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None,
-           *, padded: np.ndarray | None = None) -> np.ndarray:
+           *, padded: np.ndarray | None = None, return_columns: bool = False):
     """Grouped 2-d convolution (cross-correlation).
 
     out[n,o,i,j] = sum_{c,ki,kj} w[o,c,ki,kj] * xpad[n, g(o)+c, i*s+ki*d, j*s+kj*d] + b[o]
@@ -224,10 +226,13 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     GEMM per group over the whole batch, and returns an NCHW view of
     channel-major memory.  ``padded`` is only for the former: an already
     checked ``_pad_channels_last(x, margin)`` copy with ``margin >=
-    spec.padding``, which is read in place of a new copy of ``x``.
+    spec.padding``, which is read in place of a new copy of ``x``.  With
+    ``return_columns`` the result is ``(out, columns)``: the im2col column
+    tensor, for :func:`conv2d_backward` to read, or None on the taps path.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     g = spec.groups
+    columns = None
     if padded is not None:
         margin = (padded.shape[1] - x.shape[2]) // 2
         if not spec.per_channel or margin < spec.padding or padded.shape != (
@@ -239,27 +244,32 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
         y = _depthwise_taps(_pad_channels_last(x, spec.padding), spec.padding, spec, weights, oh, ow)
     else:
         require_finite(x, "conv2d input")
-        y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), _im2col(x, spec, oh, ow))
+        columns = _im2col(x, spec, oh, ow)
+        y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), columns)
         y = y.reshape(spec.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (spec.out_channels,):
             raise ShapeError(f"bias shape {bias.shape} != ({spec.out_channels},)")
         y += bias[None, :, None, None]
-    return y
+    return (y, columns) if return_columns else y
 
 
 def conv2d_backward(
-    grad_out: np.ndarray, x: np.ndarray, spec: ConvSpec, weights: np.ndarray, *, input_grad: bool = True
+    grad_out: np.ndarray, x: np.ndarray, spec: ConvSpec, weights: np.ndarray, *,
+    columns: np.ndarray | None = None, input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Adjoints (grad_x, grad_weights, grad_bias) of :func:`conv2d`.
 
     grad_weights is one GEMM per group over the n*oh*ow columns of the
     forward's column tensor; grad_x scatter-adds the weight-transposed
     columns back over the k^2 kernel offsets into a channel-major buffer
-    (col2im) and is an NCHW view of it.  With ``input_grad=False`` grad_x
-    is None and neither the transposed product nor the scatter and its zero
-    buffer is made; the other two adjoints are the same bytes.
+    (col2im) and is an NCHW view of it.  ``columns`` is the column tensor
+    that ``conv2d(x, spec, ..., return_columns=True)`` returned for this
+    ``x``; without it (and on the taps path, which builds none) it is built
+    from ``x``, to the same bytes.  With ``input_grad=False`` grad_x is None
+    and neither the transposed product nor the scatter and its zero buffer
+    is made; the other two adjoints are the same bytes.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -267,8 +277,13 @@ def conv2d_backward(
         raise ShapeError(f"adjoint shape {grad_out.shape} != forward output {(n, spec.out_channels, oh, ow)}")
     g = spec.groups
     s, d, p, k = spec.stride, spec.dilation, spec.padding, spec.kernel
+    if columns is None:
+        columns = _im2col(x, spec, oh, ow)
+    elif columns.shape != (g, spec.in_channels // g * k * k, n * oh * ow):
+        raise ShapeError(f"column tensor of shape {columns.shape} does not fit input {x.shape} under {spec}")
     gy = grad_out.transpose(1, 0, 2, 3).reshape(g, spec.out_channels // g, n * oh * ow)
-    gw = np.matmul(gy, _im2col(x, spec, oh, ow).transpose(0, 2, 1)).reshape(weights.shape)
+    gw = np.matmul(gy, columns.transpose(0, 2, 1)).reshape(weights.shape)
+    del columns  # one built here is freed before the input adjoint's buffers
     grad_bias = gy.sum(axis=2).reshape(spec.out_channels)
     if not input_grad:
         return None, gw, grad_bias

@@ -73,10 +73,12 @@ def loop_conv2d_backward(grad_out, x, spec, weights):
     return gx, gw, gb
 
 
-def offset_conv2d(x, spec, weights, bias=None, *, padded=None):
+def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=False):
     """Direct-summation convolution, one grouped einsum per kernel offset.
 
-    A shared padded copy is ignored: the oracle pads ``x`` itself.
+    A shared padded copy is ignored: the oracle pads ``x`` itself, and it
+    builds no column tensor, so with ``return_columns`` it returns None for
+    one.
     """
     n = x.shape[0]
     g = spec.groups
@@ -93,7 +95,7 @@ def offset_conv2d(x, spec, weights, bias=None, *, padded=None):
     y = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         y += bias[None, :, None, None]
-    return y
+    return (y, None) if return_columns else y
 
 
 def channel_taps(xp, margin, spec, weights, oh, ow):
@@ -136,10 +138,59 @@ def scalar_repr_frames(F):
     return "\n".join(lines) + "\n"
 
 
-def full_backward(graph, params, cache, head_grads):
-    """``graph.backward`` with every layer computing its input adjoint, the
-    first one's included: the reference for the stem that skips it."""
-    pooled = cache[-1]
+def recompute_block_backward(block, params, x, y, grad_y, input_grad=True):
+    """``ConvBlock.backward`` from the block's input x and output y alone: the
+    weights are folded again and every column tensor is rebuilt from x.  An
+    ``x`` that is a tuple of one input per group gives a tuple grad_x."""
+    if block.relu:
+        grad_y = nm.relu_backward(grad_y, y)
+    w = block._folded(params)[0]
+    if isinstance(x, tuple):
+        groups = zip(np.split(grad_y, len(x), axis=1), x, w.reshape(len(x), -1, *w.shape[1:]))
+        gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, block.group_spec, wg, input_grad=input_grad)
+                              for gy, xg, wg in groups))
+        gx = gxs if input_grad else None
+        gwf, gbf = np.concatenate(gws), np.concatenate(gbs)
+    else:
+        gx, gwf, gbf = nm.conv2d_backward(grad_y, x, block.spec, w, input_grad=input_grad)
+    n = block.name
+    scale = params[f"{n}.scale"]
+    return gx, {
+        f"{n}.w": scale[:, None, None, None] * gwf,
+        f"{n}.b": scale * gbf,
+        f"{n}.scale": (gwf * params[f"{n}.w"]).sum(axis=(1, 2, 3)) + gbf * params[f"{n}.b"],
+        f"{n}.shift": gbf,
+    }
+
+
+def recompute_unit_backward(unit, params, x, grad_y):
+    """``Unit.backward`` that runs the unit's forward walk again from its
+    input x for its inner activations."""
+    slots = unit._values(params, x)
+    grads, param_grads = {unit.steps[-1][1]: grad_y}, {}
+    for op, out, ins in reversed(unit.steps):
+        g = grads.pop(out)
+        if isinstance(op, gr.ConvBlock):
+            xs = tuple(slots[s] for s in ins)
+            g, block_grads = recompute_block_backward(op, params, xs if len(xs) > 1 else xs[0], slots[out], g)
+            param_grads.update(block_grads)
+        elif op == "relu":
+            g = nm.relu_backward(g, slots[out])
+        for slot, g_in in zip(ins, g if isinstance(g, tuple) else [g] * len(ins)):
+            grads[slot] = grads[slot] + g_in if slot in grads else g_in
+    return grads["x"], param_grads
+
+
+def recompute_backward(graph, params, batch, head_grads):
+    """``graph.backward`` without a tape: the forward keeps only each layer's
+    input, and the backward runs every unit's forward again, folds every
+    block again and rebuilds every column tensor.  Every layer computes its
+    input adjoint, the stem's included: the reference for the tape and for
+    the stem that skips its input adjoint."""
+    xs = [np.asarray(batch, dtype=float)]
+    for layer in graph.layers:
+        xs.append(layer.forward(params, xs[-1]))
+    pooled = xs[-1]
     grads = {}
     g = np.zeros_like(pooled)
     for head in graph.heads:
@@ -148,7 +199,13 @@ def full_backward(graph, params, cache, head_grads):
         grads.update(head_param_grads)
         g += gx
     for i in reversed(range(len(graph.layers))):
-        g, layer_grads = graph.layers[i].backward(params, cache[i], cache[i + 1], g)
+        layer, x, y = graph.layers[i], xs[i], xs[i + 1]
+        if isinstance(layer, gr.ConvBlock):
+            g, layer_grads = recompute_block_backward(layer, params, x, y, g)
+        elif isinstance(layer, gr.Unit):
+            g, layer_grads = recompute_unit_backward(layer, params, x, g)
+        else:
+            g, layer_grads = nm.global_avg_pool_backward(g, x.shape), {}
         grads.update(layer_grads)
     return grads
 

@@ -4,6 +4,7 @@ Forward passes run at reduced input sizes (e.g. 32x32) to keep the suite
 fast; counting tests use the full 224x224 contract.
 """
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -20,8 +21,8 @@ from affectpipe import graph as gp
 from affectpipe import numerics as nm
 from affectpipe import training as tr
 
-from conftest import (central_difference, channel_affine, channel_affine_backward, exact, full_backward,
-                      max_rel_error, offset_conv2d)
+from conftest import (central_difference, channel_affine, channel_affine_backward, exact, max_rel_error,
+                      offset_conv2d, recompute_backward, recompute_unit_backward)
 
 PARAM_TARGETS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
 # Strided dense, grouped, grouped 1x1 and strided dilated depthwise blocks.
@@ -505,14 +506,15 @@ class TestForward:
         xs = tuple(rng.normal(size=(2, 7, 6, spec.in_channels // spec.groups)).transpose(0, 3, 1, 2)
                    for _ in range(spec.groups))
         joined = np.concatenate(xs, axis=1)
-        y = block.forward(params, *xs)
-        assert exact(y) == exact(block.forward(params, joined))
+        tape = []
+        y = block.forward(params, *xs, tape=tape)
+        assert exact(y) == exact(block.forward(params, joined, tape=tape))
         up = rng.normal(size=y.shape)
-        gxs, grads = block.backward(params, xs, y, up)
-        gx, want = block.backward(params, joined, y, up)
+        gxs, grads = block.backward(params, tape[0], up)
+        gx, want = block.backward(params, tape[1], up)
         assert exact(grads) == exact(want)
         assert exact(gxs) == exact(tuple(np.split(gx, spec.groups, axis=1)))
-        assert block.backward(params, xs, y, up, input_grad=False)[0] is None
+        assert block.backward(params, tape[0], up, input_grad=False)[0] is None
         with pytest.raises(ValueError):
             block.forward(params, *xs, xs[0])
 
@@ -663,9 +665,10 @@ class TestBackward:
         block = gp.ConvBlock("blk", spec, relu=relu)
         params = block_params(rng, spec)
         x = rng.normal(size=(2, spec.in_channels, 6, 5))
-        y = block.forward(params, x)
+        tape = []
+        y = block.forward(params, x, tape=tape)
         up = rng.normal(size=y.shape)
-        gx, grads = block.backward(params, x, y, up)
+        gx, grads = block.backward(params, tape[0], up)
 
         def loss(trial, v):
             return float((block.forward(trial, v) * up).sum())
@@ -683,9 +686,10 @@ class TestBackward:
         block = gp.ConvBlock("blk", spec, relu=relu)
         params = block_params(rng, spec)
         x = rng.normal(size=(3, spec.in_channels, 9, 7))
-        y = block.forward(params, x)
+        tape = []
+        y = block.forward(params, x, tape=tape)
         up = rng.normal(size=y.shape)
-        gx, grads = block.backward(params, x, y, up)
+        gx, grads = block.backward(params, tape[0], up)
 
         conv = nm.conv2d(x, spec, params["blk.w"], params["blk.b"])
         affine = channel_affine(conv, params["blk.scale"], params["blk.shift"])
@@ -701,7 +705,9 @@ class TestBackward:
         pool = gp.GlobalPool(4)
         x = rng.normal(size=(2, 4, 3, 5))
         up = rng.normal(size=(2, 4))
-        gx, grads = pool.backward({}, x, pool.forward({}, x), up)
+        tape = []
+        pool.forward({}, x, tape=tape)
+        gx, grads = pool.backward({}, tape[0], up)
         num = central_difference(lambda v: float((pool.forward({}, v) * up).sum()), x.copy())
         assert grads == {}
         assert max_rel_error(gx, num) < 1e-8
@@ -731,10 +737,11 @@ class TestBackward:
         unit = cls("u", cin, cout, stride, widths)
         params = unit_params(rng, unit)
         x = rng.normal(size=(2, cin, 7, 6))
-        y = unit.forward(params, x)
+        tape = []
+        y = unit.forward(params, x, tape=tape)
         assert y.shape == (2, cout) + unit.out_hw((7, 6))
         up = rng.normal(size=y.shape)
-        gx, grads = unit.backward(params, x, y, up)
+        gx, grads = unit.backward(params, tape[0], up)
         assert sorted(grads) == sorted(params)
 
         def loss(trial, v):
@@ -778,22 +785,11 @@ class TestBackward:
             num = (hi - loss(trial)) / 2e-4
             assert abs(grads[key][index] - num) <= 1e-6 * max(1.0, abs(num)), key
 
-    @pytest.mark.parametrize("cu", ("toy",) + gp.CU_KINDS)
-    def test_graph_backward_equals_full_adjoint_oracle(self, cu):
-        graph = tr.toy_graph(16) if cu == "toy" else gp.build_graph(cu, input_hw=(16, 16))
-        rng = np.random.default_rng(38)
-        params = {k: v + rng.normal(scale=0.1, size=v.shape) if k.endswith(".b") else v
-                  for k, v in gp.init_params(graph, seed=4).items()}
-        cache = []
-        out = gp.forward(graph, params, rng.normal(size=(3, 3, 16, 16)), cache)
-        ups = {task: rng.normal(size=np.shape(y)) for task, y in out.items()}
-        assert exact(gp.backward(graph, params, cache, ups)) == exact(full_backward(graph, params, cache, ups))
-
     def test_only_the_stem_skips_its_input_adjoint(self, monkeypatch):
         calls = []
         real = nm.conv2d_backward
-        monkeypatch.setattr(nm, "conv2d_backward", lambda *a, input_grad=True: (
-            calls.append(input_grad) or real(*a, input_grad=input_grad)))
+        monkeypatch.setattr(nm, "conv2d_backward", lambda *a, input_grad=True, **kw: (
+            calls.append(input_grad) or real(*a, input_grad=input_grad, **kw)))
         graph = tiny_graph("bottleneck")
         params = gp.init_params(graph, seed=0)
         cache = []
@@ -801,17 +797,103 @@ class TestBackward:
         gp.backward(graph, params, cache, {task: np.ones(np.shape(y)) for task, y in out.items()})
         assert calls[-1] is False and all(calls[:-1]) and len(calls) > 1
 
-    def test_forward_cache_holds_each_layer_input_then_pooled(self):
+    def test_forward_cache_holds_each_layer_record_then_pooled(self):
         graph = tiny_graph("bottleneck")
         params = gp.init_params(graph, seed=0)
         batch = np.random.default_rng(35).normal(size=(2, 3, 32, 32))
         cache = []
         out = gp.forward(graph, params, batch, cache)
         assert len(cache) == len(graph.layers) + 1
-        np.testing.assert_array_equal(cache[0], batch)
+        np.testing.assert_array_equal(cache[0].xs[0], batch)
         assert cache[-1].shape == (2, gp.TAIL_CHANNELS)
+        # Each record's input is the previous layer's output.
+        outputs = [record.slots[layer.steps[-1][1]] if isinstance(layer, gp.Unit) else record.y
+                   for layer, record in zip(graph.layers[:-2], cache)]
+        inputs = [record.slots["x"] if isinstance(layer, gp.Unit) else record.xs[0]
+                  for layer, record in zip(graph.layers[1:-1], cache[1:])]
+        assert all(y is x for y, x in zip(outputs, inputs))
+        assert cache[-2] == cache[-3].y.shape
         for task, y in gp.forward(graph, params, batch).items():
             np.testing.assert_array_equal(out[task], y)
+
+
+def tape_graph_id(case):
+    cu, widths, n = case
+    extra = f"-k{widths.eesp_branches}" if cu == "eesp" else ""
+    return f"{cu}{extra}-n{n}"
+
+
+class TestTape:
+    """A forward with a cache records what each layer's backward reads, and
+    the backward does no forward work again: it equals the recompute oracle
+    byte for byte."""
+
+    # Every kind at 16 px (its stride-2 units included), EESP with 1, 2 and
+    # 4 branches, batches of 1 and 3.
+    GRAPHS = [(cu, widths, n) for cu, widths in
+              [("toy", None), ("bottleneck", gp.CuWidths()), ("mobilenet", gp.CuWidths())]
+              + [("eesp", gp.CuWidths(eesp_branches=k)) for k in (1, 2, 4)] for n in (1, 3)]
+
+    @staticmethod
+    def graph_and_params(cu, widths, seed):
+        graph = tr.toy_graph(16) if cu == "toy" else gp.build_graph(cu, input_hw=(16, 16), widths=widths)
+        rng = np.random.default_rng(seed)
+        params = {k: v + rng.normal(scale=0.1, size=v.shape) if k.endswith(".b") else v
+                  for k, v in gp.init_params(graph, seed=4).items()}
+        return graph, params, rng
+
+    @pytest.mark.parametrize("case", GRAPHS, ids=tape_graph_id)
+    def test_taped_gradients_equal_the_recompute_oracle(self, case):
+        cu, widths, n = case
+        graph, params, rng = self.graph_and_params(cu, widths, 38)
+        batch = rng.normal(size=(n, 3, 16, 16))
+        cache = []
+        out = gp.forward(graph, params, batch, cache)
+        ups = {task: rng.normal(size=np.shape(y)) for task, y in out.items()}
+        grads = gp.backward(graph, params, cache, ups)
+        assert exact(grads) == exact(recompute_backward(graph, params, batch, ups))
+
+    @pytest.mark.parametrize("case", UNIT_CASES, ids=unit_case_id)
+    def test_taped_unit_backward_runs_no_forward(self, case, monkeypatch):
+        cls, cin, cout, stride, widths = case
+        rng = np.random.default_rng(46)
+        unit = cls("u", cin, cout, stride, widths)
+        params = unit_params(rng, unit)
+        x = rng.normal(size=(3, cin, 7, 6))
+        tape = []
+        y = unit.forward(params, x, tape=tape)
+        up = rng.normal(size=y.shape)
+        want = recompute_unit_backward(unit, params, x, up)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward work in a taped backward")
+
+        for owner, name in ((gp.ConvBlock, "forward"), (gp.ConvBlock, "_folded"), (nm, "conv2d")):
+            monkeypatch.setattr(owner, name, refuse)
+        assert exact(unit.backward(params, tape[0], up)) == exact(want)
+
+    @pytest.mark.parametrize("cu", ("toy",) + gp.CU_KINDS)
+    def test_a_step_builds_each_column_tensor_once_and_folds_each_block_once(self, cu, monkeypatch):
+        """Every convolution's column tensor is built once per step: by the
+        forward on the im2col path, by the backward on the taps path."""
+        convs, columns, folds = [], [], []
+        real_conv, real_im2col, real_fold = nm.conv2d, nm._im2col, gp.ConvBlock._folded
+        monkeypatch.setattr(nm, "conv2d", lambda *a, **kw: convs.append(a[1]) or real_conv(*a, **kw))
+        monkeypatch.setattr(nm, "_im2col", lambda *a: columns.append(a[1]) or real_im2col(*a))
+        monkeypatch.setattr(gp.ConvBlock, "_folded",
+                            lambda block, p: folds.append(block.name) or real_fold(block, p))
+        if cu == "toy":
+            images, labels = tr.toy_dataset(n=25, size=16)
+            graph = tr.toy_graph(16)
+            tr.batch_loss_and_grads(gp.init_params(graph, 0), images, labels, tr.class_weights(labels), 1e-4)
+        else:
+            graph, params, rng = self.graph_and_params(cu, gp.CuWidths(), 47)
+            cache = []
+            out = gp.forward(graph, params, rng.normal(size=(2, 3, 16, 16)), cache)
+            gp.backward(graph, params, cache, {task: np.ones(np.shape(y)) for task, y in out.items()})
+        assert collections.Counter(columns) == collections.Counter(convs)
+        assert folds == [key[:-len(".w")] for key in gp.param_shapes(graph)
+                         if key.endswith(".w") and not key.startswith("head.")]
 
 
 class TestAnalyzeGraphReport:

@@ -283,6 +283,34 @@ class TestConv2d:
         assert exact((gw_only, gb_only)) == exact((gw, gb))
 
     @pytest.mark.parametrize("name", sorted(CONV_CLASSES))
+    def test_backward_reads_the_forward_columns_per_class(self, rng, name, monkeypatch):
+        """The forward hands over the column tensor its im2col path built
+        (none on the taps path), and the backward given it builds none and
+        gives the same bytes."""
+        spec, shape = CONV_CLASSES[name]
+        x = rng.normal(size=shape)
+        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
+        y, columns = nm.conv2d(x, spec, w, b, return_columns=True)
+        assert exact(y) == exact(nm.conv2d(x, spec, w, b))
+        assert (columns is None) == spec.per_channel
+        gy = rng.normal(size=y.shape)
+        want = nm.conv2d_backward(gy, x, spec, w)
+        if columns is not None:
+            monkeypatch.setattr(nm, "_im2col", None)
+        for input_grad in (True, False):
+            got = nm.conv2d_backward(gy, x, spec, w, columns=columns, input_grad=input_grad)
+            assert exact(got) == exact(want if input_grad else (None,) + want[1:])
+
+    def test_columns_that_do_not_fit_are_rejected(self, rng):
+        spec = nm.ConvSpec(4, 6, kernel=3, stride=2, padding=1, groups=2)
+        x = rng.normal(size=(2, 4, 7, 6))
+        w = rng.normal(size=spec.weight_shape)
+        y, columns = nm.conv2d(x, spec, w, return_columns=True)
+        for bad in (columns[:1], columns[:, 1:], columns[:, :, 1:]):
+            with pytest.raises(nm.ShapeError, match="column tensor"):
+                nm.conv2d_backward(y, x, spec, w, columns=bad)
+
+    @pytest.mark.parametrize("name", sorted(CONV_CLASSES))
     def test_backward_is_the_adjoint_per_class(self, rng, name):
         # <conv(x, w), gy> is bilinear, so it equals <x, gx> and <w, gw> exactly.
         spec, shape = CONV_CLASSES[name]
