@@ -498,8 +498,9 @@ def _mlp_shapes(d, hidden):
 def _fit_mlp(X, y, spec):
     """Momentum SGD on every training set of the stack X (s, n, d), y (s, n).
 
-    All sets start from the same seeded weights; each keeps its own class
-    weights, and each matrix product is one gemm or gemv per stack entry.
+    All sets start from the same seeded weights, and all their parameters
+    live in one ``training.Arena``; each keeps its own class weights, and
+    each matrix product is one gemm or gemv per stack entry.
     """
     s, n, d = X.shape
     rng = np.random.default_rng(spec.seed)
@@ -510,7 +511,8 @@ def _fit_mlp(X, y, spec):
         else:
             init = np.zeros(shape)
         params[key] = np.repeat(init[None], s, axis=0)
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    arena = tr.Arena(params)
+    params = arena.params
     config = tr.TrainConfig(lr0=0.1, momentum=0.9, lr_decay=0.01,
                             epochs=spec.epochs, weight_decay=1e-4, seed=spec.seed)
     sample_w = np.empty((s, n))
@@ -534,10 +536,8 @@ def _fit_mlp(X, y, spec):
             "l1.w": gw1, "l1.b": gb1, "l2.w": gw2, "l2.b": gb2,
             "out.w": gw_out, "out.b": gb_out,
         }
-        for key in params:
-            grads[key] = grads[key] + 2.0 * config.weight_decay * params[key]
-        params, velocity = tr.sgd_step(params, velocity, grads, epoch, config)
-    return [{"params": {key: v[k] for key, v in params.items()}} for k in range(s)]
+        tr.sgd_step(arena, grads, epoch, config)
+    return [{"params": {key: v[k].copy() for key, v in params.items()}} for k in range(s)]
 
 
 def _mlp_decision(payload, X):

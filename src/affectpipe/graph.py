@@ -65,9 +65,10 @@ class CuWidths:
 
 class BlockRecord(NamedTuple):
     """What a taped :meth:`ConvBlock.forward` keeps for its backward: the
-    inputs (one, or one per group), the output, the folded weights, and per
-    input the column tensor its im2col convolution built (None on the taps
-    path)."""
+    inputs (one, or one per group), the output of a block with a ReLU (None
+    without one, whose backward reads no output), the folded weights, and
+    per input the column tensor its im2col convolution built (None on the
+    taps path)."""
 
     xs: tuple
     y: np.ndarray
@@ -76,8 +77,9 @@ class BlockRecord(NamedTuple):
 
 
 class UnitRecord(NamedTuple):
-    """What a taped :meth:`Unit.forward` keeps: every slot's value and, in
-    step order, each of its blocks' :class:`BlockRecord`."""
+    """What a taped :meth:`Unit.forward` keeps: the slots its backward reads
+    (the output of each ``relu`` step) and, in step order, each of its
+    blocks' :class:`BlockRecord`, which holds the blocks' inputs."""
 
     slots: dict
     blocks: list
@@ -153,7 +155,7 @@ class ConvBlock:
         if self.relu:
             np.maximum(y, 0.0, out=y)
         if keep:
-            tape.append(BlockRecord(xs, y, w, columns))
+            tape.append(BlockRecord(xs, y if self.relu else None, w, columns))
         return y
 
     def backward(self, params: dict, record: BlockRecord, grad_y: np.ndarray, *, input_grad: bool = True):
@@ -223,6 +225,7 @@ class Unit:
     def __init__(self, name: str, cout: int, steps):
         self.name, self.out_channels, self.steps = name, cout, tuple(steps)
         self.blocks = [(op, ins[0]) for op, _, ins in self.steps if isinstance(op, ConvBlock)]
+        self.relu_slots = tuple(out for op, out, _ in self.steps if op == "relu")
         readers = {}
         for block, src in self.blocks:
             if block.spec.per_channel:
@@ -263,7 +266,7 @@ class Unit:
         blocks = None if tape is None else []
         slots = self._values(params, x, blocks)
         if tape is not None:
-            tape.append(UnitRecord(slots, blocks))
+            tape.append(UnitRecord({out: slots[out] for out in self.relu_slots}, blocks))
         return slots[self.steps[-1][1]]
 
     def out_hw(self, hw):
@@ -517,9 +520,9 @@ def forward(graph: ModelGraph, params: dict, batch: np.ndarray, cache: list | No
 
     If ``cache`` is a list, it is the tape :func:`backward` reads: every
     layer appends the record of what its backward reads (a conv block's
-    inputs, output, folded weights and im2col columns; a unit's slots and
-    its blocks' records; the pool's input shape), and then the pooled
-    features are appended.  Without it nothing is kept.
+    inputs, ReLU output, folded weights and im2col columns; a unit's ReLU
+    outputs and its blocks' records; the pool's input shape), and then the
+    pooled features are appended.  Without it nothing is kept.
     """
     x = np.asarray(batch, dtype=float)
     if x.ndim != 4 or x.shape[1] != 3:

@@ -6,13 +6,15 @@ is evaluated over a whole batch at once: it consumes the raw head outputs,
 squashes internally (softmax, sigmoid, tanh) and returns per-sample losses
 and the exact adjoint with respect to the raw output, so the whole
 training path stays finite-difference checkable.  UNK labels
-contribute zero loss and zero adjoint.  The toy model is a
-``graph.ModelGraph`` (a conv stem, pooling and the four heads), trained
+contribute zero loss and zero adjoint.  A trainer keeps its parameters in
+an ``Arena``, one vector that the optimizer steps in place.  The toy model
+is a ``graph.ModelGraph`` (a conv stem, pooling and the four heads), trained
 through ``graph.forward`` and ``graph.backward``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +23,12 @@ import numpy as np
 from . import graph as gr
 from . import numerics as nm
 from .temporal import N_AU, N_EXPR
+
+
+def _read_only(*arrays) -> tuple:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +75,34 @@ class LabelBatch:
 
     def __len__(self) -> int:
         return len(self.expr)
+
+    # The labeled positions each loss reads, computed on first use and kept
+    # read-only, so a batch that is trained on every epoch finds them once.
+
+    @functools.cached_property
+    def expr_index(self):
+        """(rows, classes) of the samples whose expression is labeled."""
+        rows = np.flatnonzero(self.expr >= 0)
+        return _read_only(rows, self.expr[rows])
+
+    @functools.cached_property
+    def au_index(self):
+        """(rows, units, labels, m) of the labeled AUs, m being each sample's
+        count of labeled AUs, at least 1."""
+        observed = self.au >= 0
+        rows, units = np.nonzero(observed)
+        m = np.maximum(np.count_nonzero(observed, axis=1), 1)
+        return _read_only(rows, units, self.au[rows, units], m)
+
+    @functools.cached_property
+    def affect_index(self):
+        """(rows, targets) of the labeled samples, keyed by "arousal" and "valence"."""
+        index = {}
+        for task in ("arousal", "valence"):
+            targets = getattr(self, task)
+            rows = np.flatnonzero(~np.isnan(targets))
+            index[task] = _read_only(rows, targets[rows])
+        return index
 
     def __getitem__(self, index) -> LabelBatch:
         if nm._is_count(index):
@@ -160,19 +196,19 @@ def class_weights(labels: LabelBatch) -> ClassWeights:
 # versions differ from libm in the last bit on some inputs, and tanh feeds
 # the arousal and valence adjoints, so the training trajectory would move.
 
-def _expr_loss(x, y, weights):
+def _expr_loss(x, labels, weights):
     w = np.asarray(weights, dtype=float)
     if w.shape != x.shape[1:]:
         raise ValueError(f"expression weights {w.shape} do not match logits {x.shape[1:]}")
     loss, grad = np.zeros(len(x)), np.zeros_like(x)
-    rows = np.flatnonzero(y >= 0)
+    rows, ys = labels.expr_index
     if not rows.size:
         return loss, grad
-    xs, ys = x[rows], y[rows]
+    xs = x[rows]
     picked = np.arange(rows.size), ys
     wy = w[ys]
     m = xs.max(axis=1)
-    logsum = m + np.array([math.log(s) for s in np.exp(xs - m[:, None]).sum(axis=1).tolist()])
+    logsum = m + np.array(list(map(math.log, np.exp(xs - m[:, None]).sum(axis=1).tolist())))
     loss[rows] = wy * (logsum - xs[picked])
     g = wy[:, None] * nm.softmax(xs)
     g[picked] -= wy
@@ -180,16 +216,16 @@ def _expr_loss(x, y, weights):
     return loss, grad
 
 
-def _au_loss(x, y, pair_weights):
+def _au_loss(x, labels, pair_weights):
     pair_weights = np.asarray(pair_weights, dtype=float)
-    if x.shape != y.shape or pair_weights.shape != (y.shape[1], 2):
+    if x.shape != labels.au.shape or pair_weights.shape != (N_AU, 2):
         raise ValueError(f"AU outputs {x.shape} and weights {pair_weights.shape} do not "
-                         f"match labels {y.shape}")
-    rows, units = np.nonzero(y >= 0)
-    xs, ys = x[rows, units], y[rows, units]
+                         f"match labels {labels.au.shape}")
+    rows, units, ys, m = labels.au_index
+    xs = x[rows, units]
     w = pair_weights[units, ys]
     # stable: -y log s(x) - (1-y) log(1-s(x)) = max(x,0) - x y + log1p(e^-|x|)
-    softplus = np.array([math.log1p(math.exp(-abs(v))) for v in xs.tolist()])
+    softplus = np.array(list(map(math.log1p, map(math.exp, (-np.abs(xs)).tolist()))))
     terms = np.zeros_like(x)
     terms[rows, units] = w * (np.maximum(xs, 0.0) - xs * ys + softplus)
     grad = np.zeros_like(x)
@@ -199,17 +235,17 @@ def _au_loss(x, y, pair_weights):
     total = np.zeros(len(x))
     for column in terms.T:
         total += column
-    m = np.maximum(np.count_nonzero(y >= 0, axis=1), 1)
     return total / m, grad / m[:, None]
 
 
-def _affect_loss(x, t, squared: bool):
-    """L1 (arousal) or L2 (valence) distance between tanh(raw) and the target."""
+def _affect_loss(x, index, squared: bool):
+    """L1 (arousal) or L2 (valence) distance between tanh(raw) and the
+    target; ``index`` is the task's (rows, targets)."""
     flat = x.reshape(len(x))
     loss, grad = np.zeros(len(x)), np.zeros(len(x))
-    rows = np.flatnonzero(~np.isnan(t))
-    pred = np.array([math.tanh(v) for v in flat[rows].tolist()])
-    diff = pred - t[rows]
+    rows, targets = index
+    pred = np.array(list(map(math.tanh, flat[rows].tolist())))
+    diff = pred - targets
     if squared:
         loss[rows] = diff * diff
         grad[rows] = 2.0 * diff * (1.0 - pred * pred)
@@ -233,35 +269,82 @@ def task_loss(task: str, raw, labels: LabelBatch, weights: ClassWeights):
     if x.ndim not in (1, 2) or len(x) != len(labels):
         raise ValueError(f"{task} head output {x.shape} does not match {len(labels)} samples")
     if task == "expr":
-        return _expr_loss(x, labels.expr, weights.expr)
+        return _expr_loss(x, labels, weights.expr)
     if task == "au":
-        return _au_loss(x, labels.au, weights.au)
+        return _au_loss(x, labels, weights.au)
     if x.shape[1:] not in ((), (1,)):
         raise ValueError(f"{task} head output must be (n,) or (n, 1), got {x.shape}")
-    return _affect_loss(x, getattr(labels, task), squared=task == "valence")
+    return _affect_loss(x, labels.affect_index[task], squared=task == "valence")
 
 
-def l2_penalty(params: dict) -> float:
-    return float(sum(np.sum(np.square(v)) for v in params.values()))
+class Arena:
+    """A trainer's parameters and momentum velocities, each one contiguous
+    float64 vector.
+
+    ``params`` maps each key of the dict the arena was built from, in its
+    order, to a view of the parameter vector in that tensor's shape, so a
+    graph or a perceptron reads it like any parameter dict.  The optimizer
+    and the L2 penalty work on the whole vector at once: the optimizer
+    gathers the gradients into ``grad``, and both write their arena-wide
+    temporaries into ``scratch``, so that a step allocates no vector.
+    """
+
+    def __init__(self, params: dict):
+        self.keys = tuple(params)
+        self.shapes = tuple(np.shape(params[key]) for key in self.keys)
+        sizes = [math.prod(shape) for shape in self.shapes]
+        ends = np.cumsum(sizes).tolist()
+        self.slices = tuple(map(slice, [0] + ends, ends))
+        self.flat = np.zeros(sum(sizes))
+        self.velocity = np.zeros_like(self.flat)
+        self.grad, self.scratch = np.empty_like(self.flat), np.empty_like(self.flat)
+        self.params = {key: self.flat[part].reshape(shape)
+                       for key, part, shape in zip(self.keys, self.slices, self.shapes)}
+        for key, view in self.params.items():
+            view[...] = params[key]
+
+    def gather(self, grads: dict) -> np.ndarray:
+        """The gradients copied into ``grad``, in the arena's layout."""
+        parts = [np.asarray(grads[key]) for key in self.keys]
+        for key, part, shape in zip(self.keys, parts, self.shapes):
+            if part.shape != shape:
+                raise ValueError(f"gradient for {key} has shape {part.shape}, expected {shape}")
+        return np.concatenate(parts, axis=None, out=self.grad)
+
+    def copy(self) -> dict:
+        """The parameters as a dict of new arrays."""
+        return {key: value.copy() for key, value in self.params.items()}
+
+
+def l2_penalty(arena: Arena) -> float:
+    """||p||^2, summed per tensor in key order: the arena is squared once and
+    each tensor's slice summed, which equals np.sum over the tensor."""
+    square = np.square(arena.flat, out=arena.scratch)
+    return float(sum(square[part].sum() for part in arena.slices))
 
 
 def learning_rate(epoch: int, config: TrainConfig) -> float:
     return config.lr0 * (1.0 - config.lr_decay) ** epoch
 
 
-def sgd_step(params: dict, velocity: dict, grads: dict, epoch: int,
-             config: TrainConfig):
-    """Momentum SGD: v' = mu v - lr g; p' = p + v'. Pure; returns new dicts."""
-    lr = learning_rate(epoch, config)
-    new_params, new_velocity = {}, {}
-    for key, p in params.items():
-        g = np.asarray(grads[key], dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise nm.NumericError(f"non-finite gradient for {key}")
-        v = config.momentum * np.asarray(velocity[key], dtype=float) - lr * g
-        new_velocity[key] = v
-        new_params[key] = np.asarray(p, dtype=float) + v
-    return new_params, new_velocity
+def sgd_step(arena: Arena, grads: dict, epoch: int, config: TrainConfig) -> None:
+    """One momentum SGD step on the arena, in place.
+
+    ``grads`` holds the loss adjoints keyed like the arena; the adjoint of
+    the L2 penalty, 2 lam p with lam = ``config.weight_decay``, is added
+    here.  Then v' = mu v - lr g and p' = p + v'.  A non-finite gradient
+    raises a NumericError naming its first key and leaves the arena as it
+    was.
+    """
+    g = arena.gather(grads)
+    g += np.multiply(2.0 * config.weight_decay, arena.flat, out=arena.scratch)
+    if not np.all(np.isfinite(g)):
+        key = next(key for key, part in zip(arena.keys, arena.slices) if not np.all(np.isfinite(g[part])))
+        raise nm.NumericError(f"non-finite gradient for {key}")
+    g *= learning_rate(epoch, config)
+    arena.velocity *= config.momentum
+    arena.velocity -= g
+    arena.flat += arena.velocity
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +353,11 @@ def sgd_step(params: dict, velocity: dict, grads: dict, epoch: int,
 TOY_CHANNELS = 8
 
 
+@functools.cache
 def toy_graph(size: int) -> gr.ModelGraph:
-    """The toy model as a graph over ``size`` x ``size`` images."""
+    """The toy model as a graph over ``size`` x ``size`` images, built once
+    per size; a graph holds no state a pass changes, so every caller shares
+    it."""
     stem = gr.ConvBlock("stem", nm.ConvSpec(3, TOY_CHANNELS, kernel=3, stride=2, padding=1))
     return gr.ModelGraph(cu="toy", input_hw=(size, size),
                          layers=(stem, gr.GlobalPool(TOY_CHANNELS)),
@@ -303,25 +389,23 @@ def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):
         raise ValueError(f"image_size must be at least 2, got {size}")
     rng = np.random.default_rng(seed)
     protos = rng.normal(size=(N_EXPR, 3, size, size))
-    images = np.empty((n, 3, size, size))
-    expr, au = np.empty(n, dtype=int), np.empty((n, N_AU), dtype=int)
-    arousal, valence = np.empty(n), np.empty(n)
+    images, expr = np.empty((n, 3, size, size)), np.empty(n, dtype=int)
     for i in range(n):
-        expr[i] = int(rng.integers(N_EXPR))
+        expr[i] = rng.integers(N_EXPR)
         images[i] = protos[expr[i]] + 0.3 * rng.normal(size=(3, size, size))
-        means = images[i].mean(axis=(1, 2))
-        left = [int(images[i, c, :, : size // 2].mean() > 0) for c in range(3)]
-        au[i] = [left[j % 3] for j in range(N_AU)]
-        arousal[i] = math.tanh(2.0 * means[0])
-        valence[i] = math.tanh(2.0 * means[1])
-    return images, LabelBatch(expr, au, arousal, valence)
+    means = images.mean(axis=(2, 3))
+    left = (images[..., : size // 2].mean(axis=(2, 3)) > 0).astype(int)
+    arousal, valence = (np.array(list(map(math.tanh, (2.0 * means[:, c]).tolist()))) for c in (0, 1))
+    return images, LabelBatch(expr, left[:, np.arange(N_AU) % 3], arousal, valence)
 
 
-def batch_loss_and_grads(params: dict, images: np.ndarray, labels: LabelBatch,
+def batch_loss_and_grads(arena: Arena, images: np.ndarray, labels: LabelBatch,
                          weights: ClassWeights, lam: float):
-    """Mean total (multitask plus L2) loss over a batch and adjoints for
-    every parameter; one ``task_loss`` call per task."""
-    outputs, cache = toy_forward(params, images)
+    """Mean total (multitask plus L2) loss over a batch at the arena's
+    parameters, and the adjoints of its multitask part for every parameter;
+    one ``task_loss`` call per task.  ``sgd_step`` adds the L2 part's
+    adjoint."""
+    outputs, cache = toy_forward(arena.params, images)
     n = images.shape[0]
     losses, head_grads = [], {}
     for task in gr.TASKS:
@@ -332,11 +416,8 @@ def batch_loss_and_grads(params: dict, images: np.ndarray, labels: LabelBatch,
     total = 0.0
     for value in np.column_stack(losses).ravel().tolist():
         total += value
-    loss = total / n + lam * l2_penalty(params)
-    grads = toy_backward(params, cache, head_grads)
-    for key, p in params.items():
-        grads[key] = grads[key] + 2.0 * lam * np.asarray(p)
-    return loss, grads
+    loss = total / n + lam * l2_penalty(arena)
+    return loss, toy_backward(arena.params, cache, head_grads)
 
 
 def train_toy(config: TrainConfig = TrainConfig(), n: int = 200, size: int = 16):
@@ -344,12 +425,12 @@ def train_toy(config: TrainConfig = TrainConfig(), n: int = 200, size: int = 16)
 
     Batches are visited in fixed order, so a config seed pins the whole
     trajectory.  Epoch losses are averages of the batch losses seen while
-    the epoch ran.
+    the epoch ran.  The batches are sliced once, so each keeps its label
+    indices for the whole run.
     """
     images, labels = toy_dataset(n=n, size=size, seed=config.seed)
     weights = class_weights(labels)
-    params = gr.init_params(toy_graph(size), config.seed)
-    velocity = {k: np.zeros_like(v) for k, v in params.items()}
+    arena = Arena(gr.init_params(toy_graph(size), config.seed))
     step = min(config.batch_size, n)
     batches = [(images[start:start + step], labels[start:start + step])
                for start in range(0, n, step)]
@@ -358,10 +439,10 @@ def train_toy(config: TrainConfig = TrainConfig(), n: int = 200, size: int = 16)
         seen, accum = 0, 0.0
         for batch_images, batch_labels in batches:
             loss, grads = batch_loss_and_grads(
-                params, batch_images, batch_labels, weights, config.weight_decay
+                arena, batch_images, batch_labels, weights, config.weight_decay
             )
-            params, velocity = sgd_step(params, velocity, grads, epoch, config)
+            sgd_step(arena, grads, epoch, config)
             accum += loss * len(batch_labels)
             seen += len(batch_labels)
         epoch_losses.append(accum / seen)
-    return {"losses": epoch_losses, "params": params, "weights": weights}
+    return {"losses": epoch_losses, "params": arena.copy(), "weights": weights}

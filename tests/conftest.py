@@ -440,9 +440,7 @@ def loop_fit_mlp(X, y, spec):
             "l1.w": gw1, "l1.b": gb1, "l2.w": gw2, "l2.b": gb2,
             "out.w": gw_out, "out.b": gb_out,
         }
-        for key in params:
-            grads[key] = grads[key] + 2.0 * config.weight_decay * params[key]
-        params, velocity = tr.sgd_step(params, velocity, grads, epoch, config)
+        params, velocity = dict_sgd_step(params, velocity, grads, epoch, config)
     return {"params": params}
 
 
@@ -548,9 +546,49 @@ def sample_task_loss(task, raw, labels, i, weights):
     return diff * diff, 2.0 * diff * (1.0 - pred * pred)
 
 
+def dict_l2_penalty(params):
+    """||p||^2 as one np.sum per tensor, the reference for ``training.l2_penalty``."""
+    return float(sum(np.sum(np.square(v)) for v in params.values()))
+
+
+def dict_sgd_step(params, velocity, grads, epoch, config):
+    """``training.sgd_step`` one tensor at a time on dicts, returning new
+    dicts: the reference for the arena step.  Adds the L2 adjoint to each
+    gradient, then v' = mu v - lr g and p' = p + v'."""
+    lr = tr.learning_rate(epoch, config)
+    new_params, new_velocity = {}, {}
+    for key, p in params.items():
+        g = np.asarray(grads[key], dtype=float) + 2.0 * config.weight_decay * np.asarray(p)
+        if not np.all(np.isfinite(g)):
+            raise nm.NumericError(f"non-finite gradient for {key}")
+        v = config.momentum * np.asarray(velocity[key], dtype=float) - lr * g
+        new_velocity[key] = v
+        new_params[key] = np.asarray(p, dtype=float) + v
+    return new_params, new_velocity
+
+
+def loop_toy_dataset(n=200, size=16, seed=0):
+    """``training.toy_dataset`` computing each sample's labels as it draws
+    the sample, the reference for the whole-array labels."""
+    rng = np.random.default_rng(seed)
+    protos = rng.normal(size=(tr.N_EXPR, 3, size, size))
+    images = np.empty((n, 3, size, size))
+    expr, au = np.empty(n, dtype=int), np.empty((n, tr.N_AU), dtype=int)
+    arousal, valence = np.empty(n), np.empty(n)
+    for i in range(n):
+        expr[i] = int(rng.integers(tr.N_EXPR))
+        images[i] = protos[expr[i]] + 0.3 * rng.normal(size=(3, size, size))
+        means = images[i].mean(axis=(1, 2))
+        left = [int(images[i, c, :, : size // 2].mean() > 0) for c in range(3)]
+        au[i] = [left[j % 3] for j in range(tr.N_AU)]
+        arousal[i] = math.tanh(2.0 * means[0])
+        valence[i] = math.tanh(2.0 * means[1])
+    return images, tr.LabelBatch(expr, au, arousal, valence)
+
+
 def sample_batch_loss_and_grads(params, images, labels, weights, lam):
-    """``training.batch_loss_and_grads`` with one ``sample_task_loss`` call per
-    sample and task."""
+    """``training.batch_loss_and_grads`` on a parameter dict with one
+    ``sample_task_loss`` call per sample and task."""
     outputs, cache = tr.toy_forward(params, images)
     n = images.shape[0]
     head_grads = {t: np.zeros((n, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
@@ -560,17 +598,15 @@ def sample_batch_loss_and_grads(params, images, labels, weights, lam):
             value, adj = sample_task_loss(task, outputs[task][i], labels, i, weights)
             total += value
             head_grads[task][i] = np.asarray(adj) / n
-    loss = total / n + lam * tr.l2_penalty(params)
-    grads = tr.toy_backward(params, cache, head_grads)
-    for key, p in params.items():
-        grads[key] = grads[key] + 2.0 * lam * np.asarray(p)
-    return loss, grads
+    loss = total / n + lam * dict_l2_penalty(params)
+    return loss, tr.toy_backward(params, cache, head_grads)
 
 
 def sample_train_toy(config, n=200, size=16):
-    """``training.train_toy`` over ``sample_batch_loss_and_grads`` and
-    ``sample_class_weights``."""
-    images, labels = tr.toy_dataset(n=n, size=size, seed=config.seed)
+    """``training.train_toy`` over ``loop_toy_dataset``,
+    ``sample_batch_loss_and_grads``, ``sample_class_weights`` and
+    ``dict_sgd_step``."""
+    images, labels = loop_toy_dataset(n=n, size=size, seed=config.seed)
     weights = sample_class_weights(labels)
     params = gr.init_params(tr.toy_graph(size), config.seed)
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
@@ -582,7 +618,7 @@ def sample_train_toy(config, n=200, size=16):
             chunk = slice(start, min(start + batch, n))
             loss, grads = sample_batch_loss_and_grads(
                 params, images[chunk], labels[chunk], weights, config.weight_decay)
-            params, velocity = tr.sgd_step(params, velocity, grads, epoch, config)
+            params, velocity = dict_sgd_step(params, velocity, grads, epoch, config)
             accum += loss * (chunk.stop - chunk.start)
             seen += chunk.stop - chunk.start
         losses.append(accum / seen)

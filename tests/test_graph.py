@@ -809,7 +809,7 @@ class TestBackward:
         # Each record's input is the previous layer's output.
         outputs = [record.slots[layer.steps[-1][1]] if isinstance(layer, gp.Unit) else record.y
                    for layer, record in zip(graph.layers[:-2], cache)]
-        inputs = [record.slots["x"] if isinstance(layer, gp.Unit) else record.xs[0]
+        inputs = [record.blocks[0].xs[0] if isinstance(layer, gp.Unit) else record.xs[0]
                   for layer, record in zip(graph.layers[1:-1], cache[1:])]
         assert all(y is x for y, x in zip(outputs, inputs))
         assert cache[-2] == cache[-3].y.shape
@@ -853,6 +853,23 @@ class TestTape:
         grads = gp.backward(graph, params, cache, ups)
         assert exact(grads) == exact(recompute_backward(graph, params, batch, ups))
 
+    @pytest.mark.parametrize("cu", gp.CU_KINDS)
+    def test_tape_keeps_only_what_the_backward_reads(self, cu):
+        """A unit keeps the outputs of its relu steps, a block its output only
+        if it has a ReLU; the inputs are in the block records."""
+        graph, params, rng = self.graph_and_params(cu, gp.CuWidths(), 48)
+        cache = []
+        gp.forward(graph, params, rng.normal(size=(2, 3, 16, 16)), cache)
+        for layer, record in zip(graph.layers, cache):
+            if isinstance(layer, gp.Unit):
+                assert set(record.slots) == {out for op, out, _ in layer.steps if op == "relu"}
+                blocks = [op for op, _, _ in layer.steps if isinstance(op, gp.ConvBlock)]
+                pairs = zip(blocks, record.blocks)
+            else:
+                pairs = [(layer, record)] if isinstance(layer, gp.ConvBlock) else []
+            for block, block_record in pairs:
+                assert (block_record.y is None) == (not block.relu), block.name
+
     @pytest.mark.parametrize("case", UNIT_CASES, ids=unit_case_id)
     def test_taped_unit_backward_runs_no_forward(self, case, monkeypatch):
         cls, cin, cout, stride, widths = case
@@ -885,7 +902,8 @@ class TestTape:
         if cu == "toy":
             images, labels = tr.toy_dataset(n=25, size=16)
             graph = tr.toy_graph(16)
-            tr.batch_loss_and_grads(gp.init_params(graph, 0), images, labels, tr.class_weights(labels), 1e-4)
+            tr.batch_loss_and_grads(tr.Arena(gp.init_params(graph, 0)), images, labels,
+                                    tr.class_weights(labels), 1e-4)
         else:
             graph, params, rng = self.graph_and_params(cu, gp.CuWidths(), 47)
             cache = []

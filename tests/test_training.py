@@ -11,8 +11,11 @@ from affectpipe import graph as gr
 from affectpipe import numerics as nm
 from affectpipe import training as tr
 
-from conftest import (central_difference, exact, max_rel_error, sample_batch_loss_and_grads,
-                      sample_class_weights, sample_task_loss, sample_train_toy, unit_weights)
+from affectpipe import classifiers as cl
+
+from conftest import (central_difference, dict_l2_penalty, dict_sgd_step, exact, loop_toy_dataset,
+                      max_rel_error, sample_batch_loss_and_grads, sample_class_weights,
+                      sample_task_loss, sample_train_toy, unit_weights)
 
 
 def labels_of(n=1, **columns):
@@ -341,46 +344,46 @@ class TestMultitaskLoss:
 
     def batch(self, seed, n=3, size=8):
         images, labels = tr.toy_dataset(n=n, size=size, seed=seed)
-        return gr.init_params(tr.toy_graph(size), seed), images, labels
+        return tr.Arena(gr.init_params(tr.toy_graph(size), seed)), images, labels
 
     def test_only_regularizer_when_rest_unk_and_exact(self):
-        params, images, _ = self.batch(seed=3, n=1)
-        outputs, _ = tr.toy_forward(params, images)
+        arena, images, _ = self.batch(seed=3, n=1)
+        outputs, _ = tr.toy_forward(arena.params, images)
         labels = one(arousal=math.tanh(float(outputs["arousal"][0])))
-        loss, _ = tr.batch_loss_and_grads(params, images, labels, unit_weights(), lam=0.1)
-        assert loss == 0.1 * tr.l2_penalty(params)
+        loss, _ = tr.batch_loss_and_grads(arena, images, labels, unit_weights(), lam=0.1)
+        assert loss == 0.1 * tr.l2_penalty(arena)
 
     def test_zero_params_no_penalty(self):
-        params, images, _ = self.batch(seed=4, n=2)
-        params = {key: np.zeros_like(value) for key, value in params.items()}
+        arena, images, _ = self.batch(seed=4, n=2)
+        arena.flat[:] = 0.0
         labels = labels_of(2, expr=[0, 5])
-        loss, _ = tr.batch_loss_and_grads(params, images, labels, unit_weights(), lam=123.0)
+        loss, _ = tr.batch_loss_and_grads(arena, images, labels, unit_weights(), lam=123.0)
         expr_only = tr.task_loss("expr", np.zeros((1, 8)), one(expr=0), unit_weights())[0][0]
         assert loss == pytest.approx(expr_only, abs=1e-12)
 
     def test_compositional_oracle(self):
-        params, images, batch = self.batch(seed=5)
+        arena, images, batch = self.batch(seed=5)
         w = tr.class_weights(batch)
         lam = 1e-4
-        outputs, _ = tr.toy_forward(params, images)
+        outputs, _ = tr.toy_forward(arena.params, images)
         total = sum(tr.task_loss(t, outputs[t], batch, w)[0].sum() for t in gr.TASKS)
-        total = total / len(batch) + lam * sum(np.sum(p ** 2) for p in params.values())
-        got, _ = tr.batch_loss_and_grads(params, images, batch, w, lam)
+        total = total / len(batch) + lam * sum(np.sum(p ** 2) for p in arena.params.values())
+        got, _ = tr.batch_loss_and_grads(arena, images, batch, w, lam)
         assert got == pytest.approx(total, rel=1e-12)
 
     def test_unk_monotonicity(self):
-        params, images, _ = self.batch(seed=6, n=1)
+        arena, images, _ = self.batch(seed=6, n=1)
         w = unit_weights()
         partial = one(expr=1)
         full = one(expr=1, arousal=np.nan, valence=np.nan)
-        assert tr.batch_loss_and_grads(params, images, partial, w, 1e-4)[0] == pytest.approx(
-            tr.batch_loss_and_grads(params, images, full, w, 1e-4)[0], rel=1e-15
+        assert tr.batch_loss_and_grads(arena, images, partial, w, 1e-4)[0] == pytest.approx(
+            tr.batch_loss_and_grads(arena, images, full, w, 1e-4)[0], rel=1e-15
         )
 
     def test_label_count_must_match_batch(self):
-        params, images, labels = self.batch(seed=7, n=3)
+        arena, images, labels = self.batch(seed=7, n=3)
         with pytest.raises(ValueError, match="does not match 2 samples"):
-            tr.batch_loss_and_grads(params, images, labels[:2], unit_weights(), 1e-4)
+            tr.batch_loss_and_grads(arena, images, labels[:2], unit_weights(), 1e-4)
 
 
 class TestTrainConfig:
@@ -427,12 +430,25 @@ class TestTrainConfig:
         assert cfg.epochs == 3 and cfg.batch_size == 7
 
 
+def arena_of(value):
+    """A one-tensor arena holding ``value`` under the key "w"."""
+    return tr.Arena({"w": np.array(value, dtype=float)})
+
+
+def stacked_mlp_params(rng, s=3, d=5, hidden=(4, 3)):
+    """Random parameters of s stacked perceptrons, keyed like ``classifiers._fit_mlp``'s."""
+    return {key: rng.normal(size=(s,) + shape) for key, shape in sorted(cl._mlp_shapes(d, hidden).items())}
+
+
 class TestSgd:
+    """The optimizer steps the arena in place; weight decay is off here so
+    the hand-iterated values hold."""
+
     def test_plain_step(self):
-        cfg = tr.TrainConfig(momentum=0.0)
-        p, v = tr.sgd_step({"w": np.array([1.0])}, {"w": np.array([0.0])},
-                           {"w": np.array([1.0])}, 0, cfg)
-        assert p["w"][0] == pytest.approx(0.99, abs=1e-15)
+        cfg = tr.TrainConfig(momentum=0.0, weight_decay=0.0)
+        arena = arena_of([1.0])
+        tr.sgd_step(arena, {"w": np.array([1.0])}, 0, cfg)
+        assert arena.params["w"][0] == pytest.approx(0.99, abs=1e-15)
 
     def test_lr_schedule_values(self):
         cfg = tr.TrainConfig()
@@ -446,21 +462,96 @@ class TestSgd:
             assert abs(tr.learning_rate(e, cfg) - 0.01 * 0.95**e) <= 1e-12
 
     def test_momentum_recurrence_hand_iterated(self):
-        cfg = tr.TrainConfig(momentum=0.9, lr0=0.01, lr_decay=0.0)
-        params = {"w": np.array([1.0])}
-        velocity = {"w": np.array([0.0])}
+        cfg = tr.TrainConfig(momentum=0.9, lr0=0.01, lr_decay=0.0, weight_decay=0.0)
+        arena = arena_of([1.0])
         grads = {"w": np.array([1.0])}
-        params, velocity = tr.sgd_step(params, velocity, grads, 0, cfg)
-        assert velocity["w"][0] == pytest.approx(-0.01, abs=1e-15)
-        assert params["w"][0] == pytest.approx(0.99, abs=1e-15)
-        params, velocity = tr.sgd_step(params, velocity, grads, 0, cfg)
-        assert velocity["w"][0] == pytest.approx(-0.019, abs=1e-15)
-        assert params["w"][0] == pytest.approx(0.971, abs=1e-15)
+        tr.sgd_step(arena, grads, 0, cfg)
+        assert arena.velocity[0] == pytest.approx(-0.01, abs=1e-15)
+        assert arena.params["w"][0] == pytest.approx(0.99, abs=1e-15)
+        tr.sgd_step(arena, grads, 0, cfg)
+        assert arena.velocity[0] == pytest.approx(-0.019, abs=1e-15)
+        assert arena.params["w"][0] == pytest.approx(0.971, abs=1e-15)
 
     def test_nonfinite_gradient_rejected(self):
         cfg = tr.TrainConfig()
         with pytest.raises(nm.NumericError):
-            tr.sgd_step({"w": np.zeros(1)}, {"w": np.zeros(1)}, {"w": np.array([np.nan])}, 0, cfg)
+            tr.sgd_step(arena_of(np.zeros(1)), {"w": np.array([np.nan])}, 0, cfg)
+
+    @pytest.mark.parametrize("model", ["toy", "stacked_mlp"])
+    def test_arena_step_equals_dict_oracle(self, model):
+        """Steps on the arena equal the per-tensor reference byte for byte,
+        parameters and velocities, across epochs of the learning-rate decay."""
+        rng = np.random.default_rng(61)
+        if model == "toy":
+            params = gr.init_params(tr.toy_graph(8), 3)
+        else:
+            params = stacked_mlp_params(rng)
+        cfg = tr.TrainConfig(weight_decay=0.01)
+        arena = tr.Arena(params)
+        velocity = {key: np.zeros_like(value) for key, value in params.items()}
+        for epoch in (0, 0, 1, 5):
+            grads = {key: rng.normal(size=value.shape) for key, value in params.items()}
+            tr.sgd_step(arena, grads, epoch, cfg)
+            params, velocity = dict_sgd_step(params, velocity, grads, epoch, cfg)
+            assert exact(arena.params) == exact(params)
+            assert arena.velocity.tobytes() == np.concatenate(
+                [v.ravel() for v in velocity.values()]).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_step_leaves_the_arena_and_names_the_key(self, bad):
+        rng = np.random.default_rng(62)
+        params = gr.init_params(tr.toy_graph(8), 0)
+        arena = tr.Arena(params)
+        cfg = tr.TrainConfig()
+        tr.sgd_step(arena, {key: rng.normal(size=v.shape) for key, v in params.items()}, 0, cfg)
+        flat, velocity = arena.flat.tobytes(), arena.velocity.tobytes()
+        grads = {key: rng.normal(size=v.shape) for key, v in params.items()}
+        grads["head.au.w"][3, 2] = bad
+        grads["stem.w"][0, 0, 0, 0] = bad
+        with pytest.raises(nm.NumericError, match="non-finite gradient for head.au.w"):
+            tr.sgd_step(arena, grads, 1, cfg)
+        assert arena.flat.tobytes() == flat and arena.velocity.tobytes() == velocity
+
+    def test_gradient_of_the_wrong_shape_rejected(self):
+        arena = tr.Arena({"a": np.zeros(2), "w": np.zeros((2, 3))})
+        with pytest.raises(ValueError, match=r"gradient for w has shape \(3, 2\), expected \(2, 3\)"):
+            tr.sgd_step(arena, {"a": np.zeros(2), "w": np.zeros((3, 2))}, 0, tr.TrainConfig())
+
+
+class TestArena:
+    def test_params_are_views_of_one_vector_in_key_order(self):
+        params = stacked_mlp_params(np.random.default_rng(63))
+        arena = tr.Arena(params)
+        assert list(arena.params) == list(params)
+        assert exact(arena.params) == exact(params)
+        np.testing.assert_array_equal(arena.flat, np.concatenate([v.ravel() for v in params.values()]))
+        for value in arena.params.values():
+            assert value.flags.c_contiguous and np.shares_memory(value, arena.flat)
+        assert not np.any(arena.velocity)
+
+    def test_copy_holds_no_view(self):
+        arena = tr.Arena(gr.init_params(tr.toy_graph(4), 0))
+        copied = arena.copy()
+        assert exact(copied) == exact(arena.params)
+        assert not any(np.shares_memory(value, arena.flat) for value in copied.values())
+
+    @pytest.mark.parametrize("cu", ("toy",) + gr.CU_KINDS)
+    def test_l2_penalty_equals_np_sum_per_tensor(self, cu):
+        graph = tr.toy_graph(8) if cu == "toy" else gr.build_graph(cu, input_hw=(16, 16))
+        rng = np.random.default_rng(64)
+        params = {key: rng.normal(scale=3.0, size=v.shape) for key, v in gr.init_params(graph, 0).items()}
+        assert tr.l2_penalty(tr.Arena(params)) == dict_l2_penalty(params)
+
+    def test_trained_params_are_copies(self):
+        out = tr.train_toy(tr.TrainConfig(epochs=1), n=4, size=4)
+        assert all(value.flags.owndata for value in out["params"].values())
+
+    def test_mlp_payloads_are_copies(self):
+        rng = np.random.default_rng(65)
+        X = rng.normal(size=(2, 10, 3))
+        y = np.tile([0, 1], (2, 5))
+        models = cl.fit(cl.ClassifierSpec("mlp2", epochs=3), X, y)
+        assert all(value.flags.owndata for model in models for value in model.payload["params"].values())
 
 
 class TestToyTraining:
@@ -476,21 +567,24 @@ class TestToyTraining:
         assert a == b
 
     def test_toy_gradients_match_finite_differences(self):
+        """The batch adjoints plus the L2 adjoint sgd_step adds are the
+        gradient of the total loss."""
         images, batch = tr.toy_dataset(n=4, size=8, seed=1)
         weights = tr.class_weights(batch)
         params = gr.init_params(tr.toy_graph(8), 1)
-        _, grads = tr.batch_loss_and_grads(params, images, batch, weights, lam=1e-4)
+        _, grads = tr.batch_loss_and_grads(tr.Arena(params), images, batch, weights, lam=1e-4)
 
         def loss_of(key, flat):
             trial = dict(params)
             trial[key] = flat.reshape(params[key].shape)
             out, _ = tr.toy_forward(trial, images)
             total = sum(tr.task_loss(task, out[task], batch, weights)[0].sum() for task in gr.TASKS)
-            return total / len(batch) + 1e-4 * tr.l2_penalty(trial)
+            return total / len(batch) + 1e-4 * tr.l2_penalty(tr.Arena(trial))
 
         for key in ("stem.w", "stem.scale", "stem.shift", "head.expr.w", "head.arousal.b"):
             num = central_difference(lambda v: loss_of(key, v), params[key].copy().ravel())
-            assert max_rel_error(grads[key].ravel(), num) < 1e-4, key
+            total = grads[key] + 2.0 * 1e-4 * params[key]
+            assert max_rel_error(total.ravel(), num) < 1e-4, key
 
     @pytest.mark.parametrize("config,n,size", [
         (tr.TrainConfig(), 200, 16),
@@ -503,6 +597,78 @@ class TestToyTraining:
         want = sample_train_toy(config, n=n, size=size)
         assert got["losses"] == want["losses"]
         assert exact(got["params"]) == exact(want["params"])
+
+
+class TestToyDataset:
+    @pytest.mark.parametrize("size", [2, 7, 8, 16])
+    def test_whole_array_labels_equal_the_per_sample_loop(self, size):
+        images, labels = tr.toy_dataset(n=40, size=size, seed=size)
+        want_images, want = loop_toy_dataset(n=40, size=size, seed=size)
+        assert images.tobytes() == want_images.tobytes()
+        for name in ("expr", "au", "arousal", "valence"):
+            got_field, want_field = getattr(labels, name), getattr(want, name)
+            assert got_field.dtype == want_field.dtype and got_field.tobytes() == want_field.tobytes(), name
+
+
+class TestOncePerRun:
+    """Work that depends only on the run is done once: label indices per
+    ``LabelBatch``, the toy graph per image size."""
+
+    def test_label_indices_computed_once_per_batch(self, monkeypatch):
+        _, labels = tr.toy_dataset(n=12, size=4, seed=3)
+        labels = tr.LabelBatch(labels.expr, np.where(np.arange(12) % 5 == 0, -1, labels.au),
+                               np.where(np.arange(12) % 3 == 0, np.nan, labels.arousal), labels.valence)
+        raw = {t: np.random.default_rng(66).normal(size=(12, gr.HEAD_WIDTHS[t])) for t in gr.TASKS}
+        weights = tr.class_weights(labels)
+        first = [tr.task_loss(t, raw[t], labels, weights) for t in gr.TASKS]
+        cached = labels.expr_index, labels.au_index, labels.affect_index
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("label indices computed again")
+
+        monkeypatch.setattr(np, "nonzero", refuse)
+        monkeypatch.setattr(np, "flatnonzero", refuse)
+        again = [tr.task_loss(t, raw[t], labels, weights) for t in gr.TASKS]
+        assert exact(again) == exact(first)
+        assert all(a is b for a, b in zip(cached, (labels.expr_index, labels.au_index, labels.affect_index)))
+
+    def test_label_indices_match_the_labels(self):
+        labels = labels_of(3, expr=[-1, 4, 2], au=[[-1] * 12, [1, 0] + [-1] * 10, [0] * 12],
+                           valence=[0.5, np.nan, -0.25])
+        rows, classes = labels.expr_index
+        assert rows.tolist() == [1, 2] and classes.tolist() == [4, 2]
+        rows, units, ys, m = labels.au_index
+        assert rows.tolist() == [1, 1] + [2] * 12 and units.tolist() == [0, 1] + list(range(12))
+        assert ys.tolist() == [1, 0] + [0] * 12 and m.tolist() == [1, 2, 12]
+        assert labels.affect_index["arousal"][0].size == 0
+        rows, targets = labels.affect_index["valence"]
+        assert rows.tolist() == [0, 2] and targets.tolist() == [0.5, -0.25]
+        cached = [labels.expr_index, labels.au_index, *labels.affect_index.values()]
+        assert not any(array.flags.writeable for index in cached for array in index)
+
+    def test_a_run_computes_label_indices_once(self, monkeypatch):
+        calls = []
+        for name in ("nonzero", "flatnonzero"):
+            real = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
+        counts = []
+        for epochs in (1, 3):
+            calls.clear()
+            tr.train_toy(tr.TrainConfig(epochs=epochs, batch_size=7), n=30, size=4)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_a_run_builds_one_toy_graph(self, monkeypatch):
+        built = []
+        real = gr.ModelGraph
+        monkeypatch.setattr(gr, "ModelGraph", lambda *a, **kw: built.append(1) or real(*a, **kw))
+        tr.toy_graph.cache_clear()
+        try:
+            tr.train_toy(tr.TrainConfig(epochs=2, batch_size=7), n=30, size=5)
+            assert len(built) == 1
+            assert tr.toy_graph(5) is tr.toy_graph(5)
+        finally:
+            tr.toy_graph.cache_clear()
 
 
 UNK_CLASS = st.just(-1)
@@ -561,7 +727,7 @@ class TestBatchedEqualsPerSample:
         size = 6
         images = np.random.default_rng(seed).normal(size=(len(batch), 3, size, size))
         params = gr.init_params(tr.toy_graph(size), seed % 5)
-        loss, grads = tr.batch_loss_and_grads(params, images, batch, weights, lam)
+        loss, grads = tr.batch_loss_and_grads(tr.Arena(params), images, batch, weights, lam)
         want_loss, want_grads = sample_batch_loss_and_grads(params, images, batch, weights, lam)
         assert loss == want_loss
         assert exact(grads) == exact(want_grads)
