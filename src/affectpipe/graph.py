@@ -10,7 +10,10 @@ parameter and FLOP budgets for each variant.  Counting conventions: 1 MAC =
 1 FLOP, convolution MACs exclude the bias add, adds and ReLUs cost nothing,
 the global average pool contributes H*W adds per channel, and the
 per-channel affine that stands in for normalization costs one MAC per
-activation.
+activation.  A conv block folds that affine into its weights, or, when its
+per-channel output is smaller than its per-channel weights (small frames),
+applies it to the output; static shapes alone choose, and the forward, the
+taped forward and the backward follow the same choice.
 """
 from __future__ import annotations
 
@@ -66,14 +69,17 @@ class CuWidths:
 class BlockRecord(NamedTuple):
     """What a taped :meth:`ConvBlock.forward` keeps for its backward: the
     inputs (one, or one per group), the output of a block with a ReLU (None
-    without one, whose backward reads no output), the folded weights, and
-    per input the column tensor its im2col convolution built (None on the
-    taps path)."""
+    without one, whose backward reads no output), the weights its
+    convolution read (folded, or the block's own), per input the column
+    tensor its im2col convolution built (None on the taps path), and the
+    convolution's output ``u = conv(x, W) + b`` of a block that applies its
+    affine to that output (None for a block that folds it)."""
 
     xs: tuple
     y: np.ndarray
     w: np.ndarray
     columns: tuple
+    u: np.ndarray | None
 
 
 class UnitRecord(NamedTuple):
@@ -85,13 +91,35 @@ class UnitRecord(NamedTuple):
     blocks: list
 
 
+def _fold_bound(scale: np.ndarray, w: np.ndarray) -> float:
+    """2*max|scale|*sqrt(dot(W, W)), a bound on every |scale[o]*W[o, ...]|.
+
+    Each |W| entry is at most the norm of W, and rounding is monotone, so
+    the bound is at least every rounded product; the factor 2 is a margin.
+    Squares too small to count only come from entries that no finite scale
+    takes past the largest float.  So a finite bound proves the folded
+    weights finite without making them.  An inf or NaN in either operand,
+    or squares that overflow, give a bound that is not finite.
+    """
+    flat = w.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(2.0 * np.abs(scale).max() * np.sqrt(np.dot(flat, flat)))
+
+
 class ConvBlock:
     """Convolution, learnable per-channel affine, optional ReLU.
 
-    The forward pass folds the affine into the convolution (weights
-    ``scale*W``, bias ``scale*b + shift``), saving one pass over the
-    activations; the backward pass applies the chain rule through the fold
-    and reads the folded weights from the forward's record.
+    Where the affine goes is chosen from static shapes alone.  A block
+    whose per-channel output ``n*oh*ow`` is at least its per-channel
+    weights ``(cin/groups)*k*k`` folds the affine into the convolution
+    (weights ``scale*W``, bias ``scale*b + shift``), saving one pass over
+    the activations.  A smaller output, the common case of a small frame,
+    is cheaper to scale than the weights: the block computes ``y =
+    scale*(conv(x, W) + b) + shift`` and never makes a folded copy of W.
+    The backward pass applies the chain rule through whichever form the
+    forward ran, from the forward's record.  Either way the folded weights
+    and bias must be finite, and a block raises the same error for them
+    before any convolution.
 
     A grouped block takes one input, or one input per group (EESP's expand
     reads each running sum of its branches as one group): it then runs one
@@ -123,6 +151,15 @@ class ConvBlock:
             f"{self.name}.shift": (c,),
         }
 
+    def folds(self, x_shape) -> bool:
+        """Whether a forward over an input of ``x_shape`` folds the affine:
+        unless its per-channel output n*oh*ow is smaller than its
+        per-channel weights (cin/groups)*k*k."""
+        n, _, h, w = x_shape
+        oh, ow = self.spec.out_hw((h, w))
+        _, cin_g, k, _ = self.spec.weight_shape
+        return n * oh * ow >= cin_g * k * k
+
     def _folded(self, params: dict):
         scale = params[f"{self.name}.scale"]
         # A non-finite fold is reported by require_finite, not as a numpy warning.
@@ -133,13 +170,30 @@ class ConvBlock:
         nm.require_finite(b, "folded bias")
         return w, b
 
+    def _unfolded(self, params: dict):
+        """W and b as they are, once the fold is proven finite: by
+        :func:`_fold_bound`, or where it is not finite by making the fold
+        and checking it, as :meth:`_folded` does.  The bound only decides
+        whether that exact check runs, so no result depends on its
+        rounding."""
+        n = self.name
+        w, b, scale = params[f"{n}.w"], params[f"{n}.b"], params[f"{n}.scale"]
+        if not math.isfinite(_fold_bound(scale, w)):
+            self._folded(params)
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                bias = scale * b + params[f"{n}.shift"]
+            nm.require_finite(bias, "folded bias")
+        return w, b
+
     def forward(self, params: dict, *xs: np.ndarray, padded: np.ndarray | None = None,
                 tape: list | None = None) -> np.ndarray:
         """``padded`` is a shared channels-last copy of x, see :func:`numerics.conv2d`.
 
         With a ``tape`` list, a :class:`BlockRecord` is appended to it.
         """
-        w, b = self._folded(params)
+        fold = self.folds(nm._as_tensor4(xs[0]).shape)
+        w, b = self._folded(params) if fold else self._unfolded(params)
         keep = tape is not None
         if len(xs) == 1:
             runs = [nm.conv2d(xs[0], self.spec, w, b, padded=padded, return_columns=keep)]
@@ -152,41 +206,59 @@ class ConvBlock:
             y = ys[0]
         else:
             y = np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3)
+        u = None
+        if not fold:
+            scale = params[f"{self.name}.scale"][:, None, None]
+            with np.errstate(invalid="ignore", over="ignore"):
+                if keep:
+                    u, y = y, y * scale
+                else:
+                    y *= scale
+                y += params[f"{self.name}.shift"][:, None, None]
         if self.relu:
             np.maximum(y, 0.0, out=y)
         if keep:
-            tape.append(BlockRecord(xs, y if self.relu else None, w, columns))
+            tape.append(BlockRecord(xs, y if self.relu else None, w, columns, u))
         return y
 
     def backward(self, params: dict, record: BlockRecord, grad_y: np.ndarray, *, input_grad: bool = True):
         """(grad_x, parameter grads) from the forward's record and d loss/d y.
 
-        With gWf, gbf the adjoints of the folded weights and bias:
-        gW = scale*gWf, gb = scale*gbf, gshift = gbf and
-        gscale = sum(gWf*W) + gbf*b per output channel.  A block that read
-        one input per group gives a tuple grad_x.  With ``input_grad=False``
-        grad_x is None and is not computed.
+        Through a fold, with gWf, gbf the adjoints of the folded weights
+        and bias: gW = scale*gWf, gb = scale*gbf, gshift = gbf and
+        gscale = sum(gWf*W) + gbf*b per output channel.  Through an affine
+        on the output u, with gz the adjoint of y before its ReLU: gshift =
+        sum(gz), gscale = sum(gz*u) and the convolution's adjoints are those
+        of gu = scale*gz.  A block that read one input per group gives a
+        tuple grad_x.  With ``input_grad=False`` grad_x is None and is not
+        computed.
         """
-        xs, y, w, columns = record
+        xs, y, w, columns, u = record
         if self.relu:
             grad_y = nm.relu_backward(grad_y, y)
+        n = self.name
+        scale = params[f"{n}.scale"]
+        if u is not None:
+            gscale = (grad_y * u).sum(axis=(0, 2, 3))
+            gshift = grad_y.sum(axis=(0, 2, 3))
+            grad_y = grad_y * scale[:, None, None]
         if len(xs) > 1:
             groups = zip(np.split(grad_y, len(xs), axis=1), xs, w.reshape(len(xs), -1, *w.shape[1:]), columns)
             gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, self.group_spec, wg, columns=cols,
                                                      input_grad=input_grad)
                                   for gy, xg, wg, cols in groups))
             gx = gxs if input_grad else None
-            gwf, gbf = np.concatenate(gws), np.concatenate(gbs)
+            gw, gb = np.concatenate(gws), np.concatenate(gbs)
         else:
-            gx, gwf, gbf = nm.conv2d_backward(grad_y, xs[0], self.spec, w, columns=columns[0],
-                                              input_grad=input_grad)
-        n = self.name
-        scale = params[f"{n}.scale"]
+            gx, gw, gb = nm.conv2d_backward(grad_y, xs[0], self.spec, w, columns=columns[0],
+                                            input_grad=input_grad)
+        if u is not None:
+            return gx, {f"{n}.w": gw, f"{n}.b": gb, f"{n}.scale": gscale, f"{n}.shift": gshift}
         return gx, {
-            f"{n}.w": scale[:, None, None, None] * gwf,
-            f"{n}.b": scale * gbf,
-            f"{n}.scale": (gwf * params[f"{n}.w"]).sum(axis=(1, 2, 3)) + gbf * params[f"{n}.b"],
-            f"{n}.shift": gbf,
+            f"{n}.w": scale[:, None, None, None] * gw,
+            f"{n}.b": scale * gb,
+            f"{n}.scale": (gw * params[f"{n}.w"]).sum(axis=(1, 2, 3)) + gb * params[f"{n}.b"],
+            f"{n}.shift": gb,
         }
 
     def macs(self, hw) -> int:
@@ -520,8 +592,9 @@ def forward(graph: ModelGraph, params: dict, batch: np.ndarray, cache: list | No
 
     If ``cache`` is a list, it is the tape :func:`backward` reads: every
     layer appends the record of what its backward reads (a conv block's
-    inputs, ReLU output, folded weights and im2col columns; a unit's ReLU
-    outputs and its blocks' records; the pool's input shape), and then the
+    inputs, ReLU output, folded or own weights, im2col columns and, if it
+    scales its output, the convolution's output; a unit's ReLU outputs and
+    its blocks' records; the pool's input shape), and then the
     pooled features are appended.  Without it nothing is kept.
     """
     x = np.asarray(batch, dtype=float)

@@ -21,13 +21,13 @@ dilated input once into a channel-major column tensor (im2col) whose
 columns run over the whole batch, (groups, cin/g*k*k, n*oh*ow), and
 multiplies it by the grouped weights in one GEMM per group.  Its output
 is laid out channel-major, so a stride-1 1x1 convolution that reads it
-takes its columns as a view, without a copy.  The adjoint of both paths
-is the im2col one: the weight gradient is one GEMM per group over the
-batch's n*oh*ow columns, and the input gradient scatter-adds the
-weight-transposed columns back over the kernel offsets into a
-channel-major buffer.  An im2col ``conv2d`` can hand its column tensor to
-the caller, and ``conv2d_backward`` reads that instead of building it
-again from the input.
+takes its columns by a reshape, as a view, without a copy.  The adjoint
+of both paths is the im2col one: the weight gradient is one GEMM per
+group over the batch's n*oh*ow columns, and the input gradient
+scatter-adds the weight-transposed columns back over the kernel offsets
+into a channel-major buffer.  An im2col ``conv2d`` can hand its column
+tensor to the caller, and ``conv2d_backward`` reads that instead of
+building it again from the input.
 """
 
 from __future__ import annotations
@@ -140,12 +140,17 @@ def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     (b, i, j) is sample b's output position (i, j): the batch is folded into
     the columns, so one GEMM per group covers it.  A padded input is copied
     into a zero-bordered channel-major (c, n, h+2p, w+2p) buffer first.  A
-    1x1 kernel without padding at stride 1 gives a view, not a copy, of an
-    input whose (n, h, w) axes share one stride, as channel-major and
-    channels-last memory both do.
+    1x1 kernel without padding at stride 1 is a reshape of the channel-major
+    view, with no window view: a view, not a copy, of an input whose (n, h,
+    w) axes share one stride, as channel-major and channels-last memory
+    both do.
     """
     p = spec.padding
     xc = x.transpose(1, 0, 2, 3)
+    g, k, s, d = spec.groups, spec.kernel, spec.stride, spec.dilation
+    cin_g = spec.in_channels // g
+    if k == 1 and s == 1 and not p:
+        return xc.reshape(g, cin_g, -1)
     if p:
         # np.pad's bytes without its per-call overhead: zero the four border
         # strips of an empty buffer and copy x into the interior.
@@ -158,8 +163,6 @@ def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
         xp[:, :, p : h + p, p : w + p] = xc
         xc = xp
     n = xc.shape[1]
-    g, k, s, d = spec.groups, spec.kernel, spec.stride, spec.dilation
-    cin_g = spec.in_channels // g
     sc, sn, sh, sw = xc.strides
     windows = np.lib.stride_tricks.as_strided(
         xc,

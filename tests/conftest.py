@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -121,13 +120,31 @@ def where_relu_backward(grad_out, x):
     return np.where(np.asarray(x) > 0, grad_out, 0.0)
 
 
+def window_im2col(x, spec, oh, ow):
+    """Column tensor (groups, cin/g*k*k, n*oh*ow) of an unpadded input as a
+    reshaped window view of its channel-major view, at every kernel size:
+    the reference for ``numerics._im2col``."""
+    xc = x.transpose(1, 0, 2, 3)
+    n = xc.shape[1]
+    g, k, s, d = spec.groups, spec.kernel, spec.stride, spec.dilation
+    cin_g = spec.in_channels // g
+    sc, sn, sh, sw = xc.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xc,
+        shape=(g, cin_g, k, k, n, oh, ow),
+        strides=(sc * cin_g, sc, sh * d, sw * d, sn, sh * s, sw * s),
+        writeable=False,
+    )
+    return windows.reshape(g, cin_g * k * k, n * oh * ow)
+
+
 def pad_im2col(x, spec, oh, ow):
-    """``numerics._im2col`` of a copy of x padded by ``np.pad``: the reference
+    """``window_im2col`` of a copy of x padded by ``np.pad``: the reference
     for the column tensor (groups, cin/g*k*k, n*oh*ow) built on the
     border-zeroed channel-major buffer."""
     p = spec.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    return nm._im2col(xp, dataclasses.replace(spec, padding=0), oh, ow)
+    return window_im2col(xp, spec, oh, ow)
 
 
 def scalar_repr_frames(F):
@@ -139,27 +156,39 @@ def scalar_repr_frames(F):
 
 
 def recompute_block_backward(block, params, x, y, grad_y, input_grad=True):
-    """``ConvBlock.backward`` from the block's input x and output y alone: the
-    weights are folded again and every column tensor is rebuilt from x.  An
-    ``x`` that is a tuple of one input per group gives a tuple grad_x."""
+    """``ConvBlock.backward`` from the block's input x and output y alone,
+    under the same rule for where the affine goes: the weights are folded
+    again, or the convolution's output u is computed again, and every
+    column tensor is rebuilt from x.  An ``x`` that is a tuple of one input
+    per group gives a tuple grad_x."""
     if block.relu:
         grad_y = nm.relu_backward(grad_y, y)
-    w = block._folded(params)[0]
+    xs = x if isinstance(x, tuple) else (x,)
+    n = block.name
+    scale = params[f"{n}.scale"]
+    fold = block.folds(xs[0].shape)
+    if fold:
+        w = block._folded(params)[0]
+    else:
+        w = params[f"{n}.w"]
+        u = nm.conv2d(np.concatenate(xs, axis=1), block.spec, w, params[f"{n}.b"])
+        gscale, gshift = (grad_y * u).sum(axis=(0, 2, 3)), grad_y.sum(axis=(0, 2, 3))
+        grad_y = grad_y * scale[:, None, None]
     if isinstance(x, tuple):
         groups = zip(np.split(grad_y, len(x), axis=1), x, w.reshape(len(x), -1, *w.shape[1:]))
         gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, block.group_spec, wg, input_grad=input_grad)
                               for gy, xg, wg in groups))
         gx = gxs if input_grad else None
-        gwf, gbf = np.concatenate(gws), np.concatenate(gbs)
+        gw, gb = np.concatenate(gws), np.concatenate(gbs)
     else:
-        gx, gwf, gbf = nm.conv2d_backward(grad_y, x, block.spec, w, input_grad=input_grad)
-    n = block.name
-    scale = params[f"{n}.scale"]
+        gx, gw, gb = nm.conv2d_backward(grad_y, x, block.spec, w, input_grad=input_grad)
+    if not fold:
+        return gx, {f"{n}.w": gw, f"{n}.b": gb, f"{n}.scale": gscale, f"{n}.shift": gshift}
     return gx, {
-        f"{n}.w": scale[:, None, None, None] * gwf,
-        f"{n}.b": scale * gbf,
-        f"{n}.scale": (gwf * params[f"{n}.w"]).sum(axis=(1, 2, 3)) + gbf * params[f"{n}.b"],
-        f"{n}.shift": gbf,
+        f"{n}.w": scale[:, None, None, None] * gw,
+        f"{n}.b": scale * gb,
+        f"{n}.scale": (gw * params[f"{n}.w"]).sum(axis=(1, 2, 3)) + gb * params[f"{n}.b"],
+        f"{n}.shift": gb,
     }
 
 

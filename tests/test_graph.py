@@ -8,6 +8,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import math
 import warnings
 import weakref
 
@@ -98,6 +99,23 @@ def oracle_block(params, key, spec, x, relu=True):
     h = channel_affine(nm.conv2d(x, spec, params[f"{key}.w"], params[f"{key}.b"]),
                        params[f"{key}.scale"], params[f"{key}.shift"])
     return nm.relu(h) if relu else h
+
+
+def assert_block_matches_finite_differences(block, params, x, rng):
+    """The taped backward of block "blk" against central differences of
+    sum(forward * up) in x and in each parameter."""
+    tape = []
+    y = block.forward(params, x, tape=tape)
+    up = rng.normal(size=y.shape)
+    gx, grads = block.backward(params, tape[0], up)
+
+    def loss(trial, v):
+        return float((block.forward(trial, v) * up).sum())
+
+    assert max_rel_error(gx, central_difference(lambda v: loss(params, v), x.copy())) < 1e-6
+    for key in ("blk.w", "blk.b", "blk.scale", "blk.shift"):
+        num = central_difference(lambda v: loss({**params, key: v}, x), params[key].copy())
+        assert max_rel_error(grads[key], num) < 1e-6, key
 
 
 def slow_eesp_forward(unit, params, x, residual):
@@ -665,18 +683,7 @@ class TestBackward:
         block = gp.ConvBlock("blk", spec, relu=relu)
         params = block_params(rng, spec)
         x = rng.normal(size=(2, spec.in_channels, 6, 5))
-        tape = []
-        y = block.forward(params, x, tape=tape)
-        up = rng.normal(size=y.shape)
-        gx, grads = block.backward(params, tape[0], up)
-
-        def loss(trial, v):
-            return float((block.forward(trial, v) * up).sum())
-
-        assert max_rel_error(gx, central_difference(lambda v: loss(params, v), x.copy())) < 1e-6
-        for key in ("blk.w", "blk.b", "blk.scale", "blk.shift"):
-            num = central_difference(lambda v: loss({**params, key: v}, x), params[key].copy())
-            assert max_rel_error(grads[key], num) < 1e-6, key
+        assert_block_matches_finite_differences(block, params, x, rng)
 
     @pytest.mark.parametrize("relu", [True, False])
     @pytest.mark.parametrize("spec", BLOCK_SPECS)
@@ -817,6 +824,226 @@ class TestBackward:
             np.testing.assert_array_equal(out[task], y)
 
 
+def affine_params(graph, seed):
+    """``init_params`` with seeded non-unit scales and nonzero shifts and
+    biases: at unit scales and zero shifts the fold and the affine on the
+    output give the same bytes."""
+    rng = np.random.default_rng(seed)
+    params = gp.init_params(graph, seed)
+    for key, value in params.items():
+        if key.endswith(".scale"):
+            params[key] = rng.uniform(0.5, 1.5, size=value.shape)
+        elif key.endswith((".shift", ".b")) and not key.startswith("head."):
+            params[key] = rng.normal(scale=0.1, size=value.shape)
+    return params
+
+
+# Blocks with an input whose per-channel output n*oh*ow is smaller than the
+# per-channel weights (cin/groups)*k*k: dense strided (9 < 27), grouped
+# (4 < 9), grouped 1x1 (3 < 4) and strided dilated depthwise (4 < 9).
+UNFOLDED_CASES = [
+    (BLOCK_SPECS[0], (1, 3, 5, 5)),
+    (BLOCK_SPECS[1], (1, 4, 2, 2)),
+    (BLOCK_SPECS[2], (1, 8, 1, 3)),
+    (BLOCK_SPECS[3], (1, 5, 3, 3)),
+]
+
+
+def unfolded_case_id(case):
+    spec, shape = case
+    return f"k{spec.kernel}-g{spec.groups}-s{spec.stride}-d{spec.dilation}-{'x'.join(map(str, shape))}"
+
+
+class TestAffineOnOutput:
+    """A block whose per-channel output is smaller than its per-channel
+    weights scales the output, not the weights, in the forward, the taped
+    forward and the backward, and raises the fold's errors."""
+
+    @staticmethod
+    def refuse_conv(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("convolution before the finite checks")
+
+        monkeypatch.setattr(nm, "conv2d", refuse)
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("case", UNFOLDED_CASES, ids=unfolded_case_id)
+    def test_equals_the_oracle_block_byte_for_byte(self, case, relu, monkeypatch):
+        spec, shape = case
+        rng = np.random.default_rng(71)
+        block = gp.ConvBlock("blk", spec, relu=relu)
+        params = block_params(rng, spec)
+        x = rng.normal(size=shape)
+        assert not block.folds(x.shape)
+        want = oracle_block(params, "blk", spec, x, relu=relu)
+        tape = []
+        assert exact(block.forward(params, x, tape=tape)) == exact(want)
+        monkeypatch.setattr(gp.ConvBlock, "_folded", None)
+        assert exact(block.forward(params, x)) == exact(want)
+        assert tape[0].u is not None and tape[0].w is params["blk.w"]
+
+    def test_one_input_per_group_equals_the_grouped_oracle(self):
+        spec = nm.ConvSpec(6, 9, kernel=1, groups=3)
+        rng = np.random.default_rng(72)
+        block = gp.ConvBlock("blk", spec)
+        params = block_params(rng, spec)
+        xs = tuple(rng.normal(size=(1, 1, 1, 2)).transpose(0, 3, 1, 2) for _ in range(3))
+        assert not block.folds(xs[0].shape)
+        want = oracle_block(params, "blk", spec, np.concatenate(xs, axis=1))
+        assert exact(block.forward(params, *xs)) == exact(want)
+
+    @pytest.mark.parametrize("spec, fold_shape, unfold_shape", [
+        (nm.ConvSpec(3, 4, kernel=3, padding=1), (3, 3, 3, 3), (2, 3, 13, 1)),
+        (nm.ConvSpec(4, 4, kernel=1), (2, 4, 1, 2), (1, 4, 1, 3)),
+        (nm.ConvSpec(2, 2, kernel=3, padding=1, groups=2), (1, 2, 3, 3), (1, 2, 2, 4)),
+    ])
+    def test_a_block_at_the_boundary_folds(self, spec, fold_shape, unfold_shape, monkeypatch):
+        """n*oh*ow equal to (cin/groups)*k*k folds; one less does not."""
+        block = gp.ConvBlock("blk", spec)
+        _, cin_g, k, _ = spec.weight_shape
+        sizes = [shape[0] * np.prod(spec.out_hw(shape[2:])) for shape in (fold_shape, unfold_shape)]
+        assert sizes == [cin_g * k * k, cin_g * k * k - 1]
+        assert block.folds(fold_shape) and not block.folds(unfold_shape)
+        rng = np.random.default_rng(73)
+        params = block_params(rng, spec)
+        folds, real = [], gp.ConvBlock._folded
+        monkeypatch.setattr(gp.ConvBlock, "_folded", lambda b, p: folds.append(b.name) or real(b, p))
+        for shape in (fold_shape, unfold_shape):
+            x = rng.normal(size=shape)
+            np.testing.assert_allclose(block.forward(params, x), oracle_block(params, "blk", spec, x),
+                                       rtol=1e-12, atol=1e-12)
+        assert folds == ["blk"]
+
+    @pytest.mark.parametrize("hw", [16, 32])
+    @pytest.mark.parametrize("cu", gp.CU_KINDS)
+    def test_taped_heads_equal_untaped_and_the_fold(self, cu, hw, monkeypatch):
+        """Taped and untaped heads are the same bytes, and lie within 1e-12
+        of heads from a forward in which every block folds."""
+        graph = gp.build_graph(cu, input_hw=(hw, hw))
+        params = affine_params(graph, 74)
+        batch = np.random.default_rng(75).uniform(0.0, 1.0, size=(2, 3, hw, hw))
+        untaped = gp.forward(graph, params, batch)
+        taped = gp.forward(graph, params, batch, [])
+        assert exact(taped) == exact(untaped)
+        monkeypatch.setattr(gp.ConvBlock, "folds", lambda block, shape: True)
+        folded = gp.forward(graph, params, batch)
+        assert exact(folded) != exact(untaped)
+        for task in untaped:
+            np.testing.assert_allclose(untaped[task], folded[task], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("case", UNFOLDED_CASES, ids=unfolded_case_id)
+    def test_matches_finite_differences(self, case, relu):
+        spec, shape = case
+        rng = np.random.default_rng(76)
+        block = gp.ConvBlock("blk", spec, relu=relu)
+        params = block_params(rng, spec)
+        x = rng.normal(size=shape)
+        assert not block.folds(x.shape)
+        assert_block_matches_finite_differences(block, params, x, rng)
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("case", UNFOLDED_CASES, ids=unfolded_case_id)
+    def test_backward_equals_the_affine_oracle_byte_for_byte(self, case, relu):
+        """gshift = sum(gz), gscale = sum(gz*u), and the convolution's
+        adjoints of scale*gz: the ReLU, affine and conv adjoints in turn."""
+        spec, shape = case
+        rng = np.random.default_rng(77)
+        block = gp.ConvBlock("blk", spec, relu=relu)
+        params = block_params(rng, spec)
+        x = rng.normal(size=shape)
+        tape = []
+        y = block.forward(params, x, tape=tape)
+        up = rng.normal(size=y.shape)
+        gx, grads = block.backward(params, tape[0], up)
+        conv = nm.conv2d(x, spec, params["blk.w"], params["blk.b"])
+        g = nm.relu_backward(up, y) if relu else up
+        gconv, gscale, gshift = channel_affine_backward(g, conv, params["blk.scale"])
+        want_x, want_w, want_b = nm.conv2d_backward(gconv, x, spec, params["blk.w"])
+        assert exact((gx, grads["blk.w"], grads["blk.b"], grads["blk.scale"], grads["blk.shift"])) == \
+            exact((want_x, want_w, want_b, gscale, gshift))
+
+    @pytest.mark.parametrize("cu", gp.CU_KINDS)
+    def test_taped_gradients_equal_the_recompute_oracle(self, cu):
+        """At 16 px, batch 2, with non-unit scales, the recompute oracle,
+        which follows the same rule, gives every gradient's bytes."""
+        graph = gp.build_graph(cu, input_hw=(16, 16))
+        params = affine_params(graph, 78)
+        rng = np.random.default_rng(79)
+        batch = rng.normal(size=(2, 3, 16, 16))
+        cache = []
+        out = gp.forward(graph, params, batch, cache)
+        ups = {task: rng.normal(size=np.shape(y)) for task, y in out.items()}
+        assert exact(gp.backward(graph, params, cache, ups)) == exact(recompute_backward(graph, params, batch, ups))
+
+    @pytest.mark.parametrize("key, value, what", [
+        (key, value, "folded bias" if key in ("blk.b", "blk.shift") else "folded weights")
+        for key in ("blk.w", "blk.scale", "blk.b", "blk.shift") for value in (np.inf, -np.inf, np.nan)])
+    def test_nonfinite_parameters_raise_the_fold_errors_before_arithmetic(self, key, value, what, monkeypatch):
+        spec = nm.ConvSpec(3, 2, kernel=3, padding=1)
+        block = gp.ConvBlock("blk", spec)
+        params = block_params(np.random.default_rng(80), spec)
+        params[key] = params[key].copy()
+        params[key].flat[1] = value
+        x = np.ones((1, 3, 2, 2))
+        assert not block.folds(x.shape)
+        self.refuse_conv(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nm.NumericError, match=f"^non-finite values in {what}$"):
+                block.forward(params, x)
+            with pytest.raises(nm.NumericError, match=f"^non-finite values in {what}$"):
+                block.forward(params, x, tape=[])
+
+    def test_a_fold_that_overflows_from_finite_parameters_raises(self, monkeypatch):
+        spec = nm.ConvSpec(3, 2, kernel=3, padding=1)
+        block = gp.ConvBlock("blk", spec)
+        params = {"blk.w": np.full(spec.weight_shape, 1e10), "blk.b": np.zeros(2),
+                  "blk.scale": np.array([1.0, 1e300]), "blk.shift": np.zeros(2)}
+        assert not math.isfinite(gp._fold_bound(params["blk.scale"], params["blk.w"]))
+        self.refuse_conv(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nm.NumericError, match="^non-finite values in folded weights$"):
+                block.forward(params, np.ones((1, 3, 2, 2)))
+
+    def test_a_large_finite_fold_passes_by_the_exact_check(self):
+        """W of 1e200 squares past the largest float, so the bound is not
+        finite; the fold itself is, and the block runs."""
+        spec = nm.ConvSpec(2, 2, kernel=1)
+        block = gp.ConvBlock("blk", spec, relu=False)
+        params = {"blk.w": np.full(spec.weight_shape, 1e200), "blk.b": np.zeros(2),
+                  "blk.scale": np.array([1e-200, 2e-200]), "blk.shift": np.zeros(2)}
+        assert not math.isfinite(gp._fold_bound(params["blk.scale"], params["blk.w"]))
+        x = np.ones((1, 2, 1, 1))
+        assert not block.folds(x.shape)
+        assert exact(block.forward(params, x)) == exact(oracle_block(params, "blk", spec, x, relu=False))
+
+    @settings(max_examples=300, deadline=None)
+    @given(scale_exp=st.integers(-1074, 1023), w_offset=st.integers(-6, 6), shape=st.tuples(
+               st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 3])), seed=st.integers(0, 2**32 - 1),
+           special=st.sampled_from([None, np.inf, -np.inf, np.nan, 0.0, 5e-324]))
+    @example(scale_exp=512, w_offset=0, shape=(1, 1, 1), seed=0, special=None)
+    @example(scale_exp=1023, w_offset=1, shape=(2, 1, 1), seed=0, special=None)
+    @example(scale_exp=-1074, w_offset=0, shape=(1, 1, 1), seed=0, special=np.inf)
+    def test_the_bound_never_passes_a_nonfinite_fold(self, scale_exp, w_offset, shape, seed, special):
+        """Scales near 2**scale_exp and weights near 2**(1024 - scale_exp +
+        w_offset), so the fold's largest products straddle the overflow
+        threshold; an inf, NaN, zero or subnormal entry may replace one."""
+        rng = np.random.default_rng(seed)
+        cout, cin, k = shape
+        w_exp = min(1023, 1024 - max(scale_exp, -1021) + w_offset)
+        sign = lambda size: rng.choice([-1.0, 1.0], size=size)  # noqa: E731
+        scale = sign(cout) * np.ldexp(rng.uniform(1.0, 2.0, cout), scale_exp - rng.integers(0, 3, cout))
+        w = sign((cout, cin, k, k)) * np.ldexp(rng.uniform(1.0, 2.0, (cout, cin, k, k)), w_exp)
+        if special is not None:
+            (scale if rng.integers(2) else w.reshape(-1))[0] = special
+        with np.errstate(over="ignore", invalid="ignore"):
+            fold_finite = bool(np.all(np.isfinite(scale[:, None, None, None] * w)))
+        if math.isfinite(gp._fold_bound(scale, w)):
+            assert fold_finite
+
+
 def tape_graph_id(case):
     cu, widths, n = case
     extra = f"-k{widths.eesp_branches}" if cu == "eesp" else ""
@@ -856,7 +1083,8 @@ class TestTape:
     @pytest.mark.parametrize("cu", gp.CU_KINDS)
     def test_tape_keeps_only_what_the_backward_reads(self, cu):
         """A unit keeps the outputs of its relu steps, a block its output only
-        if it has a ReLU; the inputs are in the block records."""
+        if it has a ReLU and its convolution's output only if it does not
+        fold its affine; the inputs are in the block records."""
         graph, params, rng = self.graph_and_params(cu, gp.CuWidths(), 48)
         cache = []
         gp.forward(graph, params, rng.normal(size=(2, 3, 16, 16)), cache)
@@ -869,6 +1097,7 @@ class TestTape:
                 pairs = [(layer, record)] if isinstance(layer, gp.ConvBlock) else []
             for block, block_record in pairs:
                 assert (block_record.y is None) == (not block.relu), block.name
+                assert (block_record.u is None) == block.folds(block_record.xs[0].shape), block.name
 
     @pytest.mark.parametrize("case", UNIT_CASES, ids=unit_case_id)
     def test_taped_unit_backward_runs_no_forward(self, case, monkeypatch):
@@ -892,13 +1121,19 @@ class TestTape:
     @pytest.mark.parametrize("cu", ("toy",) + gp.CU_KINDS)
     def test_a_step_builds_each_column_tensor_once_and_folds_each_block_once(self, cu, monkeypatch):
         """Every convolution's column tensor is built once per step: by the
-        forward on the im2col path, by the backward on the taps path."""
-        convs, columns, folds = [], [], []
-        real_conv, real_im2col, real_fold = nm.conv2d, nm._im2col, gp.ConvBlock._folded
+        forward on the im2col path, by the backward on the taps path.  Each
+        block decides once where its affine goes, and a block that folds it
+        folds once; at 16 px a batch-2 step of a CU kind has blocks of both
+        kinds, and the toy stem folds."""
+        convs, columns, folds, decided = [], [], [], []
+        real_conv, real_im2col, real_fold, real_folds = nm.conv2d, nm._im2col, gp.ConvBlock._folded, gp.ConvBlock.folds
         monkeypatch.setattr(nm, "conv2d", lambda *a, **kw: convs.append(a[1]) or real_conv(*a, **kw))
         monkeypatch.setattr(nm, "_im2col", lambda *a: columns.append(a[1]) or real_im2col(*a))
         monkeypatch.setattr(gp.ConvBlock, "_folded",
                             lambda block, p: folds.append(block.name) or real_fold(block, p))
+        monkeypatch.setattr(gp.ConvBlock, "folds",
+                            lambda block, shape: decided.append((block.name, real_folds(block, shape)))
+                            or decided[-1][1])
         if cu == "toy":
             images, labels = tr.toy_dataset(n=25, size=16)
             graph = tr.toy_graph(16)
@@ -910,8 +1145,10 @@ class TestTape:
             out = gp.forward(graph, params, rng.normal(size=(2, 3, 16, 16)), cache)
             gp.backward(graph, params, cache, {task: np.ones(np.shape(y)) for task, y in out.items()})
         assert collections.Counter(columns) == collections.Counter(convs)
-        assert folds == [key[:-len(".w")] for key in gp.param_shapes(graph)
-                         if key.endswith(".w") and not key.startswith("head.")]
+        assert [name for name, _ in decided] == [key[:-len(".w")] for key in gp.param_shapes(graph)
+                                                 if key.endswith(".w") and not key.startswith("head.")]
+        assert folds == [name for name, fold in decided if fold]
+        assert folds == ["stem"] if cu == "toy" else 0 < len(folds) < len(decided)
 
 
 class TestAnalyzeGraphReport:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from affectpipe import numerics as nm
 
 from conftest import (channel_taps, exact, loop_conv2d, loop_conv2d_backward, offset_conv2d, pad_im2col,
-                      two_branch_sigmoid, where_relu_backward)
+                      two_branch_sigmoid, where_relu_backward, window_im2col)
 
 # One spec per convolution class the trunk uses, with the input size it runs at.
 CONV_CLASSES = {
@@ -243,6 +243,24 @@ class TestConv2d:
         spec = nm.ConvSpec(6, 4, kernel=1, groups=2)
         x = rng.normal(size=(6, 2, 5, 7)).transpose(1, 0, 2, 3)
         assert np.shares_memory(nm._im2col(x, spec, 5, 7), x)
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("layout", ["channel_major", "channels_last", "nchw", "flipped"])
+    def test_pointwise_columns_are_a_reshape_of_the_window_columns(self, rng, monkeypatch, layout, groups):
+        """A stride-1 unpadded 1x1 takes its columns by a reshape, with no
+        window view: the window columns' bytes and strides, a view of x in
+        channel-major and channels-last memory."""
+        spec = nm.ConvSpec(6, 4, kernel=1, groups=groups)
+        x = rng.normal(size=(3, 6, 5, 7))
+        x = {"channel_major": np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+             "channels_last": np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2),
+             "nchw": x, "flipped": x[:, :, ::-1]}[layout]
+        want = window_im2col(x, spec, 5, 7)
+        monkeypatch.setattr(np.lib.stride_tricks, "as_strided", None)
+        got = nm._im2col(x, spec, 5, 7)
+        assert got.shape == want.shape == (groups, 6 // groups, 3 * 5 * 7)
+        assert got.strides == want.strides and got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, x) == (layout in ("channel_major", "channels_last"))
 
     @given(
         groups=st.integers(1, 3), cin_g=st.integers(1, 2), kernel=st.sampled_from([1, 3, 5]),
