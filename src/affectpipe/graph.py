@@ -13,7 +13,11 @@ per-channel affine that stands in for normalization costs one MAC per
 activation.  A conv block folds that affine into its weights, or, when its
 per-channel output is smaller than its per-channel weights (small frames),
 applies it to the output; static shapes alone choose, and the forward, the
-taped forward and the backward follow the same choice.
+taped forward and the backward follow the same choice.  A block that applies
+it to the output proves the fold finite from the weights' sum of squares,
+which its convolution takes; where that convolution walks the weights in
+row runs (a skinny GEMM, see numerics), the walk sums them, so a forward
+reads those weights once.
 """
 from __future__ import annotations
 
@@ -91,19 +95,20 @@ class UnitRecord(NamedTuple):
     blocks: list
 
 
-def _fold_bound(scale: np.ndarray, w: np.ndarray) -> float:
-    """2*max|scale|*sqrt(dot(W, W)), a bound on every |scale[o]*W[o, ...]|.
+def _fold_bound(scale: np.ndarray, sumsq: float) -> float:
+    """2*max|scale|*sqrt(sumsq), with sumsq the weights' dot(W, W) as
+    :func:`numerics.sum_of_squares` or ``conv2d(..., return_sumsq=True)``
+    gives it: a bound on every |scale[o]*W[o, ...]|.
 
     Each |W| entry is at most the norm of W, and rounding is monotone, so
-    the bound is at least every rounded product; the factor 2 is a margin.
+    the bound is at least every rounded product, whether the squares are
+    summed in one pass or run by run; the factor 2 is a margin.
     Squares too small to count only come from entries that no finite scale
     takes past the largest float.  So a finite bound proves the folded
     weights finite without making them.  An inf or NaN in either operand,
     or squares that overflow, give a bound that is not finite.
     """
-    flat = w.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(2.0 * np.abs(scale).max() * np.sqrt(np.dot(flat, flat)))
+    return 2.0 * float(np.abs(scale).max()) * math.sqrt(sumsq)
 
 
 class ConvBlock:
@@ -118,8 +123,16 @@ class ConvBlock:
     scale*(conv(x, W) + b) + shift`` and never makes a folded copy of W.
     The backward pass applies the chain rule through whichever form the
     forward ran, from the forward's record.  Either way the folded weights
-    and bias must be finite, and a block raises the same error for them
-    before any convolution.
+    and bias must be finite, and a block raises the same error for them.  A
+    folding block checks the fold before its convolution.  A block that
+    does not fold proves the fold finite after its convolution, from the
+    weights' sum of squares that the convolution took: run by run where it
+    walks a skinny GEMM (see :func:`numerics.conv2d`), so the weights are
+    read once, or else in one pass just before.  That convolution runs under
+    ``np.errstate``, and its output is dropped if the proof fails.  Where
+    the convolution itself raises, on its input or a shape, the weights are
+    proven first, and their error comes first, as from a check before the
+    convolution.
 
     A grouped block takes one input, or one input per group (EESP's expand
     reads each running sum of its branches as one group): it then runs one
@@ -170,21 +183,35 @@ class ConvBlock:
         nm.require_finite(b, "folded bias")
         return w, b
 
-    def _unfolded(self, params: dict):
-        """W and b as they are, once the fold is proven finite: by
-        :func:`_fold_bound`, or where it is not finite by making the fold
-        and checking it, as :meth:`_folded` does.  The bound only decides
-        whether that exact check runs, so no result depends on its
-        rounding."""
+    def _prove(self, params: dict, sumsq: float) -> None:
+        """Raise the fold's errors for a block that does not fold, given its
+        weights' sum of squares: the fold is proven finite by
+        :func:`_fold_bound`, or where that is not finite it is made and
+        checked, as :meth:`_folded` does.  The bound only decides whether
+        that exact check runs, so no result depends on its rounding."""
         n = self.name
-        w, b, scale = params[f"{n}.w"], params[f"{n}.b"], params[f"{n}.scale"]
-        if not math.isfinite(_fold_bound(scale, w)):
+        scale = params[f"{n}.scale"]
+        if not math.isfinite(_fold_bound(scale, sumsq)):
             self._folded(params)
         else:
             with np.errstate(invalid="ignore", over="ignore"):
-                bias = scale * b + params[f"{n}.shift"]
+                bias = scale * params[f"{n}.b"] + params[f"{n}.shift"]
             nm.require_finite(bias, "folded bias")
-        return w, b
+
+    def _convolve(self, xs, w, b, padded, sumsq: bool):
+        """``(y, column tensors, sums)`` of the block's convolution: one over
+        its one input, or one per group over one input per group, stacked
+        channel-major as one grouped convolution lays them out.  With
+        ``sumsq``, ``sums`` holds each convolution's sum of squares of its
+        weights (see :func:`numerics.conv2d`); else it is empty."""
+        if len(xs) == 1:
+            run = nm.conv2d(xs[0], self.spec, w, b, padded=padded, return_columns=True, return_sumsq=sumsq)
+            return run[0], run[1:2], run[2:]
+        groups = zip(xs, w.reshape(len(xs), -1, *w.shape[1:]), b.reshape(len(xs), -1))
+        ys, columns, *sums = zip(*(nm.conv2d(x, self.group_spec, wg, bg, return_columns=True, return_sumsq=sumsq)
+                                   for x, wg, bg in groups))
+        y = np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3)
+        return y, columns, sums[0] if sumsq else ()
 
     def forward(self, params: dict, *xs: np.ndarray, padded: np.ndarray | None = None,
                 tape: list | None = None) -> np.ndarray:
@@ -192,32 +219,38 @@ class ConvBlock:
 
         With a ``tape`` list, a :class:`BlockRecord` is appended to it.
         """
+        n = self.name
         fold = self.folds(nm._as_tensor4(xs[0]).shape)
-        w, b = self._folded(params) if fold else self._unfolded(params)
-        keep = tape is not None
-        if len(xs) == 1:
-            runs = [nm.conv2d(xs[0], self.spec, w, b, padded=padded, return_columns=keep)]
-        else:
-            ws, bs = w.reshape(len(xs), -1, *w.shape[1:]), b.reshape(len(xs), -1)
-            runs = [nm.conv2d(x, self.group_spec, wg, bg, return_columns=keep)
-                    for x, wg, bg in zip(xs, ws, bs)]
-        ys, columns = zip(*runs) if keep else (runs, None)
-        if len(ys) == 1:
-            y = ys[0]
-        else:
-            y = np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3)
         u = None
+        if fold:
+            w, b = self._folded(params)
+            y, columns, _ = self._convolve(xs, w, b, padded, sumsq=False)
+        else:
+            w, b = params[f"{n}.w"], params[f"{n}.b"]
+            try:
+                # W is proven finite only once its convolution has summed its squares.
+                with np.errstate(invalid="ignore", over="ignore"):
+                    y, columns, sums = self._convolve(xs, w, b, padded, sumsq=True)
+            except ValueError:  # a ShapeError or NumericError of the input or a shape
+                self._prove(params, nm.sum_of_squares(w))  # the weights' errors come first
+                raise
+            self._prove(params, sum(sums))
+        if tape is None:
+            # Only a tape reads the column tensors: free them now, not after
+            # the affine and ReLU.  Held that long, they raised the peak RSS
+            # of the 112 px trunk benchmark by 11 MB.
+            columns = None
         if not fold:
-            scale = params[f"{self.name}.scale"][:, None, None]
+            scale = params[f"{n}.scale"][:, None, None]
             with np.errstate(invalid="ignore", over="ignore"):
-                if keep:
+                if tape is not None:
                     u, y = y, y * scale
                 else:
                     y *= scale
-                y += params[f"{self.name}.shift"][:, None, None]
+                y += params[f"{n}.shift"][:, None, None]
         if self.relu:
             np.maximum(y, 0.0, out=y)
-        if keep:
+        if tape is not None:
             tape.append(BlockRecord(xs, y if self.relu else None, w, columns, u))
         return y
 

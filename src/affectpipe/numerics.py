@@ -19,9 +19,16 @@ makes one copy, padded for the widest branch, and every branch reads it
 at its own offset.  Every other spec gathers the padded, strided and
 dilated input once into a channel-major column tensor (im2col) whose
 columns run over the whole batch, (groups, cin/g*k*k, n*oh*ow), and
-multiplies it by the grouped weights in one GEMM per group.  Its output
-is laid out channel-major, so a stride-1 1x1 convolution that reads it
-takes its columns by a reshape, as a view, without a copy.  The adjoint
+multiplies it by the grouped weights in one GEMM per group.  A skinny
+GEMM, as a small frame's deep layers run (few columns, a column tensor
+that fits in L2, many weights), is walked instead in runs of weight rows,
+each its own GEMM into its slice of one output array: the column tensor
+stays in cache while the weights stream past it once.  The walk can also
+sum the weights' squares run by run, while each run is in cache, and
+``conv2d`` hands that sum back on request, for a caller that bounds a
+product of the weights.  The output is laid out channel-major, so a
+stride-1 1x1 convolution that reads it takes its columns by a reshape, as
+a view, without a copy.  The adjoint
 of both paths is the im2col one: the weight gradient is one GEMM per
 group over the batch's n*oh*ow columns, and the input gradient
 scatter-adds the weight-transposed columns back over the kernel offsets
@@ -48,6 +55,22 @@ class NumericError(ValueError):
 def require_finite(x: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite values in {what}")
+
+
+# The walk of a skinny GEMM in weight-row runs (see _run_rows): a column
+# tensor of at most GEMM_COLUMNS columns and GEMM_BLOCK elements (512 KiB of
+# float64, in L2), runs of GEMM_RUN_MACS multiply-adds each.
+GEMM_COLUMNS = 32
+GEMM_BLOCK = 1 << 16
+GEMM_RUN_MACS = 1 << 19
+
+
+def sum_of_squares(w: np.ndarray) -> float:
+    """dot(W, W) over every entry of ``w``; inf, not a numpy warning, where
+    the squares overflow, and NaN where an entry is NaN."""
+    flat = w.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(flat, flat))
 
 
 def _is_count(value) -> bool:
@@ -218,8 +241,46 @@ def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.nda
     return np.einsum("nhwijc,ijwc->nhwc", windows, taps).transpose(0, 3, 1, 2)
 
 
+def _run_rows(out_rows: int, cin_k: int, cols: int) -> int:
+    """Weight rows per run where a group's GEMM, (out_rows x cin_k) weights
+    by (cin_k x cols) columns, is walked in row runs, else 0.
+
+    A skinny GEMM is walked: at most ``GEMM_COLUMNS`` columns, a column
+    tensor that fits in one ``GEMM_BLOCK``, and more than two runs'
+    multiply-adds, ``GEMM_RUN_MACS`` each.  On a Xeon host with OpenBLAS
+    0.3.31, one such GEMM and a dot over its weights took 1.2-1.9x as long
+    as the walk of their runs, with weights from 0.4 to 7 MB; a GEMM of
+    49-128 columns, or of at most two runs, was as fast or faster whole.
+    Runs of one block of weights each, whatever the column count, were
+    slower than one GEMM from 16 columns on.
+    """
+    if cols > GEMM_COLUMNS or cin_k * cols > GEMM_BLOCK or out_rows * cin_k * cols <= 2 * GEMM_RUN_MACS:
+        return 0
+    return GEMM_RUN_MACS // (cin_k * cols)
+
+
+def _row_blocked_matmul(wg: np.ndarray, columns: np.ndarray, rows: int, sumsq: bool):
+    """``(np.matmul(wg, columns), dot(W, W) or None)`` over (g, m, K) weights
+    and (g, K, N) columns, one GEMM per run of ``rows`` weight rows, each
+    written into its slice of one (g, m, N) output.  A run's squares are
+    summed, with :func:`sum_of_squares`, while it is in cache.  Each output
+    entry is the same K-long product as in one GEMM, but the BLAS may round
+    a run's rows differently from a whole GEMM's, by about 1e-15 relative.
+    """
+    g, m, _ = wg.shape
+    out = np.empty((g, m, columns.shape[2]))
+    total = 0.0 if sumsq else None
+    for gi in range(g):
+        for start in range(0, m, rows):
+            block = wg[gi, start : start + rows]
+            np.matmul(block, columns[gi], out=out[gi, start : start + rows])
+            if sumsq:
+                total += sum_of_squares(block)
+    return out, total
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None,
-           *, padded: np.ndarray | None = None, return_columns: bool = False):
+           *, padded: np.ndarray | None = None, return_columns: bool = False, return_sumsq: bool = False):
     """Grouped 2-d convolution (cross-correlation).
 
     out[n,o,i,j] = sum_{c,ki,kj} w[o,c,ki,kj] * xpad[n, g(o)+c, i*s+ki*d, j*s+kj*d] + b[o]
@@ -227,14 +288,23 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     A spec with one input and one output channel per group sums its taps
     directly (:func:`_depthwise_taps`); every other spec is im2col plus one
     GEMM per group over the whole batch, and returns an NCHW view of
-    channel-major memory.  ``padded`` is only for the former: an already
-    checked ``_pad_channels_last(x, margin)`` copy with ``margin >=
+    channel-major memory.  A skinny GEMM is walked in runs of weight rows
+    (:func:`_run_rows`, :func:`_row_blocked_matmul`); the spec and the
+    input's shape alone choose.  ``padded`` is only for the taps path: an
+    already checked ``_pad_channels_last(x, margin)`` copy with ``margin >=
     spec.padding``, which is read in place of a new copy of ``x``.  With
     ``return_columns`` the result is ``(out, columns)``: the im2col column
     tensor, for :func:`conv2d_backward` to read, or None on the taps path.
+    With ``return_sumsq`` the weights' sum of squares is appended to the
+    result: summed run by run on a walk, after each run's GEMM, or else by
+    :func:`sum_of_squares` in one pass before the GEMM or the taps, which
+    then read the weights from cache.  The weights are not checked; a sum
+    that is not finite reports weights that are not.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     g = spec.groups
+    rows = 0 if spec.per_channel else _run_rows(spec.out_channels // g, weights[0].size, n * oh * ow)
+    sumsq = sum_of_squares(weights) if return_sumsq and not rows else None
     columns = None
     if padded is not None:
         margin = (padded.shape[1] - x.shape[2]) // 2
@@ -248,13 +318,19 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     else:
         require_finite(x, "conv2d input")
         columns = _im2col(x, spec, oh, ow)
-        y = np.matmul(weights.reshape(g, spec.out_channels // g, -1), columns)
+        wg = weights.reshape(g, spec.out_channels // g, -1)
+        if rows:
+            y, sumsq = _row_blocked_matmul(wg, columns, rows, return_sumsq)
+        else:
+            y = np.matmul(wg, columns)
         y = y.reshape(spec.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (spec.out_channels,):
             raise ShapeError(f"bias shape {bias.shape} != ({spec.out_channels},)")
         y += bias[None, :, None, None]
+    if return_sumsq:
+        return (y, columns, sumsq) if return_columns else (y, sumsq)
     return (y, columns) if return_columns else y
 
 

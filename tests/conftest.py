@@ -72,12 +72,12 @@ def loop_conv2d_backward(grad_out, x, spec, weights):
     return gx, gw, gb
 
 
-def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=False):
+def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=False, return_sumsq=False):
     """Direct-summation convolution, one grouped einsum per kernel offset.
 
     A shared padded copy is ignored: the oracle pads ``x`` itself, and it
     builds no column tensor, so with ``return_columns`` it returns None for
-    one.
+    one.  With ``return_sumsq`` the weights' sum of squares is appended.
     """
     n = x.shape[0]
     g = spec.groups
@@ -94,7 +94,17 @@ def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=Fa
     y = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         y += bias[None, :, None, None]
-    return (y, None) if return_columns else y
+    extra = ((None,) if return_columns else ()) + ((nm.sum_of_squares(weights),) if return_sumsq else ())
+    return (y, *extra) if extra else y
+
+
+def row_run_matmul(wg, columns, rows):
+    """``wg @ columns`` over (g, m, K) weights and (g, K, N) columns as one
+    ``@`` per run of ``rows`` weight rows, stacked: the oracle of a GEMM
+    walked in row runs."""
+    return np.stack([np.concatenate([wg[gi, start:start + rows] @ columns[gi]
+                                     for start in range(0, wg.shape[1], rows)])
+                     for gi in range(wg.shape[0])])
 
 
 def channel_taps(xp, margin, spec, weights, oh, ow):
@@ -190,6 +200,38 @@ def recompute_block_backward(block, params, x, y, grad_y, input_grad=True):
         f"{n}.scale": (gw * params[f"{n}.w"]).sum(axis=(1, 2, 3)) + gb * params[f"{n}.b"],
         f"{n}.shift": gb,
     }
+
+
+def prove_then_convolve(block, params, *xs, padded=None):
+    """``ConvBlock.forward`` with every check of the fold before any
+    convolution: the fold is made and checked, or, for a block that does
+    not fold, proven finite by a bound from one dot over W, and only then
+    does a convolution run.  The reference for the block's errors, whose
+    forward proves W from the squares its convolution sums."""
+    n = block.name
+    scale = params[f"{n}.scale"]
+    fold = block.folds(nm._as_tensor4(xs[0]).shape)
+    if fold:
+        w, b = block._folded(params)
+    else:
+        w, b = params[f"{n}.w"], params[f"{n}.b"]
+        flat = w.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = float(2.0 * np.abs(scale).max() * np.sqrt(np.dot(flat, flat)))
+            bias = scale * b + params[f"{n}.shift"]
+        if not math.isfinite(bound):
+            block._folded(params)
+        nm.require_finite(bias, "folded bias")
+    if len(xs) == 1:
+        ys = [nm.conv2d(xs[0], block.spec, w, b, padded=padded)]
+    else:
+        ys = [nm.conv2d(x, block.group_spec, wg, bg)
+              for x, wg, bg in zip(xs, w.reshape(len(xs), -1, *w.shape[1:]), b.reshape(len(xs), -1))]
+    y = ys[0] if len(ys) == 1 else np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3)
+    if not fold:
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = y * scale[:, None, None] + params[f"{n}.shift"][:, None, None]
+    return np.maximum(y, 0.0) if block.relu else y
 
 
 def recompute_unit_backward(unit, params, x, grad_y):

@@ -23,7 +23,7 @@ from affectpipe import numerics as nm
 from affectpipe import training as tr
 
 from conftest import (central_difference, channel_affine, channel_affine_backward, exact, max_rel_error,
-                      offset_conv2d, recompute_backward, recompute_unit_backward)
+                      offset_conv2d, prove_then_convolve, recompute_backward, recompute_unit_backward)
 
 PARAM_TARGETS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
 # Strided dense, grouped, grouped 1x1 and strided dilated depthwise blocks.
@@ -861,8 +861,10 @@ class TestAffineOnOutput:
 
     @staticmethod
     def refuse_conv(monkeypatch):
+        """Make every convolution raise a ShapeError, as one whose input or
+        shapes do not fit does."""
         def refuse(*args, **kwargs):
-            raise AssertionError("convolution before the finite checks")
+            raise nm.ShapeError("refused")
 
         monkeypatch.setattr(nm, "conv2d", refuse)
 
@@ -979,7 +981,9 @@ class TestAffineOnOutput:
     @pytest.mark.parametrize("key, value, what", [
         (key, value, "folded bias" if key in ("blk.b", "blk.shift") else "folded weights")
         for key in ("blk.w", "blk.scale", "blk.b", "blk.shift") for value in (np.inf, -np.inf, np.nan)])
-    def test_nonfinite_parameters_raise_the_fold_errors_before_arithmetic(self, key, value, what, monkeypatch):
+    def test_nonfinite_parameters_raise_the_fold_errors(self, key, value, what, monkeypatch):
+        """The error comes without a numpy warning and with nothing taped,
+        and it comes first where the convolution itself raises."""
         spec = nm.ConvSpec(3, 2, kernel=3, padding=1)
         block = gp.ConvBlock("blk", spec)
         params = block_params(np.random.default_rng(80), spec)
@@ -987,25 +991,31 @@ class TestAffineOnOutput:
         params[key].flat[1] = value
         x = np.ones((1, 3, 2, 2))
         assert not block.folds(x.shape)
-        self.refuse_conv(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(nm.NumericError, match=f"^non-finite values in {what}$"):
-                block.forward(params, x)
-            with pytest.raises(nm.NumericError, match=f"^non-finite values in {what}$"):
-                block.forward(params, x, tape=[])
+        for refuse in (False, True):
+            if refuse:
+                self.refuse_conv(monkeypatch)
+            tape = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(nm.NumericError, match=f"^non-finite values in {what}$"):
+                    block.forward(params, x)
+                with pytest.raises(nm.NumericError, match=f"^non-finite values in {what}$"):
+                    block.forward(params, x, tape=tape)
+            assert tape == []
 
     def test_a_fold_that_overflows_from_finite_parameters_raises(self, monkeypatch):
         spec = nm.ConvSpec(3, 2, kernel=3, padding=1)
         block = gp.ConvBlock("blk", spec)
         params = {"blk.w": np.full(spec.weight_shape, 1e10), "blk.b": np.zeros(2),
                   "blk.scale": np.array([1.0, 1e300]), "blk.shift": np.zeros(2)}
-        assert not math.isfinite(gp._fold_bound(params["blk.scale"], params["blk.w"]))
-        self.refuse_conv(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(nm.NumericError, match="^non-finite values in folded weights$"):
-                block.forward(params, np.ones((1, 3, 2, 2)))
+        assert not math.isfinite(gp._fold_bound(params["blk.scale"], nm.sum_of_squares(params["blk.w"])))
+        for refuse in (False, True):
+            if refuse:
+                self.refuse_conv(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(nm.NumericError, match="^non-finite values in folded weights$"):
+                    block.forward(params, np.ones((1, 3, 2, 2)))
 
     def test_a_large_finite_fold_passes_by_the_exact_check(self):
         """W of 1e200 squares past the largest float, so the bound is not
@@ -1014,7 +1024,7 @@ class TestAffineOnOutput:
         block = gp.ConvBlock("blk", spec, relu=False)
         params = {"blk.w": np.full(spec.weight_shape, 1e200), "blk.b": np.zeros(2),
                   "blk.scale": np.array([1e-200, 2e-200]), "blk.shift": np.zeros(2)}
-        assert not math.isfinite(gp._fold_bound(params["blk.scale"], params["blk.w"]))
+        assert not math.isfinite(gp._fold_bound(params["blk.scale"], nm.sum_of_squares(params["blk.w"])))
         x = np.ones((1, 2, 1, 1))
         assert not block.folds(x.shape)
         assert exact(block.forward(params, x)) == exact(oracle_block(params, "blk", spec, x, relu=False))
@@ -1040,8 +1050,128 @@ class TestAffineOnOutput:
             (scale if rng.integers(2) else w.reshape(-1))[0] = special
         with np.errstate(over="ignore", invalid="ignore"):
             fold_finite = bool(np.all(np.isfinite(scale[:, None, None, None] * w)))
-        if math.isfinite(gp._fold_bound(scale, w)):
+        if math.isfinite(gp._fold_bound(scale, nm.sum_of_squares(w))):
             assert fold_finite
+
+
+# Blocks over inputs whose convolution walks its weights in row runs (a
+# strided 3x3, K=1440, N=8), takes one GEMM (K=27, N=4) or sums taps (a
+# depthwise 3x3), none of which folds; a block that folds; and a block that
+# reads one input per group (K=2, N=1) and does not fold.
+ERROR_BLOCKS = {
+    "walked": (nm.ConvSpec(160, 192, kernel=3, stride=2, padding=1), [(8, 160, 2, 2)]),
+    "one_gemm": (nm.ConvSpec(3, 2, kernel=3, padding=1), [(1, 3, 2, 2)]),
+    "taps": (nm.ConvSpec(3, 3, kernel=3, padding=1, groups=3), [(1, 3, 2, 2)]),
+    "folded": (nm.ConvSpec(3, 2, kernel=3, padding=1), [(2, 3, 5, 5)]),
+    "per_group": (nm.ConvSpec(6, 9, kernel=1, groups=3), [(1, 2, 1, 1)] * 3),
+}
+
+# (name, spoiled entries): an entry is (key, value), with key "x" the last
+# input, or "overflow" (W of 1e10 and one scale of 1e300, all finite) or
+# "channels" (the last input has one channel too many).
+ERROR_CASES = [("finite", [])] + [
+    (f"{key}={value}", [(key, value)]) for key in ("x", "w", "b", "scale", "shift") for value in ("nan", "inf")
+] + [
+    ("x=nan,w=inf", [("x", "nan"), ("w", "inf")]),
+    ("x=inf,w=nan", [("x", "inf"), ("w", "nan")]),
+    ("overflow", [("overflow", None)]),
+    ("channels", [("channels", None)]),
+    ("channels,w=nan", [("channels", None), ("w", "nan")]),
+]
+
+
+def spoiled_block(name, entries, seed):
+    """ConvBlock "blk" of ``ERROR_BLOCKS[name]``, its parameters and inputs,
+    with ``entries`` spoiled."""
+    spec, shapes = ERROR_BLOCKS[name]
+    rng = np.random.default_rng(seed)
+    params = block_params(rng, spec)
+    xs = [rng.normal(size=shape) for shape in shapes]
+    for key, value in entries:
+        if key == "overflow":
+            params["blk.w"] = np.full(spec.weight_shape, 1e10)
+            params["blk.scale"][1] = 1e300
+        elif key == "channels":
+            n, c, h, w = xs[-1].shape
+            xs[-1] = rng.normal(size=(n, c + 1, h, w))
+        elif key == "x":
+            xs[-1].flat[1] = float(value)
+        else:
+            params[f"blk.{key}"].flat[1] = float(value)
+    return gp.ConvBlock("blk", spec), params, xs
+
+
+def outcome(run):
+    """The exact bytes ``run()`` returns, or the type and message of what it
+    raises, and the messages of the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = exact(run())
+        except Exception as err:  # noqa: BLE001 - the exception is the result
+            result = type(err), str(err)
+    return result, [str(warning.message) for warning in caught]
+
+
+class TestWeightsReadOnce:
+    """A block that does not fold proves its fold finite from the squares its
+    convolution sums while it streams the weights: the errors, their order
+    and the bytes are those of proving the fold before any convolution."""
+
+    @pytest.mark.parametrize("case", [case for case, _ in ERROR_CASES])
+    @pytest.mark.parametrize("name", ERROR_BLOCKS)
+    def test_errors_equal_the_prove_then_convolve_reference(self, name, case):
+        entries = dict(ERROR_CASES)[case]
+        block, params, xs = spoiled_block(name, entries, 81)
+        spec = block.spec if len(xs) == 1 else block.group_spec
+        oh, ow = spec.out_hw(xs[0].shape[2:])
+        assert block.folds(xs[0].shape) == (name == "folded")
+        assert bool(nm._run_rows(spec.out_channels, spec.weight_shape[1] * spec.kernel ** 2,
+                                 xs[0].shape[0] * oh * ow)) == (name == "walked")
+        want = outcome(lambda: prove_then_convolve(block, params, *xs))
+        assert outcome(lambda: block.forward(params, *xs)) == want
+        assert outcome(lambda: block.forward(params, *xs, tape=[])) == want
+        result, caught = want
+        assert not caught
+        if case != "finite":
+            assert result[0] in (nm.NumericError, nm.ShapeError)
+
+    @pytest.mark.parametrize("cu, walked, runs", [
+        ("bottleneck", "cu8.1.spatial", 14), ("mobilenet", "cu8.1.pw", 15), ("eesp", None, 0)])
+    def test_the_walk_runs_at_32px_batch_8(self, cu, walked, runs, monkeypatch):
+        """Bottleneck's cu8.1.spatial (307 x 2763 weights, 8 columns) walks
+        14 runs of 23 rows, MobileNet's cu8.1.pw (256 x 3584) 15 runs of 18,
+        each summing its squares; EESP walks nothing.  Taped and untaped
+        heads are the same bytes, and so are the taped gradients and the
+        recompute oracle's."""
+        graph = gp.build_graph(cu, input_hw=(32, 32))
+        params = affine_params(graph, 82)
+        rng = np.random.default_rng(83)
+        batch = rng.uniform(0.0, 1.0, size=(8, 3, 32, 32))
+        names, sums, walks = [], collections.Counter(), collections.Counter()
+        real_forward, real_sumsq, real_walk = gp.ConvBlock.forward, nm.sum_of_squares, nm._row_blocked_matmul
+
+        def forward(block, *args, **kwargs):
+            names.append(block.name)
+            try:
+                return real_forward(block, *args, **kwargs)
+            finally:
+                names.pop()
+
+        monkeypatch.setattr(gp.ConvBlock, "forward", forward)
+        monkeypatch.setattr(nm, "sum_of_squares", lambda w: sums.update([names[-1]]) or real_sumsq(w))
+        monkeypatch.setattr(nm, "_row_blocked_matmul", lambda *a: walks.update([names[-1]]) or real_walk(*a))
+        untaped = gp.forward(graph, params, batch)
+        monkeypatch.undo()
+        if walked is None:
+            assert not walks
+        else:
+            assert walks[walked] == 1 and sums[walked] == runs
+        cache = []
+        taped = gp.forward(graph, params, batch, cache)
+        assert exact(taped) == exact(untaped)
+        ups = {task: rng.normal(size=np.shape(y)) for task, y in taped.items()}
+        assert exact(gp.backward(graph, params, cache, ups)) == exact(recompute_backward(graph, params, batch, ups))
 
 
 def tape_graph_id(case):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from affectpipe import numerics as nm
 
 from conftest import (channel_taps, exact, loop_conv2d, loop_conv2d_backward, offset_conv2d, pad_im2col,
-                      two_branch_sigmoid, where_relu_backward, window_im2col)
+                      row_run_matmul, two_branch_sigmoid, where_relu_backward, window_im2col)
 
 # One spec per convolution class the trunk uses, with the input size it runs at.
 CONV_CLASSES = {
@@ -409,6 +410,141 @@ class TestConv2d:
         x[0, 1, 2, 0] = np.inf
         with pytest.raises(nm.NumericError, match="^non-finite values in conv2d input$"):
             nm._pad_channels_last(x, 1)
+
+
+# Convolutions whose GEMM is walked in row runs: skinny (N <= 32 columns),
+# a column tensor of at most one block and more than two runs' MACs.  A
+# strided dense 3x3 (K=1440, N=8: runs of 45 rows), a 1x1 on channel-major
+# and on channels-last input (K=2048, N=8: 32 rows) and a grouped 3x3
+# (K=2880 per group, N=8: 22 rows).
+WALKED = {
+    "dense_strided": (nm.ConvSpec(160, 192, kernel=3, stride=2, padding=1), (8, 160, 2, 2), "nchw"),
+    "pointwise": (nm.ConvSpec(2048, 96, kernel=1), (2, 2048, 2, 2), "nchw"),
+    "pointwise_channels_last": (nm.ConvSpec(2048, 96, kernel=1), (2, 2048, 2, 2), "nhwc"),
+    "grouped": (nm.ConvSpec(640, 192, kernel=3, padding=1, groups=2), (2, 640, 2, 2), "nchw"),
+}
+
+
+def walked_case(rng, name):
+    spec, shape, layout = WALKED[name]
+    if layout == "nhwc":
+        x = rng.normal(size=(shape[0], *shape[2:], shape[1])).transpose(0, 3, 1, 2)
+    else:
+        x = rng.normal(size=shape)
+    return spec, x, rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
+
+
+def gemm_operands(x, spec, w):
+    """(wg, columns, rows per run) of the GEMM ``conv2d`` runs for x."""
+    oh, ow = spec.out_hw(x.shape[2:])
+    columns = nm._im2col(x, spec, oh, ow)
+    wg = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+    return wg, columns, nm._run_rows(*wg.shape[1:], columns.shape[2])
+
+
+def as_output(y, spec, x):
+    """A (g, m, N) GEMM result as conv2d lays out its output."""
+    oh, ow = spec.out_hw(x.shape[2:])
+    return y.reshape(spec.out_channels, x.shape[0], oh, ow).transpose(1, 0, 2, 3)
+
+
+class TestRowBlockedGemm:
+    """A skinny GEMM walks its weights in row runs, each written into its
+    slice of one output, and can sum the weights' squares on the way."""
+
+    @pytest.mark.parametrize("name", WALKED)
+    def test_equals_a_matmul_per_run_byte_for_byte(self, rng, name):
+        spec, x, w, b = walked_case(rng, name)
+        wg, columns, rows = gemm_operands(x, spec, w)
+        assert 0 < rows < wg.shape[1]
+        want = as_output(row_run_matmul(wg, columns, rows), spec, x) + b[None, :, None, None]
+        assert exact(nm.conv2d(x, spec, w, b)) == exact(want)
+
+    @pytest.mark.parametrize("name", WALKED)
+    def test_is_within_rounding_of_one_matmul(self, rng, name):
+        spec, x, w, b = walked_case(rng, name)
+        wg, columns, _ = gemm_operands(x, spec, w)
+        whole = as_output(np.matmul(wg, columns), spec, x) + b[None, :, None, None]
+        np.testing.assert_allclose(nm.conv2d(x, spec, w, b), whole, rtol=1e-13,
+                                   atol=1e-13 * np.abs(whole).max())
+
+    # (spec, input shape, walked): just past and at each of the rule's three
+    # limits.  The GEMMs are (m x K) by (K x N).
+    BOUNDARY = [
+        # m*K*N = 2**20 + K*N, two runs and a row; then exactly two runs.
+        (nm.ConvSpec(1024, 129, kernel=1), (2, 1024, 2, 2), True),
+        (nm.ConvSpec(1024, 128, kernel=1), (2, 1024, 2, 2), False),
+        # N = 32 columns; then 36.
+        (nm.ConvSpec(512, 80, kernel=1), (2, 512, 4, 4), True),
+        (nm.ConvSpec(512, 80, kernel=1), (1, 512, 6, 6), False),
+        # K*N = 2**16, one block of columns; then 2**16 + 32.
+        (nm.ConvSpec(2048, 24, kernel=1), (2, 2048, 4, 4), True),
+        (nm.ConvSpec(2049, 24, kernel=1), (2, 2049, 4, 4), False),
+    ]
+
+    @pytest.mark.parametrize("spec, shape, walked", BOUNDARY)
+    def test_the_rule_at_its_limits(self, rng, monkeypatch, spec, shape, walked):
+        """A GEMM past any limit takes one matmul, to its bytes."""
+        x, w = rng.normal(size=shape), rng.normal(size=spec.weight_shape)
+        wg, columns, rows = gemm_operands(x, spec, w)
+        assert bool(rows) == walked
+        walks, real = [], nm._row_blocked_matmul
+        monkeypatch.setattr(nm, "_row_blocked_matmul", lambda *a: walks.append(a[2]) or real(*a))
+        y = nm.conv2d(x, spec, w)
+        assert walks == ([rows] if walked else [])
+        want = row_run_matmul(wg, columns, rows) if walked else np.matmul(wg, columns)
+        assert exact(y) == exact(as_output(want, spec, x))
+
+    def test_grouped_equals_its_per_group_calls_byte_for_byte(self, rng):
+        """One walked grouped convolution is the same bytes as a walked
+        convolution per group, as EESP's expand runs one per input."""
+        spec, x, w, b = walked_case(rng, "grouped")
+        g = spec.groups
+        group_spec = nm.ConvSpec(spec.in_channels // g, spec.out_channels // g, kernel=spec.kernel,
+                                 padding=spec.padding)
+        y, total = nm.conv2d(x, spec, w, b, return_sumsq=True)
+        runs = [nm.conv2d(xg, group_spec, wg, bg, return_sumsq=True)
+                for xg, wg, bg in zip(np.split(x, g, axis=1), np.split(w, g), np.split(b, g))]
+        assert exact(y) == exact(np.concatenate([y for y, _ in runs], axis=1))
+        assert total == pytest.approx(sum(s for _, s in runs), rel=1e-12)
+
+    def test_columns_then_sum_of_squares(self, rng):
+        spec, x, w, b = walked_case(rng, "pointwise")
+        y, columns, sumsq = nm.conv2d(x, spec, w, b, return_columns=True, return_sumsq=True)
+        assert exact(y) == exact(nm.conv2d(x, spec, w, b))
+        assert exact(columns) == exact(gemm_operands(x, spec, w)[1])
+        assert sumsq == pytest.approx(float(np.dot(w.ravel(), w.ravel())), rel=1e-12)
+
+    @pytest.mark.parametrize("special", [None, "nan", "inf", "-inf", "huge", "nan and inf"])
+    def test_sum_of_squares_is_the_dot_and_nonfinite_with_it(self, rng, special):
+        """The sum of squares a walk reports is dot(W, W) to rounding, NaN
+        exactly where the dot is NaN and inf exactly where it is inf: so a
+        bound 2*max|scale|*sqrt(sum) is finite exactly where one from the
+        dot is."""
+        spec, x, w, _ = walked_case(rng, "dense_strided")
+        flat = w.reshape(-1)
+        if special == "huge":
+            flat[-3:] = 1e200
+        elif special is not None:
+            for value, at in zip(special.split(" and "), (-1, 0)):
+                flat[at] = float(value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sumsq = nm.conv2d(x, spec, w, return_sumsq=True)[1]
+            dot = np.dot(flat, flat)
+        assert (math.isnan(sumsq), math.isinf(sumsq)) == (np.isnan(dot), np.isinf(dot))
+        assert (math.isnan(nm.sum_of_squares(w)), math.isinf(nm.sum_of_squares(w))) == (np.isnan(dot), np.isinf(dot))
+        if special is None:
+            assert sumsq == pytest.approx(dot, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, shape", [
+        (nm.ConvSpec(6, 6, kernel=3, padding=1), (2, 6, 3, 3)),
+        (nm.ConvSpec(6, 6, kernel=3, padding=1, groups=6), (2, 6, 3, 3)),
+    ], ids=["one_gemm", "taps"])
+    def test_without_a_walk_the_sum_is_one_pass(self, rng, spec, shape):
+        x, w = rng.normal(size=shape), rng.normal(size=spec.weight_shape)
+        y, columns, sumsq = nm.conv2d(x, spec, w, return_columns=True, return_sumsq=True)
+        assert sumsq == nm.sum_of_squares(w)
+        assert exact((y, columns)) == exact(nm.conv2d(x, spec, w, return_columns=True))
 
 
 class TestLinear:
