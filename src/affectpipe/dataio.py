@@ -211,13 +211,15 @@ def load_cohort(manifest_path, tau: float = tp.DEFAULT_TAU) -> ev.Cohort:
 
 
 def to_jsonable(obj):
-    """Recursively convert dataclasses, numpy scalars/arrays, and paths to JSON types."""
+    """Recursively convert dataclasses, numpy scalars/arrays, and paths to JSON
+    types.  A non-finite float, which JSON cannot hold (a degenerate t-test's
+    t of +-inf), becomes None, written as null."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.bool_):
@@ -238,7 +240,7 @@ def render_report(result: dict, fmt: str = "json") -> str:
     body = to_jsonable(result)
     body["schema_version"] = SCHEMA_VERSION
     if fmt == "json":
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        return json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if fmt == "text":
         return "\n".join(_text_lines(body)) + "\n"
     raise ValueError(f"unknown report format {fmt!r}; expected 'json' or 'text'")

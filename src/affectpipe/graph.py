@@ -13,11 +13,8 @@ per-channel affine that stands in for normalization costs one MAC per
 activation.  A conv block folds that affine into its weights, or, when its
 per-channel output is smaller than its per-channel weights (small frames),
 applies it to the output; static shapes alone choose, and the forward, the
-taped forward and the backward follow the same choice.  A block that applies
-it to the output proves the fold finite from the weights' sum of squares,
-which its convolution takes; where that convolution walks the weights in
-row runs (a skinny GEMM, see numerics), the walk sums them, so a forward
-reads those weights once.
+taped forward and the backward follow the same choice, and both forms raise
+the fold's errors for non-finite parameters.
 """
 from __future__ import annotations
 
@@ -95,22 +92,6 @@ class UnitRecord(NamedTuple):
     blocks: list
 
 
-def _fold_bound(scale: np.ndarray, sumsq: float) -> float:
-    """2*max|scale|*sqrt(sumsq), with sumsq the weights' dot(W, W) as
-    :func:`numerics.sum_of_squares` or ``conv2d(..., return_sumsq=True)``
-    gives it: a bound on every |scale[o]*W[o, ...]|.
-
-    Each |W| entry is at most the norm of W, and rounding is monotone, so
-    the bound is at least every rounded product, whether the squares are
-    summed in one pass or run by run; the factor 2 is a margin.
-    Squares too small to count only come from entries that no finite scale
-    takes past the largest float.  So a finite bound proves the folded
-    weights finite without making them.  An inf or NaN in either operand,
-    or squares that overflow, give a bound that is not finite.
-    """
-    return 2.0 * float(np.abs(scale).max()) * math.sqrt(sumsq)
-
-
 class ConvBlock:
     """Convolution, learnable per-channel affine, optional ReLU.
 
@@ -122,17 +103,21 @@ class ConvBlock:
     is cheaper to scale than the weights: the block computes ``y =
     scale*(conv(x, W) + b) + shift`` and never makes a folded copy of W.
     The backward pass applies the chain rule through whichever form the
-    forward ran, from the forward's record.  Either way the folded weights
-    and bias must be finite, and a block raises the same error for them.  A
-    folding block checks the fold before its convolution.  A block that
-    does not fold proves the fold finite after its convolution, from the
-    weights' sum of squares that the convolution took: run by run where it
-    walks a skinny GEMM (see :func:`numerics.conv2d`), so the weights are
-    read once, or else in one pass just before.  That convolution runs under
-    ``np.errstate``, and its output is dropped if the proof fails.  Where
-    the convolution itself raises, on its input or a shape, the weights are
-    proven first, and their error comes first, as from a check before the
-    convolution.
+    forward ran, from the forward's record.
+
+    Both forms raise the same errors for non-finite parameters: non-finite
+    values in the folded weights, then in the folded bias.  A folding block
+    checks the fold before its convolution.  A block that does not fold
+    checks its output before the ReLU and, only where that is not finite,
+    makes and checks the fold.  A non-finite W, b, scale or shift reaches
+    every output of its channel (inf*0 and NaN*x are NaN), even through taps
+    that read only padding, so none gets past the output check.  Only finite
+    parameters whose fold would overflow while the output stays finite pass
+    where a folding block would raise.  A block that does not fold runs its
+    convolution and affine under ``np.errstate``, and nothing is taped where
+    a check fails.  Where the
+    convolution itself raises, on its input or a shape, the fold is checked
+    first, so its error comes first, as from a check before the convolution.
 
     A grouped block takes one input, or one input per group (EESP's expand
     reads each running sum of its branches as one group): it then runs one
@@ -183,35 +168,16 @@ class ConvBlock:
         nm.require_finite(b, "folded bias")
         return w, b
 
-    def _prove(self, params: dict, sumsq: float) -> None:
-        """Raise the fold's errors for a block that does not fold, given its
-        weights' sum of squares: the fold is proven finite by
-        :func:`_fold_bound`, or where that is not finite it is made and
-        checked, as :meth:`_folded` does.  The bound only decides whether
-        that exact check runs, so no result depends on its rounding."""
-        n = self.name
-        scale = params[f"{n}.scale"]
-        if not math.isfinite(_fold_bound(scale, sumsq)):
-            self._folded(params)
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                bias = scale * params[f"{n}.b"] + params[f"{n}.shift"]
-            nm.require_finite(bias, "folded bias")
-
-    def _convolve(self, xs, w, b, padded, sumsq: bool):
-        """``(y, column tensors, sums)`` of the block's convolution: one over
-        its one input, or one per group over one input per group, stacked
-        channel-major as one grouped convolution lays them out.  With
-        ``sumsq``, ``sums`` holds each convolution's sum of squares of its
-        weights (see :func:`numerics.conv2d`); else it is empty."""
+    def _convolve(self, xs, w, b, padded):
+        """``(y, column tensors)`` of the block's convolution: one over its
+        one input, or one per group over one input per group, stacked
+        channel-major as one grouped convolution lays them out."""
         if len(xs) == 1:
-            run = nm.conv2d(xs[0], self.spec, w, b, padded=padded, return_columns=True, return_sumsq=sumsq)
-            return run[0], run[1:2], run[2:]
+            y, columns = nm.conv2d(xs[0], self.spec, w, b, padded=padded, return_columns=True)
+            return y, (columns,)
         groups = zip(xs, w.reshape(len(xs), -1, *w.shape[1:]), b.reshape(len(xs), -1))
-        ys, columns, *sums = zip(*(nm.conv2d(x, self.group_spec, wg, bg, return_columns=True, return_sumsq=sumsq)
-                                   for x, wg, bg in groups))
-        y = np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3)
-        return y, columns, sums[0] if sumsq else ()
+        ys, columns = zip(*(nm.conv2d(x, self.group_spec, wg, bg, return_columns=True) for x, wg, bg in groups))
+        return np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3), columns
 
     def forward(self, params: dict, *xs: np.ndarray, padded: np.ndarray | None = None,
                 tape: list | None = None) -> np.ndarray:
@@ -224,17 +190,16 @@ class ConvBlock:
         u = None
         if fold:
             w, b = self._folded(params)
-            y, columns, _ = self._convolve(xs, w, b, padded, sumsq=False)
+            y, columns = self._convolve(xs, w, b, padded)
         else:
             w, b = params[f"{n}.w"], params[f"{n}.b"]
             try:
-                # W is proven finite only once its convolution has summed its squares.
+                # Non-finite parameters show in the output, checked below.
                 with np.errstate(invalid="ignore", over="ignore"):
-                    y, columns, sums = self._convolve(xs, w, b, padded, sumsq=True)
+                    y, columns = self._convolve(xs, w, b, padded)
             except ValueError:  # a ShapeError or NumericError of the input or a shape
-                self._prove(params, nm.sum_of_squares(w))  # the weights' errors come first
+                self._folded(params)  # the fold's errors come first
                 raise
-            self._prove(params, sum(sums))
         if tape is None:
             # Only a tape reads the column tensors: free them now, not after
             # the affine and ReLU.  Held that long, they raised the peak RSS
@@ -248,6 +213,8 @@ class ConvBlock:
                 else:
                     y *= scale
                 y += params[f"{n}.shift"][:, None, None]
+            if not np.isfinite(y).all():
+                self._folded(params)
         if self.relu:
             np.maximum(y, 0.0, out=y)
         if tape is not None:

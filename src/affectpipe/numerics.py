@@ -23,16 +23,13 @@ multiplies it by the grouped weights in one GEMM per group.  A skinny
 GEMM, as a small frame's deep layers run (few columns, a column tensor
 that fits in L2, many weights), is walked instead in runs of weight rows,
 each its own GEMM into its slice of one output array: the column tensor
-stays in cache while the weights stream past it once.  The walk can also
-sum the weights' squares run by run, while each run is in cache, and
-``conv2d`` hands that sum back on request, for a caller that bounds a
-product of the weights.  The output is laid out channel-major, so a
-stride-1 1x1 convolution that reads it takes its columns by a reshape, as
-a view, without a copy.  The adjoint
-of both paths is the im2col one: the weight gradient is one GEMM per
-group over the batch's n*oh*ow columns, and the input gradient
-scatter-adds the weight-transposed columns back over the kernel offsets
-into a channel-major buffer.  An im2col ``conv2d`` can hand its column
+stays in cache while the weights stream past it once.  The output is
+laid out channel-major, so a stride-1 1x1 convolution that reads it takes
+its columns by a reshape, as a view, without a copy.  The adjoint of both
+paths is the im2col one: the weight gradient is one GEMM per group over
+the batch's n*oh*ow columns, and the input gradient scatter-adds the
+weight-transposed columns back over the kernel offsets into a
+channel-major buffer.  An im2col ``conv2d`` can hand its column
 tensor to the caller, and ``conv2d_backward`` reads that instead of
 building it again from the input.
 """
@@ -63,14 +60,6 @@ def require_finite(x: np.ndarray, what: str) -> None:
 GEMM_COLUMNS = 32
 GEMM_BLOCK = 1 << 16
 GEMM_RUN_MACS = 1 << 19
-
-
-def sum_of_squares(w: np.ndarray) -> float:
-    """dot(W, W) over every entry of ``w``; inf, not a numpy warning, where
-    the squares overflow, and NaN where an entry is NaN."""
-    flat = w.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.dot(flat, flat))
 
 
 def _is_count(value) -> bool:
@@ -248,39 +237,36 @@ def _run_rows(out_rows: int, cin_k: int, cols: int) -> int:
     A skinny GEMM is walked: at most ``GEMM_COLUMNS`` columns, a column
     tensor that fits in one ``GEMM_BLOCK``, and more than two runs'
     multiply-adds, ``GEMM_RUN_MACS`` each.  On a Xeon host with OpenBLAS
-    0.3.31, one such GEMM and a dot over its weights took 1.2-1.9x as long
-    as the walk of their runs, with weights from 0.4 to 7 MB; a GEMM of
-    49-128 columns, or of at most two runs, was as fast or faster whole.
-    Runs of one block of weights each, whatever the column count, were
-    slower than one GEMM from 16 columns on.
+    0.3.31 at one thread, with weights not in cache, the walk took 0.56-0.76x
+    the time of one GEMM on six of the seven shapes walked at 32 px batch 8
+    (median of 5 runs of 15 calls); the seventh, bottleneck's single 307 x
+    128 by 32 columns, took 1.04x.  A GEMM of 49-128 columns, or of at most
+    two runs, was as fast or faster whole.  Runs of one block of weights
+    each, whatever the column count, were slower than one GEMM from 16
+    columns on.
     """
     if cols > GEMM_COLUMNS or cin_k * cols > GEMM_BLOCK or out_rows * cin_k * cols <= 2 * GEMM_RUN_MACS:
         return 0
     return GEMM_RUN_MACS // (cin_k * cols)
 
 
-def _row_blocked_matmul(wg: np.ndarray, columns: np.ndarray, rows: int, sumsq: bool):
-    """``(np.matmul(wg, columns), dot(W, W) or None)`` over (g, m, K) weights
-    and (g, K, N) columns, one GEMM per run of ``rows`` weight rows, each
-    written into its slice of one (g, m, N) output.  A run's squares are
-    summed, with :func:`sum_of_squares`, while it is in cache.  Each output
-    entry is the same K-long product as in one GEMM, but the BLAS may round
-    a run's rows differently from a whole GEMM's, by about 1e-15 relative.
+def _row_blocked_matmul(wg: np.ndarray, columns: np.ndarray, rows: int) -> np.ndarray:
+    """``np.matmul(wg, columns)`` over (g, m, K) weights and (g, K, N)
+    columns, one GEMM per run of ``rows`` weight rows, each written into its
+    slice of one (g, m, N) output.  Each output entry is the same K-long
+    product as in one GEMM, but the BLAS may round a run's rows differently
+    from a whole GEMM's, by about 1e-15 relative.
     """
     g, m, _ = wg.shape
     out = np.empty((g, m, columns.shape[2]))
-    total = 0.0 if sumsq else None
     for gi in range(g):
         for start in range(0, m, rows):
-            block = wg[gi, start : start + rows]
-            np.matmul(block, columns[gi], out=out[gi, start : start + rows])
-            if sumsq:
-                total += sum_of_squares(block)
-    return out, total
+            np.matmul(wg[gi, start : start + rows], columns[gi], out=out[gi, start : start + rows])
+    return out
 
 
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None,
-           *, padded: np.ndarray | None = None, return_columns: bool = False, return_sumsq: bool = False):
+           *, padded: np.ndarray | None = None, return_columns: bool = False):
     """Grouped 2-d convolution (cross-correlation).
 
     out[n,o,i,j] = sum_{c,ki,kj} w[o,c,ki,kj] * xpad[n, g(o)+c, i*s+ki*d, j*s+kj*d] + b[o]
@@ -295,16 +281,12 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     spec.padding``, which is read in place of a new copy of ``x``.  With
     ``return_columns`` the result is ``(out, columns)``: the im2col column
     tensor, for :func:`conv2d_backward` to read, or None on the taps path.
-    With ``return_sumsq`` the weights' sum of squares is appended to the
-    result: summed run by run on a walk, after each run's GEMM, or else by
-    :func:`sum_of_squares` in one pass before the GEMM or the taps, which
-    then read the weights from cache.  The weights are not checked; a sum
-    that is not finite reports weights that are not.
+    The input is checked finite, or its ``padded`` copy was; the weights
+    and bias are not.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     g = spec.groups
     rows = 0 if spec.per_channel else _run_rows(spec.out_channels // g, weights[0].size, n * oh * ow)
-    sumsq = sum_of_squares(weights) if return_sumsq and not rows else None
     columns = None
     if padded is not None:
         margin = (padded.shape[1] - x.shape[2]) // 2
@@ -319,18 +301,13 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
         require_finite(x, "conv2d input")
         columns = _im2col(x, spec, oh, ow)
         wg = weights.reshape(g, spec.out_channels // g, -1)
-        if rows:
-            y, sumsq = _row_blocked_matmul(wg, columns, rows, return_sumsq)
-        else:
-            y = np.matmul(wg, columns)
+        y = _row_blocked_matmul(wg, columns, rows) if rows else np.matmul(wg, columns)
         y = y.reshape(spec.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)
         if bias.shape != (spec.out_channels,):
             raise ShapeError(f"bias shape {bias.shape} != ({spec.out_channels},)")
         y += bias[None, :, None, None]
-    if return_sumsq:
-        return (y, columns, sumsq) if return_columns else (y, sumsq)
     return (y, columns) if return_columns else y
 
 

@@ -72,12 +72,12 @@ def loop_conv2d_backward(grad_out, x, spec, weights):
     return gx, gw, gb
 
 
-def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=False, return_sumsq=False):
+def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=False):
     """Direct-summation convolution, one grouped einsum per kernel offset.
 
     A shared padded copy is ignored: the oracle pads ``x`` itself, and it
     builds no column tensor, so with ``return_columns`` it returns None for
-    one.  With ``return_sumsq`` the weights' sum of squares is appended.
+    one.
     """
     n = x.shape[0]
     g = spec.groups
@@ -94,8 +94,7 @@ def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=Fa
     y = out.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         y += bias[None, :, None, None]
-    extra = ((None,) if return_columns else ()) + ((nm.sum_of_squares(weights),) if return_sumsq else ())
-    return (y, *extra) if extra else y
+    return (y, None) if return_columns else y
 
 
 def row_run_matmul(wg, columns, rows):
@@ -207,7 +206,9 @@ def prove_then_convolve(block, params, *xs, padded=None):
     convolution: the fold is made and checked, or, for a block that does
     not fold, proven finite by a bound from one dot over W, and only then
     does a convolution run.  The reference for the block's errors, whose
-    forward proves W from the squares its convolution sums."""
+    forward checks its output and checks the fold only where that output
+    is not finite; the two differ only where finite parameters have a fold
+    that overflows and an output that does not."""
     n = block.name
     scale = params[f"{n}.scale"]
     fold = block.folds(nm._as_tensor4(xs[0]).shape)

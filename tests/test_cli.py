@@ -168,6 +168,45 @@ class TestCohortCommands:
         assert a.read_bytes() == b.read_bytes()
 
 
+def strict_json(text):
+    """``json.loads`` that rejects NaN, Infinity and -Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_every_command_writes_strict_json(self, tmp_path, capsys):
+        """Each subcommand's report, and a ttest whose AU features have zero
+        variance in both groups and different means: t is +-inf, reported as
+        null, with degenerate true and p 0."""
+        cohort = ["--participants", "3", "--frames", "20", "--seed", "0"]
+        degenerate = tmp_path / "degenerate"
+        runs = {
+            "analyze-graph": ["--cu", "eesp", "--input-hw", "32"],
+            "train-toy": ["--epochs", "1", "--samples", "8", "--image-size", "8"],
+            "synth": ["--out-dir", str(tmp_path / "demo"), *cohort],
+            "extract-features": ["--manifest", str(tmp_path / "demo" / "manifest.json")],
+            "loocv": ["--manifest", str(tmp_path / "demo" / "manifest.json"), "--classifier", "lda"],
+            "ablate": ["--manifest", str(tmp_path / "demo" / "manifest.json"), "--classifier", "lda"],
+            "ttest": ["--manifest", str(tmp_path / "demo" / "manifest.json")],
+        }
+        assert set(runs) == set(COMMANDS)
+        for command, args in runs.items():
+            code, out, err = run(capsys, command, *args)
+            assert (code, err) == (0, ""), command
+            strict_json(out)
+        assert run(capsys, "synth", "--out-dir", str(degenerate), *cohort, "--au-effect", "10",
+                   "--noise", "0.01")[0] == 0
+        code, out, err = run(capsys, "ttest", "--manifest", str(degenerate / "manifest.json"))
+        assert (code, err) == (0, "")
+        features = strict_json(out)["features"]
+        infinite = {name: row for name, row in features.items() if row["t"] is None}
+        assert len(infinite) == 12 and all(name.startswith("act_au_") for name in infinite)
+        assert all(row["degenerate"] and row["p"] == 0.0 for row in infinite.values())
+
+
 class TestSynthCommand:
     def test_writes_cohort(self, tmp_path, capsys):
         code, out, _ = run(capsys, "synth", "--out-dir", str(tmp_path / "c"),

@@ -8,7 +8,6 @@ import collections
 import dataclasses
 import hashlib
 import itertools
-import math
 import warnings
 import weakref
 
@@ -1008,7 +1007,6 @@ class TestAffineOnOutput:
         block = gp.ConvBlock("blk", spec)
         params = {"blk.w": np.full(spec.weight_shape, 1e10), "blk.b": np.zeros(2),
                   "blk.scale": np.array([1.0, 1e300]), "blk.shift": np.zeros(2)}
-        assert not math.isfinite(gp._fold_bound(params["blk.scale"], nm.sum_of_squares(params["blk.w"])))
         for refuse in (False, True):
             if refuse:
                 self.refuse_conv(monkeypatch)
@@ -1018,53 +1016,36 @@ class TestAffineOnOutput:
                     block.forward(params, np.ones((1, 3, 2, 2)))
 
     def test_a_large_finite_fold_passes_by_the_exact_check(self):
-        """W of 1e200 squares past the largest float, so the bound is not
-        finite; the fold itself is, and the block runs."""
+        """W of 1e200, whose squares overflow, and scales of 1e-200: the
+        output and the fold are finite, and the block runs."""
         spec = nm.ConvSpec(2, 2, kernel=1)
         block = gp.ConvBlock("blk", spec, relu=False)
         params = {"blk.w": np.full(spec.weight_shape, 1e200), "blk.b": np.zeros(2),
                   "blk.scale": np.array([1e-200, 2e-200]), "blk.shift": np.zeros(2)}
-        assert not math.isfinite(gp._fold_bound(params["blk.scale"], nm.sum_of_squares(params["blk.w"])))
         x = np.ones((1, 2, 1, 1))
         assert not block.folds(x.shape)
         assert exact(block.forward(params, x)) == exact(oracle_block(params, "blk", spec, x, relu=False))
-
-    @settings(max_examples=300, deadline=None)
-    @given(scale_exp=st.integers(-1074, 1023), w_offset=st.integers(-6, 6), shape=st.tuples(
-               st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 3])), seed=st.integers(0, 2**32 - 1),
-           special=st.sampled_from([None, np.inf, -np.inf, np.nan, 0.0, 5e-324]))
-    @example(scale_exp=512, w_offset=0, shape=(1, 1, 1), seed=0, special=None)
-    @example(scale_exp=1023, w_offset=1, shape=(2, 1, 1), seed=0, special=None)
-    @example(scale_exp=-1074, w_offset=0, shape=(1, 1, 1), seed=0, special=np.inf)
-    def test_the_bound_never_passes_a_nonfinite_fold(self, scale_exp, w_offset, shape, seed, special):
-        """Scales near 2**scale_exp and weights near 2**(1024 - scale_exp +
-        w_offset), so the fold's largest products straddle the overflow
-        threshold; an inf, NaN, zero or subnormal entry may replace one."""
-        rng = np.random.default_rng(seed)
-        cout, cin, k = shape
-        w_exp = min(1023, 1024 - max(scale_exp, -1021) + w_offset)
-        sign = lambda size: rng.choice([-1.0, 1.0], size=size)  # noqa: E731
-        scale = sign(cout) * np.ldexp(rng.uniform(1.0, 2.0, cout), scale_exp - rng.integers(0, 3, cout))
-        w = sign((cout, cin, k, k)) * np.ldexp(rng.uniform(1.0, 2.0, (cout, cin, k, k)), w_exp)
-        if special is not None:
-            (scale if rng.integers(2) else w.reshape(-1))[0] = special
-        with np.errstate(over="ignore", invalid="ignore"):
-            fold_finite = bool(np.all(np.isfinite(scale[:, None, None, None] * w)))
-        if math.isfinite(gp._fold_bound(scale, nm.sum_of_squares(w))):
-            assert fold_finite
 
 
 # Blocks over inputs whose convolution walks its weights in row runs (a
 # strided 3x3, K=1440, N=8), takes one GEMM (K=27, N=4) or sums taps (a
 # depthwise 3x3), none of which folds; a block that folds; and a block that
-# reads one input per group (K=2, N=1) and does not fold.
+# reads one input per group (K=2, N=1) and does not fold.  The "_padding"
+# blocks run on 1x1 inputs, where every tap but the centre reads only
+# padding: a walked 307 -> 307 3x3 (K=2763, N=8) like bottleneck's
+# cu8.x.spatial at 32 px batch 8, a one-GEMM 3x3, and a dilated per-channel
+# branch read through a copy shared with a wider branch (shared_copy).
 ERROR_BLOCKS = {
     "walked": (nm.ConvSpec(160, 192, kernel=3, stride=2, padding=1), [(8, 160, 2, 2)]),
     "one_gemm": (nm.ConvSpec(3, 2, kernel=3, padding=1), [(1, 3, 2, 2)]),
     "taps": (nm.ConvSpec(3, 3, kernel=3, padding=1, groups=3), [(1, 3, 2, 2)]),
     "folded": (nm.ConvSpec(3, 2, kernel=3, padding=1), [(2, 3, 5, 5)]),
     "per_group": (nm.ConvSpec(6, 9, kernel=1, groups=3), [(1, 2, 1, 1)] * 3),
+    "walked_padding": (nm.ConvSpec(307, 307, kernel=3, padding=1), [(8, 307, 1, 1)]),
+    "one_gemm_padding": (nm.ConvSpec(3, 2, kernel=3, padding=1), [(1, 3, 1, 1)]),
+    "dilated_padding": (nm.ConvSpec(4, 4, kernel=3, padding=2, dilation=2, groups=4), [(2, 4, 1, 1)]),
 }
+PADDING_BLOCKS = [name for name in ERROR_BLOCKS if name.endswith("_padding")]
 
 # (name, spoiled entries): an entry is (key, value), with key "x" the last
 # input, or "overflow" (W of 1e10 and one scale of 1e300, all finite) or
@@ -1101,6 +1082,12 @@ def spoiled_block(name, entries, seed):
     return gp.ConvBlock("blk", spec), params, xs
 
 
+def shared_copy(name, xs):
+    """The shared padded copy block ``name`` reads, or None: "dilated_padding"
+    reads one of margin 4, as EESP's branch 2 reads one padded for branch 4."""
+    return nm._pad_channels_last(xs[0], 4) if name == "dilated_padding" else None
+
+
 def outcome(run):
     """The exact bytes ``run()`` returns, or the type and message of what it
     raises, and the messages of the warnings it emits."""
@@ -1114,9 +1101,11 @@ def outcome(run):
 
 
 class TestWeightsReadOnce:
-    """A block that does not fold proves its fold finite from the squares its
-    convolution sums while it streams the weights: the errors, their order
-    and the bytes are those of proving the fold before any convolution."""
+    """A block that does not fold reads its weights once, in its
+    convolution, and checks its output for the fold's errors: the errors,
+    their order and the bytes are those of checking the fold before any
+    convolution, except where finite parameters have a fold that would
+    overflow and an output that does not."""
 
     @pytest.mark.parametrize("case", [case for case, _ in ERROR_CASES])
     @pytest.mark.parametrize("name", ERROR_BLOCKS)
@@ -1127,29 +1116,66 @@ class TestWeightsReadOnce:
         oh, ow = spec.out_hw(xs[0].shape[2:])
         assert block.folds(xs[0].shape) == (name == "folded")
         assert bool(nm._run_rows(spec.out_channels, spec.weight_shape[1] * spec.kernel ** 2,
-                                 xs[0].shape[0] * oh * ow)) == (name == "walked")
-        want = outcome(lambda: prove_then_convolve(block, params, *xs))
-        assert outcome(lambda: block.forward(params, *xs)) == want
-        assert outcome(lambda: block.forward(params, *xs, tape=[])) == want
+                                 xs[0].shape[0] * oh * ow)) == name.startswith("walked")
+        want = outcome(lambda: prove_then_convolve(block, params, *xs, padded=shared_copy(name, xs)))
+        assert outcome(lambda: block.forward(params, *xs, padded=shared_copy(name, xs))) == want
+        assert outcome(lambda: block.forward(params, *xs, padded=shared_copy(name, xs), tape=[])) == want
         result, caught = want
         assert not caught
         if case != "finite":
             assert result[0] in (nm.NumericError, nm.ShapeError)
 
+    @staticmethod
+    def corner_forward(name, value, tape=None):
+        """Block ``name``'s forward with ``value`` on the corner tap of its
+        last weight row, a tap that reads only padding."""
+        block, params, xs = spoiled_block(name, [], 84)
+        params["blk.w"][-1, -1, 0, 0] = value
+        return block.forward(params, *xs, padded=shared_copy(name, xs), tape=tape)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", PADDING_BLOCKS)
+    def test_nonfinite_weights_on_padding_only_taps_raise(self, name, value):
+        """The corner weight multiplies only zeros, yet inf*0 and NaN*0 are
+        NaN, so the output shows it; nothing is taped and nothing warns."""
+        assert np.array_equal(self.corner_forward(name, 0.0), self.corner_forward(name, 1.0))
+        tape = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for run_tape in (None, tape):
+                with pytest.raises(nm.NumericError, match="^non-finite values in folded weights$"):
+                    self.corner_forward(name, value, run_tape)
+        assert tape == []
+
+    @pytest.mark.parametrize("name", PADDING_BLOCKS)
+    def test_an_overflowing_fold_on_padding_only_taps_runs(self, name):
+        """W of 1e300 on padding-only taps and scales of 1e10: the fold,
+        never made, would overflow, but the output is finite.  The block
+        runs and equals the oracle block; checking the fold first raises."""
+        block, params, xs = spoiled_block(name, [], 84)
+        params["blk.w"][:, :, 0, 0] = 1e300
+        params["blk.scale"] = np.full(block.spec.out_channels, 1e10)
+        with pytest.raises(nm.NumericError, match="^non-finite values in folded weights$"):
+            prove_then_convolve(block, params, *xs, padded=shared_copy(name, xs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = block.forward(params, *xs, padded=shared_copy(name, xs))
+        assert np.isfinite(y).all()
+        assert exact(y) == exact(oracle_block(params, "blk", block.spec, xs[0]))
+
     @pytest.mark.parametrize("cu, walked, runs", [
         ("bottleneck", "cu8.1.spatial", 14), ("mobilenet", "cu8.1.pw", 15), ("eesp", None, 0)])
     def test_the_walk_runs_at_32px_batch_8(self, cu, walked, runs, monkeypatch):
         """Bottleneck's cu8.1.spatial (307 x 2763 weights, 8 columns) walks
-        14 runs of 23 rows, MobileNet's cu8.1.pw (256 x 3584) 15 runs of 18,
-        each summing its squares; EESP walks nothing.  Taped and untaped
-        heads are the same bytes, and so are the taped gradients and the
-        recompute oracle's."""
+        14 runs of 23 rows, MobileNet's cu8.1.pw (256 x 3584) 15 runs of 18;
+        EESP walks nothing.  Taped and untaped heads are the same bytes, and
+        so are the taped gradients and the recompute oracle's."""
         graph = gp.build_graph(cu, input_hw=(32, 32))
         params = affine_params(graph, 82)
         rng = np.random.default_rng(83)
         batch = rng.uniform(0.0, 1.0, size=(8, 3, 32, 32))
-        names, sums, walks = [], collections.Counter(), collections.Counter()
-        real_forward, real_sumsq, real_walk = gp.ConvBlock.forward, nm.sum_of_squares, nm._row_blocked_matmul
+        names, walks = [], []
+        real_forward, real_walk = gp.ConvBlock.forward, nm._row_blocked_matmul
 
         def forward(block, *args, **kwargs):
             names.append(block.name)
@@ -1158,15 +1184,18 @@ class TestWeightsReadOnce:
             finally:
                 names.pop()
 
+        def walk(wg, columns, rows):
+            walks.append((names[-1], -(-wg.shape[1] // rows)))
+            return real_walk(wg, columns, rows)
+
         monkeypatch.setattr(gp.ConvBlock, "forward", forward)
-        monkeypatch.setattr(nm, "sum_of_squares", lambda w: sums.update([names[-1]]) or real_sumsq(w))
-        monkeypatch.setattr(nm, "_row_blocked_matmul", lambda *a: walks.update([names[-1]]) or real_walk(*a))
+        monkeypatch.setattr(nm, "_row_blocked_matmul", walk)
         untaped = gp.forward(graph, params, batch)
         monkeypatch.undo()
         if walked is None:
             assert not walks
         else:
-            assert walks[walked] == 1 and sums[walked] == runs
+            assert [walk for walk in walks if walk[0] == walked] == [(walked, runs)]
         cache = []
         taped = gp.forward(graph, params, batch, cache)
         assert exact(taped) == exact(untaped)
