@@ -109,11 +109,15 @@ class ConvBlock:
     values in the folded weights, then in the folded bias.  A folding block
     checks the fold before its convolution.  A block that does not fold
     checks its output before the ReLU and, only where that is not finite,
-    makes and checks the fold.  A non-finite W, b, scale or shift reaches
-    every output of its channel (inf*0 and NaN*x are NaN), even through taps
-    that read only padding, so none gets past the output check.  Only finite
-    parameters whose fold would overflow while the output stays finite pass
-    where a folding block would raise.  A block that does not fold runs its
+    makes and checks the fold.  A non-finite b, scale or shift reaches every
+    output of its channel (inf*0 and NaN*x are NaN), and so does a
+    non-finite W on the im2col path, even through taps that read only
+    padding.  The taps path of a per-channel convolution skips such taps
+    (:func:`numerics.live_taps`), so a per-channel block that does not fold
+    also checks its own W, c*k*k values, and makes the fold where that is
+    not finite.  None gets past these checks.  Only finite parameters whose
+    fold would overflow while the output stays finite pass where a folding
+    block would raise.  A block that does not fold runs its
     convolution and affine under ``np.errstate``, and nothing is taped where
     a check fails.  Where the
     convolution itself raises, on its input or a shape, the fold is checked
@@ -213,7 +217,9 @@ class ConvBlock:
                 else:
                     y *= scale
                 y += params[f"{n}.shift"][:, None, None]
-            if not np.isfinite(y).all():
+            # The taps path skips taps that read only padding, and with them
+            # their weights: a per-channel W is checked here as well.
+            if not np.isfinite(y).all() or (self.spec.per_channel and not np.isfinite(w).all()):
                 self._folded(params)
         if self.relu:
             np.maximum(y, 0.0, out=y)
@@ -288,10 +294,12 @@ class Unit:
     ``vars(cls)["forward"]``.
 
     A slot read by two or more per-channel depthwise blocks (EESP's branches)
-    is copied once into a zero-padded channels-last buffer, padded for the
-    widest of them; each reads it at its own offset, and the copy is dropped
-    after its last reader.  ``shared`` maps each such block to
-    ``(slot, margin, is_last_reader)``.
+    is copied once into a zero-padded channels-last buffer, padded to the
+    widest live margin of them (:func:`numerics.live_margin`), which the
+    input's size sets: a branch whose dilated taps reach past a small input
+    reads none of that padding.  Each reads the copy at its own offset, and
+    the copy is dropped after its last reader.  ``shared`` maps each such
+    block to ``(slot, reader_specs, is_last_reader)``.
     """
 
     def __init__(self, name: str, cout: int, steps):
@@ -305,8 +313,8 @@ class Unit:
         self.shared = {}
         for src, blocks in readers.items():
             if len(blocks) > 1:
-                margin = max(block.spec.padding for block in blocks)
-                self.shared.update((block, (src, margin, block is blocks[-1])) for block in blocks)
+                specs = tuple(block.spec for block in blocks)
+                self.shared.update((block, (src, specs, block is blocks[-1])) for block in blocks)
 
     def _walk(self, x, step) -> dict:
         """Every slot's value, with step(op, inputs) giving one step's output."""
@@ -323,9 +331,10 @@ class Unit:
                 return _OPS[op](*args)
             if op not in self.shared:
                 return op.forward(params, *args, tape=tape)
-            src, margin, last = self.shared[op]
+            src, specs, last = self.shared[op]
             if src not in copies:
-                copies[src] = nm._pad_channels_last(args[0], margin)
+                hw = args[0].shape[2:]
+                copies[src] = nm._pad_channels_last(args[0], max(nm.live_margin(spec, hw) for spec in specs))
             return op.forward(params, *args, padded=copies.pop(src) if last else copies[src], tape=tape)
 
         return self._walk(x, step)

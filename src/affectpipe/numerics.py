@@ -11,31 +11,36 @@ outputs; the training losses derive their adjoints inline.
 
 Convolution takes one of two paths, chosen only by the ``ConvSpec``.  A
 depthwise spec whose every group has one input and one output channel
-(``in_channels == out_channels == groups``) sums its k*k kernel taps over
-a strided window view of a zero-padded channels-last copy of the input.
+(``in_channels == out_channels == groups``) sums its kernel taps over a
+strided window view of a zero-padded channels-last copy of the input.  It
+sums only the live taps, those whose reads reach the input at some output
+position (``live_taps``, from the spec and the input's height and width
+alone): on a small input most of a dilated kernel reads only padding.  The
+copy is padded only as far as the live taps read (``live_margin``).
 ``conv2d`` makes that copy itself unless the caller passes one in as
 ``padded``: a unit whose several dilated branches read the same input
-makes one copy, padded for the widest branch, and every branch reads it
-at its own offset.  Every other spec gathers the padded, strided and
-dilated input once into a channel-major column tensor (im2col) whose
-columns run over the whole batch, (groups, cin/g*k*k, n*oh*ow), and
-multiplies it by the grouped weights in one GEMM per group.  A skinny
-GEMM, as a small frame's deep layers run (few columns, a column tensor
-that fits in L2, many weights), is walked instead in runs of weight rows,
-each its own GEMM into its slice of one output array: the column tensor
-stays in cache while the weights stream past it once.  The output is
+makes one copy, padded to the widest live margin of the branches, and
+every branch reads it at its own offset.  Every other spec gathers the
+padded, strided and dilated input once into a channel-major column tensor
+(im2col) whose columns run over the whole batch, (groups, cin/g*k*k,
+n*oh*ow), and multiplies it by the grouped weights in one GEMM per group.
+A skinny GEMM, as a small frame's deep layers run (few columns, a column
+tensor that fits in L2, many weights), is walked instead in runs of weight
+rows, each its own GEMM into its slice of one output array: the column
+tensor stays in cache while the weights stream past it once.  The output is
 laid out channel-major, so a stride-1 1x1 convolution that reads it takes
 its columns by a reshape, as a view, without a copy.  The adjoint of both
 paths is the im2col one: the weight gradient is one GEMM per group over
 the batch's n*oh*ow columns, and the input gradient scatter-adds the
-weight-transposed columns back over the kernel offsets into a
-channel-major buffer.  An im2col ``conv2d`` can hand its column
+weight-transposed columns back over all k*k kernel offsets, live or not,
+into a channel-major buffer.  An im2col ``conv2d`` can hand its column
 tensor to the caller, and ``conv2d_backward`` reads that instead of
 building it again from the input.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +190,40 @@ def _im2col(x: np.ndarray, spec: ConvSpec, oh: int, ow: int) -> np.ndarray:
     return windows.reshape(g, cin_g * k * k, n * oh * ow)
 
 
+@functools.lru_cache(maxsize=1024)
+def live_taps(spec: ConvSpec, hw: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Kernel rows and columns ``((lo, hi), (lo, hi))`` that the taps path sums.
+
+    Along each axis these are the offsets from the first to the last one
+    whose reads reach the input at some output position; every offset
+    outside [lo, hi) reads only zero padding, at every output position, so
+    its products are exactly zero.  An axis with no such offset gives an
+    empty range.
+    """
+    k, s, d, p = spec.kernel, spec.stride, spec.dilation, spec.padding
+    ranges = []
+    for size, out in zip(hw, spec.out_hw(hw)):
+        # Offset t reads t*d - p + i*s at output i; i is the first read at or
+        # past the input's start.
+        live = [t for t in range(k)
+                if (i := max(0, -((t * d - p) // s))) < out and t * d - p + i * s < size]
+        ranges.append((live[0], live[-1] + 1) if live else (0, 0))
+    return ranges[0], ranges[1]
+
+
+@functools.lru_cache(maxsize=1024)
+def live_margin(spec: ConvSpec, hw: tuple[int, int]) -> int:
+    """Zero padding around an input of ``hw`` that the live taps of a
+    per-channel spec read (see :func:`live_taps`): the margin its padded
+    copy needs, at most ``spec.padding``."""
+    d, s, p = spec.dilation, spec.stride, spec.padding
+    spans = list(zip(live_taps(spec, hw), hw, spec.out_hw(hw)))
+    if any(lo == hi for (lo, hi), _, _ in spans):
+        return 0
+    return max(max(p - lo * d, (hi - 1) * d + (out - 1) * s - p - (size - 1), 0)
+               for (lo, hi), size, out in spans)
+
+
 def _pad_channels_last(x: np.ndarray, margin: int) -> np.ndarray:
     """Zero-padded channels-last copy (n, h + 2*margin, w + 2*margin, c) of x.
 
@@ -198,36 +237,68 @@ def _pad_channels_last(x: np.ndarray, margin: int) -> np.ndarray:
     return xp
 
 
+@functools.lru_cache(maxsize=1024)
+def _all_taps_layout(spec: ConvSpec, xp_strides: tuple, n: int, oh: int, ow: int, c: int) -> tuple:
+    """Strides that numpy's iterator gives the (n, oh, ow, c) output of
+    :func:`_depthwise_taps`' einsum over all k*k taps of a copy with strides
+    ``xp_strides``.  The iterator reads only the stand-ins' shapes and
+    strides, not their memory."""
+    k, s, d = spec.kernel, spec.stride, spec.dilation
+    sn, sh, sw, sc = xp_strides
+    stand_in = np.empty(1)
+    windows = np.lib.stride_tricks.as_strided(stand_in, (n, oh, ow, k, k, c),
+                                              (sn, sh * s, sw * s, sh * d, sw * d, sc))
+    taps = np.lib.stride_tricks.as_strided(stand_in, (k, k, ow, c), (8 * k * ow * c, 8 * ow * c, 8 * c, 8))
+    return np.nditer([windows, taps, None], ["reduce_ok", "zerosize_ok"],
+                     [["readonly"], ["readonly"], ["readwrite", "allocate"]],
+                     op_axes=[[0, 1, 2, 5, 3, 4], [-1, -1, 2, 3, 0, 1], [0, 1, 2, 3, -1, -1]]).operands[2].strides
+
+
 def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.ndarray,
                     oh: int, ow: int) -> np.ndarray:
-    """Channel-multiplier-1 depthwise convolution as one sum over the k*k taps.
+    """Channel-multiplier-1 depthwise convolution as one sum over its live taps.
 
     ``xp`` is a zero-padded channels-last copy of the input (see
     :func:`_pad_channels_last`), made by :func:`conv2d` or passed in by a
-    caller that shares it between several convolutions; its ``margin`` may
-    exceed ``spec.padding``.  A window view (n, oh, ow, k, k, c) of it that
-    starts at ``margin - spec.padding`` covers stride and dilation, and one
-    einsum against the weights sums the taps.  The (k, k, c) taps are tiled
-    across the output width to a contiguous (k, k, ow, c) array, so at
-    stride 1 each tap is summed over a whole output row of ow*c contiguous
-    elements.  From two channels on, the taps are added in the same order,
-    to the same bits, as by an einsum against the (k, k, c) taps.  The tiled
-    taps are a contiguous copy: as a transposed view this path ran slower
-    than im2col, and a broadcast view rounds differently.  The result is an
-    NCHW view of an NHWC array.
+    caller that shares it between several convolutions; its ``margin`` is at
+    least the spec's :func:`live_margin` and may exceed ``spec.padding``.
+    Only the taps whose reads reach the input (:func:`live_taps`) are
+    summed: the others multiply zero padding alone, and a sum that drops
+    exactly-zero products keeps its bits.  A window view (n, oh, ow, kh, kw,
+    c) of the live taps covers stride and dilation, and one einsum against
+    the weights sums them.  The (kh, kw, c) taps are tiled across the output
+    width to a contiguous (kh, kw, ow, c) array, so at stride 1 each tap is
+    summed over a whole output row of ow*c contiguous elements.  From two
+    channels on, the taps are added in the same order, to the same bits, as
+    by an einsum against all (k, k, c) taps.  The tiled taps are a
+    contiguous copy: as a transposed view this path ran slower than im2col,
+    and a broadcast view rounds differently.  The result is an NCHW view of
+    an NHWC array.  Where taps are dropped, that array is laid out as the
+    einsum over all k*k taps lays it out (:func:`_all_taps_layout`), so its
+    strides, those of its length-1 axes included, do not depend on how many
+    taps are live.
     """
-    c = xp.shape[3]
-    k, s, d = spec.kernel, spec.stride, spec.dilation
+    n, c = xp.shape[0], xp.shape[3]
+    k = spec.kernel
+    hw = (xp.shape[1] - 2 * margin, xp.shape[2] - 2 * margin)
+    (r0, r1), (c0, c1) = live_taps(spec, hw)
+    out = None
+    if (r0, r1, c0, c1) != (0, k, 0, k):
+        out = np.ndarray((n, oh, ow, c), buffer=np.zeros(n * oh * ow * c),
+                         strides=_all_taps_layout(spec, xp.strides, n, oh, ow, c))
+        if r0 == r1 or c0 == c1:
+            return out.transpose(0, 3, 1, 2)
+    s, d = spec.stride, spec.dilation
     start = margin - spec.padding
     sn, sh, sw, sc = xp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp[:, start:, start:],
-        shape=(xp.shape[0], oh, ow, k, k, c),
+        xp[:, start + r0 * d :, start + c0 * d :],
+        shape=(n, oh, ow, r1 - r0, c1 - c0, c),
         strides=(sn, sh * s, sw * s, sh * d, sw * d, sc),
         writeable=False,
     )
-    taps = weights.reshape(c, k, k).transpose(1, 2, 0)[:, :, None].repeat(ow, axis=2)
-    return np.einsum("nhwijc,ijwc->nhwc", windows, taps).transpose(0, 3, 1, 2)
+    taps = weights.reshape(c, k, k)[:, r0:r1, c0:c1].transpose(1, 2, 0)[:, :, None].repeat(ow, axis=2)
+    return np.einsum("nhwijc,ijwc->nhwc", windows, taps, out=out).transpose(0, 3, 1, 2)
 
 
 def _run_rows(out_rows: int, cin_k: int, cols: int) -> int:
@@ -277,8 +348,9 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     channel-major memory.  A skinny GEMM is walked in runs of weight rows
     (:func:`_run_rows`, :func:`_row_blocked_matmul`); the spec and the
     input's shape alone choose.  ``padded`` is only for the taps path: an
-    already checked ``_pad_channels_last(x, margin)`` copy with ``margin >=
-    spec.padding``, which is read in place of a new copy of ``x``.  With
+    already checked ``_pad_channels_last(x, margin)`` copy with ``margin`` at
+    least :func:`live_margin`, which is read in place of a new copy of
+    ``x``; a copy made here has exactly that margin.  With
     ``return_columns`` the result is ``(out, columns)``: the im2col column
     tensor, for :func:`conv2d_backward` to read, or None on the taps path.
     The input is checked finite, or its ``padded`` copy was; the weights
@@ -290,13 +362,14 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     columns = None
     if padded is not None:
         margin = (padded.shape[1] - x.shape[2]) // 2
-        if not spec.per_channel or margin < spec.padding or padded.shape != (
+        if not spec.per_channel or margin < live_margin(spec, x.shape[2:]) or padded.shape != (
                 n, x.shape[2] + 2 * margin, x.shape[3] + 2 * margin, spec.in_channels):
             raise ShapeError(f"padded copy of shape {padded.shape} does not fit input "
                              f"{x.shape} under {spec}")
         y = _depthwise_taps(padded, margin, spec, weights, oh, ow)
     elif spec.per_channel:
-        y = _depthwise_taps(_pad_channels_last(x, spec.padding), spec.padding, spec, weights, oh, ow)
+        margin = live_margin(spec, x.shape[2:])
+        y = _depthwise_taps(_pad_channels_last(x, margin), margin, spec, weights, oh, ow)
     else:
         require_finite(x, "conv2d input")
         columns = _im2col(x, spec, oh, ow)

@@ -607,7 +607,14 @@ class TestSharedBranchCopy:
         gp.forward(graph, params, np.random.default_rng(42).normal(size=(2, 3, 32, 32)))
         units = [layer for layer in graph.layers if isinstance(layer, gp.EespUnit)]
         assert len(units) == 18
-        assert margins == [gp.CuWidths().eesp_branches] * len(units)
+        # Padded to the widest live margin of the four branches (dilations
+        # 1-4).  cu1-cu3 read 16, 8 and 8 px, where the dilation-4 branch
+        # reads 4 px of padding; cu4's three units read 4 px, where that
+        # branch reads only padding off its centre row and column (3).
+        # cu5 strides over 4 px (2) and cu6's seven units read 2 px (1);
+        # cu7 strides over 2 px and cu8's three units read 1 px, where the
+        # branches read nothing past the input (0).
+        assert margins == [4, 4, 4, 3, 3, 3, 2] + [1] * 7 + [0] * 4
 
     def test_copy_is_freed_after_the_last_branch(self, monkeypatch):
         graph = tiny_graph("eesp")
@@ -630,9 +637,11 @@ class TestSharedBranchCopy:
         # Three running sums in each of the 18 units, and 14 residual adds.
         assert alive_at_add == [False] * (18 * 3 + 14)
 
-    @pytest.mark.parametrize("mult, copies", [(1, 18), (gp.CuWidths().mobilenet_depth_mult, 0)])
+    @pytest.mark.parametrize("mult, copies", [(1, [1] * 14 + [0] * 4), (gp.CuWidths().mobilenet_depth_mult, [])])
     def test_one_copy_per_block_without_sharing(self, monkeypatch, mult, copies):
-        """Per-channel blocks that share no input copy it once per block.
+        """Per-channel blocks that share no input copy it once per block,
+        padded to its live margin: 1, and 0 from cu7 on, whose 2x2 input
+        (strided) and 1x1 inputs leave no tap reading padding alone.
 
         MobileNet's depthwise blocks take the taps path only at channel
         multiplier 1; the default multiplier and the tail's 2 go through
@@ -642,7 +651,7 @@ class TestSharedBranchCopy:
         params = gp.init_params(graph, seed=0)
         margins = count_copies(monkeypatch)
         gp.forward(graph, params, np.random.default_rng(43).normal(size=(2, 3, 32, 32)))
-        assert margins == [1] * copies
+        assert margins == copies
         margins.clear()
         spec = nm.ConvSpec(4, 4, kernel=3, padding=1, groups=4)
         tail = gp.ConvBlock("blk", spec)
@@ -654,7 +663,9 @@ class TestSharedBranchCopy:
         assert one.shared == {}
         unit = gp.EespUnit("u", 6, 6, 2, gp.CuWidths(eesp_branches=3, eesp_width_mult=3))
         branches = [block for block, _ in unit.blocks if block.name.startswith("u.branch")]
-        assert unit.shared == {block: ("r", 3, block is branches[-1]) for block in branches}
+        specs = tuple(block.spec for block in branches)
+        assert [spec.padding for spec in specs] == [1, 2, 3]
+        assert unit.shared == {block: ("r", specs, block is branches[-1]) for block in branches}
         mobile = gp.MobileNetUnit("m", 4, 4, 1, gp.CuWidths(mobilenet_depth_mult=1))
         assert mobile.shared == {}
 
@@ -1146,6 +1157,38 @@ class TestWeightsReadOnce:
                 with pytest.raises(nm.NumericError, match="^non-finite values in folded weights$"):
                     self.corner_forward(name, value, run_tape)
         assert tape == []
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_weight_on_a_skipped_tap_raises(self, value):
+        """The dilated branch on 1x1 inputs sums only its centre tap, from
+        its own copy or one padded to its live margin of 0: a non-finite
+        corner weight, never multiplied, still raises the fold's error,
+        without a warning, and nothing is taped."""
+        block, params, xs = spoiled_block("dilated_padding", [], 85)
+        assert nm.live_taps(block.spec, (1, 1)) == ((1, 2), (1, 2))
+        assert nm.live_margin(block.spec, (1, 1)) == 0
+        params["blk.w"][-1, -1, 0, 0] = value
+        for padded in (None, nm._pad_channels_last(xs[0], 0)):
+            tape = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(nm.NumericError, match="^non-finite values in folded weights$"):
+                    block.forward(params, *xs, padded=padded, tape=tape)
+            assert tape == []
+
+    def test_nonfinite_weight_on_a_skipped_tap_names_the_eesp_unit(self):
+        """In a 32 px EESP trunk cu8.1's branches read 1x1 inputs; a NaN
+        on a corner tap of its dilation-4 branch, which the taps path
+        skips, is reported as the unit's folded weights, taped or not."""
+        graph = tiny_graph("eesp")
+        params = gp.init_params(graph, 0)
+        params["cu8.1.branch4.w"][3, 0, 0, 2] = np.nan
+        batch = np.random.default_rng(86).uniform(size=(2, 3, 32, 32))
+        index = [layer.name for layer in graph.layers].index("cu8.1")
+        for cache in (None, []):
+            with pytest.raises(nm.NumericError,
+                               match=rf"^layer {index} \(cu8\.1\): non-finite values in folded weights$"):
+                gp.forward(graph, params, batch, cache)
 
     @pytest.mark.parametrize("name", PADDING_BLOCKS)
     def test_an_overflowing_fold_on_padding_only_taps_runs(self, name):

@@ -411,6 +411,117 @@ class TestConv2d:
             nm._pad_channels_last(x, 1)
 
 
+def reads(spec, out, tap):
+    """Input rows (or columns) that kernel offset ``tap`` reads over ``out``
+    output positions, padding included: negative or past the input's end."""
+    return [tap * spec.dilation - spec.padding + i * spec.stride for i in range(out)]
+
+
+class TestLiveTaps:
+    """The taps path sums only the kernel offsets whose reads reach the
+    input, and pads its copy only as far as those offsets read."""
+
+    @given(
+        channels=st.integers(1, 4), kernel=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3),
+        dilation=st.integers(1, 4), padding=st.integers(0, 5), extra_h=st.integers(0, 6),
+        extra_w=st.integers(0, 6), batch=st.integers(1, 2), seed=st.integers(0, 2**16),
+    )
+    # A 1x1 input whose only tap, at stride 2 and padding 1, reads nothing
+    # but padding, before and after the input.
+    @example(channels=2, kernel=1, stride=2, dilation=1, padding=1, extra_h=0, extra_w=0, batch=1, seed=0)
+    # EESP's dilation-4 branch on a 2x2 input: one live tap of nine.
+    @example(channels=3, kernel=3, stride=1, dilation=4, padding=4, extra_h=1, extra_w=1, batch=2, seed=1)
+    # A 2x5 input: one live row of taps, three live columns.
+    @example(channels=2, kernel=3, stride=1, dilation=4, padding=4, extra_h=1, extra_w=4, batch=1, seed=2)
+    @settings(max_examples=100, deadline=None)
+    def test_skipped_taps_read_only_padding(self, channels, kernel, stride, dilation, padding, extra_h,
+                                            extra_w, batch, seed):
+        spec = nm.ConvSpec(channels, channels, kernel=kernel, stride=stride, padding=padding,
+                           groups=channels, dilation=dilation)
+        smallest = max(1, dilation * (kernel - 1) + 1 - 2 * padding)
+        hw = (smallest + extra_h, smallest + extra_w)
+        oh, ow = spec.out_hw(hw)
+        live = nm.live_taps(spec, hw)
+        margin = nm.live_margin(spec, hw)
+        for (lo, hi), size, out in zip(live, hw, (oh, ow)):
+            assert 0 <= lo <= hi <= kernel
+            for tap in range(kernel):
+                if any(0 <= r < size for r in reads(spec, out, tap)):
+                    assert lo <= tap < hi
+            if lo < hi:
+                assert any(0 <= r < size for r in reads(spec, out, lo))
+                assert any(0 <= r < size for r in reads(spec, out, hi - 1))
+        assert 0 <= margin <= padding
+        if all(lo < hi for lo, hi in live):
+            # The live taps read within the margin, and some read reaches it.
+            spans = [[r for tap in range(lo, hi) for r in reads(spec, out, tap)]
+                     for (lo, hi), size, out in zip(live, hw, (oh, ow))]
+            assert all(-margin <= min(span) and max(span) <= size - 1 + margin for span, size in zip(spans, hw))
+            assert not margin or any(min(span) == -margin or max(span) == size - 1 + margin
+                                     for span, size in zip(spans, hw))
+        else:
+            assert margin == 0
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(batch, channels) + hw)
+        wt = rng.normal(size=spec.weight_shape)
+        y = nm._depthwise_taps(nm._pad_channels_last(x, margin), margin, spec, wt, oh, ow)
+        # channel_taps sums every tap, so it reads a copy padded by spec.padding.
+        want = channel_taps(nm._pad_channels_last(x, padding), padding, spec, wt, oh, ow)
+        if channels > 1:
+            assert y.tobytes() == want.tobytes()
+        np.testing.assert_allclose(y, loop_conv2d(x, spec, wt), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(nm.conv2d(x, spec, wt), y)
+
+    @pytest.mark.parametrize("hw, live, margin", [
+        ((1, 1), ((1, 2), (1, 2)), 0),
+        ((2, 2), ((1, 2), (1, 2)), 0),
+        ((2, 4), ((1, 2), (1, 2)), 0),
+        ((4, 7), ((1, 2), (0, 3)), 4),
+        ((9, 9), ((0, 3), (0, 3)), 4),
+    ])
+    def test_eesp_dilation_4_branch(self, hw, live, margin):
+        """Branch 4 of an EESP unit (3x3, dilation 4, padding 4): on an
+        input of 4 or fewer rows only the centre row of taps is live."""
+        spec = nm.ConvSpec(8, 8, kernel=3, padding=4, dilation=4, groups=8)
+        assert nm.live_taps(spec, hw) == live
+        assert nm.live_margin(spec, hw) == margin
+
+    def test_no_live_tap_gives_zeros(self):
+        spec = nm.ConvSpec(2, 2, kernel=1, stride=2, padding=1, groups=2)
+        x = np.ones((1, 2, 1, 1))
+        assert nm.live_taps(spec, (1, 1)) == ((0, 0), (0, 0))
+        assert nm.live_margin(spec, (1, 1)) == 0
+        y = nm.conv2d(x, spec, np.ones(spec.weight_shape), np.array([0.5, -1.0]))
+        np.testing.assert_array_equal(y, np.array([0.5, -1.0])[None, :, None, None] * np.ones((1, 2, 2, 2)))
+
+    @pytest.mark.parametrize("spec, hw, margin", [
+        (nm.ConvSpec(5, 5, kernel=3, padding=3, dilation=3, groups=5), (1, 1), 0),
+        (nm.ConvSpec(5, 5, kernel=3, padding=3, dilation=3, groups=5), (2, 3), 0),
+        (nm.ConvSpec(5, 5, kernel=3, padding=3, dilation=3, groups=5), (7, 6), 3),
+        (nm.ConvSpec(5, 5, kernel=5, padding=2, groups=5), (2, 2), 1),
+        (nm.ConvSpec(5, 5, kernel=3, stride=2, padding=3, dilation=3, groups=5), (4, 3), 2),
+    ])
+    def test_padded_copy_narrower_than_the_live_margin_is_rejected(self, rng, spec, hw, margin):
+        assert nm.live_margin(spec, hw) == margin
+        x = rng.normal(size=(2, 5) + hw)
+        w = rng.normal(size=spec.weight_shape)
+        want = loop_conv2d(x, spec, w)
+        for wider in (margin, margin + 1, spec.padding + 1):
+            np.testing.assert_allclose(nm.conv2d(x, spec, w, padded=nm._pad_channels_last(x, wider)), want,
+                                       rtol=1e-12, atol=1e-12)
+        if margin:
+            with pytest.raises(nm.ShapeError, match="padded copy"):
+                nm.conv2d(x, spec, w, padded=nm._pad_channels_last(x, margin - 1))
+
+    def test_lone_convolution_pads_to_the_live_margin(self, rng, monkeypatch):
+        margins, real = [], nm._pad_channels_last
+        monkeypatch.setattr(nm, "_pad_channels_last", lambda x, margin: margins.append(margin) or real(x, margin))
+        spec = nm.ConvSpec(3, 3, kernel=3, padding=2, dilation=2, groups=3)
+        for hw in ((1, 1), (2, 2), (3, 5), (6, 6)):
+            nm.conv2d(rng.normal(size=(1, 3) + hw), spec, rng.normal(size=spec.weight_shape))
+        assert margins == [0, 0, 2, 2]
+
+
 # Convolutions whose GEMM is walked in row runs: skinny (N <= 32 columns),
 # a column tensor of at most one block and more than two runs' MACs.  A
 # strided dense 3x3 (K=1440, N=8: runs of 45 rows), a 1x1 on channel-major
