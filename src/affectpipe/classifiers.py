@@ -106,6 +106,7 @@ def _check_training_set(X, y):
     y = np.asarray(y)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise ValueError(f"feature matrix {X.shape} and labels {y.shape} do not align")
+    nm.require_finite(X, "feature matrix")
     # checked before the cast, so 0.7 or 1.9 is refused rather than truncated
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be binary 0/1")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classifiers as cl
+from . import numerics as nm
 from .temporal import (AROUSAL_COL, ATTRIBUTE_DIMS, AU_COLS, EXPR_COLS, FEATURE_DIM, N_EXPR,
                        VALENCE_COL, feature_names)
 
@@ -56,6 +57,7 @@ class Cohort:
         if len(diagnoses) != len(ids) or features.shape != (len(ids), FEATURE_DIM):
             raise ValueError(f"{len(ids)} ids and {len(diagnoses)} diagnoses need a "
                              f"{len(ids)} x {FEATURE_DIM} feature matrix, got {features.shape}")
+        nm.require_finite(features, "cohort features")
 
     @property
     def labels(self) -> np.ndarray:
@@ -104,6 +106,8 @@ def loocv(cohort: Cohort, spec: cl.ClassifierSpec, mask=None,
     mask = tuple(mask)
     if not mask:
         raise ValueError("feature mask must be non-empty")
+    if not all(nm._is_count(i) and 0 <= i < FEATURE_DIM for i in mask) or len(set(mask)) != len(mask):
+        raise ValueError(f"feature mask must hold unique integers in [0, {FEATURE_DIM}), got {mask!r}")
     order = sorted(range(len(cohort.ids)), key=cohort.ids.__getitem__)
     ids = tuple(cohort.ids[i] for i in order)
     X = cohort.features[order][:, mask]
@@ -210,6 +214,8 @@ def t_test(xs, ys) -> TTestResult:
     n, m = xs.size, ys.size
     if n < 2 or m < 2:
         raise ValueError("both samples need at least 2 observations")
+    nm.require_finite(xs, "t-test sample")
+    nm.require_finite(ys, "t-test sample")
     dof = n + m - 2
     pooled = ((n - 1) * xs.var(ddof=1) + (m - 1) * ys.var(ddof=1)) / dof
     delta = float(xs.mean() - ys.mean())

@@ -517,12 +517,15 @@ def build_graph(cu: str, mode: str = "multi", input_hw=DEFAULT_INPUT_HW,
     """Assemble the full layer sequence for one CU variant.
 
     mode is "multi" (four parallel heads) or one of the task names for a
-    single-task graph.
+    single-task graph; input_hw is the frames' (height, width).
     """
     if cu not in CU_KINDS:
         raise ValueError(f"unknown convolutional unit {cu!r}")
     if mode != "multi" and mode not in TASKS:
         raise ValueError(f"mode must be 'multi' or one of {TASKS}, got {mode!r}")
+    hw = tuple(input_hw) if isinstance(input_hw, (tuple, list)) else ()
+    if len(hw) != 2 or not all(nm._is_count(v) and v > 0 for v in hw):
+        raise ValueError(f"input_hw must be two positive integers, got {input_hw!r}")
     unit_type = _UNIT_TYPES[cu]
     layers = [ConvBlock("stem", nm.ConvSpec(3, STEM_CHANNELS, kernel=3, stride=2, padding=1))]
     cin = STEM_CHANNELS
@@ -534,7 +537,7 @@ def build_graph(cu: str, mode: str = "multi", input_hw=DEFAULT_INPUT_HW,
     layers.append(ConvBlock("tail", nm.ConvSpec(cin, TAIL_CHANNELS, kernel=3, padding=1, groups=cin)))
     layers.append(GlobalPool(TAIL_CHANNELS))
     heads = tuple(Head(t, TAIL_CHANNELS) for t in (TASKS if mode == "multi" else (mode,)))
-    return ModelGraph(cu=cu, input_hw=tuple(input_hw), layers=tuple(layers), heads=heads)
+    return ModelGraph(cu=cu, input_hw=hw, layers=tuple(layers), heads=heads)
 
 
 def param_shapes(graph: ModelGraph) -> dict:
@@ -583,6 +586,8 @@ def init_params(graph: ModelGraph, seed: int) -> dict:
 
     Keys are visited in sorted order so the draw sequence is reproducible.
     """
+    if not nm._is_count(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     params = {}
     for key, shape in sorted(param_shapes(graph).items()):

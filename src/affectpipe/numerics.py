@@ -237,23 +237,6 @@ def _pad_channels_last(x: np.ndarray, margin: int) -> np.ndarray:
     return xp
 
 
-@functools.lru_cache(maxsize=1024)
-def _all_taps_layout(spec: ConvSpec, xp_strides: tuple, n: int, oh: int, ow: int, c: int) -> tuple:
-    """Strides that numpy's iterator gives the (n, oh, ow, c) output of
-    :func:`_depthwise_taps`' einsum over all k*k taps of a copy with strides
-    ``xp_strides``.  The iterator reads only the stand-ins' shapes and
-    strides, not their memory."""
-    k, s, d = spec.kernel, spec.stride, spec.dilation
-    sn, sh, sw, sc = xp_strides
-    stand_in = np.empty(1)
-    windows = np.lib.stride_tricks.as_strided(stand_in, (n, oh, ow, k, k, c),
-                                              (sn, sh * s, sw * s, sh * d, sw * d, sc))
-    taps = np.lib.stride_tricks.as_strided(stand_in, (k, k, ow, c), (8 * k * ow * c, 8 * ow * c, 8 * c, 8))
-    return np.nditer([windows, taps, None], ["reduce_ok", "zerosize_ok"],
-                     [["readonly"], ["readonly"], ["readwrite", "allocate"]],
-                     op_axes=[[0, 1, 2, 5, 3, 4], [-1, -1, 2, 3, 0, 1], [0, 1, 2, 3, -1, -1]]).operands[2].strides
-
-
 def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.ndarray,
                     oh: int, ow: int) -> np.ndarray:
     """Channel-multiplier-1 depthwise convolution as one sum over its live taps.
@@ -273,21 +256,14 @@ def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.nda
     by an einsum against all (k, k, c) taps.  The tiled taps are a
     contiguous copy: as a transposed view this path ran slower than im2col,
     and a broadcast view rounds differently.  The result is an NCHW view of
-    an NHWC array.  Where taps are dropped, that array is laid out as the
-    einsum over all k*k taps lays it out (:func:`_all_taps_layout`), so its
-    strides, those of its length-1 axes included, do not depend on how many
-    taps are live.
+    an NHWC array.
     """
     n, c = xp.shape[0], xp.shape[3]
     k = spec.kernel
     hw = (xp.shape[1] - 2 * margin, xp.shape[2] - 2 * margin)
     (r0, r1), (c0, c1) = live_taps(spec, hw)
-    out = None
-    if (r0, r1, c0, c1) != (0, k, 0, k):
-        out = np.ndarray((n, oh, ow, c), buffer=np.zeros(n * oh * ow * c),
-                         strides=_all_taps_layout(spec, xp.strides, n, oh, ow, c))
-        if r0 == r1 or c0 == c1:
-            return out.transpose(0, 3, 1, 2)
+    if r0 == r1 or c0 == c1:
+        return np.zeros((n, oh, ow, c)).transpose(0, 3, 1, 2)
     s, d = spec.stride, spec.dilation
     start = margin - spec.padding
     sn, sh, sw, sc = xp.strides
@@ -298,7 +274,7 @@ def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.nda
         writeable=False,
     )
     taps = weights.reshape(c, k, k)[:, r0:r1, c0:c1].transpose(1, 2, 0)[:, :, None].repeat(ow, axis=2)
-    return np.einsum("nhwijc,ijwc->nhwc", windows, taps, out=out).transpose(0, 3, 1, 2)
+    return np.einsum("nhwijc,ijwc->nhwc", windows, taps).transpose(0, 3, 1, 2)
 
 
 def _run_rows(out_rows: int, cin_k: int, cols: int) -> int:

@@ -1,5 +1,7 @@
 """Contract tests for the seven classifiers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,17 @@ class TestFitContract:
         X = np.random.default_rng(7).normal(size=(2, 4, 3))
         with pytest.raises(ValueError, match="labels must be binary 0/1"):
             cl.fit(cl.ClassifierSpec(kind), X, [[0, 1, 0, 1], [0.7, 1.9, 0.2, 1.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", cl.KINDS)
+    def test_nonfinite_features_rejected(self, kind, value):
+        X, y, _ = blobs(np.random.default_rng(9), n=4, d=3)
+        X[5, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for X_in, y_in in ((X, y), (np.stack([X[::-1], X]), np.stack([y[::-1], y]))):
+                with pytest.raises(ValueError, match="^non-finite values in feature matrix$"):
+                    cl.fit(cl.ClassifierSpec(kind), X_in, y_in)
 
     def test_float_and_bool_binary_labels_fit_as_ints(self):
         X, y, _ = blobs(np.random.default_rng(8), n=6, d=3)

@@ -51,6 +51,15 @@ class TestCohort:
             cohort.features[0, 0] = 1.0
         np.testing.assert_array_equal(cohort.labels, [1, 0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_features_rejected(self, value):
+        features = np.zeros((2, 58))
+        features[1, 7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^non-finite values in cohort features$"):
+                ev.Cohort(("a", "b"), (ev.ASD, ev.NON_ASD), features)
+
     def test_single_class_not_evaluable(self):
         for n in (0, 4):
             cohort = ev.Cohort([f"r{i}" for i in range(n)], [ev.ASD] * n, np.zeros((n, 58)))
@@ -158,6 +167,18 @@ class TestLoocv:
         acc_full = np.mean([p == t for p, t in zip(full.predictions, full.truths)])
         acc_aro = np.mean([p == t for p, t in zip(aro.predictions, aro.truths)])
         assert acc_full > acc_aro
+
+    @pytest.mark.parametrize("mask", [(-1,), (0, 0), (58,), (1.5,), (True,), (np.float64(2.0),), (0, "1")])
+    def test_mask_must_hold_unique_feature_indices(self, mask):
+        cohort = make_cohort(np.random.default_rng(5), n_pos=2, n_neg=2)
+        with pytest.raises(ValueError, match=r"^feature mask must hold unique integers in \[0, 58\), got "):
+            ev.loocv(cohort, cl.ClassifierSpec("lda"), mask=mask)
+
+    def test_mask_accepts_numpy_integers(self):
+        cohort = make_cohort(np.random.default_rng(5), n_pos=2, n_neg=2)
+        spec = cl.ClassifierSpec("lda")
+        assert (ev.loocv(cohort, spec, mask=np.array([3, 0, 57])).probabilities
+                == ev.loocv(cohort, spec, mask=(3, 0, 57)).probabilities)
 
     def test_no_leakage_from_held_out_features(self):
         rng = np.random.default_rng(6)
@@ -334,6 +355,14 @@ class TestTTest:
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValueError):
             ev.t_test([1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_sample_rejected(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for xs, ys in (([1.0, value, 2.0], [1.0, 2.0]), ([1.0, 2.0], [value, 2.0, 3.0])):
+                with pytest.raises(ValueError, match="^non-finite values in t-test sample$"):
+                    ev.t_test(xs, ys)
 
 
 class TestIncompleteBeta:

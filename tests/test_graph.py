@@ -8,6 +8,7 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import re
 import warnings
 import weakref
 
@@ -240,6 +241,17 @@ class TestStructure:
         with pytest.raises(ValueError):
             gp.build_graph("eesp", "depth")
 
+    @pytest.mark.parametrize("input_hw", [(32,), (32, 32, 3), (2.5, 2.5), (32, 0), (-32, 32), (True, 32),
+                                          (32.0, 32), "32", 32, None])
+    def test_input_hw_must_be_two_positive_integers(self, input_hw):
+        with pytest.raises(ValueError,
+                           match=rf"^input_hw must be two positive integers, got {re.escape(repr(input_hw))}$"):
+            gp.build_graph("eesp", input_hw=input_hw)
+
+    def test_input_hw_accepts_a_list_and_numpy_integers(self):
+        for input_hw in ([32, 32], (np.int64(32), np.int32(32))):
+            assert gp.layer_table(gp.build_graph("eesp", input_hw=input_hw)) == gp.layer_table(tiny_graph("eesp"))
+
 
 class TestCountParams:
     def test_stem_conv_is_896(self):
@@ -330,6 +342,12 @@ class TestInitParams:
         a = gp.init_params(graph, seed=5)
         b = gp.init_params(graph, seed=6)
         assert any(not np.array_equal(a[k], b[k]) for k in a if k.endswith(".w"))
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "0", None, np.float64(2.0)])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError,
+                           match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+            gp.init_params(tiny_graph("eesp"), seed)
 
     def test_he_variance(self):
         spec = nm.ConvSpec(64, 128, kernel=3, padding=1)
@@ -668,6 +686,38 @@ class TestSharedBranchCopy:
         assert unit.shared == {block: ("r", specs, block is branches[-1]) for block in branches}
         mobile = gp.MobileNetUnit("m", 4, 4, 1, gp.CuWidths(mobilenet_depth_mult=1))
         assert mobile.shared == {}
+
+    @pytest.mark.parametrize("scales", ["unit", "affine"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_dropped_taps_change_no_byte_of_a_step(self, monkeypatch, n, scales):
+        """A 32 px EESP step sums only the live taps of the branches that
+        read 4, 2 and 1 px inputs (cu4-cu8), and batch 1 gives their outputs
+        length-1 axes; its heads and every gradient are the bytes of a step
+        that sums all k*k taps of copies padded by the full ``spec.padding``."""
+        graph = tiny_graph("eesp")
+        params = gp.init_params(graph, 0) if scales == "unit" else affine_params(graph, 87)
+        batch = np.random.default_rng(88).uniform(0.0, 1.0, size=(n, 3, 32, 32))
+
+        def step():
+            cache = []
+            heads = gp.forward(graph, params, batch, cache)
+            ones = {task: np.ones(np.shape(y)) for task, y in heads.items()}
+            return exact(heads), exact(gp.backward(graph, params, cache, ones))
+
+        dropped, real = set(), nm.live_taps
+
+        def live_taps(spec, hw):
+            taps = real(spec, hw)
+            if taps != ((0, spec.kernel), (0, spec.kernel)):
+                dropped.add(hw)
+            return taps
+
+        monkeypatch.setattr(nm, "live_taps", live_taps)
+        live = step()
+        assert dropped == {(4, 4), (2, 2), (1, 1)}
+        monkeypatch.setattr(nm, "live_taps", lambda spec, hw: ((0, spec.kernel), (0, spec.kernel)))
+        monkeypatch.setattr(nm, "live_margin", lambda spec, hw: spec.padding)
+        assert live == step()
 
     def test_nonfinite_reduce_output_names_the_input(self):
         graph = tiny_graph("eesp")

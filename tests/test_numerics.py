@@ -194,7 +194,10 @@ class TestConv2d:
         xp = nm._pad_channels_last(x, margin)
         y = nm._depthwise_taps(xp, margin, spec, wt, oh, ow)
         want = channel_taps(xp, margin, spec, wt, oh, ow)
-        assert y.strides == want.strides
+        # An axis of length 1 is never stepped along, so only the others'
+        # strides are the layout.
+        assert ([step for step, size in zip(y.strides, y.shape) if size > 1]
+                == [step for step, size in zip(want.strides, want.shape) if size > 1])
         # With one channel the (k, k, 1) einsum sums along a kernel row in its
         # inner loop, so it rounds differently; from two channels on, both
         # add the taps in the same order.
