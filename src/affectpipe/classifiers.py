@@ -47,18 +47,13 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown classifier kind {self.kind!r}; choose from {KINDS}")
-        floats = {name: getattr(self, name) for name in ("l2", "l1", "step", "svm_c", "shrinkage")}
+        for name in ("l2", "l1", "step", "svm_c", "shrinkage"):
+            nm.require_real(getattr(self, name), name, positive=True)
         if self.svm_gamma is not None:
-            floats["svm_gamma"] = self.svm_gamma
-        for name, value in floats.items():
-            if not (nm._is_real(value) and value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            nm.require_real(self.svm_gamma, "svm_gamma", positive=True)
         for name in ("iterations", "rounds", "depth", "epochs"):
-            value = getattr(self, name)
-            if not nm._is_count(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not nm._is_count(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+            nm.require_count(getattr(self, name), name)
+        nm.require_count(self.seed, "seed", minimum=0)
         hidden = self.hidden
         if not (isinstance(hidden, (tuple, list)) and len(hidden) == 2 and all(
                 nm._is_count(h) and h > 0 for h in hidden)):
@@ -595,6 +590,7 @@ def decision_values(model: FittedModel, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_features:
         raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
+    nm.require_finite(X, "feature matrix")
     Xs = model.stats.apply(X)
     kind, payload = model.kind, model.payload
     if kind in ("logistic", "lasso", "lda"):

@@ -186,7 +186,7 @@ def cmd_synth(opts) -> dict:
         raise ValueError("synth requires --out-dir")
     spec = sy.SynthSpec(seed=opts.seed, **{field: getattr(opts, key)
                                            for key, field in _SYNTH_FIELDS.items()})
-    manifest = sy.synth_cohort(spec, opts.out_dir)
+    manifest = dataio.write_cohort(opts.out_dir, sy.draw_cohort(spec))
     return {"command": "synth", "manifest": str(manifest), "spec": spec}
 
 

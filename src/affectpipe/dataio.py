@@ -147,6 +147,22 @@ def write_frames(path, matrix) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_cohort(out_dir, participants) -> Path:
+    """Write each (id, diagnosis, stream) as ``<id>.csv`` as it arrives, then a
+    manifest listing them in that order; returns the manifest path."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for pid, label, stream in participants:
+        name = f"{pid}.csv"
+        write_frames(out_dir / name, stream)
+        entries.append({"id": pid, "label": label, "frames": name})
+    manifest = out_dir / "manifest.json"
+    manifest.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    return manifest
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     participant_id: str

@@ -18,7 +18,6 @@ the fold's errors for non-finite parameters.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -58,13 +57,9 @@ class CuWidths:
     eesp_width_mult: int = 13
 
     def __post_init__(self):
-        ratio = self.bottleneck_mid_ratio
-        if not (nm._is_real(ratio) and ratio > 0 and math.isfinite(ratio)):
-            raise ValueError(f"bottleneck_mid_ratio must be positive and finite, got {ratio!r}")
+        nm.require_real(self.bottleneck_mid_ratio, "bottleneck_mid_ratio", positive=True)
         for name in ("mobilenet_depth_mult", "eesp_branches", "eesp_width_mult"):
-            value = getattr(self, name)
-            if not nm._is_count(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            nm.require_count(getattr(self, name), name)
 
 
 class BlockRecord(NamedTuple):
@@ -586,8 +581,7 @@ def init_params(graph: ModelGraph, seed: int) -> dict:
 
     Keys are visited in sorted order so the draw sequence is reproducible.
     """
-    if not nm._is_count(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    nm.require_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     params = {}
     for key, shape in sorted(param_shapes(graph).items()):

@@ -35,12 +35,14 @@ the batch's n*oh*ow columns, and the input gradient scatter-adds the
 weight-transposed columns back over all k*k kernel offsets, live or not,
 into a channel-major buffer.  An im2col ``conv2d`` can hand its column
 tensor to the caller, and ``conv2d_backward`` reads that instead of
-building it again from the input.
+building it again from the input.  ``require_count`` and ``require_real``
+are the one check of every module's numeric settings.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,20 @@ class NumericError(ValueError):
 def require_finite(x: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite values in {what}")
+
+
+def require_count(value, name: str, minimum: int = 1, error: type = ValueError) -> None:
+    """A Python or numpy integer, not a bool, of at least minimum (1, or 0 for a seed)."""
+    if not _is_count(value) or value < minimum:
+        kind = "positive" if minimum else "non-negative"
+        raise error(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def require_real(value, name: str, positive: bool = False) -> None:
+    """A finite Python or numpy number, not a bool, and above 0 if positive."""
+    if not (_is_real(value) and (not positive or value > 0) and math.isfinite(value)):
+        need = "be positive and finite" if positive else "be a finite real number"
+        raise ValueError(f"{name} must {need}, got {value!r}")
 
 
 # The walk of a skinny GEMM in weight-row runs (see _run_rows): a column
@@ -103,11 +119,8 @@ class ConvSpec:
 
     def __post_init__(self) -> None:
         for name in ("in_channels", "out_channels", "kernel", "stride", "groups", "dilation"):
-            value = getattr(self, name)
-            if not _is_count(value) or value < 1:
-                raise ShapeError(f"ConvSpec.{name} must be a positive integer, got {value!r}")
-        if not _is_count(self.padding) or self.padding < 0:
-            raise ShapeError(f"ConvSpec.padding must be a nonnegative integer, got {self.padding!r}")
+            require_count(getattr(self, name), f"ConvSpec.{name}", error=ShapeError)
+        require_count(self.padding, "ConvSpec.padding", minimum=0, error=ShapeError)
         if self.kernel % 2 == 0:
             raise ShapeError("only odd kernels are supported")
         if self.in_channels % self.groups or self.out_channels % self.groups:

@@ -4,23 +4,16 @@ Each participant gets a latent Gaussian profile (subject offset plus frame
 noise) squashed into the attribute ranges: sigmoid for AUs, softmax for
 expressions, tanh for arousal and valence. Group effects shift the ASD
 latents before squashing, so effect size 0 makes the groups exchangeable.
+Streams stay in memory; ``dataio.write_cohort`` writes them to disk.
 """
 
-import json
-import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import dataio
 from . import evaluation as ev
 from . import numerics as nm
 from . import temporal as tp
-
-
-_FLOAT_FIELDS = ("au_effect", "expr_effect", "arousal_effect", "valence_effect", "noise",
-                 "subject_scale")
 
 
 @dataclass(frozen=True)
@@ -36,20 +29,16 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not (nm._is_real(value) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        for name in ("au_effect", "expr_effect", "arousal_effect", "valence_effect", "noise",
+                     "subject_scale"):
+            nm.require_real(getattr(self, name), name)
         for name in ("participants_per_group", "frames_per_participant"):
-            value = getattr(self, name)
-            if not nm._is_count(value) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            nm.require_count(getattr(self, name), name)
         if not self.noise > 0:
             raise ValueError("noise must be > 0")
         if self.subject_scale < 0:
             raise ValueError("subject_scale must be >= 0")
-        if not nm._is_count(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        nm.require_count(self.seed, "seed", minimum=0)
 
 
 def participant_stream(spec: SynthSpec, rng: np.random.Generator,
@@ -75,23 +64,10 @@ def participant_stream(spec: SynthSpec, rng: np.random.Generator,
     ])
 
 
-def synth_cohort(spec: SynthSpec, out_dir) -> Path:
-    """Write frame CSVs plus a manifest under out_dir; returns the manifest path.
-
-    Participants are drawn in manifest order (ASD group first), so a fixed
-    seed reproduces every file byte for byte.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def draw_cohort(spec: SynthSpec):
+    """Yield (id, diagnosis, stream) one participant at a time, ASD group first,
+    all drawn from one generator, so a fixed seed reproduces every stream."""
     rng = np.random.default_rng(spec.seed)
-    entries = []
     for label, prefix, shifted in ((ev.ASD, "asd", True), (ev.NON_ASD, "ctl", False)):
         for i in range(spec.participants_per_group):
-            pid = f"{prefix}_{i:03d}"
-            name = f"{pid}.csv"
-            dataio.write_frames(out_dir / name, participant_stream(spec, rng, shifted))
-            entries.append({"id": pid, "label": label, "frames": name})
-    manifest = out_dir / "manifest.json"
-    manifest.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-    return manifest
+            yield f"{prefix}_{i:03d}", label, participant_stream(spec, rng, shifted)

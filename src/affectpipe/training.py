@@ -140,28 +140,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not nm._is_count(self.epochs):
-            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
-        if not nm._is_count(self.batch_size):
-            raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
-        if not nm._is_count(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("lr0", "momentum", "lr_decay", "weight_decay"):
-            value = getattr(self, name)
-            if not nm._is_real(value):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not (self.lr0 > 0 and math.isfinite(self.lr0)):
-            raise ValueError(f"lr0 must be positive and finite, got {self.lr0!r}")
+        nm.require_count(self.epochs, "epochs")
+        nm.require_count(self.batch_size, "batch_size")
+        nm.require_count(self.seed, "seed", minimum=0)
+        nm.require_real(self.lr0, "lr0", positive=True)
+        for name in ("momentum", "lr_decay", "weight_decay"):
+            nm.require_real(getattr(self, name), name)
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if not 0.0 <= self.lr_decay < 1.0:
             raise ValueError("lr_decay must lie in [0, 1)")
-        if self.epochs < 1:
-            raise ValueError("epochs must be positive")
-        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+        if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be nonnegative and finite, got {self.weight_decay!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
 
 
 def inverse_frequency(counts) -> np.ndarray:
@@ -383,8 +373,7 @@ def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):
     them.  AU labels read the left half of the image, so ``size`` must be
     at least 2.
     """
-    if n < 1:
-        raise ValueError(f"samples must be a positive integer, got {n}")
+    nm.require_count(n, "samples")
     if size < 2:
         raise ValueError(f"image_size must be at least 2, got {size}")
     rng = np.random.default_rng(seed)

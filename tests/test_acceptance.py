@@ -273,7 +273,7 @@ def test_pipeline_end_to_end(tmp_path):
     spec = sy.SynthSpec(participants_per_group=40, frames_per_participant=120,
                         expr_effect=1.2, arousal_effect=1.0, valence_effect=1.0,
                         noise=0.5, subject_scale=0.3, seed=101)
-    manifest = sy.synth_cohort(spec, tmp_path / "cohort")
+    manifest = dio.write_cohort(tmp_path / "cohort", sy.draw_cohort(spec))
     cohort = dio.load_cohort(manifest)
 
     result = ev.loocv(cohort, cl.ClassifierSpec("logistic"))

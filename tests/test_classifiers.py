@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
+from affectpipe import numerics as nm
 from conftest import loop_best_split, loop_fit, model_bytes, node_best_split, walk_leaf_values
 
 
@@ -144,6 +145,22 @@ class TestFitContract:
         model = cl.fit(cl.ClassifierSpec("lda"), X, y)
         with pytest.raises(ValueError):
             cl.predict_proba(model, np.zeros(X.shape[1] + 1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", cl.KINDS)
+    def test_nonfinite_features_rejected_at_predict(self, kind, value):
+        """As at fit: no NaN probability, no confident 0 or 1 from an inf, and
+        no gbt score from a NaN sent down every right branch."""
+        X, y, _ = blobs(np.random.default_rng(9), n=4, d=3)
+        model = cl.fit(cl.ClassifierSpec(kind, epochs=30, rounds=10, iterations=100), X, y)
+        row = X[0].copy()
+        row[1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (row, np.stack([X[1], row])):
+                for predict in (cl.decision_values, cl.predict_proba):
+                    with pytest.raises(nm.NumericError, match="^non-finite values in feature matrix$"):
+                        predict(model, x)
 
     @pytest.mark.parametrize("kind", cl.KINDS)
     def test_deterministic_per_seed(self, kind):

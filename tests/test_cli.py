@@ -1,6 +1,7 @@
 """CLI contract: reproducible reports, config merging, error JSON on stderr."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -207,7 +208,27 @@ class TestStrictJson:
         assert all(row["degenerate"] and row["p"] == 0.0 for row in infinite.values())
 
 
+# sha256 of every file of the seed-0 cohort below.  The benchmark's synth
+# digest covers only the JSON report, so this pins the CSV and manifest bytes.
+SEED0_COHORT = {
+    "asd_000.csv": "e99962e229e0bced664a0bc6dbe00cbca847d610435e27bc9bac85709dda6575",
+    "asd_001.csv": "1f43ecc162eddb7143dcdc6848922b420ce8fd93130eabb28519eb8835b80093",
+    "ctl_000.csv": "c43d02ad5ef558622b73822c205e6c2d99de7f4846bf518b6bfa26c446e475aa",
+    "ctl_001.csv": "fed347d1b65f9c317517d21000aa3508c2f9af5f9d2db3cb74ac9e8383d7050e",
+    "manifest.json": "59c055443f4b6f0be0d89b079b560a27defbcfa41d0eb7ce7079a1d5f9ff8e75",
+}
+
+
 class TestSynthCommand:
+    def test_seed0_cohort_bytes_pinned(self, tmp_path, capsys):
+        out_dir = tmp_path / "c"
+        code, _, err = run(capsys, "synth", "--out-dir", str(out_dir), "--participants", "2",
+                           "--frames", "30", "--expr-effect", "1.0", "--seed", "0")
+        assert code == 0 and err == ""
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in sorted(out_dir.iterdir())}
+        assert digests == SEED0_COHORT
+
     def test_writes_cohort(self, tmp_path, capsys):
         code, out, _ = run(capsys, "synth", "--out-dir", str(tmp_path / "c"),
                            "--participants", "2", "--frames", "10")

@@ -1,11 +1,17 @@
+import dataclasses
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from affectpipe import classifiers as cl
+from affectpipe import graph as gr
 from affectpipe import numerics as nm
+from affectpipe import synth as sy
+from affectpipe import training as tr
 
 from conftest import (channel_taps, exact, loop_conv2d, loop_conv2d_backward, offset_conv2d, pad_im2col,
                       row_run_matmul, two_branch_sigmoid, where_relu_backward, window_im2col)
@@ -42,9 +48,9 @@ class TestConvSpec:
 
     @pytest.mark.parametrize("field, value, what", [
         ("kernel", True, "positive"), ("out_channels", 4.0, "positive"), ("stride", 1.5, "positive"),
-        ("padding", 0.5, "nonnegative"), ("out_channels", 2.5, "positive"),
+        ("padding", 0.5, "non-negative"), ("out_channels", 2.5, "positive"),
         ("in_channels", "3", "positive"), ("groups", np.float64(1.0), "positive"),
-        ("padding", False, "nonnegative"), ("dilation", 0, "positive"), ("padding", -1, "nonnegative"),
+        ("padding", False, "non-negative"), ("dilation", 0, "positive"), ("padding", -1, "non-negative"),
     ])
     def test_rejects_non_integer_fields_by_name(self, field, value, what):
         with pytest.raises(nm.ShapeError,
@@ -64,6 +70,69 @@ class TestConvSpec:
     def test_dilated_output_size(self):
         spec = nm.ConvSpec(4, 4, kernel=3, stride=1, padding=3, dilation=3)
         assert spec.out_hw((14, 14)) == (14, 14)
+
+
+COUNT, SEED = "a positive integer", "a non-negative integer"
+REAL, POSITIVE = "a finite real number", "positive and finite"
+
+# Every numeric setting: (name in its message, call taking it by keyword,
+# keyword, what it must be, a numpy value it accepts).
+SETTINGS = [
+    *[(f"ConvSpec.{key}", partial(nm.ConvSpec, in_channels=3, out_channels=6), key, COUNT, np.int64(1))
+      for key in ("in_channels", "out_channels", "kernel", "stride", "groups", "dilation")],
+    ("ConvSpec.padding", partial(nm.ConvSpec, 3, 6), "padding", SEED, np.int32(0)),
+    ("bottleneck_mid_ratio", gr.CuWidths, "bottleneck_mid_ratio", POSITIVE, np.float64(1.5)),
+    *[(key, gr.CuWidths, key, COUNT, np.int64(2))
+      for key in ("mobilenet_depth_mult", "eesp_branches", "eesp_width_mult")],
+    ("seed", partial(gr.init_params, tr.toy_graph(2)), "seed", SEED, np.int64(3)),
+    ("epochs", tr.TrainConfig, "epochs", COUNT, np.int64(3)),
+    ("batch_size", tr.TrainConfig, "batch_size", COUNT, np.int32(7)),
+    ("seed", tr.TrainConfig, "seed", SEED, np.uint8(0)),
+    ("lr0", tr.TrainConfig, "lr0", POSITIVE, np.float64(0.02)),
+    *[(key, tr.TrainConfig, key, REAL, np.float32(0.5)) for key in ("momentum", "lr_decay", "weight_decay")],
+    *[(key, partial(cl.ClassifierSpec, "logistic"), key, POSITIVE, np.float32(0.5))
+      for key in ("l2", "l1", "step", "svm_c", "shrinkage", "svm_gamma")],
+    *[(key, partial(cl.ClassifierSpec, "logistic"), key, COUNT, np.int64(2))
+      for key in ("iterations", "rounds", "depth", "epochs")],
+    ("seed", partial(cl.ClassifierSpec, "logistic"), "seed", SEED, np.int64(0)),
+    *[(key, sy.SynthSpec, key, REAL, np.float64(0.25))
+      for key in ("au_effect", "expr_effect", "arousal_effect", "valence_effect", "noise", "subject_scale")],
+    *[(key, sy.SynthSpec, key, COUNT, np.int16(3)) for key in ("participants_per_group", "frames_per_participant")],
+    ("seed", sy.SynthSpec, "seed", SEED, np.int64(9)),
+    ("samples", partial(tr.toy_dataset, size=2), "n", COUNT, np.int64(2)),
+]
+
+
+def _owner(call) -> str:
+    return getattr(call, "func", call).__name__
+
+
+def _rejections():
+    for name, call, key, need, _ in SETTINGS:
+        error = nm.ShapeError if name.startswith("ConvSpec.") else ValueError
+        for value in ((True, 2.5, "3", None) if need in (COUNT, SEED) else
+                      (float("nan"), float("inf"), True, "0.1")):
+            message = rf"^{re.escape(name)} must be {need}, got {re.escape(repr(value))}$"
+            yield pytest.param(call, key, value, error, message, id=f"{_owner(call)}.{key}={value!r}")
+
+
+class TestSettingChecks:
+    """One contract for every numeric setting, checked by numerics alone:
+    counts are integers (Python or numpy, never bool), reals are finite
+    numbers (never bool), and both are worded alike everywhere."""
+
+    @pytest.mark.parametrize("call, key, value, error, message", _rejections())
+    def test_rejects_with_the_shared_wording(self, call, key, value, error, message):
+        with pytest.raises(error, match=message) as caught:
+            call(**{key: value})
+        assert type(caught.value) is error
+
+    @pytest.mark.parametrize("name, call, key, need, value", SETTINGS,
+                             ids=[f"{_owner(call)}.{key}" for _, call, key, _, _ in SETTINGS])
+    def test_accepts_numpy_numbers(self, name, call, key, need, value):
+        out = call(**{key: value})
+        if dataclasses.is_dataclass(out):
+            assert getattr(out, key) == value
 
 
 class TestConv2d:

@@ -10,7 +10,7 @@ from affectpipe import temporal as tp
 
 
 def cohort_for(spec, tmp_path, name):
-    return dio.load_cohort(synth.synth_cohort(spec, tmp_path / name))
+    return dio.load_cohort(dio.write_cohort(tmp_path / name, synth.draw_cohort(spec)))
 
 
 class TestSpecValidation:
@@ -68,19 +68,17 @@ class TestStream:
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         spec = synth.SynthSpec(participants_per_group=2, frames_per_participant=20, seed=7)
-        m1 = synth.synth_cohort(spec, tmp_path / "a")
-        m2 = synth.synth_cohort(spec, tmp_path / "b")
+        m1 = dio.write_cohort(tmp_path / "a", synth.draw_cohort(spec))
+        m2 = dio.write_cohort(tmp_path / "b", synth.draw_cohort(spec))
         assert m1.read_bytes() == m2.read_bytes()
         for f in sorted(p.name for p in m1.parent.glob("*.csv")):
             assert (m1.parent / f).read_bytes() == (m2.parent / f).read_bytes()
 
     def test_different_seeds_differ(self, tmp_path):
-        a = synth.synth_cohort(synth.SynthSpec(participants_per_group=1,
-                                               frames_per_participant=5, seed=0),
-                               tmp_path / "a")
-        b = synth.synth_cohort(synth.SynthSpec(participants_per_group=1,
-                                               frames_per_participant=5, seed=1),
-                               tmp_path / "b")
+        a = dio.write_cohort(tmp_path / "a", synth.draw_cohort(
+            synth.SynthSpec(participants_per_group=1, frames_per_participant=5, seed=0)))
+        b = dio.write_cohort(tmp_path / "b", synth.draw_cohort(
+            synth.SynthSpec(participants_per_group=1, frames_per_participant=5, seed=1)))
         assert (a.parent / "asd_000.csv").read_bytes() != (b.parent / "asd_000.csv").read_bytes()
 
 

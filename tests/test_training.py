@@ -398,7 +398,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field", ["lr0", "momentum", "lr_decay", "weight_decay"])
     @pytest.mark.parametrize("value", [None, "0.1", True, False, np.bool_(True), [0.1]])
     def test_float_must_be_a_real_number(self, field, value):
-        with pytest.raises(ValueError, match=rf"^{field} must be a real number, got "):
+        need = "positive and finite" if field == "lr0" else "a finite real number"
+        with pytest.raises(ValueError, match=rf"^{field} must be {need}, got "):
             tr.TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [("lr0", 1), ("momentum", np.float32(0.5)),
@@ -409,15 +410,15 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field", ["epochs", "batch_size"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "4"])
     def test_count_must_be_int(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
             tr.TrainConfig(**{field: value})
 
     def test_epochs_none_rejected(self):
-        with pytest.raises(ValueError, match="epochs must be an integer"):
+        with pytest.raises(ValueError, match="epochs must be a positive integer"):
             tr.TrainConfig(epochs=None)
 
     def test_batch_size_none_rejected(self):
-        with pytest.raises(ValueError, match="batch_size must be an integer"):
+        with pytest.raises(ValueError, match="batch_size must be a positive integer"):
             tr.TrainConfig(batch_size=None)
 
     @pytest.mark.parametrize("value", [-1, 2.5, True, None])
