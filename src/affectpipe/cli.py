@@ -1,21 +1,22 @@
 """Command-line surface tying the pipeline together.
 
-Every subcommand takes --seed, --config, and --output; flags given on the
-command line override values from the JSON config file, which in turn
-override built-in defaults. Reports are written via dataio.render_report,
-so a fixed seed reproduces output byte for byte.
+Every subcommand takes --seed, --config, --output and --format.  The
+values of a JSON config file become the subcommand's parser defaults, so
+flags given on the command line override them, and they override the
+built-in defaults.  Reports are written via dataio.render_report, so a
+fixed seed reproduces output byte for byte.
 """
 
 import argparse
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import classifiers as cl
 from . import dataio
 from . import evaluation as ev
 from . import graph as gr
+from . import numerics as nm
 from . import synth as sy
 from . import temporal as tp
 from . import training as tr
@@ -29,12 +30,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON file of option values; flags override it")
     sub.add_argument("--output", type=Path, default=None,
                      help="report path (default stdout)")
-    sub.add_argument("--format", choices=("json", "text"), default=None,
+    sub.add_argument("--format", choices=("json", "text"), default="json",
                      help="report format (default json)")
 
 
@@ -54,39 +55,28 @@ def _from_config(action, value):
     return converted
 
 
-def _resolve(args, defaults: dict) -> SimpleNamespace:
-    """Merge CLI flags over config-file values over defaults; check the seed."""
-    merged = dict(defaults)
-    merged.setdefault("seed", 0)
-    merged.setdefault("format", "json")
-    merged.setdefault("output", None)
-    if args.config is not None:
-        config = str(args.config)
-        try:
-            text = Path(config).read_text(encoding="utf-8")
-        except OSError as err:
-            raise ValueError(f"cannot read config {config!r}: {err}") from None
-        except UnicodeDecodeError as err:
-            raise ValueError(f"config {config!r} is not valid UTF-8: {err}") from None
-        try:
-            loaded = json.loads(text)
-        except (ValueError, RecursionError) as err:
-            raise ValueError(f"config {config!r} is not valid JSON: {err}") from None
-        if not isinstance(loaded, dict):
-            raise ValueError(f"config {config!r} must be a JSON object")
-        unknown = sorted(set(loaded) - set(merged))
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; "
-                             f"expected a subset of {sorted(merged)}")
-        merged.update({key: _from_config(args.actions[key], value)
-                       for key, value in loaded.items()})
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if merged["seed"] < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
-    return SimpleNamespace(**merged)
+def _config_defaults(sub, path) -> dict:
+    """The values of the JSON config at path, read as sub would read them from flags."""
+    config = str(path)
+    try:
+        text = Path(config).read_text(encoding="utf-8")
+    except OSError as err:
+        raise ValueError(f"cannot read config {config!r}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ValueError(f"config {config!r} is not valid UTF-8: {err}") from None
+    try:
+        loaded = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise ValueError(f"config {config!r} is not valid JSON: {err}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"config {config!r} must be a JSON object")
+    actions = {action.dest: action for action in sub._actions
+               if action.dest not in ("help", "config")}
+    unknown = sorted(set(loaded) - set(actions))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; "
+                         f"expected a subset of {sorted(actions)}")
+    return {key: _from_config(actions[key], value) for key, value in loaded.items()}
 
 
 def cmd_analyze_graph(opts) -> dict:
@@ -196,12 +186,10 @@ _SYNTH_FIELDS = {"participants": "participants_per_group", "frames": "frames_per
                  "arousal_effect": "arousal_effect", "valence_effect": "valence_effect",
                  "noise": "noise", "subject_scale": "subject_scale"}
 
-_COHORT_DEFAULTS = {"manifest": None, "tau": tp.DEFAULT_TAU}
-
 
 def _add_cohort(sub):
     sub.add_argument("--manifest", type=Path, default=None)
-    sub.add_argument("--tau", type=float, default=None)
+    sub.add_argument("--tau", type=float, default=tp.DEFAULT_TAU)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,75 +201,71 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze-graph", help="parameter and FLOP budgets per CU variant")
-    p.add_argument("--cu", choices=gr.CU_KINDS + ("all",), default=None)
-    p.add_argument("--mode", choices=("multi",) + gr.TASKS, default=None)
-    p.add_argument("--input-hw", type=int, default=None, dest="input_hw")
+    p.add_argument("--cu", choices=gr.CU_KINDS + ("all",), default="all")
+    p.add_argument("--mode", choices=("multi",) + gr.TASKS, default="multi")
+    p.add_argument("--input-hw", type=int, default=gr.DEFAULT_INPUT_HW[0])
     _add_common(p)
-    p.set_defaults(handler=cmd_analyze_graph,
-                   defaults={"cu": "all", "mode": "multi",
-                             "input_hw": gr.DEFAULT_INPUT_HW[0]})
+    p.set_defaults(handler=cmd_analyze_graph)
 
     p = subs.add_parser("train-toy", help="train the toy multitask model")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--image-size", type=int, default=None, dest="image_size")
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
+    p.add_argument("--epochs", type=int, default=tr.TrainConfig.epochs)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--image-size", type=int, default=16)
+    p.add_argument("--batch-size", type=int, default=tr.TrainConfig.batch_size)
     _add_common(p)
-    p.set_defaults(handler=cmd_train_toy,
-                   defaults={"epochs": tr.TrainConfig.epochs, "samples": 200,
-                             "image_size": 16, "batch_size": tr.TrainConfig.batch_size})
+    p.set_defaults(handler=cmd_train_toy)
 
     p = subs.add_parser("extract-features", help="temporal features from a cohort manifest")
     _add_cohort(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_extract_features, defaults=dict(_COHORT_DEFAULTS))
+    p.set_defaults(handler=cmd_extract_features)
 
     p = subs.add_parser("loocv", help="leave-one-out cross-validation over a cohort")
     _add_cohort(p)
-    p.add_argument("--classifier", choices=cl.KINDS, default=None)
-    p.add_argument("--attributes", default=None,
+    p.add_argument("--classifier", choices=cl.KINDS, default="logistic")
+    p.add_argument("--attributes", default="au,expr,arousal,valence",
                    help="comma-separated subset of au,expr,arousal,valence")
     _add_common(p)
-    p.set_defaults(handler=cmd_loocv,
-                   defaults=dict(_COHORT_DEFAULTS, classifier="logistic",
-                                 attributes="au,expr,arousal,valence"))
+    p.set_defaults(handler=cmd_loocv)
 
     p = subs.add_parser("ablate", help="attribute-subset ablation table")
     _add_cohort(p)
-    p.add_argument("--classifier", choices=cl.KINDS, default=None)
+    p.add_argument("--classifier", choices=cl.KINDS, default="logistic")
     _add_common(p)
-    p.set_defaults(handler=cmd_ablate,
-                   defaults=dict(_COHORT_DEFAULTS, classifier="logistic"))
+    p.set_defaults(handler=cmd_ablate)
 
     p = subs.add_parser("ttest", help="per-attribute group significance")
     _add_cohort(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_ttest, defaults=dict(_COHORT_DEFAULTS))
+    p.set_defaults(handler=cmd_ttest)
 
     p = subs.add_parser("synth", help="generate a synthetic cohort on disk")
-    p.add_argument("--out-dir", type=Path, default=None, dest="out_dir")
-    p.add_argument("--participants", type=int, default=None)
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--au-effect", type=float, default=None, dest="au_effect")
-    p.add_argument("--expr-effect", type=float, default=None, dest="expr_effect")
-    p.add_argument("--arousal-effect", type=float, default=None, dest="arousal_effect")
-    p.add_argument("--valence-effect", type=float, default=None, dest="valence_effect")
-    p.add_argument("--noise", type=float, default=None)
-    p.add_argument("--subject-scale", type=float, default=None, dest="subject_scale")
+    p.add_argument("--out-dir", type=Path, default=None)
+    for key, field in _SYNTH_FIELDS.items():
+        default = getattr(sy.SynthSpec, field)
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     _add_common(p)
-    p.set_defaults(handler=cmd_synth,
-                   defaults=dict(out_dir=None, **{key: getattr(sy.SynthSpec, field)
-                                                  for key, field in _SYNTH_FIELDS.items()}))
+    p.set_defaults(handler=cmd_synth)
     for sub in subs.choices.values():
-        sub.set_defaults(actions={action.dest: action for action in sub._actions})
+        sub.set_defaults(parser=sub)
     return parser
+
+
+def parse(argv=None) -> argparse.Namespace:
+    """The options of argv over the values of its --config file over the built-in defaults."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        args.parser.set_defaults(**_config_defaults(args.parser, args.config))
+        args = parser.parse_args(argv)
+    nm.require_count(args.seed, "seed", minimum=0)
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        opts = _resolve(args, args.defaults)
-        rendered = dataio.render_report(args.handler(opts), fmt=opts.format)
+        opts = parse(argv)
+        rendered = dataio.render_report(opts.handler(opts), fmt=opts.format)
         if opts.output is not None:
             Path(opts.output).write_text(rendered, encoding="utf-8")
         else:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics as nm
+
 N_AU = 12
 N_EXPR = 8
 FRAME_DIM = N_AU + N_EXPR + 2
@@ -89,6 +91,7 @@ def mean_std(F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def au_activation(F: np.ndarray, tau: float = DEFAULT_TAU) -> np.ndarray:
     """Fraction of frames per AU with probability strictly greater than tau."""
     F = _check_matrix(F)
+    nm.require_real(tau, "tau")
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     return (F[:, AU_COLS] > tau).mean(axis=0)

@@ -374,8 +374,10 @@ def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):
     at least 2.
     """
     nm.require_count(n, "samples")
+    nm.require_count(size, "image_size")
     if size < 2:
         raise ValueError(f"image_size must be at least 2, got {size}")
+    nm.require_count(seed, "seed", minimum=0)
     rng = np.random.default_rng(seed)
     protos = rng.normal(size=(N_EXPR, 3, size, size))
     images, expr = np.empty((n, 3, size, size)), np.empty(n, dtype=int)

@@ -16,11 +16,18 @@ from hypothesis import strategies as st
 from affectpipe import classifiers as cl
 from affectpipe import cli
 from affectpipe import graph as gr
+from affectpipe import training as tr
 
 from conftest import MUTATION, mutate
 
 
 COMMANDS = ("analyze-graph", "train-toy", "extract-features", "loocv", "ablate", "ttest", "synth")
+
+
+def _option_keys(command):
+    """A subcommand's config keys: every option's dest but help and config."""
+    sub = cli.build_parser().parse_args([command]).parser
+    return sorted(action.dest for action in sub._actions if action.dest not in ("help", "config"))
 
 
 def run(capsys, *argv):
@@ -269,10 +276,54 @@ class TestConfigMerging:
         assert code == 0
         assert len(json.loads(out)["losses"]) == 4
 
+    # Two non-default values of every option: a config file or a flag sets
+    # the first, and a flag sets the second over a config file's first.
+    VALUES = {
+        "cu": ("eesp", "mobilenet"), "mode": ("au", "expr"), "input_hw": (32, 64),
+        "epochs": (2, 3), "samples": (40, 50), "image_size": (8, 9), "batch_size": (7, 5),
+        "manifest": ("c/manifest.json", "d/manifest.json"), "tau": (0.25, 0.75),
+        "classifier": ("lda", "qda"), "attributes": ("au,arousal", "expr"),
+        "out_dir": ("c", "d"), "participants": (3, 4), "frames": (20, 30),
+        "au_effect": (1.5, 2.5), "expr_effect": (1.0, 2.0), "arousal_effect": (0.8, 0.4),
+        "valence_effect": (0.6, 0.2), "noise": (0.7, 0.9), "subject_scale": (0.0, 0.1),
+        "seed": (3, 4), "output": ("report.json", "other.json"), "format": ("text", "json"),
+    }
+
+    @staticmethod
+    def _parsed(*argv):
+        return {key: value for key, value in vars(cli.parse(list(argv))).items()
+                if key not in ("config", "parser")}
+
+    @pytest.mark.parametrize("command, key", [(command, key) for command in COMMANDS
+                                              for key in _option_keys(command)])
+    def test_config_and_flag_are_one_mechanism(self, tmp_path, command, key):
+        """Each option reads the same from a config file as from its flag,
+        and its flag beats the config file."""
+        value, other = self.VALUES[key]
+        flag = "--" + key.replace("_", "-")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        from_flag = self._parsed(command, flag, str(value))
+        assert from_flag[key] != self._parsed(command)[key]
+        assert self._parsed(command, "--config", str(config)) == from_flag
+        assert (self._parsed(command, "--config", str(config), flag, str(other))
+                == self._parsed(command, flag, str(other)))
+
+    def test_config_does_not_outlive_its_call(self, tmp_path):
+        """A config file's values are one call's parser defaults: the next
+        call in the same process starts from the built-in defaults."""
+        defaults = self._parsed("train-toy")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"epochs": 1, "samples": 4, "image_size": 4, "batch_size": 2,
+                                      "seed": 5, "format": "text",
+                                      "output": str(tmp_path / "report.txt")}))
+        assert cli.main(["train-toy", "--config", str(config)]) == 0
+        assert self._parsed("train-toy") == defaults
+        assert defaults["epochs"] == tr.TrainConfig.epochs and defaults["seed"] == 0
+
     @pytest.mark.parametrize("command,key,value", [("synth", "participants", "ten")] + [
         (command, key, None) for command in COMMANDS
-        for key in sorted(cli.build_parser().parse_args([command]).defaults)
-        + ["format", "output", "seed"]])
+        for key in _option_keys(command)])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, command, key, value):
         """A wrong-typed value, or null for any key, names the key in one JSON line."""
         config = tmp_path / "cfg.json"

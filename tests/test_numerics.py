@@ -11,6 +11,7 @@ from affectpipe import classifiers as cl
 from affectpipe import graph as gr
 from affectpipe import numerics as nm
 from affectpipe import synth as sy
+from affectpipe import temporal as tp
 from affectpipe import training as tr
 
 from conftest import (channel_taps, exact, loop_conv2d, loop_conv2d_backward, offset_conv2d, pad_im2col,
@@ -100,6 +101,9 @@ SETTINGS = [
     *[(key, sy.SynthSpec, key, COUNT, np.int16(3)) for key in ("participants_per_group", "frames_per_participant")],
     ("seed", sy.SynthSpec, "seed", SEED, np.int64(9)),
     ("samples", partial(tr.toy_dataset, size=2), "n", COUNT, np.int64(2)),
+    ("image_size", partial(tr.toy_dataset, n=1), "size", COUNT, np.int64(4)),
+    ("seed", partial(tr.toy_dataset, n=1, size=2), "seed", SEED, np.int64(3)),
+    ("tau", partial(tp.au_activation, np.zeros((1, tp.FRAME_DIM))), "tau", REAL, np.float64(0.5)),
 ]
 
 
@@ -126,6 +130,15 @@ class TestSettingChecks:
         with pytest.raises(error, match=message) as caught:
             call(**{key: value})
         assert type(caught.value) is error
+
+    @pytest.mark.parametrize("call, key, value, message", [
+        (partial(tr.toy_dataset, n=1), "size", 0, "image_size must be a positive integer, got 0"),
+        (partial(tr.toy_dataset, n=1), "size", 1, "image_size must be at least 2, got 1"),
+        (partial(tr.toy_dataset, n=1, size=2), "seed", -1, "seed must be a non-negative integer, got -1"),
+    ], ids=["toy_dataset.size=0", "toy_dataset.size=1", "toy_dataset.seed=-1"])
+    def test_rejects_out_of_range(self, call, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(**{key: value})
 
     @pytest.mark.parametrize("name, call, key, need, value", SETTINGS,
                              ids=[f"{_owner(call)}.{key}" for _, call, key, _, _ in SETTINGS])
