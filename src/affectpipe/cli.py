@@ -1,13 +1,14 @@
 """Command-line surface tying the pipeline together.
 
 Every subcommand takes --seed, --config, --output and --format.  The
-values of a JSON config file become the subcommand's parser defaults, so
-flags given on the command line override them, and they override the
-built-in defaults.  Reports are written via dataio.render_report, so a
+values of a JSON config file act as the subcommand's defaults for that one
+call, so flags given on the command line override them, and they override
+the built-in defaults.  Reports are written via dataio.render_report, so a
 fixed seed reproduces output byte for byte.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -205,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("multi",) + gr.TASKS, default="multi")
     p.add_argument("--input-hw", type=int, default=gr.DEFAULT_INPUT_HW[0])
     _add_common(p)
-    p.set_defaults(handler=cmd_analyze_graph)
 
     p = subs.add_parser("train-toy", help="train the toy multitask model")
     p.add_argument("--epochs", type=int, default=tr.TrainConfig.epochs)
@@ -213,12 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-size", type=int, default=16)
     p.add_argument("--batch-size", type=int, default=tr.TrainConfig.batch_size)
     _add_common(p)
-    p.set_defaults(handler=cmd_train_toy)
 
     p = subs.add_parser("extract-features", help="temporal features from a cohort manifest")
     _add_cohort(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_extract_features)
 
     p = subs.add_parser("loocv", help="leave-one-out cross-validation over a cohort")
     _add_cohort(p)
@@ -226,18 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attributes", default="au,expr,arousal,valence",
                    help="comma-separated subset of au,expr,arousal,valence")
     _add_common(p)
-    p.set_defaults(handler=cmd_loocv)
 
     p = subs.add_parser("ablate", help="attribute-subset ablation table")
     _add_cohort(p)
     p.add_argument("--classifier", choices=cl.KINDS, default="logistic")
     _add_common(p)
-    p.set_defaults(handler=cmd_ablate)
 
     p = subs.add_parser("ttest", help="per-attribute group significance")
     _add_cohort(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_ttest)
 
     p = subs.add_parser("synth", help="generate a synthetic cohort on disk")
     p.add_argument("--out-dir", type=Path, default=None)
@@ -245,19 +240,27 @@ def build_parser() -> argparse.ArgumentParser:
         default = getattr(sy.SynthSpec, field)
         p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
     _add_common(p)
-    p.set_defaults(handler=cmd_synth)
     for sub in subs.choices.values():
         sub.set_defaults(parser=sub)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``parse`` call shares; nothing sets its defaults."""
+    return build_parser()
+
+
 def parse(argv=None) -> argparse.Namespace:
     """The options of argv over the values of its --config file over the built-in defaults."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(argv)
     if args.config is not None:
-        args.parser.set_defaults(**_config_defaults(args.parser, args.config))
-        args = parser.parse_args(argv)
+        # The top-level parser has no options, so argv[0] is the command.  A
+        # value already in the namespace is one argparse leaves unless a
+        # flag sets it: the config's values act as this call's defaults.
+        config = _config_defaults(args.parser, args.config)
+        args = args.parser.parse_args(argv[1:], argparse.Namespace(command=args.command, **config))
     nm.require_count(args.seed, "seed", minimum=0)
     return args
 
@@ -265,7 +268,10 @@ def parse(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         opts = parse(argv)
-        rendered = dataio.render_report(opts.handler(opts), fmt=opts.format)
+        # Each command's handler is cmd_<command>, found at each call, so the
+        # shared parser holds no function.
+        handler = globals()["cmd_" + opts.command.replace("-", "_")]
+        rendered = dataio.render_report(handler(opts), fmt=opts.format)
         if opts.output is not None:
             Path(opts.output).write_text(rendered, encoding="utf-8")
         else:

@@ -42,12 +42,14 @@ def parse_frames(path) -> np.ndarray:
     Enforces the exact header, per-column ranges, and unit expression mass
     so downstream feature extraction never sees out-of-contract values.
 
-    A well-formed file is accepted in one pass over the whole body: the
-    body is split into cells once, converted with one ``np.array`` call,
-    and checked column-wise.  Any file that pass cannot accept for certain
-    goes to the row-by-row parser, which defines the grammar, raises the
-    located ``ParseError``, and serves as the oracle the fast pass is
-    tested against; both return the same matrix bit for bit.
+    A well-formed file is accepted in one pass over the whole body: one
+    ``np.loadtxt`` call, numpy's C text reader, converts every cell, and the
+    matrix is checked column-wise.  That reader gives ``float()``'s value
+    for every cell it accepts but accepts only a subset of ``float()``'s
+    grammar (see ``_whole_body_matrix``).  Any file that pass cannot accept
+    for certain goes to the row-by-row parser, which defines the grammar,
+    raises the located ``ParseError``, and serves as the oracle the fast
+    pass is tested against; both return the same matrix bit for bit.
     """
     F = _whole_body_matrix(_frame_body(path))
     return F if F is not None else _parse_frame_rows(path)
@@ -62,6 +64,9 @@ def _frame_body(path) -> list:
         raise ParseError(str(err), path=path) from None
     except UnicodeDecodeError as err:
         raise ParseError(f"not valid UTF-8: {err}", path=path) from None
+    if lines and lines[0].startswith("\ufeff"):
+        raise ParseError(f"header starts with U+FEFF, a byte-order mark; it must be "
+                         f"exactly {FRAME_HEADER!r}", path=path, row=1)
     if not lines or lines[0] != FRAME_HEADER:
         raise ParseError(f"header must be exactly {FRAME_HEADER!r}", path=path, row=1)
     return lines[1:]
@@ -70,28 +75,35 @@ def _frame_body(path) -> list:
 def _whole_body_matrix(body: list):
     """The attribute matrix of ``body`` if every row surely parses, else None.
 
-    Each check accepts a subset of what the row parser accepts: frame
-    indices must be plain ASCII digits no longer than the smallest
-    digit limit ``int()`` can be given, cells convert exactly as
-    ``float()`` converts them (``np.array`` on Python strings, not
-    ``astype`` on a string array), and the values must pass
-    ``temporal.attribute_matrix``, whose expression-sum margin makes
-    ``math.fsum`` accept them too.
+    Each check accepts a subset of what the row parser accepts.  Frame
+    indices must be non-empty plain ASCII digits no longer than the
+    smallest digit limit ``int()`` can be given; that also refuses indices
+    such as ``1e3`` the reader would take as floats, the blank lines it
+    would skip, and an empty body, on which it warns.  The reader converts
+    each cell with ``PyOS_string_to_double``, the converter ``float()``
+    uses, after stripping the same whitespace but for U+001F, which it
+    strips and ``float()`` refuses, so a body holding one is refused.  Every
+    other cell it accepts has ``float()``'s value; the underscores and
+    non-ASCII digits ``float()`` also takes, it refuses.  ``comments=None``
+    keeps it from cutting a cell such as ``0.5#x`` at the ``#``, and the
+    shape check refuses a body it read as anything but one 23-cell row per
+    line.  The values must then pass ``temporal.attribute_matrix``, whose
+    expression-sum margin makes ``math.fsum`` accept them too.
     """
-    width = len(FRAME_COLUMNS)
-    if not body or not all(line.count(",") == width - 1 for line in body):
-        return None
-    cells = ",".join(body).split(",")
-    index = cells[::width]
+    index = [line.partition(",")[0] for line in body]
     digits = "".join(index)
     if not (all(index) and digits.isascii() and digits.isdigit()
             and max(map(len, index)) <= _MAX_INDEX_DIGITS):
         return None
-    del cells[::width]
-    try:
-        return tp.attribute_matrix(np.array(cells, dtype=float).reshape(len(body), width - 1))
-    except ValueError:
+    if any("\x1f" in line for line in body):
         return None
+    try:
+        A = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+        if A.shape == (len(body), len(FRAME_COLUMNS)):
+            return tp.attribute_matrix(A[:, 1:])
+    except ValueError:
+        pass
+    return None
 
 
 def _parse_frame_rows(path) -> np.ndarray:

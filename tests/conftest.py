@@ -723,8 +723,9 @@ def max_rel_error(analytic, numeric):
 
 # Bytes inserted by the mutation test: separators, characters splitlines()
 # treats as line breaks, characters float() or int() skip or accept
-# (underscores, whitespace, Arabic-Indic digits), and non-finite spellings.
-INSERTS = [b",", b"\n", b"\r", b"\x0c", b"\x00", b"_", "\u0661".encode(), b"nan",
+# (underscores, whitespace, Arabic-Indic digits), U+001F (whitespace to
+# numpy's text reader, not to float()), and non-finite spellings.
+INSERTS = [b",", b"\n", b"\r", b"\x0c", b"\x00", b"_", "\u0661".encode(), b"\x1f", b"nan",
            b"1e400", b" "]
 
 MUTATION = st.tuples(

@@ -321,6 +321,31 @@ class TestConfigMerging:
         assert self._parsed("train-toy") == defaults
         assert defaults["epochs"] == tr.TrainConfig.epochs and defaults["seed"] == 0
 
+    def test_each_call_sees_only_its_own_config(self, tmp_path, capsys):
+        """One process, one shared parser: a config's values reach only its
+        own call, also after a config whose call exits 1."""
+        first, failing, second = (tmp_path / f"{name}.json"
+                                  for name in ("first", "failing", "second"))
+        first.write_text(json.dumps({"out_dir": str(tmp_path / "a"), "participants": 1,
+                                     "frames": 5, "noise": 0.7, "seed": 5,
+                                     "output": str(tmp_path / "a.json")}))
+        failing.write_text(json.dumps({"out_dir": str(tmp_path / "bad"), "participants": 2,
+                                       "subject_scale": 0.1, "seed": -1}))
+        second.write_text(json.dumps({"out_dir": str(tmp_path / "b"), "frames": 6,
+                                      "output": str(tmp_path / "b.json")}))
+        assert cli.main(["synth", "--config", str(first)]) == 0
+        code, out, err = run(capsys, "synth", "--config", str(failing))
+        assert code == 1 and out == "" and "seed" in json.loads(err)["message"]
+        assert cli.main(["synth", "--config", str(second)]) == 0
+        spec = {"participants_per_group": 10, "frames_per_participant": 5, "au_effect": 0.0,
+                "expr_effect": 0.0, "arousal_effect": 0.0, "valence_effect": 0.0,
+                "noise": 0.7, "subject_scale": 0.3, "seed": 5}
+        assert json.loads((tmp_path / "a.json").read_text())["spec"] == dict(
+            spec, participants_per_group=1)
+        assert json.loads((tmp_path / "b.json").read_text())["spec"] == dict(
+            spec, frames_per_participant=6, noise=0.5, seed=0)
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("command,key,value", [("synth", "participants", "ten")] + [
         (command, key, None) for command in COMMANDS
         for key in _option_keys(command)])
