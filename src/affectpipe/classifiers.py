@@ -601,10 +601,13 @@ def decision_values(model: FittedModel, X) -> np.ndarray:
         K = _rbf_kernel(Xs, payload["support"], payload["gamma"])
         return K @ payload["coef"] + payload["b"]
     if kind == "gbt":
-        score = np.full(Xs.shape[0], payload["f0"])
-        for leaf_values in _forest_predict(payload["forest"], Xs):
-            score = score + payload["shrinkage"] * leaf_values
-        return score
+        # f0, then each tree's shrunk leaf values added in tree order: one
+        # accumulate makes the adds of a loop over the trees, in its order.
+        leaves = _forest_predict(payload["forest"], Xs)
+        steps = np.empty((len(leaves) + 1, Xs.shape[0]))
+        steps[0] = payload["f0"]
+        np.multiply(payload["shrinkage"], leaves, out=steps[1:])
+        return np.add.accumulate(steps, axis=0, out=steps)[-1]
     return _mlp_decision(payload, Xs)
 
 

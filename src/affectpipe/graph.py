@@ -1,9 +1,9 @@
 """Trunk builder: stem, CU stages, depthwise tail, pooled heads.
 
 Each convolutional unit (CU) is data: a short list of steps (a ConvBlock,
-an add or a ReLU) over named activation slots, and one walker gives all
-three kinds their forward pass, output size, MACs, parameter shapes and
-backward pass.  The CU internals (bottleneck width, depthwise multiplier,
+EESP's step of branches, running sums and expand, an add or a ReLU) over
+named activation slots, and one walker gives all three kinds their forward
+pass, output size, MACs, parameter shapes and backward pass.  The CU internals (bottleneck width, depthwise multiplier,
 EESP branch count and width) are not pinned by the layer table, so they
 live in CuWidths with defaults calibrated to land inside the target
 parameter and FLOP budgets for each variant.  Counting conventions: 1 MAC =
@@ -18,7 +18,7 @@ the fold's errors for non-finite parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -64,27 +64,43 @@ class CuWidths:
 
 class BlockRecord(NamedTuple):
     """What a taped :meth:`ConvBlock.forward` keeps for its backward: the
-    inputs (one, or one per group), the output of a block with a ReLU (None
-    without one, whose backward reads no output), the weights its
-    convolution read (folded, or the block's own), per input the column
-    tensor its im2col convolution built (None on the taps path), and the
-    convolution's output ``u = conv(x, W) + b`` of a block that applies its
-    affine to that output (None for a block that folds it)."""
+    input, the output of a block with a ReLU (None without one, whose
+    backward reads no output), the weights its convolution read (folded, or
+    the block's own), the column tensor its im2col convolution built (None
+    on the taps path), and the convolution's output ``u = conv(x, W) + b``
+    of a block that applies its affine to that output (None for a block
+    that folds it)."""
 
-    xs: tuple
-    y: np.ndarray
+    x: np.ndarray
+    y: np.ndarray | None
     w: np.ndarray
-    columns: tuple
+    columns: np.ndarray | None
     u: np.ndarray | None
+
+
+class BranchRecord(NamedTuple):
+    """What a taped :meth:`EespBranches.forward` keeps: its input, the
+    (K, n, oh, ow, width) buffers of the branch outputs after their ReLU and
+    of the running sums, the weights each branch's convolution read, the
+    branches' convolution outputs in the same layout (None where they fold),
+    and the expand's weights and convolution output (None where it folds)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    sums: np.ndarray
+    w: tuple
+    u: np.ndarray | None
+    expand_w: np.ndarray
+    expand_u: np.ndarray | None
 
 
 class UnitRecord(NamedTuple):
     """What a taped :meth:`Unit.forward` keeps: the slots its backward reads
-    (the output of each ``relu`` step) and, in step order, each of its
-    blocks' :class:`BlockRecord`, which holds the blocks' inputs."""
+    (the output of each ``relu`` step) and, in step order, the record of
+    each of its layer steps."""
 
     slots: dict
-    blocks: list
+    records: list
 
 
 class ConvBlock:
@@ -117,20 +133,12 @@ class ConvBlock:
     a check fails.  Where the
     convolution itself raises, on its input or a shape, the fold is checked
     first, so its error comes first, as from a check before the convolution.
-
-    A grouped block takes one input, or one input per group (EESP's expand
-    reads each running sum of its branches as one group): it then runs one
-    convolution per group under ``group_spec`` and stacks their outputs
-    channel-major, as one grouped convolution lays them out.
     """
 
     def __init__(self, name: str, spec: nm.ConvSpec, relu: bool = True):
         self.name = name
         self.spec = spec
         self.relu = relu
-        g = spec.groups
-        self.group_spec = replace(spec, in_channels=spec.in_channels // g, out_channels=spec.out_channels // g,
-                                  groups=1)
 
     @property
     def out_channels(self) -> int:
@@ -167,109 +175,275 @@ class ConvBlock:
         nm.require_finite(b, "folded bias")
         return w, b
 
-    def _convolve(self, xs, w, b, padded):
-        """``(y, column tensors)`` of the block's convolution: one over its
-        one input, or one per group over one input per group, stacked
-        channel-major as one grouped convolution lays them out."""
-        if len(xs) == 1:
-            y, columns = nm.conv2d(xs[0], self.spec, w, b, padded=padded, return_columns=True)
-            return y, (columns,)
-        groups = zip(xs, w.reshape(len(xs), -1, *w.shape[1:]), b.reshape(len(xs), -1))
-        ys, columns = zip(*(nm.conv2d(x, self.group_spec, wg, bg, return_columns=True) for x, wg, bg in groups))
-        return np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3), columns
+    def _weights(self, params: dict, fold: bool):
+        """The weights and bias the convolution reads: the checked fold, or the block's own."""
+        return self._folded(params) if fold else (params[f"{self.name}.w"], params[f"{self.name}.b"])
 
-    def forward(self, params: dict, *xs: np.ndarray, padded: np.ndarray | None = None,
+    def _convolve(self, params: dict, fold: bool, conv, *args, **kwargs):
+        """``conv(*args, **kwargs)``, the block's convolution.  Without the
+        fold, non-finite parameters show in the output, which is checked
+        after the affine, so numpy's warnings are off, and where the
+        convolution raises on its input or a shape the fold's errors come
+        first."""
+        if fold:
+            return conv(*args, **kwargs)
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                return conv(*args, **kwargs)
+        except ValueError:  # a ShapeError or NumericError of the input or a shape
+            self._folded(params)
+            raise
+
+    def _check_unfolded(self, params: dict, y: np.ndarray, w: np.ndarray) -> None:
+        """The fold's errors of a block that did not fold, made where its
+        output before the ReLU is not finite.  The taps path skips taps that
+        read only padding, and with them their weights: a per-channel W is
+        checked as well."""
+        if not np.isfinite(y).all() or (self.spec.per_channel and not np.isfinite(w).all()):
+            self._folded(params)
+
+    def forward(self, params: dict, x: np.ndarray, padded: np.ndarray | None = None,
                 tape: list | None = None) -> np.ndarray:
         """``padded`` is a shared channels-last copy of x, see :func:`numerics.conv2d`.
 
         With a ``tape`` list, a :class:`BlockRecord` is appended to it.
         """
-        n = self.name
-        fold = self.folds(nm._as_tensor4(xs[0]).shape)
-        u = None
-        if fold:
-            w, b = self._folded(params)
-            y, columns = self._convolve(xs, w, b, padded)
-        else:
-            w, b = params[f"{n}.w"], params[f"{n}.b"]
-            try:
-                # Non-finite parameters show in the output, checked below.
-                with np.errstate(invalid="ignore", over="ignore"):
-                    y, columns = self._convolve(xs, w, b, padded)
-            except ValueError:  # a ShapeError or NumericError of the input or a shape
-                self._folded(params)  # the fold's errors come first
-                raise
+        fold = self.folds(nm._as_tensor4(x).shape)
+        w, b = self._weights(params, fold)
+        y, columns = self._convolve(params, fold, nm.conv2d, x, self.spec, w, b, padded=padded,
+                                    return_columns=True)
         if tape is None:
-            # Only a tape reads the column tensors: free them now, not after
-            # the affine and ReLU.  Held that long, they raised the peak RSS
+            # Only a tape reads the column tensor: free it now, not after
+            # the affine and ReLU.  Held that long, it raised the peak RSS
             # of the 112 px trunk benchmark by 11 MB.
             columns = None
+        y, u = self._output(params, y, w, fold, tape is not None)
+        if tape is not None:
+            tape.append(BlockRecord(x, y if self.relu else None, w, columns, u))
+        return y
+
+    def _output(self, params: dict, y: np.ndarray, w: np.ndarray, fold: bool, taped: bool):
+        """``(y, u)`` from the convolution's output y: for a block that does
+        not fold, its affine, checked by :meth:`_check_unfolded`, with u the
+        output before it where ``taped`` (else None); then the ReLU, in
+        place."""
+        u = None
         if not fold:
+            n = self.name
             scale = params[f"{n}.scale"][:, None, None]
             with np.errstate(invalid="ignore", over="ignore"):
-                if tape is not None:
+                if taped:
                     u, y = y, y * scale
                 else:
                     y *= scale
                 y += params[f"{n}.shift"][:, None, None]
-            # The taps path skips taps that read only padding, and with them
-            # their weights: a per-channel W is checked here as well.
-            if not np.isfinite(y).all() or (self.spec.per_channel and not np.isfinite(w).all()):
-                self._folded(params)
+            self._check_unfolded(params, y, w)
         if self.relu:
             np.maximum(y, 0.0, out=y)
-        if tape is not None:
-            tape.append(BlockRecord(xs, y if self.relu else None, w, columns, u))
-        return y
+        return y, u
 
-    def backward(self, params: dict, record: BlockRecord, grad_y: np.ndarray, *, input_grad: bool = True):
-        """(grad_x, parameter grads) from the forward's record and d loss/d y.
+    def _conv_grad(self, params: dict, y: np.ndarray | None, u: np.ndarray | None, grad_y: np.ndarray):
+        """``(gz, affine)``: the adjoint gz of the convolution's output, from
+        d loss/d y through the ReLU (masked by the output y) and, for a
+        block that applied its affine to the convolution's output u, through
+        that affine, whose adjoints ``(gscale, gshift)`` are ``affine``
+        (else None)."""
+        if self.relu:
+            grad_y = nm.relu_backward(grad_y, y)
+        if u is None:
+            return grad_y, None
+        scale = params[f"{self.name}.scale"]
+        return grad_y * scale[:, None, None], ((grad_y * u).sum(axis=(0, 2, 3)), grad_y.sum(axis=(0, 2, 3)))
+
+    def _param_grads(self, params: dict, gw: np.ndarray, gb: np.ndarray, affine) -> dict:
+        """The parameter grads from the adjoints gw, gb of the weights and
+        bias the convolution read and the ``affine`` of :meth:`_conv_grad`.
 
         Through a fold, with gWf, gbf the adjoints of the folded weights
         and bias: gW = scale*gWf, gb = scale*gbf, gshift = gbf and
         gscale = sum(gWf*W) + gbf*b per output channel.  Through an affine
         on the output u, with gz the adjoint of y before its ReLU: gshift =
         sum(gz), gscale = sum(gz*u) and the convolution's adjoints are those
-        of gu = scale*gz.  A block that read one input per group gives a
-        tuple grad_x.  With ``input_grad=False`` grad_x is None and is not
-        computed.
+        of gu = scale*gz.
         """
-        xs, y, w, columns, u = record
-        if self.relu:
-            grad_y = nm.relu_backward(grad_y, y)
         n = self.name
+        if affine is not None:
+            gscale, gshift = affine
+            return {f"{n}.w": gw, f"{n}.b": gb, f"{n}.scale": gscale, f"{n}.shift": gshift}
         scale = params[f"{n}.scale"]
-        if u is not None:
-            gscale = (grad_y * u).sum(axis=(0, 2, 3))
-            gshift = grad_y.sum(axis=(0, 2, 3))
-            grad_y = grad_y * scale[:, None, None]
-        if len(xs) > 1:
-            groups = zip(np.split(grad_y, len(xs), axis=1), xs, w.reshape(len(xs), -1, *w.shape[1:]), columns)
-            gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, self.group_spec, wg, columns=cols,
-                                                     input_grad=input_grad)
-                                  for gy, xg, wg, cols in groups))
-            gx = gxs if input_grad else None
-            gw, gb = np.concatenate(gws), np.concatenate(gbs)
-        else:
-            gx, gw, gb = nm.conv2d_backward(grad_y, xs[0], self.spec, w, columns=columns[0],
-                                            input_grad=input_grad)
-        if u is not None:
-            return gx, {f"{n}.w": gw, f"{n}.b": gb, f"{n}.scale": gscale, f"{n}.shift": gshift}
-        return gx, {
+        return {
             f"{n}.w": scale[:, None, None, None] * gw,
             f"{n}.b": scale * gb,
             f"{n}.scale": (gw * params[f"{n}.w"]).sum(axis=(1, 2, 3)) + gb * params[f"{n}.b"],
             f"{n}.shift": gb,
         }
 
+    def backward(self, params: dict, record: BlockRecord, grad_y: np.ndarray, *, input_grad: bool = True):
+        """(grad_x, parameter grads) from the forward's record and d loss/d y.
+
+        With ``input_grad=False`` grad_x is None and is not computed.
+        """
+        x, y, w, columns, u = record
+        gz, affine = self._conv_grad(params, y, u, grad_y)
+        gx, gw, gb = nm.conv2d_backward(gz, x, self.spec, w, columns=columns, input_grad=input_grad)
+        return gx, self._param_grads(params, gw, gb, affine)
+
     def macs(self, hw) -> int:
         oh, ow = self.spec.out_hw(hw)
         return self.spec.macs(hw) + oh * ow * self.spec.out_channels
 
 
-# The other ops of a unit's steps.  An add keeps the layout of its inputs, so
-# EESP's running sums of channels-last branches are channels-last, and each
-# is one contiguous slab for its group of the expand.
+def _stacked(params: dict, blocks, key: str) -> np.ndarray:
+    """The blocks' (c,) parameters ``key`` as a (K, 1, 1, 1, c) stack, to
+    broadcast over a (K, n, oh, ow, c) buffer."""
+    return np.stack([params[f"{block.name}.{key}"] for block in blocks])[:, None, None, None, :]
+
+
+def _sum_columns(sums: np.ndarray) -> np.ndarray:
+    """The (K, width, n*oh*ow) columns of the grouped 1x1 expand: a
+    transposed view of the (K, n, oh, ow, width) running sums, group k
+    reading sum k."""
+    return sums.reshape(len(sums), -1, sums.shape[-1]).transpose(0, 2, 1)
+
+
+def _expand(sums: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The grouped 1x1 expand ``conv(s, W) + b`` over the running sums, an
+    NCHW view of channel-major memory, as from :func:`numerics.conv2d`.
+
+    Only the last sum is checked finite: the branches are ReLU'd, so each
+    is >= 0 or NaN, and the last sum is finite exactly when every sum is.
+    """
+    nm.require_finite(sums[-1], "conv2d input")
+    k, n, oh, ow, width = sums.shape
+    y = nm._grouped_matmul(w.reshape(k, -1, width), _sum_columns(sums))
+    y = y.reshape(-1, n, oh, ow).transpose(1, 0, 2, 3)
+    y += b[None, :, None, None]
+    return y
+
+
+class EespBranches:
+    """EESP's K dilated depthwise branches, their running sums s1 = b1, s_k
+    = s_(k-1) + b_k and its grouped 1x1 expand, group k reading s_k, as one
+    step over one (K, n, oh, ow, width) channels-last buffer.
+
+    The branches read one copy of the input, padded to the widest live
+    margin of them (:func:`numerics.live_margin`), which the input's size
+    sets: a branch whose dilated taps reach past a small input reads none
+    of that padding.  Each branch sums its taps through
+    :func:`numerics.conv2d` into its slot of the buffer.  The branches share
+    their output size, and so the fold rule's choice (see
+    :class:`ConvBlock`); their biases, or their affines, and the ReLU run
+    once over the whole buffer.  The sums are added in place, or, taped,
+    into a second buffer, because the backward reads each branch output.
+    The expand's columns are a transposed view of the sums, one GEMM per
+    group.  Errors come in the order of a walk over the separate blocks:
+    the copy's check before any branch, each branch's fold or output check
+    in turn, then the expand's fold and its one check of the last sum (see
+    :func:`_expand`).
+    """
+
+    def __init__(self, unit: str, width: int, cout: int, k: int, stride: int):
+        self.branches = tuple(
+            ConvBlock(f"{unit}.branch{d}", nm.ConvSpec(width, width, kernel=3, stride=stride, padding=d,
+                                                       dilation=d, groups=width))
+            for d in range(1, k + 1))
+        self.expand = ConvBlock(f"{unit}.expand", nm.ConvSpec(k * width, cout, kernel=1, groups=k), relu=False)
+        self.out_channels = cout
+
+    @property
+    def blocks(self) -> tuple:
+        return self.branches + (self.expand,)
+
+    def out_hw(self, hw):
+        return self.branches[0].out_hw(hw)
+
+    def param_shapes(self) -> dict:
+        return {key: shape for block in self.blocks for key, shape in block.param_shapes().items()}
+
+    def macs(self, hw) -> int:
+        return sum(block.macs(hw) for block in self.branches) + self.expand.macs(self.out_hw(hw))
+
+    def forward(self, params: dict, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """With a ``tape`` list, a :class:`BranchRecord` is appended to it."""
+        branches, expand = self.branches, self.expand
+        (n, width), hw = x.shape[:2], x.shape[2:]
+        oh, ow = self.out_hw(hw)
+        margin = max(nm.live_margin(block.spec, hw) for block in branches)
+        padded = nm._pad_channels_last(x, margin)
+        fold = branches[0].folds(x.shape)
+        out = np.empty((len(branches), n, oh, ow, width))
+        weights, biases = [], []
+        for block, slot in zip(branches, out):
+            wk, bk = block._weights(params, fold)
+            block._convolve(params, fold, nm.conv2d, x, block.spec, wk, padded=padded,
+                            out=slot.transpose(0, 3, 1, 2))
+            weights.append(wk)
+            biases.append(bk)
+        del padded
+        bias = np.stack(biases)[:, None, None, None, :]
+        u = None
+        if fold:
+            out += bias
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                out += bias
+                scale = _stacked(params, branches, "scale")
+                if tape is not None:
+                    u, out = out, out * scale
+                else:
+                    out *= scale
+                out += _stacked(params, branches, "shift")
+            for block, slot, wk in zip(branches, out, weights):
+                block._check_unfolded(params, slot, wk)
+        np.maximum(out, 0.0, out=out)
+        sums = out
+        if tape is not None:
+            sums = np.empty_like(out)
+            sums[0] = out[0]
+        for k in range(1, len(out)):
+            np.add(sums[k - 1], out[k], out=sums[k])
+        expand_fold = expand.folds((n, expand.spec.in_channels, oh, ow))
+        we, be = expand._weights(params, expand_fold)
+        y = expand._convolve(params, expand_fold, _expand, sums, we, be)
+        y, expand_u = expand._output(params, y, we, expand_fold, tape is not None)
+        if tape is not None:
+            tape.append(BranchRecord(x, out, sums, tuple(weights), u, we, expand_u))
+        return y
+
+    def backward(self, params: dict, record: BranchRecord, grad_y: np.ndarray):
+        """(grad_x, parameter grads) from the forward's record and d loss/d y.
+
+        The expand's input adjoint is one GEMM per group.  It is not added
+        into zeros, as the col2im of :func:`numerics.conv2d_backward` adds:
+        a -0.0 that this leaves reaches only a branch's ReLU adjoint, which
+        makes it +0.0 (:func:`numerics.relu_backward`).  Branch k's adjoint
+        is the sum of the adjoints of sums k to K, added from sum K down,
+        and the input's adjoint sums the branches' from branch K down to
+        branch 1.
+        """
+        x, y, sums, weights, u, we, expand_u = record
+        k, n, oh, ow, width = y.shape
+        expand = self.expand
+        gz, affine = expand._conv_grad(params, None, expand_u, grad_y)
+        gy = gz.transpose(1, 0, 2, 3).reshape(k, -1, n * oh * ow)
+        gw = np.matmul(gy, _sum_columns(sums).transpose(0, 2, 1)).reshape(we.shape)
+        grads = expand._param_grads(params, gw, gy.sum(axis=2).reshape(-1), affine)
+        gs = np.matmul(we.reshape(k, -1, width).transpose(0, 2, 1), gy)
+        for i in range(k - 2, -1, -1):
+            np.add(gs[i], gs[i + 1], out=gs[i])
+        gs = gs.reshape(k, width, n, oh, ow).transpose(0, 2, 1, 3, 4)
+        gx = None
+        for i in reversed(range(k)):
+            block = self.branches[i]
+            gz, affine = block._conv_grad(params, y[i].transpose(0, 3, 1, 2),
+                                          None if u is None else u[i].transpose(0, 3, 1, 2), gs[i])
+            gxi, gw, gb = nm.conv2d_backward(gz, x, block.spec, weights[i])
+            grads.update(block._param_grads(params, gw, gb, affine))
+            gx = gxi if gx is None else gx + gxi
+        return gx, grads
+
+
+# The other ops of a unit's steps.
 _OPS = {
     "add": np.add,
     "relu": nm.relu,
@@ -279,37 +453,21 @@ _OPS = {
 class Unit:
     """A CU as data: ``steps`` is a tuple of ``(op, out_slot, in_slots)``.
 
-    An op is a ConvBlock or a key of ``_OPS``; slot ``"x"`` is the unit's
-    input and the last step's slot its output.  A ConvBlock reads one slot,
-    or one slot per group (see :class:`ConvBlock`).  One walker over the steps
-    serves forward, out_hw, macs and param_shapes; backward walks them in
-    reverse over the :class:`UnitRecord` a taped forward kept, and runs no
-    step's forward again.  Each kind binds ``forward`` in its own class body
+    An op is a layer step, a ConvBlock or EESP's :class:`EespBranches`,
+    which reads one slot, or a key of ``_OPS``; slot ``"x"`` is the unit's
+    input and the last step's slot its output.  One walker over the steps
+    serves forward, out_hw, macs and param_shapes (``layers`` pairs each
+    layer step's op with the slot it reads); backward walks them in reverse
+    over the :class:`UnitRecord` a taped forward kept, and runs no step's
+    forward again.  Each kind binds ``forward`` in its own class body
     because the benchmark's tracer times the kinds apart by wrapping
     ``vars(cls)["forward"]``.
-
-    A slot read by two or more per-channel depthwise blocks (EESP's branches)
-    is copied once into a zero-padded channels-last buffer, padded to the
-    widest live margin of them (:func:`numerics.live_margin`), which the
-    input's size sets: a branch whose dilated taps reach past a small input
-    reads none of that padding.  Each reads the copy at its own offset, and
-    the copy is dropped after its last reader.  ``shared`` maps each such
-    block to ``(slot, reader_specs, is_last_reader)``.
     """
 
     def __init__(self, name: str, cout: int, steps):
         self.name, self.out_channels, self.steps = name, cout, tuple(steps)
-        self.blocks = [(op, ins[0]) for op, _, ins in self.steps if isinstance(op, ConvBlock)]
+        self.layers = [(op, ins[0]) for op, _, ins in self.steps if not isinstance(op, str)]
         self.relu_slots = tuple(out for op, out, _ in self.steps if op == "relu")
-        readers = {}
-        for block, src in self.blocks:
-            if block.spec.per_channel:
-                readers.setdefault(src, []).append(block)
-        self.shared = {}
-        for src, blocks in readers.items():
-            if len(blocks) > 1:
-                specs = tuple(block.spec for block in blocks)
-                self.shared.update((block, (src, specs, block is blocks[-1])) for block in blocks)
 
     def _walk(self, x, step) -> dict:
         """Every slot's value, with step(op, inputs) giving one step's output."""
@@ -319,30 +477,18 @@ class Unit:
         return slots
 
     def _values(self, params: dict, x: np.ndarray, tape: list | None = None) -> dict:
-        copies = {}
-
-        def step(op, args):
-            if not isinstance(op, ConvBlock):
-                return _OPS[op](*args)
-            if op not in self.shared:
-                return op.forward(params, *args, tape=tape)
-            src, specs, last = self.shared[op]
-            if src not in copies:
-                hw = args[0].shape[2:]
-                copies[src] = nm._pad_channels_last(args[0], max(nm.live_margin(spec, hw) for spec in specs))
-            return op.forward(params, *args, padded=copies.pop(src) if last else copies[src], tape=tape)
-
-        return self._walk(x, step)
+        return self._walk(x, lambda op, args: _OPS[op](*args) if isinstance(op, str)
+                          else op.forward(params, *args, tape=tape))
 
     def _sizes(self, hw) -> dict:
-        return self._walk(tuple(hw), lambda op, a: op.out_hw(a[0]) if isinstance(op, ConvBlock) else a[0])
+        return self._walk(tuple(hw), lambda op, a: a[0] if isinstance(op, str) else op.out_hw(a[0]))
 
     def forward(self, params: dict, x: np.ndarray, tape: list | None = None) -> np.ndarray:
         """With a ``tape`` list, a :class:`UnitRecord` is appended to it."""
-        blocks = None if tape is None else []
-        slots = self._values(params, x, blocks)
+        records = None if tape is None else []
+        slots = self._values(params, x, records)
         if tape is not None:
-            tape.append(UnitRecord({out: slots[out] for out in self.relu_slots}, blocks))
+            tape.append(UnitRecord({out: slots[out] for out in self.relu_slots}, records))
         return slots[self.steps[-1][1]]
 
     def out_hw(self, hw):
@@ -350,30 +496,29 @@ class Unit:
 
     def macs(self, hw) -> int:
         sizes = self._sizes(hw)
-        return sum(block.macs(sizes[src]) for block, src in self.blocks)
+        return sum(op.macs(sizes[src]) for op, src in self.layers)
 
     def param_shapes(self) -> dict:
-        return {key: shape for block, _ in self.blocks for key, shape in block.param_shapes().items()}
+        return {key: shape for op, _ in self.layers for key, shape in op.param_shapes().items()}
 
     def backward(self, params: dict, record: UnitRecord, grad_y: np.ndarray):
         """(grad_x, parameter grads) from the forward's record and d loss/d y.
 
         ``add`` fans the gradient out, ``relu`` masks it by the step's
-        output, and a ConvBlock runs its own backward on its record, with
-        one gradient per slot it reads.
+        output, and a layer step runs its own backward on its record.
         """
-        slots, blocks = record
-        blocks = reversed(blocks)
+        slots, records = record
+        records = reversed(records)
         grads, param_grads = {self.steps[-1][1]: grad_y}, {}
         for op, out, ins in reversed(self.steps):
             g = grads.pop(out)
-            if isinstance(op, ConvBlock):
-                g, block_grads = op.backward(params, next(blocks), g)
-                param_grads.update(block_grads)
-            elif op == "relu":
+            if op == "relu":
                 g = nm.relu_backward(g, slots[out])
-            for slot, g_in in zip(ins, g if isinstance(g, tuple) else [g] * len(ins)):
-                grads[slot] = grads[slot] + g_in if slot in grads else g_in
+            elif op != "add":
+                g, op_grads = op.backward(params, next(records), g)
+                param_grads.update(op_grads)
+            for slot in ins:
+                grads[slot] = grads[slot] + g if slot in grads else g
         return grads["x"], param_grads
 
 
@@ -420,8 +565,8 @@ class EespUnit(Unit):
 
     Branch k uses dilation k with matching padding so every branch keeps the
     same spatial size; stride lives on the branches.  Both 1x1 convolutions
-    have K groups, as in ESPNetv2.  The running sums s1 = b1, s_k = s_(k-1) +
-    b_k are add steps, and the expand reads s_k as its group k.
+    have K groups, as in ESPNetv2.  The branches, their running sums and the
+    expand are one :class:`EespBranches` step.
     """
 
     def __init__(self, name: str, cin: int, cout: int, stride: int, widths: CuWidths):
@@ -431,16 +576,8 @@ class EespUnit(Unit):
             raise ValueError(f"unit {name}: eesp_branches {k} must divide in_channels {cin}, "
                              f"out_channels {cout} and the branch width eesp_width_mult * "
                              f"out_channels / eesp_branches ({widths.eesp_width_mult * cout}/{k})")
-        steps = [(ConvBlock(f"{name}.reduce", nm.ConvSpec(cin, width, kernel=1, groups=k)), "r", ("x",))]
-        for d in range(1, k + 1):
-            spec = nm.ConvSpec(width, width, kernel=3, stride=stride, padding=d, dilation=d, groups=width)
-            steps.append((ConvBlock(f"{name}.branch{d}", spec), f"b{d}", ("r",)))
-        sums = ["b1"]
-        for d in range(2, k + 1):
-            steps.append(("add", f"s{d}", (sums[-1], f"b{d}")))
-            sums.append(f"s{d}")
-        expand = nm.ConvSpec(k * width, cout, kernel=1, groups=k)
-        steps.append((ConvBlock(f"{name}.expand", expand, relu=False), "e", tuple(sums)))
+        steps = [(ConvBlock(f"{name}.reduce", nm.ConvSpec(cin, width, kernel=1, groups=k)), "r", ("x",)),
+                 (EespBranches(name, width, cout, k, stride), "e", ("r",))]
         if stride == 1 and cin == cout:
             steps.append(("add", "sum", ("e", "x")))
         super().__init__(name, cout, steps + [("relu", "y", (steps[-1][1],))])

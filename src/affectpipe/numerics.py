@@ -20,7 +20,9 @@ copy is padded only as far as the live taps read (``live_margin``).
 ``conv2d`` makes that copy itself unless the caller passes one in as
 ``padded``: a unit whose several dilated branches read the same input
 makes one copy, padded to the widest live margin of the branches, and
-every branch reads it at its own offset.  Every other spec gathers the
+every branch reads it at its own offset.  Such a branch also passes
+``out``, its slot of one buffer that holds every branch's output, and the
+taps are summed straight into it.  Every other spec gathers the
 padded, strided and dilated input once into a channel-major column tensor
 (im2col) whose columns run over the whole batch, (groups, cin/g*k*k,
 n*oh*ow), and multiplies it by the grouped weights in one GEMM per group.
@@ -251,7 +253,7 @@ def _pad_channels_last(x: np.ndarray, margin: int) -> np.ndarray:
 
 
 def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.ndarray,
-                    oh: int, ow: int) -> np.ndarray:
+                    oh: int, ow: int, out: np.ndarray | None = None) -> np.ndarray:
     """Channel-multiplier-1 depthwise convolution as one sum over its live taps.
 
     ``xp`` is a zero-padded channels-last copy of the input (see
@@ -268,15 +270,19 @@ def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.nda
     channels on, the taps are added in the same order, to the same bits, as
     by an einsum against all (k, k, c) taps.  The tiled taps are a
     contiguous copy: as a transposed view this path ran slower than im2col,
-    and a broadcast view rounds differently.  The result is an NCHW view of
-    an NHWC array.
+    and a broadcast view rounds differently.  The result is written into
+    ``out``, an (n, c, oh, ow) array, or into a new one, and is an NCHW
+    view of an NHWC array.
     """
     n, c = xp.shape[0], xp.shape[3]
+    if out is None:
+        out = np.empty((n, oh, ow, c)).transpose(0, 3, 1, 2)
     k = spec.kernel
     hw = (xp.shape[1] - 2 * margin, xp.shape[2] - 2 * margin)
     (r0, r1), (c0, c1) = live_taps(spec, hw)
     if r0 == r1 or c0 == c1:
-        return np.zeros((n, oh, ow, c)).transpose(0, 3, 1, 2)
+        out[...] = 0.0
+        return out
     s, d = spec.stride, spec.dilation
     start = margin - spec.padding
     sn, sh, sw, sc = xp.strides
@@ -287,7 +293,8 @@ def _depthwise_taps(xp: np.ndarray, margin: int, spec: ConvSpec, weights: np.nda
         writeable=False,
     )
     taps = weights.reshape(c, k, k)[:, r0:r1, c0:c1].transpose(1, 2, 0)[:, :, None].repeat(ow, axis=2)
-    return np.einsum("nhwijc,ijwc->nhwc", windows, taps).transpose(0, 3, 1, 2)
+    np.einsum("nhwijc,ijwc->nhwc", windows, taps, out=out.transpose(0, 2, 3, 1))
+    return out
 
 
 def _run_rows(out_rows: int, cin_k: int, cols: int) -> int:
@@ -325,8 +332,17 @@ def _row_blocked_matmul(wg: np.ndarray, columns: np.ndarray, rows: int) -> np.nd
     return out
 
 
+def _grouped_matmul(wg: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``np.matmul(wg, columns)`` over (g, m, K) weights and (g, K, N)
+    columns: one GEMM per group, or, for a skinny GEMM, the walk in runs of
+    weight rows that :func:`_run_rows` chooses from the shapes alone."""
+    rows = _run_rows(wg.shape[1], wg.shape[2], columns.shape[2])
+    return _row_blocked_matmul(wg, columns, rows) if rows else np.matmul(wg, columns)
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None,
-           *, padded: np.ndarray | None = None, return_columns: bool = False):
+           *, padded: np.ndarray | None = None, return_columns: bool = False,
+           out: np.ndarray | None = None):
     """Grouped 2-d convolution (cross-correlation).
 
     out[n,o,i,j] = sum_{c,ki,kj} w[o,c,ki,kj] * xpad[n, g(o)+c, i*s+ki*d, j*s+kj*d] + b[o]
@@ -342,12 +358,16 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     ``x``; a copy made here has exactly that margin.  With
     ``return_columns`` the result is ``(out, columns)``: the im2col column
     tensor, for :func:`conv2d_backward` to read, or None on the taps path.
-    The input is checked finite, or its ``padded`` copy was; the weights
-    and bias are not.
+    ``out``, also only for the taps path, is a float64 (n, out_channels,
+    oh, ow) array of any layout that the result is written into and
+    returned as; EESP's branches pass their slots of one buffer.  The input
+    is checked finite, or its ``padded`` copy was; the weights and bias are
+    not.
     """
     x, weights, n, oh, ow = _conv_geometry(x, spec, weights)
     g = spec.groups
-    rows = 0 if spec.per_channel else _run_rows(spec.out_channels // g, weights[0].size, n * oh * ow)
+    if out is not None and (not spec.per_channel or out.shape != (n, spec.out_channels, oh, ow)):
+        raise ShapeError(f"output array of shape {out.shape} does not fit input {x.shape} under {spec}")
     columns = None
     if padded is not None:
         margin = (padded.shape[1] - x.shape[2]) // 2
@@ -355,15 +375,14 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
                 n, x.shape[2] + 2 * margin, x.shape[3] + 2 * margin, spec.in_channels):
             raise ShapeError(f"padded copy of shape {padded.shape} does not fit input "
                              f"{x.shape} under {spec}")
-        y = _depthwise_taps(padded, margin, spec, weights, oh, ow)
+        y = _depthwise_taps(padded, margin, spec, weights, oh, ow, out)
     elif spec.per_channel:
         margin = live_margin(spec, x.shape[2:])
-        y = _depthwise_taps(_pad_channels_last(x, margin), margin, spec, weights, oh, ow)
+        y = _depthwise_taps(_pad_channels_last(x, margin), margin, spec, weights, oh, ow, out)
     else:
         require_finite(x, "conv2d input")
         columns = _im2col(x, spec, oh, ow)
-        wg = weights.reshape(g, spec.out_channels // g, -1)
-        y = _row_blocked_matmul(wg, columns, rows) if rows else np.matmul(wg, columns)
+        y = _grouped_matmul(weights.reshape(g, spec.out_channels // g, -1), columns)
         y = y.reshape(spec.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)

@@ -362,7 +362,7 @@ def toy_forward(params: dict, batch: np.ndarray):
 
 def toy_backward(params: dict, cache: list, head_grads: dict) -> dict:
     """Exact adjoints for every toy parameter given head-output adjoints."""
-    return gr.backward(toy_graph(cache[0].xs[0].shape[2]), params, cache, head_grads)
+    return gr.backward(toy_graph(cache[0].x.shape[2]), params, cache, head_grads)
 
 
 def toy_dataset(n: int = 200, size: int = 16, seed: int = 0):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -72,12 +73,12 @@ def loop_conv2d_backward(grad_out, x, spec, weights):
     return gx, gw, gb
 
 
-def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=False):
+def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=False, out=None):
     """Direct-summation convolution, one grouped einsum per kernel offset.
 
     A shared padded copy is ignored: the oracle pads ``x`` itself, and it
     builds no column tensor, so with ``return_columns`` it returns None for
-    one.
+    one.  An ``out`` array is filled with the result and returned.
     """
     n = x.shape[0]
     g = spec.groups
@@ -86,14 +87,17 @@ def offset_conv2d(x, spec, weights, bias=None, *, padded=None, return_columns=Fa
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     xg = xp.reshape(n, g, spec.in_channels // g, *xp.shape[2:])
     wg = weights.reshape(g, spec.out_channels // g, spec.in_channels // g, k, k)
-    out = np.zeros((n, g, spec.out_channels // g, oh, ow))
+    acc = np.zeros((n, g, spec.out_channels // g, oh, ow))
     for ki in range(k):
         for kj in range(k):
             patch = xg[:, :, :, ki * d : ki * d + s * (oh - 1) + 1 : s, kj * d : kj * d + s * (ow - 1) + 1 : s]
-            out += np.einsum("ngchw,goc->ngohw", patch, wg[:, :, :, ki, kj], optimize=True)
-    y = out.reshape(n, spec.out_channels, oh, ow)
+            acc += np.einsum("ngchw,goc->ngohw", patch, wg[:, :, :, ki, kj], optimize=True)
+    y = acc.reshape(n, spec.out_channels, oh, ow)
     if bias is not None:
         y += bias[None, :, None, None]
+    if out is not None:
+        out[...] = y
+        y = out
     return (y, None) if return_columns else y
 
 
@@ -164,12 +168,20 @@ def scalar_repr_frames(F):
     return "\n".join(lines) + "\n"
 
 
+def group_spec(spec):
+    """One group of a grouped spec as a spec of its own."""
+    g = spec.groups
+    return dataclasses.replace(spec, in_channels=spec.in_channels // g, out_channels=spec.out_channels // g,
+                               groups=1)
+
+
 def recompute_block_backward(block, params, x, y, grad_y, input_grad=True):
     """``ConvBlock.backward`` from the block's input x and output y alone,
     under the same rule for where the affine goes: the weights are folded
     again, or the convolution's output u is computed again, and every
     column tensor is rebuilt from x.  An ``x`` that is a tuple of one input
-    per group gives a tuple grad_x."""
+    per group, as EESP's expand reads its running sums, runs one
+    ``conv2d_backward`` per group and gives a tuple grad_x."""
     if block.relu:
         grad_y = nm.relu_backward(grad_y, y)
     xs = x if isinstance(x, tuple) else (x,)
@@ -185,7 +197,7 @@ def recompute_block_backward(block, params, x, y, grad_y, input_grad=True):
         grad_y = grad_y * scale[:, None, None]
     if isinstance(x, tuple):
         groups = zip(np.split(grad_y, len(x), axis=1), x, w.reshape(len(x), -1, *w.shape[1:]))
-        gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, block.group_spec, wg, input_grad=input_grad)
+        gxs, gws, gbs = zip(*(nm.conv2d_backward(gy, xg, group_spec(block.spec), wg, input_grad=input_grad)
                               for gy, xg, wg in groups))
         gx = gxs if input_grad else None
         gw, gb = np.concatenate(gws), np.concatenate(gbs)
@@ -201,7 +213,7 @@ def recompute_block_backward(block, params, x, y, grad_y, input_grad=True):
     }
 
 
-def prove_then_convolve(block, params, *xs, padded=None):
+def prove_then_convolve(block, params, x, padded=None):
     """``ConvBlock.forward`` with every check of the fold before any
     convolution: the fold is made and checked, or, for a block that does
     not fold, proven finite by a bound from one dot over W, and only then
@@ -211,7 +223,7 @@ def prove_then_convolve(block, params, *xs, padded=None):
     that overflows and an output that does not."""
     n = block.name
     scale = params[f"{n}.scale"]
-    fold = block.folds(nm._as_tensor4(xs[0]).shape)
+    fold = block.folds(nm._as_tensor4(x).shape)
     if fold:
         w, b = block._folded(params)
     else:
@@ -223,16 +235,38 @@ def prove_then_convolve(block, params, *xs, padded=None):
         if not math.isfinite(bound):
             block._folded(params)
         nm.require_finite(bias, "folded bias")
-    if len(xs) == 1:
-        ys = [nm.conv2d(xs[0], block.spec, w, b, padded=padded)]
-    else:
-        ys = [nm.conv2d(x, block.group_spec, wg, bg)
-              for x, wg, bg in zip(xs, w.reshape(len(xs), -1, *w.shape[1:]), b.reshape(len(xs), -1))]
-    y = ys[0] if len(ys) == 1 else np.concatenate([y.transpose(1, 0, 2, 3) for y in ys]).transpose(1, 0, 2, 3)
+    y = nm.conv2d(x, block.spec, w, b, padded=padded)
     if not fold:
         with np.errstate(over="ignore", invalid="ignore"):
             y = y * scale[:, None, None] + params[f"{n}.shift"][:, None, None]
     return np.maximum(y, 0.0) if block.relu else y
+
+
+def eesp_slots(step, params, r):
+    """The branch outputs and running sums of an ``EespBranches`` step the
+    slow way: each branch a ConvBlock forward over its own padded copy of
+    r, and s_k = s_(k-1) + b_k one add at a time."""
+    branches = [block.forward(params, r) for block in step.branches]
+    sums = [branches[0]]
+    for b in branches[1:]:
+        sums.append(sums[-1] + b)
+    return branches, sums
+
+
+def recompute_eesp_backward(step, params, r, grad_y):
+    """``EespBranches.backward`` from the step's input r alone, the way a
+    walk over separate steps takes it: the expand reads one input per group,
+    each sum's adjoint fans out to the sum before it and to its branch, and
+    the input's adjoint adds the branches' from the last one down."""
+    branches, sums = eesp_slots(step, params, r)
+    gs, grads = recompute_block_backward(step.expand, params, tuple(sums), None, grad_y)
+    gx, g = None, None
+    for block, b, gsum in reversed(list(zip(step.branches, branches, gs))):
+        g = gsum if g is None else gsum + g
+        gb, block_grads = recompute_block_backward(block, params, r, b, g)
+        grads.update(block_grads)
+        gx = gb if gx is None else gx + gb
+    return gx, grads
 
 
 def recompute_unit_backward(unit, params, x, grad_y):
@@ -243,13 +277,15 @@ def recompute_unit_backward(unit, params, x, grad_y):
     for op, out, ins in reversed(unit.steps):
         g = grads.pop(out)
         if isinstance(op, gr.ConvBlock):
-            xs = tuple(slots[s] for s in ins)
-            g, block_grads = recompute_block_backward(op, params, xs if len(xs) > 1 else xs[0], slots[out], g)
+            g, block_grads = recompute_block_backward(op, params, slots[ins[0]], slots[out], g)
             param_grads.update(block_grads)
+        elif isinstance(op, gr.EespBranches):
+            g, step_grads = recompute_eesp_backward(op, params, slots[ins[0]], g)
+            param_grads.update(step_grads)
         elif op == "relu":
             g = nm.relu_backward(g, slots[out])
-        for slot, g_in in zip(ins, g if isinstance(g, tuple) else [g] * len(ins)):
-            grads[slot] = grads[slot] + g_in if slot in grads else g_in
+        for slot in ins:
+            grads[slot] = grads[slot] + g if slot in grads else g
     return grads["x"], param_grads
 
 
@@ -437,6 +473,18 @@ def walk_leaf_values(forest, X):
                 node = forest.left[node] if go_left else forest.right[node]
             out[t, i] = forest.value[node]
     return out
+
+
+def loop_gbt_decision(model, X):
+    """GBT decision values as a loop over the trees, ``score = score +
+    shrinkage * leaf_values`` from f0: the reference for the one accumulate
+    of ``decision_values``."""
+    payload = model.payload
+    Xs = model.stats.apply(np.atleast_2d(np.asarray(X, dtype=float)))
+    score = np.full(Xs.shape[0], payload["f0"])
+    for leaf_values in walk_leaf_values(payload["forest"], Xs):
+        score = score + payload["shrinkage"] * leaf_values
+    return score
 
 
 def two_branch_sigmoid(x):

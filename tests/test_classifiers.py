@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
 from affectpipe import numerics as nm
-from conftest import loop_best_split, loop_fit, model_bytes, node_best_split, walk_leaf_values
+from conftest import (exact, loop_best_split, loop_fit, loop_gbt_decision, model_bytes, node_best_split,
+                      walk_leaf_values)
 
 
 def blobs(rng, n=40, d=6, gap=4.0, cov_scale=1.0):
@@ -304,6 +305,19 @@ class TestGbt:
             return 1 + max(depth(forest.left[node]), depth(forest.right[node]))
 
         assert all(depth(root) <= 1 for root in forest.roots)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), rows=st.integers(1, 12),
+           rounds=st.integers(1, 40), depth=st.integers(1, 4), shrinkage=st.sampled_from([0.1, 0.37, 1.0]))
+    def test_decision_values_equal_the_loop_over_trees(self, seed, n, rows, rounds, depth, shrinkage):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 4))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = [0, 1]
+        model = cl.fit(cl.ClassifierSpec("gbt", rounds=rounds, depth=depth, shrinkage=shrinkage), X, y)
+        assert model.payload["forest"].roots.size == rounds
+        probe = np.vstack([X, 2.0 * rng.normal(size=(rows, 4))])
+        assert exact(cl.decision_values(model, probe)) == exact(loop_gbt_decision(model, probe))
 
 
 def tie_prone_matrix(rng, n, d, levels, n_constant):

@@ -22,8 +22,9 @@ from affectpipe import graph as gp
 from affectpipe import numerics as nm
 from affectpipe import training as tr
 
-from conftest import (central_difference, channel_affine, channel_affine_backward, exact, max_rel_error,
-                      offset_conv2d, prove_then_convolve, recompute_backward, recompute_unit_backward)
+from conftest import (central_difference, channel_affine, channel_affine_backward, eesp_slots, exact,
+                      max_rel_error, offset_conv2d, prove_then_convolve, recompute_backward,
+                      recompute_unit_backward)
 
 PARAM_TARGETS = {"bottleneck": 6.5e6, "mobilenet": 6.2e6, "eesp": 2.4e6}
 # Strided dense, grouped, grouped 1x1 and strided dilated depthwise blocks.
@@ -118,11 +119,17 @@ def assert_block_matches_finite_differences(block, params, x, rng):
         assert max_rel_error(grads[key], num) < 1e-6, key
 
 
+def unit_blocks(unit):
+    """Every ConvBlock of a unit, in parameter order."""
+    return [block for op, _ in unit.layers
+            for block in (op.blocks if isinstance(op, gp.EespBranches) else (op,))]
+
+
 def slow_eesp_forward(unit, params, x, residual):
     """An EESP unit walked the slow way, the reference for its steps: one
     padded copy per branch, the running sums built by accumulate and
     concatenate, and one grouped expand over all of them."""
-    blocks = {block.name.split(".")[-1]: block for block, _ in unit.blocks}
+    blocks = {block.name.split(".")[-1]: block for block in unit_blocks(unit)}
     reduced = blocks["reduce"].forward(params, x)
     branches = [blocks[f"branch{d}"].forward(params, reduced) for d in range(1, len(blocks) - 1)]
     y = blocks["expand"].forward(params, np.concatenate(list(itertools.accumulate(branches)), axis=1))
@@ -171,7 +178,7 @@ class TestCuWidths:
     def test_eesp_groups_is_the_branch_count(self):
         assert "eesp_groups" not in {f.name for f in dataclasses.fields(gp.CuWidths)}
         unit = gp.EespUnit("u", 8, 8, 1, gp.CuWidths(eesp_branches=2, eesp_width_mult=2))
-        assert [block.spec.groups for block, _ in unit.blocks if block.spec.kernel == 1] == [2, 2]
+        assert [block.spec.groups for block in unit_blocks(unit) if block.spec.kernel == 1] == [2, 2]
 
     @pytest.mark.parametrize("cin, cout, widths", [
         (3, 4, gp.CuWidths(eesp_branches=2, eesp_width_mult=2)),  # in_channels
@@ -531,27 +538,23 @@ class TestForward:
         np.testing.assert_allclose(block.forward(params, x), want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("spec", [nm.ConvSpec(6, 9, kernel=1, groups=3), nm.ConvSpec(4, 6, kernel=1, groups=2),
-                                      nm.ConvSpec(4, 2, kernel=3, stride=2, padding=1, groups=2)])
+                                      nm.ConvSpec(8, 4, kernel=1, groups=4)])
     def test_one_input_per_group_equals_the_grouped_block(self, spec):
-        """Per-group convolutions over separate inputs give the bytes of one
-        grouped convolution over their concatenation, forward and backward."""
+        """EESP's expand reads one input per group, the running sums of a
+        (K, n, oh, ow, width) buffer: it gives the bytes of one grouped
+        convolution over their concatenation, and a non-finite last sum
+        raises conv2d's error for its input."""
         rng = np.random.default_rng(22)
-        block = gp.ConvBlock("blk", spec)
-        params = block_params(rng, spec)
-        xs = tuple(rng.normal(size=(2, 7, 6, spec.in_channels // spec.groups)).transpose(0, 3, 1, 2)
-                   for _ in range(spec.groups))
-        joined = np.concatenate(xs, axis=1)
-        tape = []
-        y = block.forward(params, *xs, tape=tape)
-        assert exact(y) == exact(block.forward(params, joined, tape=tape))
-        up = rng.normal(size=y.shape)
-        gxs, grads = block.backward(params, tape[0], up)
-        gx, want = block.backward(params, tape[1], up)
-        assert exact(grads) == exact(want)
-        assert exact(gxs) == exact(tuple(np.split(gx, spec.groups, axis=1)))
-        assert block.backward(params, tape[0], up, input_grad=False)[0] is None
-        with pytest.raises(ValueError):
-            block.forward(params, *xs, xs[0])
+        k, width = spec.groups, spec.in_channels // spec.groups
+        sums = rng.uniform(0.0, 1.0, size=(k, 2, 7, 6, width))
+        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=spec.out_channels)
+        joined = np.concatenate(list(sums.transpose(0, 1, 4, 2, 3)), axis=1)
+        assert exact(gp._expand(sums, w, b)) == exact(nm.conv2d(joined, spec, w, b))
+        sums[-1, 1, 3, 2, 0] = np.nan
+        joined = np.concatenate(list(sums.transpose(0, 1, 4, 2, 3)), axis=1)
+        for run in (lambda: gp._expand(sums, w, b), lambda: nm.conv2d(joined, spec, w, b)):
+            with pytest.raises(nm.NumericError, match="^non-finite values in conv2d input$"):
+                run()
 
     def test_nonfinite_folded_parameters_raise_before_arithmetic(self):
         spec = nm.ConvSpec(2, 2, kernel=1)
@@ -569,7 +572,7 @@ class TestForward:
 
 class TestSharedBranchCopy:
     """EESP branches read one padded copy of the reduce output; the running
-    sums are add steps, and each group of the expand reads one of them."""
+    sums fill one buffer, and group k of the expand reads sum k in place."""
 
     @staticmethod
     def check_against_slow_walk(k, cin, cout, stride, width, n, h, w, seed):
@@ -602,21 +605,30 @@ class TestSharedBranchCopy:
             cin, stride = cout, 1
         self.check_against_slow_walk(k, cin, cout, stride, width, n, h, w, seed)
 
-    def test_each_expand_group_reads_one_running_sum_in_place(self, monkeypatch):
+    def test_the_expand_reads_the_running_sums_in_place(self, monkeypatch):
+        """One grouped GEMM per unit, whose columns are a view of the sums
+        buffer: group k reads s_k = b_1 + ... + b_k, and no copy makes them."""
         unit = gp.EespUnit("u", 8, 8, 1, gp.CuWidths(eesp_branches=4, eesp_width_mult=4))
-        expand = unit.blocks[-1][0]
-        reads, real = [], nm._im2col
+        reads, real_expand, real_matmul = [], gp._expand, nm._grouped_matmul
 
-        def im2col(x, spec, oh, ow):
-            cols = real(x, spec, oh, ow)
-            if spec == expand.group_spec:
-                reads.append(np.shares_memory(cols, x) and x.transpose(0, 2, 3, 1).flags.c_contiguous)
-            return cols
+        def expand(sums, w, b):
+            reads.append((sums, []))
+            return real_expand(sums, w, b)
 
-        monkeypatch.setattr(nm, "_im2col", im2col)
+        def grouped_matmul(wg, columns):
+            if reads:
+                reads[-1][1].append(columns)
+            return real_matmul(wg, columns)
+
+        monkeypatch.setattr(gp, "_expand", expand)
+        monkeypatch.setattr(nm, "_grouped_matmul", grouped_matmul)
         rng = np.random.default_rng(41)
-        unit.forward(unit_params(rng, unit), rng.normal(size=(2, 8, 5, 6)))
-        assert expand.name == "u.expand" and reads == [True] * 4
+        params, x = unit_params(rng, unit), rng.normal(size=(2, 8, 5, 6))
+        unit.forward(params, x)
+        ((sums, (columns,)),) = reads
+        assert np.shares_memory(columns, sums) and not columns.flags.owndata
+        _, slow = eesp_slots(unit.layers[1][0], params, unit_blocks(unit)[0].forward(params, x))
+        assert exact(columns) == exact(np.stack([s.transpose(1, 0, 2, 3).reshape(8, -1) for s in slow]))
 
     def test_one_copy_per_eesp_unit(self, monkeypatch):
         graph = tiny_graph("eesp")
@@ -637,23 +649,22 @@ class TestSharedBranchCopy:
     def test_copy_is_freed_after_the_last_branch(self, monkeypatch):
         graph = tiny_graph("eesp")
         params = gp.init_params(graph, seed=0)
-        copies, alive_at_add = [], []
-        real_copy, real_add = nm._pad_channels_last, gp._OPS["add"]
+        copies, alive_at_expand = [], []
+        real_copy, real_expand = nm._pad_channels_last, gp._expand
 
         def copy(x, margin):
             xp = real_copy(x, margin)
             copies.append(weakref.ref(xp))
             return xp
 
-        def add(a, b):
-            alive_at_add.append(copies[-1]() is not None)
-            return real_add(a, b)
+        def expand(sums, w, b):
+            alive_at_expand.append(copies[-1]() is not None)
+            return real_expand(sums, w, b)
 
         monkeypatch.setattr(nm, "_pad_channels_last", copy)
-        monkeypatch.setitem(gp._OPS, "add", add)
+        monkeypatch.setattr(gp, "_expand", expand)
         gp.forward(graph, params, np.random.default_rng(45).normal(size=(2, 3, 32, 32)))
-        # Three running sums in each of the 18 units, and 14 residual adds.
-        assert alive_at_add == [False] * (18 * 3 + 14)
+        assert alive_at_expand == [False] * 18
 
     @pytest.mark.parametrize("mult, copies", [(1, [1] * 14 + [0] * 4), (gp.CuWidths().mobilenet_depth_mult, [])])
     def test_one_copy_per_block_without_sharing(self, monkeypatch, mult, copies):
@@ -675,17 +686,6 @@ class TestSharedBranchCopy:
         tail = gp.ConvBlock("blk", spec)
         tail.forward(block_params(np.random.default_rng(44), spec), np.ones((1, 4, 5, 5)))
         assert margins == [1]
-
-    def test_shared_copy_only_for_two_or_more_depthwise_readers(self):
-        one = gp.EespUnit("u", 4, 4, 1, gp.CuWidths(eesp_branches=1, eesp_width_mult=1))
-        assert one.shared == {}
-        unit = gp.EespUnit("u", 6, 6, 2, gp.CuWidths(eesp_branches=3, eesp_width_mult=3))
-        branches = [block for block, _ in unit.blocks if block.name.startswith("u.branch")]
-        specs = tuple(block.spec for block in branches)
-        assert [spec.padding for spec in specs] == [1, 2, 3]
-        assert unit.shared == {block: ("r", specs, block is branches[-1]) for block in branches}
-        mobile = gp.MobileNetUnit("m", 4, 4, 1, gp.CuWidths(mobilenet_depth_mult=1))
-        assert mobile.shared == {}
 
     @pytest.mark.parametrize("scales", ["unit", "affine"])
     @pytest.mark.parametrize("n", [1, 2])
@@ -733,6 +733,134 @@ class TestSharedBranchCopy:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(nm.NumericError, match="^non-finite values in conv2d input$"):
                 unit.forward(params, 1e10 * rng.normal(size=(2, 6, 6, 5)))
+
+
+# SHA-256 of the head outputs and of the parameter gradients (each sorted by
+# key, a key's bytes then its array's) of one EESP step: a taped forward of
+# frames drawn uniform on [0, 1) by default_rng(0), then graph.backward with
+# head adjoints of ones.  "init" is init_params(g, 0) and "affine" the same
+# with the seeded non-unit scales and nonzero shifts of the CI's thread
+# check, under which a block that folds and one that scales its output give
+# different bytes.  Both sizes have branches and expands of both forms.
+# Recorded at one BLAS thread; the CI checks them at two as well.
+EESP_STEP_SHA256 = {
+    ("init", 16, 2): ("43250e7450324302f443c1989b6190ba49eed8961199f266146102425eaecbb8",
+                      "3915c87c0f3c58f0803c9623d64857963aad1fe1316285c75afd73ce3eeaf8f4"),
+    ("affine", 16, 2): ("673bf2d159431b0f421096a2a5a79dc18b55036dfb9f3c5a77c53fcd2ab6e2ad",
+                        "079849ec582d2e3e7ced8f944718db2559c7127e1bb77297ff98dd4578815f0c"),
+    ("init", 32, 8): ("d56949b35855a87dff933a9f7881ac13594cbddfdccb40316b0e0580ebc01c06",
+                      "e0e55bf95d6fe09033a9e82bad9dc3cf797a30045246fa4c12409e0499f90972"),
+    ("affine", 32, 8): ("40d8e754a20e787b5f4f5612e230ee752d113a7104726d9a341a97e021d79267",
+                        "1ce337c8edfa2eb7d60c5a05af0c1cdaaa6e99d5fee3f6443bb0871a0edb3acd"),
+}
+
+
+def ci_affine_params(graph):
+    """``init_params(graph, 0)`` with the seeded non-unit scales and nonzero
+    shifts that the CI's one-and-two-thread check builds."""
+    params, rng = gp.init_params(graph, 0), np.random.default_rng(1)
+    for key in sorted(params):
+        if key.endswith(".scale"):
+            params[key] = rng.uniform(0.5, 1.5, params[key].shape)
+        elif key.endswith(".shift"):
+            params[key] = rng.normal(0.0, 0.1, params[key].shape)
+    return params
+
+
+def sha256_of(arrays):
+    digest = hashlib.sha256()
+    for key in sorted(arrays):
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(arrays[key]).tobytes())
+    return digest.hexdigest()
+
+
+class TestEespStep:
+    """EESP's branches, running sums and expand run as one step over one
+    buffer, to the bytes, errors and conv2d calls of a walk over separate
+    steps."""
+
+    @pytest.mark.parametrize("label, hw, n", sorted(EESP_STEP_SHA256))
+    def test_eesp_step_bytes_are_pinned(self, label, hw, n):
+        graph = gp.build_graph("eesp", input_hw=(hw, hw))
+        params = gp.init_params(graph, 0) if label == "init" else ci_affine_params(graph)
+        frames = np.random.default_rng(0).uniform(0.0, 1.0, (n, 3, hw, hw))
+        cache = []
+        heads = gp.forward(graph, params, frames, cache)
+        grads = gp.backward(graph, params, cache, {task: np.ones(np.shape(y)) for task, y in heads.items()})
+        assert (sha256_of(heads), sha256_of(grads)) == EESP_STEP_SHA256[label, hw, n]
+        assert exact(gp.forward(graph, params, frames)) == exact(heads)
+
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_each_branch_convolves_through_conv2d(self, taped, monkeypatch):
+        """The traced benchmark times the branches, dilated ones included,
+        by their numerics.conv2d spans: each of the 18 units calls conv2d
+        once for its reduce and once per branch, and not for its expand."""
+        graph = tiny_graph("eesp")
+        params = gp.init_params(graph, 0)
+        specs, real = [], nm.conv2d
+        monkeypatch.setattr(nm, "conv2d", lambda *a, **kw: specs.append(a[1]) or real(*a, **kw))
+        gp.forward(graph, params, np.random.default_rng(49).uniform(size=(2, 3, 32, 32)), [] if taped else None)
+        branches = collections.Counter(spec.dilation for spec in specs if spec.per_channel)
+        assert branches == {d: 18 for d in (1, 2, 3, 4)}
+        assert [spec.groups for spec in specs if spec.kernel == 1] == [4] * 18
+        assert len(specs) == 1 + 18 * 5 + 1
+
+    @pytest.mark.parametrize("unit, folds", [("cu1", True), ("cu6.1", False)])
+    @pytest.mark.parametrize("spoil, what", [
+        ("branch_w", "folded weights"), ("reduce_output", "conv2d input"), ("sum_overflow", "conv2d input"),
+        ("expand_shift", "folded bias"), ("sum_overflow,expand_w", "folded weights")])
+    def test_eesp_nonfinite_step_raises_and_tapes_nothing(self, unit, folds, spoil, what, monkeypatch):
+        """At 32 px batch 2, cu1's branches and expand fold and cu6.1's do
+        not.  A NaN on a live tap of branch 3, a reduce output that
+        overflows from finite weights of 1e308 on its non-negative input,
+        branch shifts of 1e308 whose outputs are finite but whose running
+        sum overflows, and a NaN expand shift each raise the error named,
+        without a warning, and the unit tapes nothing: the branches'
+        checks, the copy's, the one scan of the last sum and the expand's.
+        The expand's fold errors come before that scan's."""
+        graph = tiny_graph("eesp")
+        names = [layer.name for layer in graph.layers]
+        index = names.index(unit)
+        params = gp.init_params(graph, 0)
+        batch = np.random.default_rng(50).uniform(0.0, 1.0, size=(2, 3, 32, 32))
+        cache = []
+        gp.forward(graph, params, batch, cache)
+        record = cache[index].records[1]
+        assert (record.u is None, record.expand_u is None) == (folds, folds)
+        if spoil == "branch_w":
+            params[f"{unit}.branch3.w"] = params[f"{unit}.branch3.w"].copy()
+            params[f"{unit}.branch3.w"][5, 0, 1, 1] = np.nan
+        elif spoil == "reduce_output":
+            params[f"{unit}.reduce.w"] = np.full_like(params[f"{unit}.reduce.w"], 1e308)
+        elif spoil == "expand_shift":
+            params[f"{unit}.expand.shift"] = params[f"{unit}.expand.shift"].copy()
+            params[f"{unit}.expand.shift"][3] = np.nan
+        else:
+            for d in (1, 2):
+                params[f"{unit}.branch{d}.shift"] = np.full_like(params[f"{unit}.branch{d}.shift"], 1e308)
+            if spoil.endswith("expand_w"):
+                params[f"{unit}.expand.w"] = params[f"{unit}.expand.w"].copy()
+                params[f"{unit}.expand.w"][7, 2] = np.inf
+            finite, real = [], gp._expand
+
+            def expand(sums, w, b):
+                finite.append([bool(np.isfinite(s).all()) for s in sums])
+                return real(sums, w, b)
+
+            monkeypatch.setattr(gp, "_expand", expand)
+        for cache in (None, []):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(nm.NumericError,
+                                   match=rf"^layer {index} \({re.escape(unit)}\): non-finite values in {what}$"):
+                    gp.forward(graph, params, batch, cache)
+            assert cache is None or len(cache) == index
+            if spoil.startswith("sum_overflow"):
+                # A folding expand raises its fold's error before its scan.
+                reached = not (folds and spoil.endswith("expand_w"))
+                assert (finite[-1:] == [[True, False, False, False]]) == reached
+                finite.clear()
 
 
 class TestBackward:
@@ -871,12 +999,12 @@ class TestBackward:
         cache = []
         out = gp.forward(graph, params, batch, cache)
         assert len(cache) == len(graph.layers) + 1
-        np.testing.assert_array_equal(cache[0].xs[0], batch)
+        np.testing.assert_array_equal(cache[0].x, batch)
         assert cache[-1].shape == (2, gp.TAIL_CHANNELS)
         # Each record's input is the previous layer's output.
         outputs = [record.slots[layer.steps[-1][1]] if isinstance(layer, gp.Unit) else record.y
                    for layer, record in zip(graph.layers[:-2], cache)]
-        inputs = [record.blocks[0].xs[0] if isinstance(layer, gp.Unit) else record.xs[0]
+        inputs = [record.records[0].x if isinstance(layer, gp.Unit) else record.x
                   for layer, record in zip(graph.layers[1:-1], cache[1:])]
         assert all(y is x for y, x in zip(outputs, inputs))
         assert cache[-2] == cache[-3].y.shape
@@ -945,14 +1073,20 @@ class TestAffineOnOutput:
         assert tape[0].u is not None and tape[0].w is params["blk.w"]
 
     def test_one_input_per_group_equals_the_grouped_oracle(self):
-        spec = nm.ConvSpec(6, 9, kernel=1, groups=3)
+        """On a 1x1 input neither EESP's branches nor its grouped expand
+        (K=2 per group, N=1) fold: the step's bytes are those of oracle
+        blocks, the expand's group k reading running sum k."""
+        step = gp.EespBranches("u", 2, 9, 3, 1)
         rng = np.random.default_rng(72)
-        block = gp.ConvBlock("blk", spec)
-        params = block_params(rng, spec)
-        xs = tuple(rng.normal(size=(1, 1, 1, 2)).transpose(0, 3, 1, 2) for _ in range(3))
-        assert not block.folds(xs[0].shape)
-        want = oracle_block(params, "blk", spec, np.concatenate(xs, axis=1))
-        assert exact(block.forward(params, *xs)) == exact(want)
+        params = unit_params(rng, step)
+        x = rng.normal(size=(1, 2, 1, 1))
+        assert not any(block.folds(x.shape) for block in step.branches)
+        assert not step.expand.folds((1, 6, 1, 1))
+        branches = [oracle_block(params, block.name, block.spec, x) for block in step.branches]
+        want = oracle_block(params, "u.expand", step.expand.spec,
+                            np.concatenate(list(itertools.accumulate(branches)), axis=1), relu=False)
+        assert exact(step.forward(params, x)) == exact(want)
+        assert exact(step.forward(params, x, tape=[])) == exact(want)
 
     @pytest.mark.parametrize("spec, fold_shape, unfold_shape", [
         (nm.ConvSpec(3, 4, kernel=3, padding=1), (3, 3, 3, 3), (2, 3, 13, 1)),
@@ -1090,18 +1224,19 @@ class TestAffineOnOutput:
 
 # Blocks over inputs whose convolution walks its weights in row runs (a
 # strided 3x3, K=1440, N=8), takes one GEMM (K=27, N=4) or sums taps (a
-# depthwise 3x3), none of which folds; a block that folds; and a block that
-# reads one input per group (K=2, N=1) and does not fold.  The "_padding"
-# blocks run on 1x1 inputs, where every tap but the centre reads only
-# padding: a walked 307 -> 307 3x3 (K=2763, N=8) like bottleneck's
-# cu8.x.spatial at 32 px batch 8, a one-GEMM 3x3, and a dilated per-channel
-# branch read through a copy shared with a wider branch (shared_copy).
+# depthwise 3x3), none of which folds; a block that folds; and a grouped 1x1
+# like EESP's expand, one GEMM per group (K=2, N=1), that does not fold.
+# The "_padding" blocks run on 1x1 inputs, where every tap but the centre
+# reads only padding: a walked 307 -> 307 3x3 (K=2763, N=8) like
+# bottleneck's cu8.x.spatial at 32 px batch 8, a one-GEMM 3x3, and a dilated
+# per-channel branch read through a copy shared with a wider branch
+# (shared_copy).
 ERROR_BLOCKS = {
     "walked": (nm.ConvSpec(160, 192, kernel=3, stride=2, padding=1), [(8, 160, 2, 2)]),
     "one_gemm": (nm.ConvSpec(3, 2, kernel=3, padding=1), [(1, 3, 2, 2)]),
     "taps": (nm.ConvSpec(3, 3, kernel=3, padding=1, groups=3), [(1, 3, 2, 2)]),
     "folded": (nm.ConvSpec(3, 2, kernel=3, padding=1), [(2, 3, 5, 5)]),
-    "per_group": (nm.ConvSpec(6, 9, kernel=1, groups=3), [(1, 2, 1, 1)] * 3),
+    "per_group": (nm.ConvSpec(6, 9, kernel=1, groups=3), [(1, 6, 1, 1)]),
     "walked_padding": (nm.ConvSpec(307, 307, kernel=3, padding=1), [(8, 307, 1, 1)]),
     "one_gemm_padding": (nm.ConvSpec(3, 2, kernel=3, padding=1), [(1, 3, 1, 1)]),
     "dilated_padding": (nm.ConvSpec(4, 4, kernel=3, padding=2, dilation=2, groups=4), [(2, 4, 1, 1)]),
@@ -1173,7 +1308,7 @@ class TestWeightsReadOnce:
     def test_errors_equal_the_prove_then_convolve_reference(self, name, case):
         entries = dict(ERROR_CASES)[case]
         block, params, xs = spoiled_block(name, entries, 81)
-        spec = block.spec if len(xs) == 1 else block.group_spec
+        spec = block.spec
         oh, ow = spec.out_hw(xs[0].shape[2:])
         assert block.folds(xs[0].shape) == (name == "folded")
         assert bool(nm._run_rows(spec.out_channels, spec.weight_shape[1] * spec.kernel ** 2,
@@ -1336,20 +1471,30 @@ class TestTape:
     def test_tape_keeps_only_what_the_backward_reads(self, cu):
         """A unit keeps the outputs of its relu steps, a block its output only
         if it has a ReLU and its convolution's output only if it does not
-        fold its affine; the inputs are in the block records."""
+        fold its affine; the inputs are in the block records.  EESP's branch
+        step keeps its branch outputs and sums, and the convolution outputs
+        of its branches and of its expand only where they do not fold."""
         graph, params, rng = self.graph_and_params(cu, gp.CuWidths(), 48)
         cache = []
         gp.forward(graph, params, rng.normal(size=(2, 3, 16, 16)), cache)
+        steps = 0
         for layer, record in zip(graph.layers, cache):
             if isinstance(layer, gp.Unit):
                 assert set(record.slots) == {out for op, out, _ in layer.steps if op == "relu"}
-                blocks = [op for op, _, _ in layer.steps if isinstance(op, gp.ConvBlock)]
-                pairs = zip(blocks, record.blocks)
+                pairs = zip([op for op, _ in layer.layers], record.records)
             else:
                 pairs = [(layer, record)] if isinstance(layer, gp.ConvBlock) else []
-            for block, block_record in pairs:
-                assert (block_record.y is None) == (not block.relu), block.name
-                assert (block_record.u is None) == block.folds(block_record.xs[0].shape), block.name
+            for op, op_record in pairs:
+                if isinstance(op, gp.EespBranches):
+                    steps += 1
+                    k, n, oh, ow, width = op_record.y.shape
+                    assert op_record.sums.shape == op_record.y.shape == (len(op.branches), 2, oh, ow, width)
+                    assert (op_record.u is None) == op.branches[0].folds(op_record.x.shape)
+                    assert (op_record.expand_u is None) == op.expand.folds((n, k * width, oh, ow))
+                    continue
+                assert (op_record.y is None) == (not op.relu), op.name
+                assert (op_record.u is None) == op.folds(op_record.x.shape), op.name
+        assert steps == (18 if cu == "eesp" else 0)
 
     @pytest.mark.parametrize("case", UNIT_CASES, ids=unit_case_id)
     def test_taped_unit_backward_runs_no_forward(self, case, monkeypatch):
@@ -1374,9 +1519,10 @@ class TestTape:
     def test_a_step_builds_each_column_tensor_once_and_folds_each_block_once(self, cu, monkeypatch):
         """Every convolution's column tensor is built once per step: by the
         forward on the im2col path, by the backward on the taps path.  Each
-        block decides once where its affine goes, and a block that folds it
-        folds once; at 16 px a batch-2 step of a CU kind has blocks of both
-        kinds, and the toy stem folds."""
+        block decides once where its affine goes, EESP's branches once for
+        all of them as the first branch, and a block that folds it folds
+        once; at 16 px a batch-2 step of a CU kind has blocks of both kinds,
+        and the toy stem folds."""
         convs, columns, folds, decided = [], [], [], []
         real_conv, real_im2col, real_fold, real_folds = nm.conv2d, nm._im2col, gp.ConvBlock._folded, gp.ConvBlock.folds
         monkeypatch.setattr(nm, "conv2d", lambda *a, **kw: convs.append(a[1]) or real_conv(*a, **kw))
@@ -1397,9 +1543,10 @@ class TestTape:
             out = gp.forward(graph, params, rng.normal(size=(2, 3, 16, 16)), cache)
             gp.backward(graph, params, cache, {task: np.ones(np.shape(y)) for task, y in out.items()})
         assert collections.Counter(columns) == collections.Counter(convs)
-        assert [name for name, _ in decided] == [key[:-len(".w")] for key in gp.param_shapes(graph)
-                                                 if key.endswith(".w") and not key.startswith("head.")]
-        assert folds == [name for name, fold in decided if fold]
+        blocks = [key[:-len(".w")] for key in gp.param_shapes(graph) if key.endswith(".w") and not key.startswith("head.")]
+        assert [name for name, _ in decided] == [name for name in blocks if not re.search(r"\.branch[2-9]$", name)]
+        fold_of = dict(decided)
+        assert folds == [name for name in blocks if fold_of[re.sub(r"\.branch\d$", ".branch1", name)]]
         assert folds == ["stem"] if cu == "toy" else 0 < len(folds) < len(decided)
 
 

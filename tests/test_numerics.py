@@ -477,6 +477,29 @@ class TestConv2d:
         assert padded.shape == (2, 7 + 2 * (2 + extra), 6 + 2 * (2 + extra), 5)
         np.testing.assert_array_equal(nm.conv2d(x, spec, w, b, padded=padded), nm.conv2d(x, spec, w, b))
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_taps_write_into_out(self, rng, stride):
+        """``out``, an NCHW view of one slot of a channels-last buffer, gets
+        the bytes of a new result, from a shared copy or its own, and is
+        returned; a shape that does not fit and the im2col path are
+        rejected."""
+        spec = nm.ConvSpec(5, 5, kernel=3, stride=stride, padding=2, dilation=2, groups=5)
+        x = rng.normal(size=(2, 5, 7, 6))
+        w, b = rng.normal(size=spec.weight_shape), rng.normal(size=5)
+        oh, ow = spec.out_hw((7, 6))
+        buffer = np.full((3, 2, oh, ow, 5), np.nan)
+        out = buffer[1].transpose(0, 3, 1, 2)
+        for padded in (None, nm._pad_channels_last(x, 3)):
+            y = nm.conv2d(x, spec, w, b, padded=padded, out=out)
+            assert y.shape == out.shape and y.strides == out.strides and np.shares_memory(y, buffer[1])
+            assert exact(y) == exact(nm.conv2d(x, spec, w, b))
+        assert np.isnan(buffer[[0, 2]]).all()
+        with pytest.raises(nm.ShapeError, match="output array"):
+            nm.conv2d(x, spec, w, out=out[:, :, 1:])
+        dense = nm.ConvSpec(5, 5, kernel=3, padding=2)
+        with pytest.raises(nm.ShapeError, match="output array"):
+            nm.conv2d(x, dense, rng.normal(size=dense.weight_shape), out=np.empty((2, 5) + dense.out_hw((7, 6))))
+
     def test_padded_copy_that_does_not_fit_is_rejected(self, rng):
         spec = nm.ConvSpec(5, 5, kernel=3, padding=2, dilation=2, groups=5)
         x = rng.normal(size=(2, 5, 7, 6))
