@@ -119,25 +119,37 @@ def _fit_logistic(X, y, spec, lasso: bool):
     """Gradient descent on every training set of the stack X (s, n, d), y (s, n).
 
     Each matrix product is one gemv per stack entry, so every set's payload
-    is the one a loop over the sets would give.
+    is the one a loop over the sets would give.  Every step writes into
+    arrays made once per fit.
     """
     s, n, d = X.shape
     Xt = np.swapaxes(X, 1, 2)
-    w = np.zeros((s, d, 1))
-    b = np.zeros((s, 1))
+    y = y.astype(float)
+    w, gw, step_w = np.zeros((s, d, 1)), np.empty((s, d, 1)), np.empty((s, d, 1))
+    b, gb = np.zeros((s, 1)), np.empty((s, 1))
+    # z and err as (s, n, 1) columns for the products, as (s, n) rows otherwise
+    z, p, err = np.empty((s, n, 1)), np.empty((s, n)), np.empty((s, n, 1))
+    z_rows, err_rows = z[..., 0], err[..., 0]
+    cut = spec.step * spec.l1
     for _ in range(spec.iterations):
-        p = nm.sigmoid((X @ w)[..., 0] + b)
-        err = p - y
-        gw = Xt @ err[..., None] / n
-        gb = err.mean(axis=1, keepdims=True)
+        np.matmul(X, w, out=z)
+        nm.sigmoid(np.add(z_rows, b, out=z_rows), out=p)
+        np.subtract(p, y, out=err_rows)
+        np.matmul(Xt, err, out=gw)
+        gw /= n
+        np.add.reduce(err_rows, axis=1, keepdims=True, out=gb)
+        gb /= n
         if lasso:
-            w = w - spec.step * gw
-            b = b - spec.step * gb
-            cut = spec.step * spec.l1
-            w = np.sign(w) * np.maximum(np.abs(w) - cut, 0.0)
+            w -= np.multiply(spec.step, gw, out=gw)
+            # w = sign(w) * max(|w| - cut, 0)
+            np.subtract(np.abs(w, out=step_w), cut, out=step_w)
+            np.maximum(step_w, 0.0, out=step_w)
+            np.multiply(np.sign(w, out=w), step_w, out=w)
         else:
-            w = w - spec.step * (gw + spec.l2 * w)
-            b = b - spec.step * gb
+            # w = w - step * (gw + l2 * w)
+            np.add(gw, np.multiply(spec.l2, w, out=step_w), out=step_w)
+            w -= np.multiply(spec.step, step_w, out=step_w)
+        b -= np.multiply(spec.step, gb, out=gb)
     return [{"w": w[k, :, 0], "b": float(b[k, 0])} for k in range(s)]
 
 
@@ -194,11 +206,21 @@ def _rbf_kernel(A, B, gamma):
 
 
 def _fit_svm(X, y, spec):
+    """Sequential minimal optimization on one training set.
+
+    The loop steps Python floats: a float's min and max clip as np.clip
+    does, ties to the value clipped included.  ``coef`` holds alpha * sy
+    and changes at the two entries a pair update moves, and each f(x_i) is
+    its dot with K's column i, as a product rebuilt per row would give.
+    """
     n = X.shape[0]
     gamma = spec.svm_gamma if spec.svm_gamma is not None else 1.0 / X.shape[1]
     sy = 2.0 * y - 1.0
     K = _rbf_kernel(X, X, gamma)
-    alpha = np.zeros(n)
+    columns = [K[:, i] for i in range(n)]
+    kernel, labels = K.tolist(), sy.tolist()
+    alpha = [0.0] * n
+    coef = np.zeros(n) * sy
     b = 0.0
     rng = np.random.default_rng(spec.seed)
     tol, c = 1e-3, spec.svm_c
@@ -207,32 +229,33 @@ def _fit_svm(X, y, spec):
         sweeps += 1
         changed = 0
         for i in range(n):
-            f_i = float((alpha * sy) @ K[:, i] + b)
-            e_i = f_i - sy[i]
-            if not ((sy[i] * e_i < -tol and alpha[i] < c) or (sy[i] * e_i > tol and alpha[i] > 0)):
+            y_i, a_i_old = labels[i], alpha[i]
+            e_i = float(coef @ columns[i]) + b - y_i
+            if not ((y_i * e_i < -tol and a_i_old < c) or (y_i * e_i > tol and a_i_old > 0)):
                 continue
             j = int(rng.integers(n - 1))
             if j >= i:
                 j += 1
-            f_j = float((alpha * sy) @ K[:, j] + b)
-            e_j = f_j - sy[j]
-            a_i_old, a_j_old = alpha[i], alpha[j]
-            if sy[i] != sy[j]:
+            y_j, a_j_old = labels[j], alpha[j]
+            e_j = float(coef @ columns[j]) + b - y_j
+            if y_i != y_j:
                 low, high = max(0.0, a_j_old - a_i_old), min(c, c + a_j_old - a_i_old)
             else:
                 low, high = max(0.0, a_i_old + a_j_old - c), min(c, a_i_old + a_j_old)
             if low == high:
                 continue
-            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+            k_ii, k_ij, k_jj = kernel[i][i], kernel[i][j], kernel[j][j]
+            eta = 2.0 * k_ij - k_ii - k_jj
             if eta >= 0:
                 continue
-            a_j = np.clip(a_j_old - sy[j] * (e_i - e_j) / eta, low, high)
+            a_j = min(max(a_j_old - y_j * (e_i - e_j) / eta, low), high)
             if abs(a_j - a_j_old) < 1e-5:
                 continue
-            a_i = a_i_old + sy[i] * sy[j] * (a_j_old - a_j)
+            a_i = a_i_old + y_i * y_j * (a_j_old - a_j)
             alpha[i], alpha[j] = a_i, a_j
-            b1 = b - e_i - sy[i] * (a_i - a_i_old) * K[i, i] - sy[j] * (a_j - a_j_old) * K[i, j]
-            b2 = b - e_j - sy[i] * (a_i - a_i_old) * K[i, j] - sy[j] * (a_j - a_j_old) * K[j, j]
+            coef[i], coef[j] = a_i * y_i, a_j * y_j
+            b1 = b - e_i - y_i * (a_i - a_i_old) * k_ii - y_j * (a_j - a_j_old) * k_ij
+            b2 = b - e_j - y_i * (a_i - a_i_old) * k_ij - y_j * (a_j - a_j_old) * k_jj
             if 0 < a_i < c:
                 b = b1
             elif 0 < a_j < c:
@@ -241,10 +264,8 @@ def _fit_svm(X, y, spec):
                 b = (b1 + b2) / 2.0
             changed += 1
         passes = passes + 1 if changed == 0 else 0
-    keep = alpha > 1e-12
-    return {
-        "support": X[keep], "coef": (alpha * sy)[keep], "b": b, "gamma": gamma,
-    }
+    keep = np.array(alpha) > 1e-12
+    return {"support": X[keep], "coef": coef[keep], "b": float(b), "gamma": gamma}
 
 
 # --- gradient boosted trees -------------------------------------------------
@@ -275,16 +296,18 @@ def _node_sums(gh, counts):
     """Per node of a tree level: its gradient sum, hessian sum and gradient
     dot product, from gh (K, 2, L) padded past each node's row count.
 
-    Nodes of one row count are reduced as one contiguous (m, 2, count)
-    block, whose row sums are numpy's pairwise sums and whose row products
-    are BLAS dots: bit for bit what ``sum`` and ``@`` give on one node's
-    1-D array.  Reductions over the padding would add in another order.
+    Nodes of one row count are reduced as one (m, 2, count) block, whose
+    row sums are numpy's pairwise sums and whose row products are BLAS
+    dots: bit for bit what ``sum`` and ``@`` give on one node's 1-D array.
+    Reductions over the padding would add in another order.  A level whose
+    nodes all hold one row count is one block.
     """
     sums = np.empty((3, counts.size))
-    for c in np.unique(counts):
-        at = np.flatnonzero(counts == c)
+    uniform = counts.min() == counts.max()
+    for c in counts[:1] if uniform else np.unique(counts):
+        at = slice(None) if uniform else np.flatnonzero(counts == c)
         block = gh[at, :, :c]
-        sums[:2, at] = block.sum(axis=-1).T
+        sums[:2, at] = np.add.reduce(block, axis=-1).T
         sums[2, at] = (block[:, :1] @ block[:, 0, :, None])[:, 0, 0]
     return sums
 
@@ -296,14 +319,25 @@ _CHUNK = 1 << 13
 
 
 def _chunks(counts, d):
-    """The nodes that can split (two rows or more), largest first, in runs
-    whose blocks padded to the run's largest node stay within _CHUNK."""
-    nodes = np.argsort(-counts, kind="stable")
-    nodes = nodes[counts[nodes] >= 2]
+    """The nodes that can split (two rows or more) in runs whose blocks,
+    padded to the run's largest node, stay within _CHUNK; each run comes
+    with its largest row count.  A level that fits in one run keeps its
+    node order, a larger one is cut into runs of its nodes largest first.
+    Each node's search is its own, so neither order changes a split.
+    """
+    nodes = np.flatnonzero(counts >= 2)
+    if not nodes.size:
+        return
+    widest = counts.max()
+    if nodes.size <= max(1, _CHUNK // (widest * d)):
+        yield nodes, widest
+        return
+    nodes = nodes[np.argsort(-counts[nodes], kind="stable")]
     start = 0
     while start < nodes.size:
-        stop = start + max(1, _CHUNK // (counts[nodes[start]] * d))
-        yield nodes[start:stop]
+        widest = counts[nodes[start]]
+        stop = start + max(1, _CHUNK // (widest * d))
+        yield nodes[start:stop], widest
         start = stop
 
 
@@ -323,13 +357,24 @@ def _best_splits(vals, g, total, sq_total, counts):
     left_n = np.arange(1.0, L)[:, None, None]
     count = counts.astype(float)[:, None]
     # cumsum is sequential, so each prefix equals the node's own 1-D cumsum
-    left_sum, left_sq = np.cumsum(np.stack([g, g * g])[:, :-1], axis=1)
-    left_sse = left_sq - left_sum**2 / left_n
-    right_sum = total[:, None] - left_sum
+    left = g[:-1]
+    left_sum = np.cumsum(left, axis=0)
+    left_sq = np.cumsum(np.multiply(left, left), axis=0)
+    # left_sse = left_sq - left_sum**2 / left_n
+    left_sse = np.square(left_sum)
+    left_sse /= left_n
+    np.subtract(left_sq, left_sse, out=left_sse)
+    # right_sse = (sq_total - left_sq) - right_sum**2 / (count - left_n), where
     # padding positions divide by 1, not by 0 or less; their gains are masked
-    right_sse = (sq_total[:, None] - left_sq) - right_sum**2 / np.maximum(count - left_n, 1.0)
-    gains = (sq_total - total * total / count[:, 0])[:, None] - (left_sse + right_sse)
-    gains[(vals[1:] == vals[:-1]) | (left_n >= count)] = -np.inf
+    right = np.subtract(total[:, None], left_sum, out=left_sum)
+    np.square(right, out=right)
+    right /= np.maximum(count - left_n, 1.0)
+    np.subtract(np.subtract(sq_total[:, None], left_sq, out=left_sq), right, out=right)
+    # gains = parent_sse - (left_sse + right_sse)
+    gains = np.add(left_sse, right, out=right)
+    np.subtract((sq_total - total * total / count[:, 0])[:, None], gains, out=gains)
+    masked = np.equal(vals[1:], vals[:-1])
+    np.copyto(gains, -np.inf, where=np.logical_or(masked, left_n >= count, out=masked))
     gains = gains.transpose(1, 2, 0).reshape(K, -1)
     best = gains.argmax(axis=1)
     node = np.arange(K)
@@ -366,15 +411,14 @@ def _grow_trees(X, root, gh, depth):
         threshold = np.zeros(owner.size)
         split = np.zeros(owner.size, dtype=bool)
         if len(levels) < depth:
-            for at in _chunks(counts, d):
+            for at, width in _chunks(counts, d):
                 if levels:
-                    node_X = X[rows[at, :counts[at[0]]].T[:, :, None], owner[at, None],
-                               np.arange(d)]
+                    node_X = X[rows[at, :width].T[:, :, None], owner[at, None], np.arange(d)]
                     order = node_X.argsort(axis=0, kind="stable")
-                    vals = np.take_along_axis(node_X, order, axis=0)
+                    vals = node_X[order, np.arange(at.size)[:, None], np.arange(d)]
                 else:
                     vals, order = root[0][:, at], root[1][:, at]
-                g = node_gh[at, 0][np.arange(at.size)[:, None], order]
+                g = node_gh[at[:, None], 0, order]
                 feature[at], threshold[at], split[at] = _best_splits(
                     vals, g, total[at], sq_total[at], counts[at])
             go_left = X[rows, owner[:, None], feature[:, None]] <= threshold[:, None]
@@ -454,28 +498,36 @@ def _fit_gbt(X, y, spec):
     """Gradient boosting on every training set of the stack X (s, n, d), y (s, n).
 
     Each round grows the trees of all sets together, so every set's payload
-    is the one a separate fit gives, bit for bit.
+    is the one a separate fit gives, bit for bit.  The rounds step the
+    scores, losses, gradients and hessians in arrays made once per fit.
     """
     s, n, d = X.shape
     rows_first = np.full((n + 1, s, d), np.nan)
     rows_first[:n] = np.swapaxes(X, 0, 1)
     order = np.argsort(rows_first[:n], axis=0, kind="stable")
-    root = np.take_along_axis(rows_first, order, axis=0), order
+    root = rows_first[order, np.arange(s)[:, None], np.arange(d)], order
     f0 = [math.log(pos / (1.0 - pos)) for pos in y.mean(axis=1).tolist()]
     score = np.repeat(np.array(f0)[:, None], n, axis=1)
+    y = y.astype(float)
     gh = np.zeros((s, 2, n + 1))
-    rounds, losses = [], []
-    for _ in range(spec.rounds):
-        p = nm.sigmoid(score)
-        losses.append(np.mean(
-            np.maximum(score, 0.0) - score * y + np.log1p(np.exp(-np.abs(score))), axis=1))
-        gh[:, 0, :n] = y - p
-        gh[:, 1, :n] = p * (1.0 - p)
+    grad, hess = gh[:, 0, :n], gh[:, 1, :n]
+    p, loss, term = np.empty((s, n)), np.empty((s, n)), np.empty((s, n))
+    losses = np.empty((spec.rounds, s))
+    rounds = []
+    for r in range(spec.rounds):
+        nm.sigmoid(score, out=p)
+        # the mean over each set of max(score, 0) - score y + log1p(e^-|score|)
+        np.subtract(np.maximum(score, 0.0, out=loss), np.multiply(score, y, out=term), out=loss)
+        np.exp(np.negative(np.abs(score, out=term), out=term), out=term)
+        loss += np.log1p(term, out=term)
+        np.divide(np.add.reduce(loss, axis=1, out=losses[r]), n, out=losses[r])
+        np.subtract(y, p, out=grad)
+        np.multiply(p, np.subtract(1.0, p, out=hess), out=hess)
         levels, fitted = _grow_trees(rows_first, root, gh, spec.depth)
         rounds.append(levels)
-        score = score + spec.shrinkage * fitted[:, :n]
+        score += np.multiply(spec.shrinkage, fitted[:, :n], out=term)
     forests = _forests(rounds, s)
-    losses = np.array(losses).T.tolist()
+    losses = losses.T.tolist()
     return [{"f0": f0[k], "forest": forests[k], "shrinkage": spec.shrinkage,
              "train_losses": losses[k]} for k in range(s)]
 
@@ -496,7 +548,10 @@ def _fit_mlp(X, y, spec):
 
     All sets start from the same seeded weights, and all their parameters
     live in one ``training.Arena``; each keeps its own class weights, and
-    each matrix product is one gemm or gemv per stack entry.
+    each matrix product is one gemm or gemv per stack entry.  Each step
+    makes the products and adjoints of ``numerics.linear`` and
+    ``linear_backward`` in arrays made once per fit, and writes the
+    gradients straight into the arena's ``grads``.
     """
     s, n, d = X.shape
     rng = np.random.default_rng(spec.seed)
@@ -508,30 +563,43 @@ def _fit_mlp(X, y, spec):
             init = np.zeros(shape)
         params[key] = np.repeat(init[None], s, axis=0)
     arena = tr.Arena(params)
-    params = arena.params
+    params, grads = arena.params, arena.grads
     config = tr.TrainConfig(lr0=0.1, momentum=0.9, lr_decay=0.01,
                             epochs=spec.epochs, weight_decay=1e-4, seed=spec.seed)
     sample_w = np.empty((s, n))
     for k in range(s):
         counts = np.array([(y[k] == 0).sum(), (y[k] == 1).sum()], dtype=float)
         sample_w[k] = tr.inverse_frequency(counts)[y[k]]
+    y = y.astype(float)
+    # per layer: its weights and bias as views of the arena, which each step
+    # updates in place; its input, output and output adjoint
+    keys = ("l1", "l2", "out")
+    weights = [params[key + ".w"] for key in keys]
+    transposed = [np.swapaxes(w, 1, 2) for w in weights]
+    biases = [params[key + ".b"][:, None, :] for key in keys]
+    inputs = [X] + [np.empty((s, n, h)) for h in spec.hidden]
+    outputs = [np.empty((s, n, h)) for h in (*spec.hidden, 1)]
+    adjoints = [np.empty_like(out) for out in outputs]
+    z, gz = outputs[-1][..., 0], adjoints[-1][..., 0]
+    p = np.empty((s, n))
     for epoch in range(config.epochs):
-        z1 = nm.linear(X, params["l1.w"], params["l1.b"])
-        a1 = nm.relu(z1)
-        z2 = nm.linear(a1, params["l2.w"], params["l2.b"])
-        a2 = nm.relu(z2)
-        z = nm.linear(a2, params["out.w"], params["out.b"])[..., 0]
-        p = nm.sigmoid(z)
-        gz = (sample_w * (p - y) / n)[..., None]
-        ga2, gw_out, gb_out = nm.linear_backward(gz, a2, params["out.w"])
-        gz2 = nm.relu_backward(ga2, z2)
-        ga1, gw2, gb2 = nm.linear_backward(gz2, a1, params["l2.w"])
-        gz1 = nm.relu_backward(ga1, z1)
-        _, gw1, gb1 = nm.linear_backward(gz1, X, params["l1.w"])
-        grads = {
-            "l1.w": gw1, "l1.b": gb1, "l2.w": gw2, "l2.b": gb2,
-            "out.w": gw_out, "out.b": gb_out,
-        }
+        for layer in range(3):
+            out = outputs[layer]
+            np.add(np.matmul(inputs[layer], transposed[layer], out=out), biases[layer], out=out)
+            if layer < 2:
+                np.maximum(out, 0.0, out=inputs[layer + 1])
+        nm.sigmoid(z, out=p)
+        # gz = sample_w * (p - y) / n
+        np.multiply(sample_w, np.subtract(p, y, out=gz), out=gz)
+        gz /= n
+        for layer in (2, 1, 0):
+            g = adjoints[layer]
+            np.matmul(np.swapaxes(g, 1, 2), inputs[layer], out=grads[keys[layer] + ".w"])
+            np.add.reduce(g, axis=1, out=grads[keys[layer] + ".b"])
+            if layer:
+                below = adjoints[layer - 1]
+                np.matmul(g, weights[layer], out=below)
+                nm.relu_backward(below, outputs[layer - 1], out=below)
         tr.sgd_step(arena, grads, epoch, config)
     return [{"params": {key: v[k].copy() for key, v in params.items()}} for k in range(s)]
 

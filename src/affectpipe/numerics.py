@@ -502,25 +502,31 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
-def relu_backward(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+def relu_backward(grad_out: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """grad_out where x > 0, else 0, as a product with the mask.
 
     Adding 0.0 turns the -0.0 that masks a negative adjoint into +0.0, so a
     finite adjoint gives np.where's bytes except that an unmasked -0.0 comes
     back as +0.0.  A masked inf or NaN gives NaN, not 0, without a numpy
-    warning: a gradient step reports it.
+    warning: a gradient step reports it.  ``out``, which may be grad_out,
+    receives the result.
     """
     with np.errstate(invalid="ignore"):
-        out = grad_out * (np.asarray(x) > 0)
+        out = np.multiply(grad_out, np.asarray(x) > 0, out=out)
     out += 0.0
     return out
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x), with e^-|x| as the only exponential so nothing overflows."""
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + e^-x), with e^-|x| as the only exponential so nothing overflows.
+
+    ``out``, a float64 array of x's shape other than x, receives the result.
+    """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.asarray(np.where(x >= 0, 1.0, e) / (1.0 + e))
+    e = np.abs(x, out=np.empty_like(x) if out is None else out)
+    np.exp(np.negative(e, out=e), out=e)
+    numerator = np.where(x >= 0, 1.0, e)
+    return np.divide(numerator, np.add(e, 1.0, out=e), out=e)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

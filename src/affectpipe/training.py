@@ -277,6 +277,9 @@ class Arena:
     and the L2 penalty work on the whole vector at once: the optimizer
     gathers the gradients into ``grad``, and both write their arena-wide
     temporaries into ``scratch``, so that a step allocates no vector.
+    ``grads`` views ``grad`` as ``params`` views the parameters: a trainer
+    that writes its gradients there passes it to the optimizer, which then
+    copies nothing.
     """
 
     def __init__(self, params: dict):
@@ -288,13 +291,20 @@ class Arena:
         self.flat = np.zeros(sum(sizes))
         self.velocity = np.zeros_like(self.flat)
         self.grad, self.scratch = np.empty_like(self.flat), np.empty_like(self.flat)
-        self.params = {key: self.flat[part].reshape(shape)
-                       for key, part, shape in zip(self.keys, self.slices, self.shapes)}
+
+        def views(vector):
+            return {key: vector[part].reshape(shape)
+                    for key, part, shape in zip(self.keys, self.slices, self.shapes)}
+
+        self.params, self.grads = views(self.flat), views(self.grad)
         for key, view in self.params.items():
             view[...] = params[key]
 
     def gather(self, grads: dict) -> np.ndarray:
-        """The gradients copied into ``grad``, in the arena's layout."""
+        """The gradients copied into ``grad``, in the arena's layout; already
+        there if ``grads`` is the arena's own ``grads``."""
+        if grads is self.grads:
+            return self.grad
         parts = [np.asarray(grads[key]) for key in self.keys]
         for key, part, shape in zip(self.keys, parts, self.shapes):
             if part.shape != shape:

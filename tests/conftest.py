@@ -564,10 +564,67 @@ def loop_fit_mlp(X, y, spec):
     return {"params": params}
 
 
+def loop_fit_svm(X, y, spec):
+    """SMO on one training set with numpy scalars, a scalar np.clip and
+    alpha * sy rebuilt for every f(x_i): the reference for the fit on
+    Python floats.  b is returned as a Python float, as the fit returns it."""
+    n = X.shape[0]
+    gamma = spec.svm_gamma if spec.svm_gamma is not None else 1.0 / X.shape[1]
+    sy = 2.0 * y - 1.0
+    K = cl._rbf_kernel(X, X, gamma)
+    alpha = np.zeros(n)
+    b = 0.0
+    rng = np.random.default_rng(spec.seed)
+    tol, c = 1e-3, spec.svm_c
+    passes, max_passes, sweeps = 0, 3, 0
+    while passes < max_passes and sweeps < 200:
+        sweeps += 1
+        changed = 0
+        for i in range(n):
+            f_i = float((alpha * sy) @ K[:, i] + b)
+            e_i = f_i - sy[i]
+            if not ((sy[i] * e_i < -tol and alpha[i] < c) or (sy[i] * e_i > tol and alpha[i] > 0)):
+                continue
+            j = int(rng.integers(n - 1))
+            if j >= i:
+                j += 1
+            f_j = float((alpha * sy) @ K[:, j] + b)
+            e_j = f_j - sy[j]
+            a_i_old, a_j_old = alpha[i], alpha[j]
+            if sy[i] != sy[j]:
+                low, high = max(0.0, a_j_old - a_i_old), min(c, c + a_j_old - a_i_old)
+            else:
+                low, high = max(0.0, a_i_old + a_j_old - c), min(c, a_i_old + a_j_old)
+            if low == high:
+                continue
+            eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
+            if eta >= 0:
+                continue
+            a_j = np.clip(a_j_old - sy[j] * (e_i - e_j) / eta, low, high)
+            if abs(a_j - a_j_old) < 1e-5:
+                continue
+            a_i = a_i_old + sy[i] * sy[j] * (a_j_old - a_j)
+            alpha[i], alpha[j] = a_i, a_j
+            b1 = b - e_i - sy[i] * (a_i - a_i_old) * K[i, i] - sy[j] * (a_j - a_j_old) * K[i, j]
+            b2 = b - e_j - sy[i] * (a_i - a_i_old) * K[i, j] - sy[j] * (a_j - a_j_old) * K[j, j]
+            if 0 < a_i < c:
+                b = b1
+            elif 0 < a_j < c:
+                b = b2
+            else:
+                b = (b1 + b2) / 2.0
+            changed += 1
+        passes = passes + 1 if changed == 0 else 0
+    keep = alpha > 1e-12
+    return {
+        "support": X[keep], "coef": (alpha * sy)[keep], "b": float(b), "gamma": gamma,
+    }
+
+
 def loop_fit(spec, X, y, best_split=node_best_split):
     """One model fitted alone on its own standardized matrix: the reference
-    loops of the kinds that train a stack in one loop, and the single-set
-    fits of lda, qda and svm_rbf."""
+    loops of the kinds that train a stack in one loop, the numpy-scalar
+    SMO of svm_rbf, and the single-set fits of lda and qda."""
     X, y = cl._check_training_set(X, y)
     mean, std, Xs = loop_standardize(X)
     if spec.kind == "mlp2":
@@ -579,7 +636,7 @@ def loop_fit(spec, X, y, best_split=node_best_split):
     elif spec.kind == "qda":
         payload = cl._fit_qda(Xs, y)
     elif spec.kind == "svm_rbf":
-        payload = cl._fit_svm(Xs, y, spec)
+        payload = loop_fit_svm(Xs, y, spec)
     else:
         payload = loop_fit_logistic(Xs, y, spec, lasso=spec.kind == "lasso")
     return cl.FittedModel(kind=spec.kind, stats=cl.Standardizer(mean, std), payload=payload)

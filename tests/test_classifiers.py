@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affectpipe import classifiers as cl
+from affectpipe import dataio as dio
 from affectpipe import numerics as nm
+from affectpipe import synth
 from conftest import (exact, loop_best_split, loop_fit, loop_gbt_decision, model_bytes, node_best_split,
                       walk_leaf_values)
 
@@ -410,6 +412,16 @@ def training_sets(rng, sets, n, d, n_constant):
     return X, y
 
 
+@pytest.fixture(scope="module")
+def synth_folds(tmp_path_factory):
+    """The LOOCV training sets (8, 7, 58) of a seed-0 synth cohort of 4 + 4."""
+    spec = synth.SynthSpec(participants_per_group=4, frames_per_participant=60, seed=0)
+    cohort = dio.load_cohort(dio.write_cohort(tmp_path_factory.mktemp("cohort"), synth.draw_cohort(spec)))
+    n = len(cohort.ids)
+    folds = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    return cohort.features[folds], cohort.labels[folds]
+
+
 class TestFitFolds:
     """The fit of a stack of training sets, such as LOOCV folds, against one
     reference fit per set, for every kind."""
@@ -481,6 +493,47 @@ class TestFitFolds:
                     node_depth[forest.left[node]] = node_depth[forest.right[node]] = (
                         node_depth[node] + 1)
             assert node_depth.max() <= depth
+
+    @pytest.mark.parametrize("kind", ["logistic", "lasso", "mlp2", "gbt"])
+    def test_default_spec_on_a_synth_cohort(self, kind, synth_folds):
+        """The CLI's spec (500 iterations; hidden (32, 16) for 200 epochs;
+        100 rounds at depth 3) on the eight LOOCV folds of a 4 + 4 cohort's
+        58 features: the sizes the benchmark fits, not the few steps and
+        columns of the cases above."""
+        X, y = synth_folds
+        spec = cl.ClassifierSpec(kind)
+        expect = [model_bytes(loop_fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)]
+        assert [model_bytes(m) for m in cl.fit(spec, X, y)] == expect
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 20])
+    def test_gbt_chunk_size_changes_no_split(self, chunk, monkeypatch):
+        """Every node its own chunk, or each level one chunk searched in node
+        order, gives the loop's payloads."""
+        rng = np.random.default_rng(44)
+        X = np.stack([tie_prone_matrix(rng, 24, 7, levels, 1) for levels in (0, 3, 0, 2)])
+        y = rng.integers(0, 2, size=X.shape[:2])
+        y[:, :2] = [0, 1]
+        spec = cl.ClassifierSpec("gbt", rounds=6, depth=4)
+        expect = [model_bytes(loop_fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)]
+        counts = np.array([24, 1, 9, 13, 9, 2])
+        monkeypatch.setattr(cl, "_CHUNK", chunk)
+        runs = [(list(at), int(width)) for at, width in cl._chunks(counts, 7)]
+        if chunk == 1:
+            assert runs == [([0], 24), ([3], 13), ([2], 9), ([4], 9), ([5], 2)]
+        else:
+            assert runs == [([0, 2, 3, 4, 5], 24)]
+        assert [model_bytes(m) for m in cl.fit(spec, X, y)] == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(sets=st.integers(1, 3), n=st.integers(2, 40), d=st.integers(1, 9),
+           svm_c=st.sampled_from([0.01, 0.3, 1.0, 10.0]), seed=st.integers(0, 2**16))
+    def test_svm_equals_numpy_scalar_loop(self, sets, n, d, svm_c, seed):
+        """SMO on Python floats against today's loop on numpy scalars, with
+        small and large C, so that pairs clip at both bounds."""
+        X, y = training_sets(np.random.default_rng(seed), sets, n, d, 0)
+        spec = cl.ClassifierSpec("svm_rbf", svm_c=svm_c, seed=seed % 3)
+        expect = [model_bytes(loop_fit(spec, X_set, y_set)) for X_set, y_set in zip(X, y)]
+        assert [model_bytes(m) for m in cl.fit(spec, X, y)] == expect
 
     @pytest.mark.parametrize("kind", cl.KINDS)
     def test_sets_of_different_shapes_rejected(self, kind):

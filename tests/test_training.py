@@ -478,10 +478,13 @@ class TestSgd:
         with pytest.raises(nm.NumericError):
             tr.sgd_step(arena_of(np.zeros(1)), {"w": np.array([np.nan])}, 0, cfg)
 
+    @pytest.mark.parametrize("written", [False, True])
     @pytest.mark.parametrize("model", ["toy", "stacked_mlp"])
-    def test_arena_step_equals_dict_oracle(self, model):
+    def test_arena_step_equals_dict_oracle(self, model, written):
         """Steps on the arena equal the per-tensor reference byte for byte,
-        parameters and velocities, across epochs of the learning-rate decay."""
+        parameters and velocities, across epochs of the learning-rate decay,
+        whether the gradients come as a dict or are written into the
+        arena's ``grads``."""
         rng = np.random.default_rng(61)
         if model == "toy":
             params = gr.init_params(tr.toy_graph(8), 3)
@@ -492,14 +495,18 @@ class TestSgd:
         velocity = {key: np.zeros_like(value) for key, value in params.items()}
         for epoch in (0, 0, 1, 5):
             grads = {key: rng.normal(size=value.shape) for key, value in params.items()}
-            tr.sgd_step(arena, grads, epoch, cfg)
+            if written:
+                for key, grad in grads.items():
+                    arena.grads[key][...] = grad
+            tr.sgd_step(arena, arena.grads if written else grads, epoch, cfg)
             params, velocity = dict_sgd_step(params, velocity, grads, epoch, cfg)
             assert exact(arena.params) == exact(params)
             assert arena.velocity.tobytes() == np.concatenate(
                 [v.ravel() for v in velocity.values()]).tobytes()
 
+    @pytest.mark.parametrize("written", [False, True])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejected_step_leaves_the_arena_and_names_the_key(self, bad):
+    def test_rejected_step_leaves_the_arena_and_names_the_key(self, bad, written):
         rng = np.random.default_rng(62)
         params = gr.init_params(tr.toy_graph(8), 0)
         arena = tr.Arena(params)
@@ -509,6 +516,10 @@ class TestSgd:
         grads = {key: rng.normal(size=v.shape) for key, v in params.items()}
         grads["head.au.w"][3, 2] = bad
         grads["stem.w"][0, 0, 0, 0] = bad
+        if written:
+            for key, grad in grads.items():
+                arena.grads[key][...] = grad
+            grads = arena.grads
         with pytest.raises(nm.NumericError, match="non-finite gradient for head.au.w"):
             tr.sgd_step(arena, grads, 1, cfg)
         assert arena.flat.tobytes() == flat and arena.velocity.tobytes() == velocity
@@ -528,6 +539,17 @@ class TestArena:
         np.testing.assert_array_equal(arena.flat, np.concatenate([v.ravel() for v in params.values()]))
         for value in arena.params.values():
             assert value.flags.c_contiguous and np.shares_memory(value, arena.flat)
+
+    def test_grads_view_the_gradient_vector_as_params_view_the_parameters(self):
+        params = stacked_mlp_params(np.random.default_rng(64))
+        arena = tr.Arena(params)
+        assert list(arena.grads) == list(params)
+        for key, view in arena.grads.items():
+            assert view.shape == params[key].shape
+            assert view.flags.c_contiguous and np.shares_memory(view, arena.grad)
+            view[...] = params[key]
+        np.testing.assert_array_equal(arena.grad, arena.flat)
+        assert arena.gather(arena.grads) is arena.grad
         assert not np.any(arena.velocity)
 
     def test_copy_holds_no_view(self):
