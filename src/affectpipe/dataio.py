@@ -1,6 +1,7 @@
 """Frame-stream CSV and cohort-manifest I/O plus versioned report writing."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -15,6 +16,13 @@ SCHEMA_VERSION = 1
 
 FRAME_COLUMNS = ("frame",) + tp.COLUMN_NAMES
 FRAME_HEADER = ",".join(FRAME_COLUMNS)
+
+# A frames CSV written by write_frames has a binary sidecar, <csv name>.f64:
+# this magic line, the CSV's 32-byte sha256, then its matrix as little-endian
+# float64 rows.
+SIDECAR_MAGIC = b"affectpipe-frames-f64-v1\n"
+_SIDECAR_HEAD = len(SIDECAR_MAGIC) + hashlib.sha256().digest_size
+_SIDECAR_ROW = 8 * tp.FRAME_DIM
 
 # sys.set_int_max_str_digits accepts no non-zero limit below 640, so int()
 # converts every digit string up to this length under any setting.
@@ -42,26 +50,77 @@ def parse_frames(path) -> np.ndarray:
     Enforces the exact header, per-column ranges, and unit expression mass
     so downstream feature extraction never sees out-of-contract values.
 
-    A well-formed file is accepted in one pass over the whole body: one
-    ``np.loadtxt`` call, numpy's C text reader, converts every cell, and the
-    matrix is checked column-wise.  That reader gives ``float()``'s value
-    for every cell it accepts but accepts only a subset of ``float()``'s
-    grammar (see ``_whole_body_matrix``).  Any file that pass cannot accept
-    for certain goes to the row-by-row parser, which defines the grammar,
-    raises the located ``ParseError``, and serves as the oracle the fast
-    pass is tested against; both return the same matrix bit for bit.
+    The file's bytes are read once.  A file ``write_frames`` wrote, still
+    byte for byte as written, is answered from its sidecar (see
+    ``_sidecar_matrix``) with no decimal conversion.  Any other file is
+    parsed as text.  A well-formed file is accepted in one pass over the
+    whole body: one ``np.loadtxt`` call, numpy's C text reader, converts
+    every cell, and the matrix is checked column-wise.  That reader gives
+    ``float()``'s value for every cell it accepts but accepts only a subset
+    of ``float()``'s grammar (see ``_whole_body_matrix``).  Any file that
+    pass cannot accept for certain goes to the row-by-row parser, which
+    defines the grammar, raises the located ``ParseError``, and serves as
+    the oracle the fast pass is tested against.  All three return the same
+    matrix bit for bit.
     """
-    F = _whole_body_matrix(_frame_body(path))
-    return F if F is not None else _parse_frame_rows(path)
-
-
-def _frame_body(path) -> list:
-    """The lines of a frames CSV after its checked header."""
     path = Path(path)
+    data = _frame_bytes(path)
+    F = _sidecar_matrix(path, data)
+    if F is not None:
+        return F
+    body = _frame_body(data, path)
+    F = _whole_body_matrix(body)
+    return F if F is not None else _parse_frame_rows(path, body)
+
+
+def sidecar_path(path) -> Path:
+    """Where ``write_frames`` puts the binary copy of the frames CSV at ``path``."""
+    path = Path(path)
+    return path.with_name(path.name + ".f64")
+
+
+def _frame_bytes(path: Path) -> bytes:
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        return path.read_bytes()
     except OSError as err:
         raise ParseError(str(err), path=path) from None
+
+
+def _sidecar_matrix(path: Path, data: bytes):
+    """The matrix ``write_frames`` stored beside the CSV holding ``data``, or None.
+
+    A sidecar is ``SIDECAR_MAGIC``, the sha256 of the CSV bytes it was
+    written with, then the M x 22 matrix as little-endian float64, row by
+    row.  It is trusted as the parse of the CSV whose digest it carries, as
+    a hash-based ``.pyc`` file is trusted as the compiled source (PEP 552).
+    It is used only when the magic matches, the digest is that of ``data``,
+    and the rest is whole rows, as many as the CSV's last frame index says
+    (M - 1, as ``write_frames`` numbers rows), so a sidecar cut short at a
+    row boundary is refused too; the matrix must then pass
+    ``temporal.attribute_matrix`` again, which also refuses zero rows.
+    Anything else, including a missing or unreadable sidecar, gives None.
+    """
+    try:
+        side = sidecar_path(path).read_bytes()
+    except OSError:
+        return None
+    rows, rest = divmod(len(side) - _SIDECAR_HEAD, _SIDECAR_ROW)
+    last_line = data[data.rfind(b"\n", 0, -1) + 1:]
+    if not (side.startswith(SIDECAR_MAGIC) and rest == 0
+            and last_line.startswith(b"%d," % (rows - 1))
+            and side[len(SIDECAR_MAGIC):_SIDECAR_HEAD] == hashlib.sha256(data).digest()):
+        return None
+    F = np.frombuffer(side, dtype="<f8", offset=_SIDECAR_HEAD).reshape(rows, tp.FRAME_DIM)
+    try:
+        return tp.attribute_matrix(F.astype(float))
+    except ValueError:
+        return None
+
+
+def _frame_body(data: bytes, path: Path) -> list:
+    """The lines of a frames CSV's bytes after its checked header."""
+    try:
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as err:
         raise ParseError(f"not valid UTF-8: {err}", path=path) from None
     if lines and lines[0].startswith("\ufeff"):
@@ -106,11 +165,17 @@ def _whole_body_matrix(body: list):
     return None
 
 
-def _parse_frame_rows(path) -> np.ndarray:
-    """Row-by-row ``parse_frames``: the grammar's definition and error locator."""
+def _parse_frame_rows(path, body=None) -> np.ndarray:
+    """Row-by-row ``parse_frames``: the grammar's definition and error locator.
+
+    ``body`` is the file's lines after its header, as ``_frame_body`` gives
+    them; when it is None the file at ``path`` is read for them.
+    """
     path = Path(path)
+    if body is None:
+        body = _frame_body(_frame_bytes(path), path)
     rows = []
-    for lineno, line in enumerate(_frame_body(path), start=2):
+    for lineno, line in enumerate(body, start=2):
         cells = line.split(",")
         if len(cells) != len(FRAME_COLUMNS):
             raise ParseError(
@@ -150,18 +215,25 @@ def write_frames(path, matrix) -> None:
     """Write an M x 22 attribute matrix as FrameCsv with round-trip-exact floats.
 
     The matrix must pass ``temporal.attribute_matrix``, so ``parse_frames``
-    reads every file written here back bit for bit.
+    reads every file written here back bit for bit.  The CSV is the record;
+    beside it goes its sidecar, ``<csv name>.f64`` (see ``_sidecar_matrix``),
+    which lets ``parse_frames`` skip the text while the CSV keeps the bytes
+    written here.  Deleting a sidecar changes no result.
     """
     F = tp.attribute_matrix(matrix)
     lines = [FRAME_HEADER]
     for i, row in enumerate(F):
         lines.append(f"{i}," + ",".join(map(repr, row.tolist())))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    path = Path(path)
+    path.write_bytes(data)
+    sidecar_path(path).write_bytes(
+        SIDECAR_MAGIC + hashlib.sha256(data).digest() + F.astype("<f8", copy=False).tobytes())
 
 
 def write_cohort(out_dir, participants) -> Path:
-    """Write each (id, diagnosis, stream) as ``<id>.csv`` as it arrives, then a
-    manifest listing them in that order; returns the manifest path."""
+    """Write each (id, diagnosis, stream) as ``<id>.csv`` (and its sidecar) as it
+    arrives, then a manifest listing them in that order; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []

@@ -216,12 +216,18 @@ class TestStrictJson:
 
 
 # sha256 of every file of the seed-0 cohort below.  The benchmark's synth
-# digest covers only the JSON report, so this pins the CSV and manifest bytes.
+# digest covers only the JSON report, so this pins the CSV and manifest bytes,
+# and the bytes of each CSV's float64 sidecar (<name>.csv.f64), which holds
+# that CSV's digest and its matrix.
 SEED0_COHORT = {
     "asd_000.csv": "e99962e229e0bced664a0bc6dbe00cbca847d610435e27bc9bac85709dda6575",
+    "asd_000.csv.f64": "5c40633d1ed7b913df7a944cb503024094fa437d1744a64efc6b08f2fd5defd4",
     "asd_001.csv": "1f43ecc162eddb7143dcdc6848922b420ce8fd93130eabb28519eb8835b80093",
+    "asd_001.csv.f64": "99fe4c424ad54281c8556c4318e4642be6207c84f9781ca1118dec655158bab9",
     "ctl_000.csv": "c43d02ad5ef558622b73822c205e6c2d99de7f4846bf518b6bfa26c446e475aa",
+    "ctl_000.csv.f64": "e93f62f83c78e3b985c3215fcbc42b343dc138465f37cd840b1660958a37310b",
     "ctl_001.csv": "fed347d1b65f9c317517d21000aa3508c2f9af5f9d2db3cb74ac9e8383d7050e",
+    "ctl_001.csv.f64": "73c2ad7ae7bc84317be1e5f94227ae91b0e136511fb8905cad7ce9cd5a1e5d28",
     "manifest.json": "59c055443f4b6f0be0d89b079b560a27defbcfa41d0eb7ce7079a1d5f9ff8e75",
 }
 
@@ -235,6 +241,31 @@ class TestSynthCommand:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in sorted(out_dir.iterdir())}
         assert digests == SEED0_COHORT
+
+    def test_reports_equal_with_and_without_sidecars(self, tmp_path, capsys):
+        out_dir = tmp_path / "c"
+        code, _, _ = run(capsys, "synth", "--out-dir", str(out_dir), "--participants", "2",
+                         "--frames", "30", "--expr-effect", "1.0", "--seed", "0")
+        assert code == 0
+        manifest = str(out_dir / "manifest.json")
+        commands = [("extract-features",), ("ttest",), ("ablate",)] + [
+            ("loocv", "--classifier", kind) for kind in ("lda", "logistic", "gbt")]
+
+        def reports():
+            outputs = []
+            for command in commands:
+                code, out, err = run(capsys, command[0], "--manifest", manifest, *command[1:])
+                assert code == 0 and err == ""
+                outputs.append(out)
+            return outputs
+
+        warm = reports()
+        sidecars = sorted(out_dir.glob("*.f64"))
+        assert len(sidecars) == 4
+        for side in sidecars:
+            side.unlink()
+        assert reports() == warm
+        assert not list(out_dir.glob("*.f64"))
 
     def test_writes_cohort(self, tmp_path, capsys):
         code, out, _ = run(capsys, "synth", "--out-dir", str(tmp_path / "c"),
@@ -564,13 +595,13 @@ class TestMutatedCohortFiles:
 
     @settings(max_examples=150, deadline=None)
     @given(target=st.sampled_from(["manifest.json", "config.json", "asd_001.csv",
-                                   "ctl_000.csv"]),
+                                   "ctl_000.csv", "ctl_000.csv.f64"]),
            command=st.sampled_from(["extract-features", "ttest", "loocv"]),
            mutations=st.lists(MUTATION, min_size=1, max_size=3))
     def test_exit_0_or_one_json_error(self, cohort, target, command, mutations):
         path = cohort / target
         original = path.read_bytes()
-        start = 0 if target.endswith(".json") else original.index(b"\n") + 1
+        start = 0 if target.endswith((".json", ".f64")) else original.index(b"\n") + 1
         path.write_bytes(mutate(original, start, mutations))
         out, err = io.StringIO(), io.StringIO()
         try:
@@ -579,6 +610,9 @@ class TestMutatedCohortFiles:
                                  "--config", str(cohort / "config.json")])
         finally:
             path.write_bytes(original)
+        # A sidecar's mutation never fails a command: a refused sidecar leaves
+        # the CSV to be read, and one still taken passed the frame contract.
+        assert code == 0 or not target.endswith(".f64")
         if code == 0:
             assert err.getvalue() == ""
             assert json.loads(out.getvalue())["command"] == command

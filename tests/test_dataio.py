@@ -1,5 +1,6 @@
 """Frame CSV, manifest, and report round trips plus error locations."""
 
+import hashlib
 import json
 import math
 from unittest import mock
@@ -22,6 +23,12 @@ def random_matrix(rng, m=5):
     expr = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     affect = rng.uniform(-1, 1, (m, 2))
     return np.column_stack([au, expr, affect])
+
+
+def write_text_only(path, F):
+    """``write_frames`` without its sidecar, so ``parse_frames`` reads the text."""
+    dio.write_frames(path, F)
+    dio.sidecar_path(path).unlink()
 
 
 def write_unchecked(path, F):
@@ -53,7 +60,7 @@ def write_cohort(tmp_path, rng, n_pos=2, n_neg=2, m=6):
     for i in range(n_pos + n_neg):
         pid = f"p{i:02d}"
         label = ev.ASD if i < n_pos else ev.NON_ASD
-        dio.write_frames(tmp_path / f"{pid}.csv", random_matrix(rng, m))
+        write_text_only(tmp_path / f"{pid}.csv", random_matrix(rng, m))
         entries.append({"id": pid, "label": label, "frames": f"{pid}.csv"})
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(entries))
@@ -65,7 +72,7 @@ class TestFrameCsv:
         rng = np.random.default_rng(0)
         F = random_matrix(rng, m=20)
         path = tmp_path / "frames.csv"
-        dio.write_frames(path, F)
+        write_text_only(path, F)
         back = dio.parse_frames(path)
         np.testing.assert_array_equal(back, F)
 
@@ -102,7 +109,7 @@ class TestFrameCsv:
     def test_write_bytes_equal_scalar_repr(self, tmp_path_factory, rows):
         F = np.array(rows)
         path = tmp_path_factory.mktemp("repr") / "frames.csv"
-        dio.write_frames(path, F)
+        write_text_only(path, F)
         assert path.read_bytes() == scalar_repr_frames(F).encode("utf-8")
         assert dio.parse_frames(path).tobytes() == F.tobytes()
 
@@ -163,12 +170,12 @@ class TestFrameCsv:
         F[1, tp.EXPR_COLS] = 0.5
         with pytest.raises(ValueError, match="sum to 1"):
             dio.write_frames(tmp_path / "w.csv", F)
-        assert not (tmp_path / "w.csv").exists()
+        assert not list(tmp_path.iterdir())
 
     def test_write_rejects_zero_rows(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
             dio.write_frames(tmp_path / "w.csv", np.empty((0, 22)))
-        assert not (tmp_path / "w.csv").exists()
+        assert not list(tmp_path.iterdir())
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5),
@@ -189,12 +196,15 @@ class TestFrameCsv:
             dio.write_frames(path, F)
         except ValueError as err:
             assert bound and "sum to 1" in str(err)
+            assert not dio.sidecar_path(path).exists()
             return
         unchecked = path.with_name("unchecked.csv")
         write_unchecked(unchecked, F)
         assert path.read_bytes() == unchecked.read_bytes()
+        assert dio.sidecar_path(path).read_bytes() == sidecar_bytes(path, F)
+        dio.sidecar_path(path).unlink()
 
-        def unreachable(_):
+        def unreachable(*_):
             raise AssertionError("row loop called on a written file")
 
         with mock.patch.object(dio, "_parse_frame_rows", unreachable):
@@ -265,9 +275,9 @@ class TestFastPathMatchesRowLoop:
     def test_valid_file_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
         path = tmp_path / "frames.csv"
         F = random_matrix(np.random.default_rng(11), m=50)
-        dio.write_frames(path, F)
+        write_text_only(path, F)
 
-        def unreachable(_):
+        def unreachable(*_):
             raise AssertionError("row loop called on a valid file")
 
         monkeypatch.setattr(dio, "_parse_frame_rows", unreachable)
@@ -326,7 +336,7 @@ class TestFastPathMatchesRowLoop:
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert_same_outcome(path)
 
-        def unreachable(_):
+        def unreachable(*_):
             raise AssertionError("row loop called on a CRLF file")
 
         monkeypatch.setattr(dio, "_parse_frame_rows", unreachable)
@@ -362,6 +372,127 @@ class TestFastPathMatchesRowLoop:
             dio.parse_frames(path)
         assert err.value.path == str(path)
 
+
+def sidecar_bytes(csv, F):
+    """A sidecar for the CSV at ``csv`` holding ``F``, laid out as ``write_frames``
+    lays it out."""
+    digest = hashlib.sha256(csv.read_bytes()).digest()
+    return dio.SIDECAR_MAGIC + digest + np.asarray(F, dtype="<f8").tobytes()
+
+
+def set_cell(data, line, column, value):
+    """CSV bytes with cell ``column`` of line ``line`` (0 is the header) replaced."""
+    lines = data.split(b"\n")
+    cells = lines[line].split(b",")
+    cells[column] = value
+    lines[line] = b",".join(cells)
+    return b"\n".join(lines)
+
+
+class TestSidecar:
+    def test_hit_skips_the_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "frames.csv"
+        F = random_matrix(np.random.default_rng(20), m=40)
+        dio.write_frames(path, F)
+        assert dio.sidecar_path(path) == tmp_path / "frames.csv.f64"
+        assert dio.sidecar_path(path).read_bytes() == sidecar_bytes(path, F)
+        rows = dio._parse_frame_rows(path)
+
+        def unreachable(*_, **__):
+            raise AssertionError("text parsed on a sidecar hit")
+
+        monkeypatch.setattr(np, "loadtxt", unreachable)
+        monkeypatch.setattr(dio, "_parse_frame_rows", unreachable)
+        back = dio.parse_frames(path)
+        assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+        assert back.tobytes() == rows.tobytes() == F.tobytes()
+        back[:] = 0.0
+        assert dio.parse_frames(path).tobytes() == F.tobytes()
+
+    def test_trusted_while_the_digest_holds(self, tmp_path):
+        # The sidecar stands for the CSV whose digest it carries, whatever
+        # its floats: a planted one with that digest is read, not checked
+        # against the text.
+        path = tmp_path / "frames.csv"
+        F = random_matrix(np.random.default_rng(21), m=3)
+        dio.write_frames(path, F)
+        planted = F.copy()
+        planted[0, 0] = 0.5 if F[0, 0] != 0.5 else 0.25
+        dio.sidecar_path(path).write_bytes(sidecar_bytes(path, planted))
+        assert dio.parse_frames(path).tobytes() == planted.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: set_cell(data, 2, 1, b"0.25"),
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: data + b"\n",
+        lambda data: data[:-1],
+    ], ids=["one-cell", "crlf", "trailing-blank-line", "no-final-newline"])
+    def test_edited_csv_reads_as_with_no_sidecar(self, tmp_path, edit):
+        path = tmp_path / "frames.csv"
+        F = random_matrix(np.random.default_rng(22), m=4)
+        dio.write_frames(path, F)
+        path.write_bytes(edit(path.read_bytes()))
+        with_sidecar = parse_outcome(dio.parse_frames, path)
+        dio.sidecar_path(path).unlink()
+        assert_same_outcome(path)
+        without = parse_outcome(dio.parse_frames, path)
+        if isinstance(without, np.ndarray):
+            assert with_sidecar.tobytes() == without.tobytes()
+        else:
+            assert with_sidecar == without
+
+    def test_out_of_range_edit_raises_the_located_error(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        dio.write_frames(path, random_matrix(np.random.default_rng(24), m=3))
+        path.write_bytes(set_cell(path.read_bytes(), 2, 21, b"1.5"))
+        with_sidecar = parse_outcome(dio.parse_frames, path)
+        dio.sidecar_path(path).unlink()
+        assert with_sidecar == parse_outcome(dio.parse_frames, path)
+        assert with_sidecar == parse_outcome(dio._parse_frame_rows, path)
+        assert with_sidecar[1:] == (str(path), 3, "arousal")
+
+    @pytest.mark.parametrize("spoil", [
+        lambda side, F: b"affectpipe-frames-f64-v0\n" + side[len(dio.SIDECAR_MAGIC):],
+        lambda side, F: side[:30] + bytes([side[30] ^ 1]) + side[31:],
+        lambda side, F: side[:-F[0].nbytes],
+        lambda side, F: side + side[-F[0].nbytes:],
+        lambda side, F: side[:-1],
+        lambda side, F: side + b"\0",
+        lambda side, F: side[:len(side) - F.nbytes],
+        lambda side, F: side[:10],
+        lambda side, F: b"",
+        lambda side, F: side[:-8] + np.array([1.5], dtype="<f8").tobytes(),
+        lambda side, F: side[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
+        lambda side, F: side[:-F.nbytes] + np.asarray(F, dtype=">f8").tobytes(),
+    ], ids=["magic", "digest", "row-short", "row-long", "byte-short", "byte-long",
+            "zero-rows", "inside-header", "empty", "out-of-range", "nan", "big-endian"])
+    def test_spoiled_sidecar_falls_back(self, tmp_path, spoil):
+        path = tmp_path / "frames.csv"
+        F = random_matrix(np.random.default_rng(25), m=5)
+        dio.write_frames(path, F)
+        # Every spoiled sidecar also carries a planted cell, so a sidecar read
+        # where the text should be would show.
+        planted = F.copy()
+        planted[0, 0] = 0.5 if F[0, 0] != 0.5 else 0.25
+        side = dio.sidecar_path(path)
+        side.write_bytes(spoil(sidecar_bytes(path, planted), planted))
+        assert dio.parse_frames(path).tobytes() == F.tobytes()
+
+    def test_sidecar_path_that_is_a_directory(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        F = random_matrix(np.random.default_rng(26), m=2)
+        write_text_only(path, F)
+        dio.sidecar_path(path).mkdir()
+        assert dio.parse_frames(path).tobytes() == F.tobytes()
+
+    def test_rewrite_replaces_the_sidecar(self, tmp_path):
+        path = tmp_path / "frames.csv"
+        rng = np.random.default_rng(28)
+        dio.write_frames(path, random_matrix(rng, m=6))
+        F = random_matrix(rng, m=3)
+        dio.write_frames(path, F)
+        assert dio.sidecar_path(path).read_bytes() == sidecar_bytes(path, F)
+        assert dio.parse_frames(path).tobytes() == F.tobytes()
 
 class TestManifest:
     def test_two_records(self, tmp_path):
